@@ -49,10 +49,16 @@ def _write_matrix(path: Path, m: np.ndarray) -> None:
 
 def _read_matrix(path: Path, expect_rows: int, name: str) -> np.ndarray:
     rows = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        rows.append([float(v) for v in line.split("\t")])
+        try:
+            row = [float(v) for v in line.split("\t")]
+        except ValueError as exc:
+            raise IngestError(f"{name}:{lineno}: {exc}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise IngestError(f"{name}:{lineno}: expected {len(rows[0])} columns, found {len(row)}")
+        rows.append(row)
     m = np.asarray(rows, dtype=np.float64)
     if m.shape[0] != expect_rows:
         raise IngestError(f"{name}: expected {expect_rows} rows, found {m.shape[0]}")

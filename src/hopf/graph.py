@@ -68,7 +68,11 @@ class Subgraph:
     """Induced subgraph with local CSR indices and the local-to-global id map.
 
     ``frontier_offsets[h]`` is the start of hop-h nodes inside ``global_ids``;
-    seeds occupy the prefix ``global_ids[:frontier_offsets[1]]``.
+    seeds occupy the prefix ``global_ids[:frontier_offsets[1]]``. Because of
+    this order, the nodes within h hops of the seeds are the row prefix
+    ``[:frontier_offsets[h + 1]]``: layer k of a depth-C kernel holds only
+    the prefix ``[:frontier_offsets[C - k + 1]]`` (see
+    :func:`hopf.kernels.layer_rows`).
     """
 
     n: int
@@ -164,8 +168,9 @@ def _check_seeds(n: int, seeds) -> np.ndarray:
 def _induce(g: Graph, order: np.ndarray, offsets: list[int]) -> Subgraph:
     """Induced adjacency over ``order``, rows/columns renumbered to local ids.
 
-    A radius-zero extraction (a single frontier) carries no edges: with no
-    expansion step there is nothing to aggregate over.
+    One sliced CSR: rows in ``order``, then columns in ``order``, each row's
+    columns sorted ascending. A radius-zero extraction (a single frontier)
+    carries no edges: with no expansion step there is nothing to aggregate over.
     """
     if len(offsets) == 2:
         return Subgraph(
@@ -175,47 +180,60 @@ def _induce(g: Graph, order: np.ndarray, offsets: list[int]) -> Subgraph:
             global_ids=order,
             frontier_offsets=tuple(offsets),
         )
-    local = np.full(g.n, -1, dtype=np.int64)
-    local[order] = np.arange(order.size)
-    indptr = [0]
-    cols = []
-    for gid in order:
-        nb = g.neighbors(gid)
-        kept = local[nb]
-        kept = np.sort(kept[kept >= 0])
-        cols.append(kept)
-        indptr.append(indptr[-1] + kept.size)
-    indices = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
+    adj = g.to_scipy()[order][:, order]
+    adj.sort_indices()
     return Subgraph(
         n=order.size,
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=indices.astype(np.int64),
+        indptr=adj.indptr.astype(np.int64),
+        indices=adj.indices.astype(np.int64),
         global_ids=order,
         frontier_offsets=tuple(offsets),
     )
 
 
-def khop_subgraph(g: Graph, seeds, K: int) -> Subgraph:
-    """BFS ball of radius K around ``seeds`` with its induced adjacency."""
-    if K < 0:
-        raise ArgumentError(f"K must be >= 0, got {K}")
+def _gather_neighbors(g: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Concatenated neighbor lists of ``nodes``, in one CSR gather."""
+    starts = g.indptr[nodes]
+    lens = g.indptr[nodes + 1] - starts
+    # position i of node v's run maps to starts[v] + i
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return g.indices[shift + np.arange(shift.size)]
+
+
+def _expand(g: Graph, seeds, caps, rng) -> Subgraph:
+    """Frontier-ordered BFS from ``seeds``, one hop per cap.
+
+    A node whose degree exceeds the hop's cap contributes ``cap`` neighbors
+    drawn uniformly without replacement, one ``rng.choice`` per such node in
+    frontier order; every other node contributes all of its neighbors.
+    """
     seeds = _check_seeds(g.n, seeds)
     in_set = np.zeros(g.n, dtype=bool)
     in_set[seeds] = True
     order = [seeds]
     offsets = [0, seeds.size]
     frontier = seeds
-    for _ in range(K):
-        if frontier.size:
-            cand = np.unique(np.concatenate([g.neighbors(v) for v in frontier]))
-            new = cand[~in_set[cand]]
-        else:
-            new = np.empty(0, dtype=np.int64)
-        in_set[new] = True
+    for cap in caps:
+        over = g.degree[frontier] > cap
+        picked = [_gather_neighbors(g, frontier[~over])]
+        picked += [rng.choice(g.neighbors(v), size=cap, replace=False) for v in frontier[over]]
+        hit = np.zeros(g.n, dtype=bool)
+        hit[np.concatenate(picked)] = True
+        hit &= ~in_set
+        new = np.flatnonzero(hit)
+        in_set |= hit
         order.append(new)
         offsets.append(offsets[-1] + new.size)
         frontier = new
     return _induce(g, np.concatenate(order), offsets)
+
+
+def khop_subgraph(g: Graph, seeds, K: int) -> Subgraph:
+    """BFS ball of radius K around ``seeds`` with its induced adjacency."""
+    if K < 0:
+        raise ArgumentError(f"K must be >= 0, got {K}")
+    # no degree exceeds n, so no hop ever samples and the rng is never drawn
+    return _expand(g, seeds, [g.n] * K, rng=None)
 
 
 def sample_neighbors(g: Graph, per_hop_caps, seeds, K: int, rng_seed: int) -> Subgraph:
@@ -229,30 +247,7 @@ def sample_neighbors(g: Graph, per_hop_caps, seeds, K: int, rng_seed: int) -> Su
         raise ArgumentError(f"need one cap per hop: got {len(caps)} caps for K={K}")
     if any(c < 1 for c in caps):
         raise ArgumentError("per-hop caps must be >= 1")
-    seeds = _check_seeds(g.n, seeds)
-    rng = np.random.default_rng(rng_seed)
-    in_set = np.zeros(g.n, dtype=bool)
-    in_set[seeds] = True
-    order = [seeds]
-    offsets = [0, seeds.size]
-    frontier = seeds
-    for cap in caps:
-        picked = []
-        for v in frontier:
-            nb = g.neighbors(v)
-            if nb.size > cap:
-                nb = np.sort(rng.choice(nb, size=cap, replace=False))
-            picked.append(nb)
-        if picked:
-            cand = np.unique(np.concatenate(picked))
-            new = cand[~in_set[cand]]
-        else:
-            new = np.empty(0, dtype=np.int64)
-        in_set[new] = True
-        order.append(new)
-        offsets.append(offsets[-1] + new.size)
-        frontier = new
-    return _induce(g, np.concatenate(order), offsets)
+    return _expand(g, seeds, caps, np.random.default_rng(rng_seed))
 
 
 def normalize_adjacency(sub, scheme: NormScheme) -> sp.csr_matrix:
@@ -266,13 +261,16 @@ def normalize_adjacency(sub, scheme: NormScheme) -> sp.csr_matrix:
     if scheme == NormScheme.MAXPOOL:
         raise ArgumentError("maxpool is not a matrix normalization; it is applied inside the kernel")
     adj = sub.to_scipy()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
+    counts = np.diff(adj.indptr)
+    deg = counts.astype(np.float64)
     if scheme == NormScheme.COUNT:
         return adj
     if scheme == NormScheme.MEAN:
         inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-        return sp.diags(inv) @ adj
+        adj.data = np.repeat(inv, counts)
+        return adj
     if scheme == NormScheme.SYM_SELF:
         s = 1.0 / np.sqrt(deg + 1.0)
-        return sp.diags(s) @ adj @ sp.diags(s)
+        adj.data = np.repeat(s, counts) * s[adj.indices]
+        return adj
     raise ArgumentError(f"unknown normalization scheme {scheme!r}")

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ArgumentError, ConfigError, ShapeError, StateError
 from .graph import Graph, NormScheme, Subgraph, normalize_adjacency
@@ -282,25 +283,42 @@ class ModelWeights:
 
     @staticmethod
     def load_arrays(path) -> dict[str, np.ndarray]:
+        def read(fh, size: int) -> bytes:
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise ArgumentError(f"{path}: truncated weights snapshot")
+            return buf
+
         with open(path, "rb") as fh:
             if fh.read(8) != ModelWeights._MAGIC:
                 raise ArgumentError(f"{path}: not a weights snapshot")
-            (count,) = struct.unpack("<I", fh.read(4))
+            (count,) = struct.unpack("<I", read(fh, 4))
             shapes = []
             for _ in range(count):
-                (nlen,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(nlen).decode()
-                rows, cols = struct.unpack("<II", fh.read(8))
+                (nlen,) = struct.unpack("<H", read(fh, 2))
+                name = read(fh, nlen).decode()
+                rows, cols = struct.unpack("<II", read(fh, 8))
                 shapes.append((name, rows, cols))
             out = {}
             for name, rows, cols in shapes:
-                buf = fh.read(rows * cols * 8)
+                buf = read(fh, rows * cols * 8)
                 out[name] = np.frombuffer(buf, dtype=np.float64).reshape(rows, cols).copy()
+            if fh.read(1):
+                raise ArgumentError(f"{path}: trailing bytes after the last matrix")
         return out
 
     @classmethod
     def load(cls, path, spec: KernelSpec) -> "ModelWeights":
+        """Read a snapshot, checking every matrix's name and shape against ``spec``."""
         arrs = cls.load_arrays(path)
+        if "w0" not in arrs or "wl" not in arrs:
+            raise ShapeError(f"{path}: snapshot lacks w0 or wl")
+        # the layer plan for the snapshot's feature and label counts fixes every shape
+        template = cls.init(spec, arrs["w0"].shape[0], arrs["wl"].shape[1], rng_seed=0)
+        expected = {name: a.shape for name, a in template.params()}
+        found = {name: a.shape for name, a in arrs.items()}
+        if found != expected:
+            raise ShapeError(f"{path}: snapshot {found} does not fit {spec.name} {expected}")
         wphi, wpsi = [], []
         for k in range(1, spec.depth + 1):
             if f"w{k}" in arrs:
@@ -314,7 +332,13 @@ class ModelWeights:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs from one forward evaluation."""
+    """Everything the backward pass needs from one forward evaluation.
+
+    ``x[k]`` and ``pre[k]`` hold only the ``rows[k]`` prefix of the ball that
+    the seeds depend on (see :func:`layer_rows`). ``adj[k]`` is layer k+1's
+    block of the normalized adjacency, ``rows[k+1]`` by ``rows[k]``; its
+    ``.T`` is a free CSC view, which the backward pass multiplies by directly.
+    """
 
     spec: KernelSpec
     weights: ModelWeights
@@ -327,7 +351,8 @@ class ForwardCache:
     masks: list = field(default_factory=list)    # dropout masks or None
     phi_inputs: list = field(default_factory=list)
     psi_inputs: list = field(default_factory=list)
-    norm: object = None
+    rows: list = field(default_factory=list)
+    adj: list = field(default_factory=list)
     alpha_vec: np.ndarray | None = None
     maxpool_argmax: list = field(default_factory=list)
     logits: np.ndarray | None = None
@@ -336,12 +361,13 @@ class ForwardCache:
 
 def maxpool_aggregate(sub: Subgraph, neighbor_features: np.ndarray) -> np.ndarray:
     """Element-wise max over each node's neighbors; isolated rows are zero."""
-    out, _ = _maxpool_with_argmax(sub, np.asarray(neighbor_features, dtype=np.float64))
+    out, _ = _maxpool_with_argmax(sub, np.asarray(neighbor_features, dtype=np.float64), sub.n)
     return out
 
 
-def _maxpool_with_argmax(sub: Subgraph, feats: np.ndarray):
-    n, w = sub.n, feats.shape[1]
+def _maxpool_with_argmax(sub: Subgraph, feats: np.ndarray, n: int):
+    """Maxpool for the first ``n`` rows of ``sub``."""
+    w = feats.shape[1]
     out = np.zeros((n, w), dtype=np.float64)
     arg = np.full((n, w), -1, dtype=np.int64)
     for v in range(n):
@@ -353,6 +379,32 @@ def _maxpool_with_argmax(sub: Subgraph, feats: np.ndarray):
         out[v] = rows[top, np.arange(w)]
         arg[v] = nb[top]
     return out, arg
+
+
+def layer_rows(sub: Subgraph, depth: int) -> list[int]:
+    """Rows of the ball that each layer's output needs, ``rows[0..depth]``.
+
+    Layer ``depth`` computes the seed rows; layer k-1 must cover layer k's rows
+    and every neighbor they aggregate over. Rows are frontier-ordered, so each
+    set is a prefix: for a BFS ball of radius >= depth, ``rows[k]`` is
+    ``frontier_offsets[depth - k + 1]``, the nodes within depth-k hops of the
+    seeds, whose neighborhoods lie wholly inside the ball for k >= 1. In a
+    sampled ball an induced edge may reach past the next frontier; the prefix
+    then grows to cover it, so trimming never changes a result.
+    """
+    rows = [sub.num_seeds]
+    for _ in range(depth):
+        cols = sub.indices[: sub.indptr[rows[-1]]]
+        rows.append(max(rows[-1], int(cols.max()) + 1) if cols.size else rows[-1])
+    return rows[::-1]
+
+
+def _row_block(m: sp.csr_matrix, rows: int, cols: int) -> sp.csr_matrix:
+    """The leading ``rows`` rows of ``m`` as a (rows, cols) matrix; every column
+    index in them must already be below ``cols``."""
+    end = m.indptr[rows]
+    return sp.csr_matrix((m.data[:end], m.indices[:end], m.indptr[: rows + 1]),
+                         shape=(rows, cols))
 
 
 def _output_activation(logits: np.ndarray, task: Task) -> np.ndarray:
@@ -369,6 +421,9 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
 
     ``features`` and ``yhat`` are the X / label-estimate rows for
     ``sub.global_ids`` in local order. Output rows cover only the seed prefix.
+    Layer k computes only the ``rows[k]`` prefix of :func:`layer_rows` and
+    reads the ``rows[k-1]`` prefix of the layer below, so h_0 and every
+    propagation layer cost what the seeds depend on, not the whole ball.
     """
     if not spec.differentiable:
         raise ConfigError(f"{spec.name} is analysis-only and cannot produce predictions")
@@ -390,15 +445,16 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
         raise ConfigError("dropout needs an explicit rng for reproducibility")
 
     plan = layer_plan(spec, features.shape[1], num_labels)
+    rows = layer_rows(sub, spec.depth)
     cache = ForwardCache(spec=spec, weights=weights, sub=sub, task=task,
-                         features=features, yhat=yhat if spec.uses_labels else None)
+                         features=features[: rows[0]],
+                         yhat=yhat if spec.uses_labels else None, rows=rows)
 
-    norm = None
     if spec.has_neighbor_path and spec.norm is not NormScheme.MAXPOOL:
         norm = normalize_adjacency(sub, spec.norm)
-    cache.norm = norm
+        cache.adj = [_row_block(norm, rows[k + 1], rows[k]) for k in range(spec.depth)]
     if spec.alpha is AlphaMode.INV_DEG_SELF:
-        cache.alpha_vec = 1.0 / (sub.degree.astype(np.float64) + 1.0)
+        cache.alpha_vec = 1.0 / (sub.degree[: rows[1]].astype(np.float64) + 1.0)
 
     def drop(h):
         if dropout_rate > 0.0:
@@ -408,19 +464,20 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
         cache.masks.append(mask)
         return h if mask is None else h * mask
 
-    pre0 = features @ weights.w0
+    pre0 = cache.features @ weights.w0
     cache.pre.append(pre0)
     cache.x.append(drop(relu(pre0)))
 
     for k in range(spec.depth):
+        n_in, n_out = rows[k], rows[k + 1]
         prev = cache.x[-1]
         node = None
         phi_in = None
         if spec.has_node_path:
-            phi_in = cache.x[0] if spec.phi is Phi.H0 else prev
+            phi_in = (cache.x[0] if spec.phi is Phi.H0 else prev)[:n_out]
             node = phi_in @ weights.wphi[k]
             if cache.alpha_vec is not None:
-                node = cache.alpha_vec[:, None] * node
+                node = cache.alpha_vec[:n_out, None] * node
         neigh = None
         psi_in = None
         argmax = None
@@ -428,14 +485,14 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
             if spec.psi is Psi.H_PREV:
                 psi_in = prev
             elif spec.psi is Psi.LABELS:
-                psi_in = yhat
+                psi_in = yhat[:n_in]
             else:
-                psi_in = np.hstack([prev, yhat])
+                psi_in = np.hstack([prev, yhat[:n_in]])
             lin = psi_in @ weights.wpsi[k]
             if spec.norm is NormScheme.MAXPOOL:
-                neigh, argmax = _maxpool_with_argmax(sub, lin)
+                neigh, argmax = _maxpool_with_argmax(sub, lin, n_out)
             else:
-                neigh = spmm(norm, lin)
+                neigh = spmm(cache.adj[k], lin)
         cache.phi_inputs.append(phi_in)
         cache.psi_inputs.append(psi_in)
         cache.maxpool_argmax.append(argmax)
@@ -451,13 +508,12 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
         cache.pre.append(pre)
         h = relu(pre)
         if spec.skip_connections:
-            h = h + prev
+            h = h + prev[:n_out]
         cache.x.append(drop(h))
 
-    seeds = sub.num_seeds
     if cache.x[-1].shape[1] != plan.output_in:
         raise ShapeError("layer plan mismatch in forward pass")
-    logits = cache.x[-1][:seeds] @ weights.wl
+    logits = cache.x[-1] @ weights.wl
     cache.logits = logits
     cache.ytilde = _output_activation(logits, task)
     return cache.ytilde, cache
@@ -478,6 +534,8 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
 
     Tied layers accumulate both path contributions into the shared array. The
     label channel is treated as data: no gradient is ever produced for it.
+    Every activation gradient has the shape of its ``cache.x`` entry, so no
+    gradient reaches a row the forward pass did not compute.
     """
     if cache.spec is not spec or cache.weights is not weights:
         raise StateError("cache does not belong to this spec/weights pair")
@@ -486,20 +544,20 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
         raise ShapeError(f"dloss shape {dloss_dy.shape} vs predictions {cache.ytilde.shape}")
 
     grads = weights.zeros_like()
-    seeds = cache.sub.num_seeds
     dlogits = _doutput(cache, dloss_dy)
-    grads.wl += cache.x[-1][:seeds].T @ dlogits
+    grads.wl += cache.x[-1].T @ dlogits
 
     dx = [np.zeros_like(x) for x in cache.x]
-    dx[-1][:seeds] = dlogits @ weights.wl.T
+    dx[-1] += dlogits @ weights.wl.T
 
     for k in range(spec.depth - 1, -1, -1):
         layer = k + 1  # index into cache.x / cache.pre
+        n_out = cache.rows[layer]
         dh = dx[layer]
         if cache.masks[layer] is not None:
             dh = dh * cache.masks[layer]
         if spec.skip_connections:
-            dx[layer - 1] += dh
+            dx[layer - 1][:n_out] += dh
         dpre = dh * (cache.pre[layer] > 0)
 
         d = spec.hidden_dim
@@ -511,23 +569,23 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
 
         if dnode is not None:
             if cache.alpha_vec is not None:
-                dnode = cache.alpha_vec[:, None] * dnode
+                dnode = cache.alpha_vec[:n_out, None] * dnode
             grads.wphi[k] += cache.phi_inputs[k].T @ dnode
             dphi = dnode @ weights.wphi[k].T
             if spec.phi is Phi.H0:
-                dx[0] += dphi
+                dx[0][:n_out] += dphi
             else:
-                dx[layer - 1] += dphi
+                dx[layer - 1][:n_out] += dphi
 
         if dneigh is not None:
             if spec.norm is NormScheme.MAXPOOL:
-                dlin = np.zeros((cache.sub.n, weights.wpsi[k].shape[1]))
+                dlin = np.zeros((cache.rows[k], weights.wpsi[k].shape[1]))
                 arg = cache.maxpool_argmax[k]
                 valid = arg >= 0
-                rows, cols = np.nonzero(valid)
-                np.add.at(dlin, (arg[rows, cols], cols), dneigh[rows, cols])
+                r, c = np.nonzero(valid)
+                np.add.at(dlin, (arg[r, c], c), dneigh[r, c])
             else:
-                dlin = spmm(cache.norm.T.tocsr(), dneigh)
+                dlin = spmm(cache.adj[k].T, dneigh)
             grads.wpsi[k] += cache.psi_inputs[k].T @ dlin
             dpsi = dlin @ weights.wpsi[k].T
             if spec.psi is Psi.H_PREV:

@@ -53,6 +53,19 @@ class TestExitCodes:
         bad.write_text("a,b\n1,2\n")
         assert main(["compare", "--scores", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_non_numeric_feature_cell(self, planted_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for f in planted_dir.iterdir():
+            (bad / f.name).write_bytes(f.read_bytes())
+        lines = (bad / "features.tsv").read_text().splitlines()
+        lines[2] = "oops" + lines[2][lines[2].index("\t"):]
+        (bad / "features.tsv").write_text("\n".join(lines) + "\n")
+        code = main(["train", "--dataset", str(bad), "--model", "nip_mean",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "features.tsv:3" in capsys.readouterr().err
+
     def test_manifest_written_before_results(self, tmp_path):
         out = tmp_path / "run"
         code = main(["train", "--dataset", str(tmp_path / "nonexistent"),

@@ -50,6 +50,15 @@ class TestIngestErrors:
         with pytest.raises(IngestError, match="features.tsv"):
             load_dataset(tmp_path / "d")
 
+    def test_non_numeric_or_ragged_cell_names_file_and_line(self, tmp_path):
+        save_dataset(minimal_bundle(), tmp_path / "d")
+        path = tmp_path / "d" / "features.tsv"
+        good = path.read_text().splitlines()
+        for bad in ("x\t1", good[1] + "\t0"):
+            path.write_text("\n".join([good[0], bad] + good[2:]) + "\n")
+            with pytest.raises(IngestError, match="features.tsv:2"):
+                load_dataset(tmp_path / "d")
+
     def test_multiclass_must_be_one_hot(self, tmp_path):
         save_dataset(minimal_bundle(), tmp_path / "d")
         (tmp_path / "d" / "labels.tsv").write_text("1\t1\n0\t1\n1\t0\n")

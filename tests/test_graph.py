@@ -207,6 +207,66 @@ class TestNormalize:
             normalize_adjacency(khop_subgraph(triangle, [0], 1), NormScheme.MAXPOOL)
 
 
+def reference_ball(graph, seeds, caps, rng):
+    """Per-node loop oracle for the frontier-ordered BFS and its induced CSR.
+
+    One ``rng.choice`` per over-cap frontier node, in frontier order; then each
+    ball node's neighbors are renumbered to local ids and sorted, row by row.
+    """
+    seeds = np.asarray(list(dict.fromkeys(seeds)), dtype=np.int64)
+    in_set = np.zeros(graph.n, dtype=bool)
+    in_set[seeds] = True
+    order, offsets, frontier = [seeds], [0, seeds.size], seeds
+    for cap in caps:
+        picked = [np.empty(0, dtype=np.int64)]
+        for v in frontier:
+            nb = graph.neighbors(v)
+            if nb.size > cap:
+                nb = np.sort(rng.choice(nb, size=cap, replace=False))
+            picked.append(nb)
+        cand = np.unique(np.concatenate(picked))
+        new = cand[~in_set[cand]]
+        in_set[new] = True
+        order.append(new)
+        offsets.append(offsets[-1] + new.size)
+        frontier = new
+    order = np.concatenate(order)
+    if not caps:
+        return order, tuple(offsets), np.zeros(order.size + 1, dtype=np.int64), np.empty(0)
+    local = np.full(graph.n, -1, dtype=np.int64)
+    local[order] = np.arange(order.size)
+    indptr, cols = [0], []
+    for gid in order:
+        kept = local[graph.neighbors(gid)]
+        kept = np.sort(kept[kept >= 0])
+        cols.append(kept)
+        indptr.append(indptr[-1] + kept.size)
+    return order, tuple(offsets), np.asarray(indptr), np.concatenate(cols)
+
+
+def assert_same_ball(sub, ref):
+    order, offsets, indptr, indices = ref
+    assert sub.global_ids.tolist() == order.tolist()
+    assert sub.frontier_offsets == offsets
+    assert sub.indptr.tolist() == indptr.tolist()
+    assert sub.indices.tolist() == indices.tolist()
+    for v in range(sub.n):
+        assert np.all(np.diff(sub.neighbors(v)) > 0), "columns strictly increasing per row"
+
+
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=60),
+       st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=4),
+       st.lists(st.integers(min_value=0, max_value=29), min_size=1, max_size=6),
+       st.lists(st.integers(min_value=1, max_value=4), min_size=4, max_size=4))
+def test_ball_matches_per_node_reference(n, num_edges, seed, k, raw_seeds, caps):
+    # few edges on many nodes leave isolated nodes; repeated seeds are folded
+    g = random_graph(n, num_edges, seed)
+    seeds = [s % n for s in raw_seeds]
+    assert_same_ball(khop_subgraph(g, seeds, k), reference_ball(g, seeds, [n] * k, None))
+    sampled = sample_neighbors(g, caps[:k], seeds, k, rng_seed=seed)
+    assert_same_ball(sampled, reference_ball(g, seeds, caps[:k], np.random.default_rng(seed)))
+
+
 @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=40),
        st.integers(min_value=0, max_value=10_000))
 def test_build_graph_total_degree(n, num_edges, seed):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopf import (ArgumentError, ConfigError, ModelWeights, NormScheme, ShapeError,
+from hopf import (ArgumentError, ConfigError, HopfError, ModelWeights, NormScheme, ShapeError,
                   StateError, Task, backward, build_graph, finite_diff_grad, khop_subgraph,
                   linear_unroll_coefficient, make_kernel, maxpool_aggregate,
                   nim_relative_importance, predict, weighted_cross_entropy)
-from hopf.kernels import (REGISTRY, AlphaMode, BetaMode, Combine, Phi, Psi, layer_plan)
+from hopf.kernels import (REGISTRY, TRAINABLE_MODELS, AlphaMode, BetaMode, Combine, Phi, Psi,
+                          layer_plan)
 
 from conftest import random_graph
 
@@ -178,6 +179,39 @@ class TestPredict:
         w = ModelWeights.init(spec, 5, 3, 0)
         yt, _ = predict(spec, w, sub, x, task=Task.MULTI_CLASS)
         assert yt.shape == (4, 3)
+
+
+GLOBAL_DEGREE_DEFECT = pytest.mark.xfail(
+    strict=True, reason="SYM_SELF takes degrees from the induced ball, so last-frontier "
+                        "nodes get truncated degrees (ROADMAP item 2)")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(n, marks=GLOBAL_DEGREE_DEFECT) if n in ("gcn", "gcn_s") else n
+    for n in TRAINABLE_MODELS])
+def test_trimmed_layers_need_no_outer_frontier(name):
+    # layer k computes the nodes within C-k hops of the seeds; a ball one hop
+    # wider must change neither the seed outputs nor any gradient
+    rng = np.random.default_rng(5)
+    g = random_graph(60, 110, 5)
+    x = rng.random((g.n, 5))
+    yh = rng.random((g.n, 3))
+    spec = make_kernel(name, depth=2, hidden_dim=4)
+    C = spec.depth
+    w = ModelWeights.init(spec, 5, 3, 7)
+    outs = []
+    for radius in (C, C + 1):
+        sub = khop_subgraph(g, [0, 1, 2, 1], radius)
+        yt, cache = predict(spec, w, sub, x[sub.global_ids], yh[sub.global_ids],
+                            task=Task.MULTI_LABEL)
+        assert [xk.shape[0] for xk in cache.x] == [sub.frontier_offsets[C - k + 1]
+                                                  for k in range(C + 1)]
+        grads = backward(spec, w, cache, np.linspace(-1.0, 1.0, yt.size).reshape(yt.shape))
+        outs.append((yt, grads.params()))
+    (y_c, g_c), (y_wide, g_wide) = outs
+    assert np.allclose(y_c, y_wide, rtol=0.0, atol=1e-12)
+    for (pname, a), (_, b) in zip(g_c, g_wide):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12), pname
 
 
 class TestBackward:
@@ -351,3 +385,19 @@ def test_weights_save_load_roundtrip(tmp_path):
             assert np.array_equal(a, b)
         if spec.tie_weights:
             assert back.wphi[0] is back.wpsi[0]
+
+
+def test_weights_load_rejects_truncated_or_mismatched_snapshots(tmp_path):
+    spec = make_kernel("gs_mean", depth=2, hidden_dim=4)
+    path = tmp_path / "w.bin"
+    ModelWeights.init(spec, 5, 3, 13).save(path)
+    raw = path.read_bytes()
+    for cut in (10, 20, len(raw) - 8):
+        (tmp_path / "cut.bin").write_bytes(raw[:cut])
+        with pytest.raises(HopfError, match="truncated"):
+            ModelWeights.load(tmp_path / "cut.bin", spec)
+    for other in (make_kernel("gcn", depth=2, hidden_dim=4),      # tied names
+                  make_kernel("gs_mean", depth=2, hidden_dim=8),  # wider layers
+                  make_kernel("gs_mean", depth=3, hidden_dim=4)):  # deeper
+        with pytest.raises(HopfError, match="does not fit"):
+            ModelWeights.load(path, other)
