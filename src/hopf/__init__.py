@@ -16,7 +16,8 @@ from .metrics import (MetricsRecord, Task, average_rank, binarize_predictions, m
                       shortfall, wce_weights, weighted_cross_entropy)
 from .numerics import (AdamState, adam_step, finite_diff_grad, glorot_init, relu, sigmoid,
                        softmax_rows, spmm)
-from .training import (EarlyStopState, SplitSpec, TrainConfig, evaluate, make_splits, train)
+from .training import (EarlyStopState, SplitSpec, TrainConfig, evaluate, infer, make_splits,
+                       train)
 
 __version__ = "0.1.0"
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import shutil
 import sys
 import time
 from dataclasses import asdict, replace
@@ -168,10 +169,10 @@ def cmd_hopf(args) -> int:
                       workers=args.workers)
     _write_csv(out / "trajectory.csv", ["iteration", "micro_f1"],
                [[row["iteration"], repr(float(row["micro_f1"]))] for row in result.trajectory])
-    _write_csv(out / "yhat_final.csv", [f"label_{j}" for j in range(bundle.num_labels)],
-               [[repr(float(v)) for v in row] for row in result.yhat])
-    _write_csv(out / "ytilde_final.csv", [f"label_{j}" for j in range(bundle.num_labels)],
-               [[repr(float(v)) for v in row] for row in result.ytilde])
+    # the last round's label dumps already hold the final matrices
+    for name in ("yhat", "ytilde"):
+        shutil.copyfile(out / "iterations" / f"{name}_t{hopf_config.T}.csv",
+                        out / f"{name}_final.csv")
     records = [MetricsRecord(args.model, bundle.name, args.fold,
                              row["micro_f1"], float("nan")) for row in result.trajectory]
     write_records_csv(records, out / "metrics.csv")

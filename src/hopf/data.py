@@ -9,6 +9,7 @@ format round-trips byte-identically through save/load.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +49,25 @@ def _write_matrix(path: Path, m: np.ndarray) -> None:
 
 
 def _read_matrix(path: Path, expect_rows: int, name: str) -> np.ndarray:
+    """Dense float64 rows of a tab-separated file, parsed by numpy's C reader.
+
+    The values are bit-identical to ``float()`` of each cell. Only a file the
+    C reader rejects goes through the per-line reader, which names the
+    offending line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file warns; the line reader handles it
+            m = np.loadtxt(path, dtype=np.float64, delimiter="\t", comments=None, ndmin=2,
+                           encoding="utf-8")
+    except (ValueError, Warning):
+        m = _read_matrix_lines(path, name)
+    if m.shape[0] != expect_rows:
+        raise IngestError(f"{name}: expected {expect_rows} rows, found {m.shape[0]}")
+    return m
+
+
+def _read_matrix_lines(path: Path, name: str) -> np.ndarray:
     rows = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
@@ -59,10 +79,7 @@ def _read_matrix(path: Path, expect_rows: int, name: str) -> np.ndarray:
         if rows and len(row) != len(rows[0]):
             raise IngestError(f"{name}:{lineno}: expected {len(rows[0])} columns, found {len(row)}")
         rows.append(row)
-    m = np.asarray(rows, dtype=np.float64)
-    if m.shape[0] != expect_rows:
-        raise IngestError(f"{name}: expected {expect_rows} rows, found {m.shape[0]}")
-    return m
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_dataset(bundle: DatasetBundle, dir_path) -> None:
@@ -131,9 +148,20 @@ def gen_chain(n: int) -> DatasetBundle:
     return DatasetBundle(graph=graph, x=x, y=y, task=Task.MULTI_CLASS, name=f"chain{n}")
 
 
+# gen_planted_partition draws a dense n x n matrix: about 18 n^2 bytes, 1.8 GB at the cap
+PLANTED_MAX_N = 10_000
+
+
 def gen_planted_partition(n: int, num_blocks: int, p_in: float, p_out: float,
                           feature_noise: float, rng_seed: int) -> DatasetBundle:
-    """Block-model graph: homophilous edges, block-id labels, noisy one-hot features."""
+    """Block-model graph: homophilous edges, block-id labels, noisy one-hot features.
+
+    Edges come from one dense n x n uniform draw, so n is capped at
+    ``PLANTED_MAX_N``; larger n is rejected before anything is allocated.
+    """
+    if n > PLANTED_MAX_N:
+        raise ConfigError(f"planted partition draws a dense n x n matrix (about 18*n^2 bytes); "
+                          f"n={n} exceeds the limit of {PLANTED_MAX_N}")
     if not 0.0 <= p_out < p_in <= 1.0:
         raise ConfigError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
     if num_blocks < 2 or n < num_blocks:

@@ -8,6 +8,7 @@ reproducible for a fixed seed set.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -73,6 +74,10 @@ class Subgraph:
     ``[:frontier_offsets[h + 1]]``: layer k of a depth-C kernel holds only
     the prefix ``[:frontier_offsets[C - k + 1]]`` (see
     :func:`hopf.kernels.layer_rows`).
+
+    ``degree`` holds each node's degree in the whole graph, as on
+    :class:`Graph`; a node on the ball's last frontier has fewer induced
+    edges than that, and degree-normalized schemes must not see the cut.
     """
 
     n: int
@@ -80,17 +85,14 @@ class Subgraph:
     indices: np.ndarray
     global_ids: np.ndarray
     frontier_offsets: tuple[int, ...]
+    degree: np.ndarray
 
     def __post_init__(self):
-        _freeze(self.indptr, self.indices, self.global_ids)
+        _freeze(self.indptr, self.indices, self.global_ids, self.degree)
 
     @property
     def num_seeds(self) -> int:
         return self.frontier_offsets[1]
-
-    @property
-    def degree(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -108,7 +110,8 @@ def build_graph(edge_list, n: int) -> Graph:
     """
     if n < 0:
         raise IngestError(f"node count must be non-negative, got {n}")
-    pairs = np.asarray(list(edge_list), dtype=np.int64)
+    pairs = np.asarray(edge_list if isinstance(edge_list, np.ndarray) else list(edge_list),
+                       dtype=np.int64)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -139,21 +142,41 @@ def build_graph(edge_list, n: int) -> Graph:
     )
 
 
-def load_edge_list(path) -> list[tuple[int, int]]:
-    """Parse a tab-separated edge-list file; ``#`` starts a comment line."""
+def load_edge_list(path) -> np.ndarray:
+    """Parse a tab-separated edge-list file into an (m, 2) int64 array.
+
+    ``#`` starts a comment. numpy's C reader parses the file; only when it
+    rejects the file does the per-line reader run, to name the offending line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file warns; the line reader handles it
+            edges = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments="#", ndmin=2,
+                               encoding="utf-8")
+        if edges.shape[1] == 2:
+            return edges
+    except (ValueError, Warning):
+        pass
+    return _read_edge_lines(path)
+
+
+def _read_edge_lines(path) -> np.ndarray:
     edges = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise IngestError(f"{path}:{lineno}: expected 'src<TAB>dst', got {raw!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: non-integer node id") from exc
-    return edges
+        if max(abs(u), abs(v)) >= 2**63:
+            raise IngestError(f"{path}:{lineno}: node id out of the int64 range")
+        edges.append((u, v))
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def _check_seeds(n: int, seeds) -> np.ndarray:
@@ -179,6 +202,7 @@ def _induce(g: Graph, order: np.ndarray, offsets: list[int]) -> Subgraph:
             indices=np.empty(0, dtype=np.int64),
             global_ids=order,
             frontier_offsets=tuple(offsets),
+            degree=g.degree[order],
         )
     adj = g.to_scipy()[order][:, order]
     adj.sort_indices()
@@ -188,6 +212,7 @@ def _induce(g: Graph, order: np.ndarray, offsets: list[int]) -> Subgraph:
         indices=adj.indices.astype(np.int64),
         global_ids=order,
         frontier_offsets=tuple(offsets),
+        degree=g.degree[order],
     )
 
 
@@ -255,8 +280,12 @@ def normalize_adjacency(sub, scheme: NormScheme) -> sp.csr_matrix:
 
     MEAN rows sum to one on nodes of positive degree; isolated nodes keep a
     zero row (their neighbor term vanishes, the kernel's node path still
-    contributes). SYM_SELF increments degrees by one, matching the implicit
-    self weight of the symmetric scheme. MAXPOOL has no matrix form.
+    contributes). MEAN and COUNT weigh each row by its own entries: on every
+    row a kernel layer computes, a BFS ball holds the node's whole
+    neighborhood, and a sampled ball means over its samples. SYM_SELF takes
+    ``sub.degree``, the degrees in the whole graph, incremented by one for
+    the implicit self weight, so a row's weights do not depend on how far
+    the ball reaches past it. MAXPOOL has no matrix form.
     """
     if scheme == NormScheme.MAXPOOL:
         raise ArgumentError("maxpool is not a matrix normalization; it is applied inside the kernel")
@@ -270,7 +299,7 @@ def normalize_adjacency(sub, scheme: NormScheme) -> sp.csr_matrix:
         adj.data = np.repeat(inv, counts)
         return adj
     if scheme == NormScheme.SYM_SELF:
-        s = 1.0 / np.sqrt(deg + 1.0)
+        s = 1.0 / np.sqrt(sub.degree + 1.0)
         adj.data = np.repeat(s, counts) * s[adj.indices]
         return adj
     raise ArgumentError(f"unknown normalization scheme {scheme!r}")

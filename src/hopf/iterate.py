@@ -1,8 +1,8 @@
 """Iterative learning and inference: interleave a C-hop kernel with label feedback.
 
 Each round trains the kernel on the labeled nodes using the previous round's
-label estimates as a frozen input channel, re-infers the unlabeled nodes in
-mini-batches, restores ground truth on the labeled rows, and folds the fresh
+label estimates as a frozen input channel, re-infers all unlabeled nodes in
+one forward pass, restores ground truth on the labeled rows, and folds the fresh
 predictions into the running estimate by temporal averaging. Gradients never
 cross rounds: the label channel is data, not a differentiable input. After T
 rounds a C-layer kernel has drawn on information from up to T*C hops while the
@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, ConfigError
-from .graph import Graph, khop_subgraph
-from .kernels import KernelSpec, ModelWeights, predict
+from .graph import Graph, khop_subgraph  # noqa: F401  (perfbench/spans.py traces this name)
+from .kernels import KernelSpec, ModelWeights, predict  # noqa: F401  (likewise)
 from .metrics import Task, binarize_predictions, micro_f1
-from .training import SplitSpec, TrainConfig, train
+from .training import SplitSpec, TrainConfig, infer, train
 
 _ITER_SEED_STRIDE = 1000003  # round t trains with seed rng_seed + stride*(t-1)
 
@@ -104,18 +104,6 @@ class HopfResult:
     weights_history: list | None = None
 
 
-def _infer(spec, weights, graph, x, yhat_frozen, nodes, task, batch_size):
-    """Mini-batched inference against frozen weights and a frozen label snapshot."""
-    out = np.empty((nodes.size, weights.wl.shape[1]))
-    for i in range(0, nodes.size, batch_size):
-        chunk = nodes[i : i + batch_size]
-        sub = khop_subgraph(graph, chunk, spec.depth)
-        yh = yhat_frozen[sub.global_ids] if spec.uses_labels else None
-        yt, _ = predict(spec, weights, sub, x[sub.global_ids], yh, task=task)
-        out[i : i + chunk.size] = yt
-    return out
-
-
 def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
              split: SplitSpec, train_config: TrainConfig, hopf_config: HopfConfig,
              task: Task, out_dir=None, sample_caps=None, workers: int = 0,
@@ -154,8 +142,7 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
         if result.weights_history is not None:
             result.weights_history.append(weights.copy())
 
-        state.ytilde[u_nodes] = _infer(spec, weights, graph, x, yhat_frozen, u_nodes,
-                                       task, train_config.batch_size)
+        state.ytilde[u_nodes] = infer(spec, weights, graph, x, u_nodes, task, yhat_frozen)
         state.restore_labeled(y)
         state.yhat[u_nodes] = temporal_average(state.ytilde[u_nodes], state.yhat[u_nodes],
                                                t, hopf_config.T,
@@ -176,11 +163,16 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
 
 
 def _dump_labels(path, matrix: np.ndarray) -> None:
+    """Write a label matrix as CSV: a ``label_j`` header, then one row per node.
+
+    The bytes are those of ``csv.writer`` with ``repr`` floats: commas, CRLF
+    line ends and no quoting, since no float's ``repr`` holds a comma, quote
+    or newline. ``tolist()`` floats ``repr`` like ``float(v)`` of each cell.
+    """
+    header = ",".join(f"label_{j}" for j in range(matrix.shape[1]))
+    rows = [",".join(map(repr, row)) for row in matrix.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"label_{j}" for j in range(matrix.shape[1])])
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write("\r\n".join([header, *rows, ""]))
 
 
 def _append_metrics_row(path: Path, iteration: int, test_f1: float) -> None:

@@ -194,16 +194,23 @@ def _batches(nodes: np.ndarray, batch_size: int, rng: np.random.Generator) -> li
     return [perm[i : i + batch_size] for i in range(0, perm.size, batch_size)]
 
 
-def _forward_nodes(spec, weights, graph, x, nodes, task, yhat, batch_size=1024):
-    """Deterministic inference for an arbitrary node set, in fixed-order chunks."""
-    preds = np.empty((nodes.size, weights.wl.shape[1]))
-    for i in range(0, nodes.size, batch_size):
-        chunk = nodes[i : i + batch_size]
-        sub = khop_subgraph(graph, chunk, spec.depth)
-        yh = yhat[sub.global_ids] if spec.uses_labels else None
-        yt, _ = predict(spec, weights, sub, x[sub.global_ids], yh, task=task)
-        preds[i : i + chunk.size] = yt
-    return preds
+def infer(spec: KernelSpec, weights: ModelWeights, graph: Graph, x: np.ndarray,
+          nodes: np.ndarray, task: Task, yhat: np.ndarray | None = None) -> np.ndarray:
+    """Predictions for the distinct ``nodes``, in their order, from one forward pass.
+
+    One ``spec.depth``-hop ball holds the whole node set, and each layer
+    computes every row the set depends on once (GraphSAGE's layer-wise
+    inference). A node's prediction depends only on the graph, the weights
+    and the label channel ``yhat``, never on which nodes share the set. The
+    pass holds about ``x`` plus depth x n x hidden floats and the ball's
+    edges, so there is nothing to chunk.
+    """
+    sub = khop_subgraph(graph, nodes, spec.depth)
+    if sub.num_seeds != len(nodes):
+        raise ArgumentError("inference nodes must be distinct")
+    yh = yhat[sub.global_ids] if spec.uses_labels else None
+    yt, _ = predict(spec, weights, sub, x[sub.global_ids], yh, task=task)
+    return yt
 
 
 def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
@@ -260,7 +267,7 @@ def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
 
         val_loss = np.nan
         if has_val:
-            val_pred = _forward_nodes(spec, weights, graph, x, split.val_nodes, task, yhat)
+            val_pred = infer(spec, weights, graph, x, split.val_nodes, task, yhat)
             val_loss, _ = weighted_cross_entropy(val_pred, y[split.val_nodes], omega, task)
             if not np.isfinite(val_loss):
                 raise TrainingError(f"non-finite validation loss {val_loss}", epoch=epoch)
@@ -287,7 +294,7 @@ def evaluate(spec: KernelSpec, weights: ModelWeights, graph: Graph, x: np.ndarra
         raise ArgumentError("node_set must be non-empty")
     if spec.uses_labels and yhat is None:
         yhat = np.zeros((graph.n, y.shape[1]))
-    preds = _forward_nodes(spec, weights, graph, x, node_set, task, yhat)
+    preds = infer(spec, weights, graph, x, node_set, task, yhat)
     omega = np.ones(y.shape[1]) if class_weights is None else np.asarray(class_weights)
     loss, _ = weighted_cross_entropy(preds, y[node_set], omega, task)
     f1 = micro_f1(binarize_predictions(preds, task), y[node_set])

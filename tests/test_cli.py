@@ -66,6 +66,13 @@ class TestExitCodes:
         assert code == 2
         assert "features.tsv:3" in capsys.readouterr().err
 
+    def test_planted_rejects_dense_draw_past_limit(self, tmp_path, capsys):
+        # n=100000 would need about 180 GB for the dense draw
+        code = main(["gen", "planted", "--n", "100000", "--out", str(tmp_path)])
+        assert code == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+        assert not (tmp_path / "dataset").exists()
+
     def test_manifest_written_before_results(self, tmp_path):
         out = tmp_path / "run"
         code = main(["train", "--dataset", str(tmp_path / "nonexistent"),
@@ -121,6 +128,17 @@ class TestHopfCommand:
         assert (out / "yhat_final.csv").exists()
         assert (out / "ytilde_final.csv").exists()
         assert (out / "iterations" / "weights_t4.bin").exists()
+
+    def test_final_label_files_are_the_last_round(self, planted_dir, fast_config, tmp_path):
+        out = tmp_path / "run"
+        code = main(["hopf", "--dataset", str(planted_dir), "--model", "i_nip_mean",
+                     "--config", str(fast_config), "-C", "1", "-T", "3",
+                     "--seed", "4", "--out", str(out)])
+        assert code == 0
+        for name in ("yhat", "ytilde"):
+            final = (out / f"{name}_final.csv").read_bytes()
+            assert final == (out / "iterations" / f"{name}_t3.csv").read_bytes()
+            assert final != (out / "iterations" / f"{name}_t1.csv").read_bytes()
 
     def test_non_iterative_model_rejected(self, planted_dir, tmp_path):
         code = main(["hopf", "--dataset", str(planted_dir), "--model", "gcn",

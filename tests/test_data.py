@@ -36,6 +36,42 @@ class TestRoundTrip:
         assert back.graph.degree.tolist() == bundle.graph.degree.tolist()
 
 
+class TestParse:
+    @staticmethod
+    def values(seed):
+        # random bit patterns cover every exponent; then zeros and subnormals
+        rng = np.random.default_rng(seed)
+        v = rng.integers(0, 2**63, size=400, dtype=np.uint64).view(np.float64)
+        v = v[np.isfinite(v)] * rng.choice([-1.0, 1.0], size=np.isfinite(v).sum())
+        tail = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e-300, 1.0]
+        return np.concatenate([v[:392], tail]).reshape(50, 8)
+
+    @pytest.mark.parametrize("fmt", [repr, lambda v: format(v, ".17g")])
+    def test_cells_parse_bit_identically_to_float(self, tmp_path, fmt):
+        x = self.values(7)
+        save_dataset(DatasetBundle(graph=build_graph([(0, 1)], 50), x=x,
+                                   y=np.eye(2)[np.arange(50) % 2], task=Task.MULTI_CLASS,
+                                   name="bits"), tmp_path / "d")
+        text = "\n".join("\t".join(fmt(float(v)) for v in row) for row in x) + "\n"
+        (tmp_path / "d" / "features.tsv").write_text(text)
+        expect = np.array([[float(c) for c in line.split("\t")] for line in text.splitlines()])
+        back = load_dataset(tmp_path / "d").x
+        assert np.array_equal(back.view(np.uint64), expect.view(np.uint64))
+        assert np.array_equal(back.view(np.uint64), x.view(np.uint64))
+
+    def test_edge_list_comments_and_blank_lines(self, tmp_path):
+        save_dataset(minimal_bundle(), tmp_path / "d")
+        (tmp_path / "d" / "graph.tsv").write_text("# edges\n0\t1\n\n1\t2  # tail\n")
+        assert load_dataset(tmp_path / "d").graph.degree.tolist() == [1, 2, 1]
+
+    @pytest.mark.parametrize("bad", ["1\t2\t0", "1\t99999999999999999999"])
+    def test_bad_edge_names_file_and_line(self, tmp_path, bad):
+        save_dataset(minimal_bundle(), tmp_path / "d")
+        (tmp_path / "d" / "graph.tsv").write_text(f"0\t1\n{bad}\n")
+        with pytest.raises(IngestError, match="graph.tsv:2"):
+            load_dataset(tmp_path / "d")
+
+
 class TestIngestErrors:
     def test_missing_file(self, tmp_path):
         save_dataset(minimal_bundle(), tmp_path / "d")

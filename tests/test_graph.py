@@ -75,7 +75,7 @@ class TestEdgeListFile:
     def test_parse(self, tmp_path):
         p = tmp_path / "graph.tsv"
         p.write_text("# comment\n0\t1\n\n1\t2\n")
-        assert load_edge_list(p) == [(0, 1), (1, 2)]
+        assert load_edge_list(p).tolist() == [[0, 1], [1, 2]]
 
     def test_malformed(self, tmp_path):
         p = tmp_path / "bad.tsv"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from hopf import (ArgumentError, ConfigError, HopfConfig, ModelWeights, Task, Tr
                   gen_chain, gen_planted_partition, khop_subgraph, make_kernel, make_splits,
                   predict, row_normalize, run_hopf, temporal_average, train,
                   warm_start_transfer)
+from hopf.iterate import _dump_labels
 
 
 def fixture(seed):
@@ -127,6 +130,23 @@ class TestHopfLoop:
             assert (tmp_path / "run" / f"ytilde_t{t}.csv").exists()
         back = ModelWeights.load(tmp_path / "run" / "weights_t2.bin", spec)
         assert back.w0.shape == (bundle.num_features, 16)
+
+
+def test_label_dump_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(0)
+    m = rng.random((6, 4))
+    m[0] = [0.0, 1.0, 0.0, 1.0]
+    m[1] = [1e-300, 5e-324, -0.0, 1.0 - 2.0**-53]
+    m[2] = [1.0, 1.0, 1.0, 1.0]
+    path = tmp_path / "labels.csv"
+    _dump_labels(path, m)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"label_{j}" for j in range(m.shape[1])])
+        for row in m:
+            writer.writerow([repr(float(v)) for v in row])
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert path.read_bytes().count(b"\r\n") == 7
 
 
 def test_warm_start_transfer_is_deep_copy():

@@ -181,14 +181,7 @@ class TestPredict:
         assert yt.shape == (4, 3)
 
 
-GLOBAL_DEGREE_DEFECT = pytest.mark.xfail(
-    strict=True, reason="SYM_SELF takes degrees from the induced ball, so last-frontier "
-                        "nodes get truncated degrees (ROADMAP item 2)")
-
-
-@pytest.mark.parametrize("name", [
-    pytest.param(n, marks=GLOBAL_DEGREE_DEFECT) if n in ("gcn", "gcn_s") else n
-    for n in TRAINABLE_MODELS])
+@pytest.mark.parametrize("name", TRAINABLE_MODELS)
 def test_trimmed_layers_need_no_outer_frontier(name):
     # layer k computes the nodes within C-k hops of the seeds; a ball one hop
     # wider must change neither the seed outputs nor any gradient

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopf.training as training_mod
-from hopf import (ArgumentError, ConfigError, EarlyStopState, TrainConfig, TrainingError,
-                  evaluate, gen_planted_partition, make_kernel, make_splits, row_normalize,
-                  train)
-from hopf.kernels import ModelWeights
+from hopf import (ArgumentError, ConfigError, EarlyStopState, Task, TrainConfig, TrainingError,
+                  evaluate, gen_planted_partition, infer, make_kernel, make_splits,
+                  row_normalize, train)
+from hopf.kernels import TRAINABLE_MODELS, ModelWeights
+
+from conftest import random_graph
 
 
 def planted(seed, noise=0.4, n=400):
@@ -299,6 +303,45 @@ class TestEvaluate:
         b = evaluate(spec, w, bundle.graph, bundle.x, bundle.y, split.test_nodes, bundle.task)
         assert a["micro_f1"] == b["micro_f1"]
         assert np.array_equal(a["predictions"], b["predictions"])
+
+
+class TestInfer:
+    @pytest.mark.parametrize("name", TRAINABLE_MODELS)
+    @pytest.mark.parametrize("task", [Task.MULTI_CLASS, Task.MULTI_LABEL])
+    @pytest.mark.parametrize("with_labels", [True, False])
+    @settings(max_examples=8)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
+           size=st.integers(1, 40), cuts=st.lists(st.integers(1, 39), max_size=4))
+    def test_rows_do_not_depend_on_batchmates(self, name, task, with_labels,
+                                              seed, depth, size, cuts):
+        # a node's prediction is the same in the whole set, in any permutation
+        # of it and in any part of any split of it
+        rng = np.random.default_rng(seed)
+        g = random_graph(40, 70, seed)
+        spec = make_kernel(name, depth=depth, hidden_dim=4)
+        w = ModelWeights.init(spec, 5, 3, seed)
+        x = rng.random((g.n, 5))
+        if with_labels:
+            yhat = rng.random((g.n, 3))
+        else:
+            yhat = np.zeros((g.n, 3)) if spec.uses_labels else None
+        nodes = rng.choice(g.n, size=size, replace=False)
+        whole = infer(spec, w, g, x, nodes, task, yhat)
+        assert whole.shape == (size, 3)
+
+        perm = rng.permutation(size)
+        assert np.allclose(infer(spec, w, g, x, nodes[perm], task, yhat), whole[perm],
+                           rtol=0.0, atol=1e-12)
+        parts = np.split(nodes, sorted({c for c in cuts if c < size}))
+        pieces = np.vstack([infer(spec, w, g, x, p, task, yhat) for p in parts])
+        assert np.allclose(pieces, whole, rtol=0.0, atol=1e-12)
+
+    def test_repeated_nodes_rejected(self):
+        bundle = planted(13, n=100)
+        spec = make_kernel("nip_mean", depth=1, hidden_dim=4)
+        w = ModelWeights.init(spec, bundle.num_features, bundle.num_labels, 0)
+        with pytest.raises(ArgumentError):
+            infer(spec, w, bundle.graph, bundle.x, np.array([3, 5, 3]), bundle.task)
 
 
 def test_config_validation():
