@@ -1,8 +1,7 @@
 """Wall-clock scaling benchmark: full-kernel depth vs iterative label feedback.
 
 Timed work for one cell is everything a training epoch does: subgraph
-extraction (optionally prefetched on threads), forward pass, loss, backward
-pass and the Adam updates. A fully differentiable kernel reaches K hops with
+extraction, forward pass, loss, backward pass and the Adam updates. A fully differentiable kernel reaches K hops with
 depth K in a single epoch; an iterative variant with C differentiable hops
 reaches the same K by running K/C single-epoch rounds, so its cost grows
 linearly in K while the full kernel's neighborhood sizes blow up with depth.
@@ -21,10 +20,11 @@ import numpy as np
 
 from .data import DatasetBundle
 from .errors import ConfigError
+from .graph import khop_subgraph
 from .kernels import layer_plan, make_kernel, ModelWeights, backward, predict
 from .metrics import weighted_cross_entropy
 from .numerics import AdamState, adam_step
-from .training import SplitSpec, TrainConfig, _batches, _SubgraphPipeline
+from .training import SplitSpec, TrainConfig, _batches
 
 
 class BudgetExceeded(Exception):
@@ -70,23 +70,22 @@ def estimate_batch_bytes(spec, num_features: int, num_labels: int,
 
 
 def time_epoch(spec, graph, x, y, train_nodes, config: TrainConfig, task,
-               yhat, budget_bytes: int | None, workers: int, epoch_seed: int) -> float:
+               yhat, budget_bytes: int | None, epoch_seed: int) -> float:
     """One mini-batch epoch, timed end to end; raises BudgetExceeded when over budget."""
     weights = ModelWeights.init(spec, x.shape[1], y.shape[1], config.rng_seed)
     adam = {name: AdamState.for_param(p, lr=config.learning_rate) for name, p in weights.params()}
     omega = np.ones(y.shape[1])
     rng = np.random.default_rng(epoch_seed)
     batches = _batches(train_nodes, config.batch_size, rng)
-    pipeline = _SubgraphPipeline(graph, spec.depth, None, sample_seed=epoch_seed, workers=workers)
     start = time.perf_counter()
     try:
-        for _, batch, sub in pipeline.run(batches):
+        for batch in batches:
+            sub = khop_subgraph(graph, batch, spec.depth)
             if budget_bytes is not None:
                 need = estimate_batch_bytes(spec, x.shape[1], y.shape[1], sub.n, sub.indices.size)
                 if need > budget_bytes:
                     raise BudgetExceeded(f"batch needs ~{need/2**30:.2f} GiB")
-            yh = yhat[sub.global_ids] if spec.uses_labels else None
-            yt, cache = predict(spec, weights, sub, x[sub.global_ids], yh, task=task)
+            yt, cache = predict(spec, weights, sub, x, yhat, task=task)
             _, dloss = weighted_cross_entropy(yt, y[batch], omega, task)
             grads = backward(spec, weights, cache, dloss)
             gdict = dict(grads.params())
@@ -98,8 +97,8 @@ def time_epoch(spec, graph, x, y, train_nodes, config: TrainConfig, task,
 
 
 def run_scaling(bundle: DatasetBundle, split: SplitSpec, variants, hops_list,
-                repeats: int, config: TrainConfig, budget_bytes: int | None = None,
-                workers: int = 0) -> list[BenchCell]:
+                repeats: int, config: TrainConfig,
+                budget_bytes: int | None = None) -> list[BenchCell]:
     """Mean epoch-equivalent seconds per (variant, total hops K) cell."""
     cells = []
     x = bundle.x
@@ -121,7 +120,7 @@ def run_scaling(bundle: DatasetBundle, split: SplitSpec, variants, hops_list,
                     for t in range(rounds):
                         total += time_epoch(spec, bundle.graph, x, y, split.train_nodes,
                                             config, bundle.task, yhat_zero, budget_bytes,
-                                            workers, epoch_seed=config.rng_seed + 7919 * (rep * rounds + t))
+                                            epoch_seed=config.rng_seed + 7919 * (rep * rounds + t))
                     if rep > 0:
                         times.append(total)
                 cells.append(BenchCell(token, k, float(np.mean(times)), "ok"))

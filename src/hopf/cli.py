@@ -123,7 +123,7 @@ def cmd_train(args) -> int:
     records = []
     for fold, split in enumerate(splits):
         weights, history = train(spec, bundle.graph, bundle.x, bundle.y, split, config,
-                                 bundle.task, sample_caps=caps, workers=args.workers)
+                                 bundle.task, sample_caps=caps)
         ev = evaluate(spec, weights, bundle.graph, bundle.x, bundle.y,
                       split.test_nodes, bundle.task)
         records.append(MetricsRecord(args.model, bundle.name, fold, ev["micro_f1"], ev["loss"]))
@@ -131,8 +131,8 @@ def cmd_train(args) -> int:
                    _history_rows(history))
         _write_csv(out / f"predictions_fold{fold}.csv",
                    ["node"] + [f"label_{j}" for j in range(bundle.num_labels)],
-                   [[int(n)] + [repr(float(v)) for v in row]
-                    for n, row in zip(split.test_nodes, ev["predictions"])])
+                   [[n] + [repr(v) for v in row]
+                    for n, row in zip(split.test_nodes.tolist(), ev["predictions"].tolist())])
     write_records_csv(records, out / "metrics.csv")
     f1s = [r.micro_f1 for r in records]
     report = {"model": args.model, "dataset": bundle.name, "folds": args.folds,
@@ -165,8 +165,7 @@ def cmd_hopf(args) -> int:
     spec = make_kernel(args.model, depth=c_hops, hidden_dim=config.hidden_dim)
     splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)
     result = run_hopf(spec, bundle.graph, bundle.x, bundle.y, splits[args.fold],
-                      config, hopf_config, bundle.task, out_dir=out / "iterations",
-                      workers=args.workers)
+                      config, hopf_config, bundle.task, out_dir=out / "iterations")
     _write_csv(out / "trajectory.csv", ["iteration", "micro_f1"],
                [[row["iteration"], repr(float(row["micro_f1"]))] for row in result.trajectory])
     # the last round's label dumps already hold the final matrices
@@ -193,8 +192,7 @@ def cmd_bench_scaling(args) -> int:
                                  {"hops": args.hops, "variants": args.variants,
                                   "repeats": args.repeats, "nodes": args.nodes,
                                   "edges": args.edges, "memory_budget_gib": args.memory_budget,
-                                  "batch_size": args.batch_size, "hidden_dim": args.hidden_dim,
-                                  "workers": args.workers},
+                                  "batch_size": args.batch_size, "hidden_dim": args.hidden_dim},
                                  seeds={"rng_seed": config.rng_seed})
     manifest.write(out)
 
@@ -208,7 +206,7 @@ def cmd_bench_scaling(args) -> int:
     split = make_splits(bundle.graph.n, config.rng_seed)[0]
     budget = None if args.memory_budget <= 0 else int(args.memory_budget * 2**30)
     cells = run_scaling(bundle, split, args.variants.split(","), _parse_ints(args.hops),
-                        args.repeats, config, budget_bytes=budget, workers=args.workers)
+                        args.repeats, config, budget_bytes=budget)
     _write_csv(out / "timings.csv", ["variant", "hops", "mean_seconds", "status"],
                [[c.variant, c.hops, "" if c.mean_seconds is None else repr(c.mean_seconds),
                  c.status] for c in cells])
@@ -245,7 +243,7 @@ def cmd_neighbor_fraction(args) -> int:
     for frac in fractions:
         caps = [max(1, math.ceil(frac * max_degree))] * spec.depth
         weights, _ = train(spec, bundle.graph, bundle.x, bundle.y, split, config,
-                           bundle.task, sample_caps=caps, workers=args.workers)
+                           bundle.task, sample_caps=caps)
         ev = evaluate(spec, weights, bundle.graph, bundle.x, bundle.y,
                       split.test_nodes, bundle.task)
         rows.append([repr(frac), caps[0], repr(ev["micro_f1"]), repr(ev["loss"])])
@@ -322,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("-C", "--hops", dest="hops", type=int, default=2)
     t.add_argument("--sample-caps", default=None, help="comma list, one cap per hop")
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--workers", type=int, default=0)
     t.set_defaults(func=cmd_train)
 
     h = sub.add_parser("hopf", help="iterative rounds of train + infer + label feedback")
@@ -338,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight fresh predictions by (T-t+1)/T instead of (T-t)/T")
     h.add_argument("--fold", type=int, default=0)
     h.add_argument("--seed", type=int, default=None)
-    h.add_argument("--workers", type=int, default=0)
     h.set_defaults(func=cmd_hopf)
 
     b = sub.add_parser("bench-scaling", help="epoch-time scaling across total hops")
@@ -358,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="GiB allowed for per-batch activations/gradients; <=0 disables")
     b.add_argument("--seed", type=int, default=None)
     b.add_argument("--config", default=None)
-    b.add_argument("--workers", type=int, default=0)
     b.set_defaults(func=cmd_bench_scaling)
 
     f = sub.add_parser("neighbor-fraction", help="micro-F1 vs neighbor sampling fraction")
@@ -370,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--fold", type=int, default=0)
     f.add_argument("--config", default=None)
     f.add_argument("--seed", type=int, default=None)
-    f.add_argument("--workers", type=int, default=0)
     f.set_defaults(func=cmd_neighbor_fraction)
 
     n = sub.add_parser("nim", help="self-information decay table")

@@ -12,6 +12,7 @@ trainable parameter count stays that of a single C-layer kernel.
 from __future__ import annotations
 
 import csv
+import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -106,7 +107,7 @@ class HopfResult:
 
 def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
              split: SplitSpec, train_config: TrainConfig, hopf_config: HopfConfig,
-             task: Task, out_dir=None, sample_caps=None, workers: int = 0,
+             task: Task, out_dir=None, sample_caps=None,
              keep_weights_history: bool = False) -> HopfResult:
     """Run T rounds of train / infer / restore / average; returns final estimates.
 
@@ -129,6 +130,7 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
         (out_path / "metrics.csv").unlink(missing_ok=True)
 
     weights = None
+    dumped: dict[str, bytes] = {}  # stem -> bytes of the matrix last written under it
     result = HopfResult(yhat=state.yhat, ytilde=state.ytilde, trajectory=[], weights=None,
                         weights_history=[] if keep_weights_history else None)
     for t in range(1, hopf_config.T + 1):
@@ -137,7 +139,7 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
         yhat_frozen = state.yhat.copy()
         weights, history = train(spec, graph, x, y, split, cfg_t, task,
                                  yhat=yhat_frozen, sample_caps=sample_caps,
-                                 init_weights=init, workers=workers)
+                                 init_weights=init)
         result.histories.append(history)
         if result.weights_history is not None:
             result.weights_history.append(weights.copy())
@@ -154,8 +156,16 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
 
         if out_path is not None:
             weights.save(out_path / f"weights_t{t}.bin")
-            _dump_labels(out_path / f"yhat_t{t}.csv", state.yhat)
-            _dump_labels(out_path / f"ytilde_t{t}.csv", state.ytilde)
+            for stem, matrix in (("yhat", state.yhat), ("ytilde", state.ytilde)):
+                # under the (T-t)/T rule round T's fresh weight is 0, so yhat_t{T}
+                # repeats yhat_t{T-1}; bytes, not values, so -0.0 and NaN never alias
+                raw = matrix.tobytes()
+                if dumped.get(stem) == raw:
+                    shutil.copyfile(out_path / f"{stem}_t{t - 1}.csv",
+                                    out_path / f"{stem}_t{t}.csv")
+                else:
+                    _dump_labels(out_path / f"{stem}_t{t}.csv", matrix)
+                    dumped[stem] = raw
             _append_metrics_row(out_path / "metrics.csv", t, test_f1)
 
     result.weights = weights

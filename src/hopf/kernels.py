@@ -335,17 +335,20 @@ class ForwardCache:
     """Everything the backward pass needs from one forward evaluation.
 
     ``x[k]`` and ``pre[k]`` hold only the ``rows[k]`` prefix of the ball that
-    the seeds depend on (see :func:`layer_rows`). ``adj[k]`` is layer k+1's
-    block of the normalized adjacency, ``rows[k+1]`` by ``rows[k]``; its
-    ``.T`` is a free CSC view, which the backward pass multiplies by directly.
+    the seeds depend on (see :func:`layer_rows`). ``gathered`` is None when
+    the input layer multiplied the whole graph-level ``features`` (see
+    ``WHOLE_GRAPH_FRACTION``). ``adj[k]`` is layer k+1's block of the
+    normalized adjacency, ``rows[k+1]`` by ``rows[k]``; its ``.T`` is a free
+    CSC view, which the backward pass multiplies by directly.
     """
 
     spec: KernelSpec
     weights: ModelWeights
     sub: Subgraph
     task: Task
-    features: np.ndarray
-    yhat: np.ndarray | None
+    features: np.ndarray                  # graph-level x, one row per graph node
+    yhat: np.ndarray | None               # label channel rows of the layer-0 prefix
+    gathered: np.ndarray | None = None    # x rows of the layer-0 prefix, gathered form only
     x: list = field(default_factory=list)        # dropped activations x_0..x_C
     pre: list = field(default_factory=list)      # pre-activations, same indexing
     masks: list = field(default_factory=list)    # dropout masks or None
@@ -399,6 +402,14 @@ def layer_rows(sub: Subgraph, depth: int) -> list[int]:
     return rows[::-1]
 
 
+# Once the ball's layer-0 rows are at least this share of X's rows, the input
+# layer computes (X @ w0)[ids] and backward X.T @ G, so no step copies the
+# ball's feature rows; below it, gathering X[ids] first is faster. Time alone
+# breaks even nearer three quarters, but from one half on the copy the
+# whole-graph form avoids is at least half of X.
+WHOLE_GRAPH_FRACTION = 0.5
+
+
 def _row_block(m: sp.csr_matrix, rows: int, cols: int) -> sp.csr_matrix:
     """The leading ``rows`` rows of ``m`` as a (rows, cols) matrix; every column
     index in them must already be below ``cols``."""
@@ -413,32 +424,39 @@ def _output_activation(logits: np.ndarray, task: Task) -> np.ndarray:
     return softmax_rows(logits)
 
 
+def _graph_rows(name: str, arr: np.ndarray, sub: Subgraph) -> np.ndarray:
+    """``arr`` as a float64 matrix with a row for every global id of ``sub``."""
+    arr = np.asarray(arr, dtype=np.float64)
+    need = int(sub.global_ids.max(initial=-1)) + 1
+    if arr.ndim != 2 or arr.shape[0] < need:
+        raise ShapeError(f"{name} must have one row per graph node (at least {need}), "
+                         f"got {arr.shape}")
+    return arr
+
+
 def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
             features: np.ndarray, yhat: np.ndarray | None = None,
             task: Task = Task.MULTI_CLASS, dropout_rate: float = 0.0,
             rng: np.random.Generator | None = None):
     """Forward pass over a subgraph; returns seed-row predictions and the cache.
 
-    ``features`` and ``yhat`` are the X / label-estimate rows for
-    ``sub.global_ids`` in local order. Output rows cover only the seed prefix.
-    Layer k computes only the ``rows[k]`` prefix of :func:`layer_rows` and
-    reads the ``rows[k-1]`` prefix of the layer below, so h_0 and every
-    propagation layer cost what the seeds depend on, not the whole ball.
+    ``features`` and ``yhat`` are the graph-level X and label-estimate
+    matrices, one row per graph node; the kernel reads the ball's rows through
+    ``sub.global_ids``. Output rows cover only the seed prefix. Layer k
+    computes only the ``rows[k]`` prefix of :func:`layer_rows` and reads the
+    ``rows[k-1]`` prefix of the layer below, so h_0 and every propagation
+    layer cost what the seeds depend on, not the whole ball.
     """
     if not spec.differentiable:
         raise ConfigError(f"{spec.name} is analysis-only and cannot produce predictions")
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != sub.n:
-        raise ShapeError(f"features must be ({sub.n}, f), got {features.shape}")
+    features = _graph_rows("features", features, sub)
     if features.shape[1] != weights.w0.shape[0]:
         raise ShapeError(f"feature width {features.shape[1]} vs w0 fan-in {weights.w0.shape[0]}")
     num_labels = weights.wl.shape[1]
     if spec.uses_labels:
         if yhat is None:
             raise ConfigError(f"{spec.name} needs a label channel; pass a zero matrix for round one")
-        yhat = np.asarray(yhat, dtype=np.float64)
-        if yhat.shape[0] != sub.n:
-            raise ShapeError(f"label channel must be ({sub.n}, l), got {yhat.shape}")
+        yhat = _graph_rows("label channel", yhat, sub)
         if yhat.shape[1] != num_labels:
             raise ConfigError(f"label channel width {yhat.shape[1]} != model label count {num_labels}")
     if dropout_rate > 0.0 and rng is None:
@@ -446,9 +464,10 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
 
     plan = layer_plan(spec, features.shape[1], num_labels)
     rows = layer_rows(sub, spec.depth)
+    ids = sub.global_ids[: rows[0]]
+    yhat = yhat[ids] if spec.uses_labels else None
     cache = ForwardCache(spec=spec, weights=weights, sub=sub, task=task,
-                         features=features[: rows[0]],
-                         yhat=yhat if spec.uses_labels else None, rows=rows)
+                         features=features, yhat=yhat, rows=rows)
 
     if spec.has_neighbor_path and spec.norm is not NormScheme.MAXPOOL:
         norm = normalize_adjacency(sub, spec.norm)
@@ -464,7 +483,11 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
         cache.masks.append(mask)
         return h if mask is None else h * mask
 
-    pre0 = cache.features @ weights.w0
+    if rows[0] >= WHOLE_GRAPH_FRACTION * features.shape[0]:
+        pre0 = (features @ weights.w0)[ids]
+    else:
+        cache.gathered = features[ids]
+        pre0 = cache.gathered @ weights.w0
     cache.pre.append(pre0)
     cache.x.append(drop(relu(pre0)))
 
@@ -599,7 +622,12 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
     if cache.masks[0] is not None:
         dh0 = dh0 * cache.masks[0]
     dpre0 = dh0 * (cache.pre[0] > 0)
-    grads.w0 += cache.features.T @ dpre0
+    if cache.gathered is not None:
+        grads.w0 += cache.gathered.T @ dpre0
+    else:
+        dpre0_graph = np.zeros((cache.features.shape[0], dpre0.shape[1]))
+        dpre0_graph[cache.sub.global_ids[: cache.rows[0]]] = dpre0
+        grads.w0 += cache.features.T @ dpre0_graph
     return grads
 
 

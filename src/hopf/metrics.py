@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ArgumentError, ConfigError
 
@@ -140,6 +139,8 @@ def shortfall(scores: dict) -> dict[str, float]:
 
 def average_rank(scores: dict) -> dict[str, float]:
     """Mean rank per model across dataset columns (rank 1 = best; ties midranked)."""
+    from scipy.stats import rankdata  # imported here: scipy.stats costs every verb ~40 MB
+
     models, _, table = _score_table(scores)
     ranks = np.column_stack([rankdata(-table[:, j], method="average") for j in range(table.shape[1])])
     return {m: float(v) for m, v in zip(models, ranks.mean(axis=1))}

@@ -9,8 +9,6 @@ patience window together, and stops after two consecutive exhaustions.
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,58 +135,6 @@ def _class_weights(y: np.ndarray, train_nodes: np.ndarray, task: Task, use_wce: 
     return wce_weights(counts)
 
 
-class _SubgraphPipeline:
-    """Per-batch subgraph extraction, optionally prefetched on worker threads.
-
-    Results are tagged by batch index and consumed in order, so the training
-    loop is deterministic regardless of worker count.
-    """
-
-    def __init__(self, graph: Graph, depth: int, sample_caps, sample_seed: int, workers: int = 0):
-        self.graph = graph
-        self.depth = depth
-        self.caps = list(sample_caps) if sample_caps else None
-        self.sample_seed = sample_seed
-        self.workers = workers
-
-    def _extract(self, batch_idx: int, nodes: np.ndarray):
-        if self.caps is not None:
-            return sample_neighbors(self.graph, self.caps, nodes, self.depth,
-                                    rng_seed=self.sample_seed + batch_idx)
-        return khop_subgraph(self.graph, nodes, self.depth)
-
-    def run(self, batches: list[np.ndarray]):
-        if self.workers <= 0 or len(batches) <= 1:
-            for i, b in enumerate(batches):
-                yield i, b, self._extract(i, b)
-            return
-        out: queue.Queue = queue.Queue(maxsize=2 * self.workers)
-        work = queue.Queue()
-        for i, b in enumerate(batches):
-            work.put((i, b))
-
-        def worker():
-            while True:
-                try:
-                    i, b = work.get_nowait()
-                except queue.Empty:
-                    return
-                out.put((i, b, self._extract(i, b)))
-
-        threads = [threading.Thread(target=worker, daemon=True) for _ in range(self.workers)]
-        for t in threads:
-            t.start()
-        pending: dict[int, tuple] = {}
-        for want in range(len(batches)):
-            while want not in pending:
-                i, b, sub = out.get()
-                pending[i] = (b, sub)
-            b, sub = pending.pop(want)
-            yield want, b, sub
-        for t in threads:
-            t.join()
-
-
 def _batches(nodes: np.ndarray, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
     perm = rng.permutation(nodes)
     return [perm[i : i + batch_size] for i in range(0, perm.size, batch_size)]
@@ -202,21 +148,20 @@ def infer(spec: KernelSpec, weights: ModelWeights, graph: Graph, x: np.ndarray,
     computes every row the set depends on once (GraphSAGE's layer-wise
     inference). A node's prediction depends only on the graph, the weights
     and the label channel ``yhat``, never on which nodes share the set. The
-    pass holds about ``x`` plus depth x n x hidden floats and the ball's
-    edges, so there is nothing to chunk.
+    pass reads ``x`` in place and holds about depth x n x hidden floats plus
+    the ball's edges, so there is nothing to chunk.
     """
     sub = khop_subgraph(graph, nodes, spec.depth)
     if sub.num_seeds != len(nodes):
         raise ArgumentError("inference nodes must be distinct")
-    yh = yhat[sub.global_ids] if spec.uses_labels else None
-    yt, _ = predict(spec, weights, sub, x[sub.global_ids], yh, task=task)
+    yt, _ = predict(spec, weights, sub, x, yhat, task=task)
     return yt
 
 
 def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
           split: SplitSpec, config: TrainConfig, task: Task,
           yhat: np.ndarray | None = None, sample_caps=None,
-          init_weights: ModelWeights | None = None, workers: int = 0):
+          init_weights: ModelWeights | None = None):
     """Train one kernel on the split's labeled nodes; returns best weights and history.
 
     ``yhat`` is the frozen label-estimate channel for kernels that consume
@@ -241,13 +186,16 @@ def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
     for epoch in range(1, config.max_epochs + 1):
         epoch_rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, epoch)))
         batches = _batches(split.train_nodes, config.batch_size, epoch_rng)
-        pipeline = _SubgraphPipeline(graph, spec.depth, sample_caps,
-                                     sample_seed=config.rng_seed * 100003 + epoch, workers=workers)
+        sample_seed = config.rng_seed * 100003 + epoch
         epoch_loss = 0.0
-        for bidx, batch, sub in pipeline.run(batches):
+        for bidx, batch in enumerate(batches):
+            if sample_caps:
+                sub = sample_neighbors(graph, sample_caps, batch, spec.depth,
+                                       rng_seed=sample_seed + bidx)
+            else:
+                sub = khop_subgraph(graph, batch, spec.depth)
             drop_rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, epoch, bidx)))
-            yh = yhat[sub.global_ids] if spec.uses_labels else None
-            yt, cache = predict(spec, weights, sub, x[sub.global_ids], yh, task=task,
+            yt, cache = predict(spec, weights, sub, x, yhat, task=task,
                                 dropout_rate=config.dropout_rate, rng=drop_rng)
             loss, dloss = weighted_cross_entropy(yt, y[batch], omega, task)
             if config.l2_weight > 0:

@@ -123,8 +123,11 @@ def test_c03_gradient_correctness():
     g = random_graph(10, 18, 42)
     sub = khop_subgraph(g, [0, 1, 2], 2)
     f, l, d = 5, 3, 4
-    x = rng.random((sub.n, f))
-    yh = rng.random((sub.n, l))  # one round of label feedback for i_nip_mean
+    # graph-level arrays; rows outside the ball stay zero and are never read
+    x = np.zeros((g.n, f))
+    x[sub.global_ids] = rng.random((sub.n, f))
+    yh = np.zeros((g.n, l))  # one round of label feedback for i_nip_mean
+    yh[sub.global_ids] = rng.random((sub.n, l))
     ytrue = np.zeros((sub.num_seeds, l))
     ytrue[np.arange(sub.num_seeds), rng.integers(l, size=sub.num_seeds)] = 1.0
     omega = np.ones(l)
@@ -164,8 +167,7 @@ def _rounds_predict(spec, weights, graph, x, T):
     sub = khop_subgraph(graph, list(range(graph.n)), spec.depth)
     ytilde = None
     for t in range(1, T + 1):
-        ytilde, _ = predict(spec, weights, sub, x[sub.global_ids],
-                            yhat[sub.global_ids], task=Task.MULTI_LABEL)
+        ytilde, _ = predict(spec, weights, sub, x, yhat, task=Task.MULTI_LABEL)
         yhat = temporal_average(ytilde, yhat, t, T)
     return ytilde
 

@@ -1,8 +1,12 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hopf.cli as cli_mod
 from hopf.cli import main
 
 
@@ -108,6 +112,32 @@ class TestTrainCommand:
                          "--out", str(out)]) == 0
             outs.append((out / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_prediction_rows_keep_their_bytes(self, planted_dir, fast_config, tmp_path,
+                                              monkeypatch):
+        # rows are ``repr`` of ``tolist()`` floats, byte for byte the old
+        # csv.writer rows of ``repr(float(v))`` per numpy cell
+        real, seen = cli_mod.evaluate, {}
+
+        def edge_values(spec, weights, graph, x, y, node_set, task, **kw):
+            ev = real(spec, weights, graph, x, y, node_set, task, **kw)
+            ev["predictions"][:2] = [[5e-324, -0.0, 1.0 - 2.0**-53], [1e-300, 0.1, 1.0]]
+            seen["nodes"], seen["predictions"] = node_set, ev["predictions"]
+            return ev
+
+        monkeypatch.setattr(cli_mod, "evaluate", edge_values)
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", str(planted_dir), "--model", "nip_mean",
+                     "--config", str(fast_config), "--folds", "1", "--seed", "5",
+                     "--out", str(out)]) == 0
+        preds = seen["predictions"]
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["node"] + [f"label_{j}" for j in range(preds.shape[1])])
+            writer.writerows([int(n)] + [repr(float(v)) for v in row]
+                             for n, row in zip(seen["nodes"], preds))
+        assert ((out / "predictions_fold0.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
 
     def test_sample_caps_cardinality_checked(self, planted_dir, fast_config, tmp_path):
         code = main(["train", "--dataset", str(planted_dir), "--model", "nip_mean",
@@ -245,6 +275,16 @@ class TestBenchScaling:
         rows = read_csv(out / "timings.csv")
         assert rows[0]["status"] == "infeasible"
         assert rows[0]["mean_seconds"] == ""
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # only the compare verb ranks; every other verb starts without scipy.stats
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    probe = "import sys, hopf.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_gen_benchmark_kind(tmp_path, capsys):

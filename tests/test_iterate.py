@@ -1,8 +1,10 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hopf.iterate as iterate_mod
 from hopf import (ArgumentError, ConfigError, HopfConfig, ModelWeights, Task, TrainConfig,
                   gen_chain, gen_planted_partition, khop_subgraph, make_kernel, make_splits,
                   predict, row_normalize, run_hopf, temporal_average, train,
@@ -61,8 +63,8 @@ class TestRoundReduction:
             assert np.array_equal(a, b)
         # fresh inference from round one must match direct prediction
         sub = khop_subgraph(bundle.graph, split.test_nodes, 2)
-        direct, _ = predict(spec, weights, sub, bundle.x[sub.global_ids],
-                            np.zeros((sub.n, 4)), task=bundle.task)
+        direct, _ = predict(spec, weights, sub, bundle.x,
+                            np.zeros((bundle.graph.n, 4)), task=bundle.task)
         assert np.max(np.abs(result.ytilde[split.test_nodes] - direct)) < 1e-12
 
     def test_multi_round_needs_label_channel(self):
@@ -132,6 +134,40 @@ class TestHopfLoop:
         assert back.w0.shape == (bundle.num_features, 16)
 
 
+class TestLabelCopies:
+    @staticmethod
+    def run_and_record(tmp_path, monkeypatch, shifted):
+        bundle, split, cfg = fixture(29)
+        cfg = replace(cfg, max_epochs=3, min_epochs=1)
+        real, formatted = _dump_labels, []
+
+        def recording(path, matrix):
+            formatted.append(path.name)
+            real(path, matrix)
+
+        monkeypatch.setattr(iterate_mod, "_dump_labels", recording)
+        out = tmp_path / ("shifted" if shifted else "plain")
+        result = run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle.graph, bundle.x,
+                          bundle.y, split, cfg, HopfConfig(C=1, T=3, shifted_averaging=shifted),
+                          bundle.task, out_dir=out)
+        return result, out, formatted
+
+    def test_repeated_matrix_is_copied(self, tmp_path, monkeypatch):
+        # under (T-t)/T the last round's fresh weight is 0: yhat_t3 repeats yhat_t2
+        result, out, formatted = self.run_and_record(tmp_path, monkeypatch, shifted=False)
+        assert sorted(formatted) == ["yhat_t1.csv", "yhat_t2.csv",
+                                     "ytilde_t1.csv", "ytilde_t2.csv", "ytilde_t3.csv"]
+        _dump_labels(tmp_path / "fresh.csv", result.yhat)
+        assert (out / "yhat_t3.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert (out / "yhat_t3.csv").read_bytes() == (out / "yhat_t2.csv").read_bytes()
+
+    def test_shifted_averaging_formats_every_round(self, tmp_path, monkeypatch):
+        result, out, formatted = self.run_and_record(tmp_path, monkeypatch, shifted=True)
+        assert sorted(formatted) == sorted(f"{stem}_t{t}.csv" for stem in ("yhat", "ytilde")
+                                           for t in (1, 2, 3))
+        assert (out / "yhat_t3.csv").read_bytes() != (out / "yhat_t2.csv").read_bytes()
+
+
 def test_label_dump_bytes_match_csv_writer(tmp_path):
     rng = np.random.default_rng(0)
     m = rng.random((6, 4))
@@ -166,8 +202,7 @@ class TestReach:
         sub = khop_subgraph(graph, list(range(graph.n)), spec.depth)
         ytilde = None
         for t in range(1, T + 1):
-            ytilde, _ = predict(spec, weights, sub, x[sub.global_ids],
-                                yhat[sub.global_ids], task=Task.MULTI_LABEL)
+            ytilde, _ = predict(spec, weights, sub, x, yhat, task=Task.MULTI_LABEL)
             yhat = temporal_average(ytilde, yhat, t, T)
         return ytilde
 

@@ -7,8 +7,8 @@ from hopf import (ArgumentError, ConfigError, HopfError, ModelWeights, NormSchem
                   StateError, Task, backward, build_graph, finite_diff_grad, khop_subgraph,
                   linear_unroll_coefficient, make_kernel, maxpool_aggregate,
                   nim_relative_importance, predict, weighted_cross_entropy)
-from hopf.kernels import (REGISTRY, TRAINABLE_MODELS, AlphaMode, BetaMode, Combine, Phi, Psi,
-                          layer_plan)
+from hopf.kernels import (REGISTRY, TRAINABLE_MODELS, WHOLE_GRAPH_FRACTION, AlphaMode, BetaMode,
+                          Combine, Phi, Psi, layer_plan, layer_rows)
 
 from conftest import random_graph
 
@@ -35,11 +35,34 @@ def rand_setup(seed=42, n=10, edges=18, f=5, l=3, seeds=3, depth=2):
     rng = np.random.default_rng(seed)
     g = random_graph(n, edges, seed)
     sub = khop_subgraph(g, list(range(seeds)), depth)
-    x = rng.random((sub.n, f))
-    yh = rng.random((sub.n, l))
+    # graph-level arrays; rows outside the ball stay zero and are never read
+    x = np.zeros((g.n, f))
+    x[sub.global_ids] = rng.random((sub.n, f))
+    yh = np.zeros((g.n, l))
+    yh[sub.global_ids] = rng.random((sub.n, l))
     ytrue = np.zeros((sub.num_seeds, l))
     ytrue[np.arange(sub.num_seeds), rng.integers(l, size=sub.num_seeds)] = 1.0
     return g, sub, x, yh, ytrue
+
+
+def assert_grads_match_fd(spec, w, sub, x, yh, ytrue, task):
+    """Every analytic weight gradient within 1e-4 relative of central differences."""
+    omega = np.ones(ytrue.shape[1])
+    yt, cache = predict(spec, w, sub, x, yh, task=task)
+    _, dloss = weighted_cross_entropy(yt, ytrue, omega, task)
+    grads = dict(backward(spec, w, cache, dloss).params())
+    for pname, p in w.params():
+        def loss_fn(pm, p=p):
+            saved = p.copy()
+            p[:] = pm
+            yt2, _ = predict(spec, w, sub, x, yh, task=task)
+            out, _ = weighted_cross_entropy(yt2, ytrue, omega, task)
+            p[:] = saved
+            return out
+        fd = finite_diff_grad(loss_fn, p, eps=1e-5)
+        rel = np.abs(grads[pname] - fd) / np.maximum(np.abs(fd), 1e-6)
+        assert rel.max() < 1e-4, f"{spec.name}/{pname}"
+    return cache
 
 
 class TestRegistryFidelity:
@@ -111,7 +134,7 @@ class TestPredict:
         for edges in ([(0, 1), (2, 3)], [(0, 5), (1, 4), (2, 5)]):
             g = build_graph(edges, 6)
             sub = khop_subgraph(g, list(range(6)), 2)
-            yt, _ = predict(spec, w, sub, x_full[sub.global_ids], task=Task.MULTI_CLASS)
+            yt, _ = predict(spec, w, sub, x_full, task=Task.MULTI_CLASS)
             outs.append(yt[np.argsort(sub.global_ids)])
         assert np.array_equal(outs[0], outs[1])
 
@@ -122,11 +145,11 @@ class TestPredict:
         w = ModelWeights.init(spec, 6, 2, 11)
         sub = khop_subgraph(chain6, list(range(6)), 2)
         x = np.abs(np.random.default_rng(1).random((6, 6))) + 0.1
-        base, _ = predict(spec, w, sub, x[sub.global_ids], task=Task.MULTI_LABEL)
+        base, _ = predict(spec, w, sub, x, task=Task.MULTI_LABEL)
         for node, expect_change in ((2, True), (3, False), (4, False)):
             x2 = x.copy()
             x2[node] += 2.0
-            out, _ = predict(spec, w, sub, x2[sub.global_ids], task=Task.MULTI_LABEL)
+            out, _ = predict(spec, w, sub, x2, task=Task.MULTI_LABEL)
             changed = not np.array_equal(out[0], base[0])
             assert changed == expect_change, f"perturbing node {node}"
 
@@ -160,11 +183,23 @@ class TestPredict:
             predict(spec, w, sub, x, None)
 
     def test_label_width_mismatch(self):
-        _, sub, x, _, _ = rand_setup()
+        g, sub, x, _, _ = rand_setup()
         spec = make_kernel("i_nip_mean", depth=2, hidden_dim=4)
         w = ModelWeights.init(spec, 5, 3, 0)
         with pytest.raises(ConfigError):
-            predict(spec, w, sub, x, np.zeros((sub.n, 5)))
+            predict(spec, w, sub, x, np.zeros((g.n, 5)))
+
+    def test_inputs_short_of_rows_or_not_2d(self):
+        g, sub, x, yh, _ = rand_setup(n=30, edges=40)
+        need = int(sub.global_ids.max()) + 1
+        assert need > 1
+        spec = make_kernel("i_nip_mean", depth=2, hidden_dim=4)
+        w = ModelWeights.init(spec, 5, 3, 0)
+        predict(spec, w, sub, x[:need], yh[:need])
+        for bad_x, bad_yh in ((x[: need - 1], yh), (x, yh[: need - 1]),
+                              (x[:, 0], yh), (x, yh[:, 0]), (x[None], yh)):
+            with pytest.raises(ShapeError, match="one row per graph node"):
+                predict(spec, w, sub, bad_x, bad_yh)
 
     def test_feature_width_mismatch(self):
         _, sub, x, _, _ = rand_setup()
@@ -195,8 +230,7 @@ def test_trimmed_layers_need_no_outer_frontier(name):
     outs = []
     for radius in (C, C + 1):
         sub = khop_subgraph(g, [0, 1, 2, 1], radius)
-        yt, cache = predict(spec, w, sub, x[sub.global_ids], yh[sub.global_ids],
-                            task=Task.MULTI_LABEL)
+        yt, cache = predict(spec, w, sub, x, yh, task=Task.MULTI_LABEL)
         assert [xk.shape[0] for xk in cache.x] == [sub.frontier_offsets[C - k + 1]
                                                   for k in range(C + 1)]
         grads = backward(spec, w, cache, np.linspace(-1.0, 1.0, yt.size).reshape(yt.shape))
@@ -222,22 +256,19 @@ class TestBackward:
         _, sub, x, yh, ytrue = rand_setup()
         spec = make_kernel(name, depth=2, hidden_dim=4)
         w = ModelWeights.init(spec, 5, 3, 7)
-        omega = np.ones(3)
+        assert_grads_match_fd(spec, w, sub, x, yh, ytrue, task)
 
-        yt, cache = predict(spec, w, sub, x, yh, task=task)
-        _, dloss = weighted_cross_entropy(yt, ytrue, omega, task)
-        grads = dict(backward(spec, w, cache, dloss).params())
-        for pname, p in w.params():
-            def loss_fn(pm, p=p):
-                saved = p.copy()
-                p[:] = pm
-                yt2, _ = predict(spec, w, sub, x, yh, task=task)
-                out, _ = weighted_cross_entropy(yt2, ytrue, omega, task)
-                p[:] = saved
-                return out
-            fd = finite_diff_grad(loss_fn, p, eps=1e-5)
-            rel = np.abs(grads[pname] - fd) / np.maximum(np.abs(fd), 1e-6)
-            assert rel.max() < 1e-4, f"{name}/{pname}"
+    @pytest.mark.parametrize("name", ["nip_mean", "gcn_mean"])  # H0 and H_PREV node paths
+    @pytest.mark.parametrize("seeds,whole_graph", [(12, True), (1, False)])
+    def test_both_input_forms_match_finite_differences(self, name, seeds, whole_graph):
+        # a ball whose layer-0 rows reach WHOLE_GRAPH_FRACTION of the graph
+        # multiplies all of x by w0; a smaller one gathers its rows first
+        g, sub, x, yh, ytrue = rand_setup(seed=13, n=40, edges=50, seeds=seeds)
+        assert (layer_rows(sub, 2)[0] >= WHOLE_GRAPH_FRACTION * g.n) == whole_graph
+        spec = make_kernel(name, depth=2, hidden_dim=4)
+        w = ModelWeights.init(spec, 5, 3, 7)
+        cache = assert_grads_match_fd(spec, w, sub, x, yh, ytrue, Task.MULTI_CLASS)
+        assert (cache.gathered is None) == whole_graph
 
     def test_tied_gradient_equals_sum_of_untied(self):
         _, sub, x, _, ytrue = rand_setup()

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import hopf.training as training_mod
 from hopf import (ArgumentError, ConfigError, EarlyStopState, Task, TrainConfig, TrainingError,
-                  evaluate, gen_planted_partition, infer, make_kernel, make_splits,
-                  row_normalize, train)
-from hopf.kernels import TRAINABLE_MODELS, ModelWeights
+                  evaluate, gen_planted_partition, infer, khop_subgraph, make_kernel,
+                  make_splits, row_normalize, train)
+from hopf.kernels import TRAINABLE_MODELS, WHOLE_GRAPH_FRACTION, ModelWeights, layer_rows
 
 from conftest import random_graph
 
@@ -191,19 +191,6 @@ class TestTrainLoop:
         for (_, a), (_, b) in zip(outs[0].params(), outs[1].params()):
             assert np.array_equal(a, b)
 
-    def test_prefetch_workers_do_not_change_results(self):
-        bundle = planted(5, n=150)
-        split = make_splits(150, rng_seed=5)[0]
-        spec = make_kernel("gcn_s", depth=2, hidden_dim=4)
-        results = []
-        for workers in (0, 2):
-            w, _ = train(spec, bundle.graph, bundle.x, bundle.y, split,
-                         quick_config(seed=5, hidden_dim=4, max_epochs=3, batch_size=16),
-                         bundle.task, workers=workers)
-            results.append(w)
-        for (_, a), (_, b) in zip(results[0].params(), results[1].params()):
-            assert np.array_equal(a, b)
-
     def test_dropout_training_reproducible(self):
         bundle = planted(6, n=100)
         split = make_splits(100, rng_seed=6)[0]
@@ -315,7 +302,10 @@ class TestInfer:
     def test_rows_do_not_depend_on_batchmates(self, name, task, with_labels,
                                               seed, depth, size, cuts):
         # a node's prediction is the same in the whole set, in any permutation
-        # of it and in any part of any split of it
+        # of it and in any part of any split of it; large sets take the
+        # whole-graph input layer and small parts gather their rows, so rows
+        # of both forms meet here (test_whole_graph_and_gathered_inputs_agree
+        # pins both sides for every kernel)
         rng = np.random.default_rng(seed)
         g = random_graph(40, 70, seed)
         spec = make_kernel(name, depth=depth, hidden_dim=4)
@@ -335,6 +325,26 @@ class TestInfer:
         parts = np.split(nodes, sorted({c for c in cuts if c < size}))
         pieces = np.vstack([infer(spec, w, g, x, p, task, yhat) for p in parts])
         assert np.allclose(pieces, whole, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", TRAINABLE_MODELS)
+    def test_whole_graph_and_gathered_inputs_agree(self, name):
+        # the whole node set's ball covers the graph, so its input layer
+        # multiplies all of x; each node alone has a ball below
+        # WHOLE_GRAPH_FRACTION of the graph, so it gathers its rows
+        rng = np.random.default_rng(3)
+        g = random_graph(40, 50, 3)
+        spec = make_kernel(name, depth=2, hidden_dim=4)
+        w = ModelWeights.init(spec, 5, 3, 3)
+        x = rng.random((g.n, 5))
+        yhat = rng.random((g.n, 3))
+        nodes = np.arange(g.n)
+        assert layer_rows(khop_subgraph(g, nodes, spec.depth), spec.depth)[0] == g.n
+        whole = infer(spec, w, g, x, nodes, Task.MULTI_LABEL, yhat)
+        for v in nodes:
+            ball = khop_subgraph(g, [v], spec.depth)
+            assert layer_rows(ball, spec.depth)[0] < WHOLE_GRAPH_FRACTION * g.n
+            alone = infer(spec, w, g, x, nodes[v : v + 1], Task.MULTI_LABEL, yhat)
+            assert np.allclose(alone, whole[v : v + 1], rtol=0.0, atol=1e-12)
 
     def test_repeated_nodes_rejected(self):
         bundle = planted(13, n=100)
