@@ -34,12 +34,32 @@ from .metrics import (MetricsRecord, average_rank, read_scores_csv,
 from .training import TrainConfig, evaluate, make_splits, train
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _int_at_least(low: int):
+    """argparse ``type=`` for integers >= ``low``; a bad value exits with code 2."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+_POSITIVE = _int_at_least(1)
+_NON_NEGATIVE = _int_at_least(0)
+
+
+def _parse_list(text: str, flag: str, kind) -> list:
+    """The comma list ``text`` given to ``flag``, each entry converted by ``kind``."""
+    try:
+        values = [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag}: expected a comma list of {kind.__name__}s, got {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag}: expected at least one value, got {text!r}")
+    return values
 
 
 def _load_bundle(path) -> DatasetBundle:
@@ -51,13 +71,24 @@ def _load_bundle(path) -> DatasetBundle:
 def _train_config(args) -> TrainConfig:
     overrides: dict = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"--config {args.config}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise ConfigError(f"--config {args.config}: not a JSON file ({exc})") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"--config {args.config}: expected a JSON object, "
+                              f"got a {type(file_cfg).__name__}")
         hopf_keys = set(HopfConfig.__dataclass_fields__)
         overrides.update({k: v for k, v in file_cfg.items() if k not in hopf_keys})
     if getattr(args, "seed", None) is not None:
         overrides["rng_seed"] = args.seed
-    return TrainConfig.from_dict(overrides)
+    try:
+        return TrainConfig.from_dict(overrides)
+    except TypeError as exc:  # a config value of the wrong type, such as a quoted number
+        raise ConfigError(f"--config {args.config}: {exc}") from exc
 
 
 def _check_model(name: str, allowed) -> None:
@@ -104,6 +135,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     _check_model(args.model, TRAINABLE_MODELS)
     config = _train_config(args)
+    caps = _parse_list(args.sample_caps, "--sample-caps", int) if args.sample_caps else None
     out = Path(args.out)
     manifest = RunManifest.start("train", {**asdict(config), "model": args.model,
                                            "hops": args.hops, "folds": args.folds,
@@ -115,7 +147,6 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     bundle = _load_bundle(args.dataset)
     load_done = time.perf_counter()
-    caps = _parse_ints(args.sample_caps) if args.sample_caps else None
     spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
     if caps is not None and len(caps) != spec.depth:
         raise ConfigError(f"--sample-caps needs {spec.depth} entries, got {len(caps)}")
@@ -188,6 +219,7 @@ def cmd_bench_scaling(args) -> int:
     config = _train_config(args)
     config = replace(config, batch_size=args.batch_size, hidden_dim=args.hidden_dim,
                      use_wce=False)
+    hops = _parse_list(args.hops, "--hops", int)
     manifest = RunManifest.start("bench-scaling",
                                  {"hops": args.hops, "variants": args.variants,
                                   "repeats": args.repeats, "nodes": args.nodes,
@@ -205,7 +237,7 @@ def cmd_bench_scaling(args) -> int:
         bundle.x = row_normalize(bundle.x)
     split = make_splits(bundle.graph.n, config.rng_seed)[0]
     budget = None if args.memory_budget <= 0 else int(args.memory_budget * 2**30)
-    cells = run_scaling(bundle, split, args.variants.split(","), _parse_ints(args.hops),
+    cells = run_scaling(bundle, split, args.variants.split(","), hops,
                         args.repeats, config, budget_bytes=budget)
     _write_csv(out / "timings.csv", ["variant", "hops", "mean_seconds", "status"],
                [[c.variant, c.hops, "" if c.mean_seconds is None else repr(c.mean_seconds),
@@ -223,7 +255,7 @@ def cmd_bench_scaling(args) -> int:
 def cmd_neighbor_fraction(args) -> int:
     _check_model(args.model, TRAINABLE_MODELS)
     config = _train_config(args)
-    fractions = _parse_floats(args.fractions)
+    fractions = _parse_list(args.fractions, "--fractions", float)
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
     out = Path(args.out)
@@ -237,7 +269,7 @@ def cmd_neighbor_fraction(args) -> int:
     t0 = time.perf_counter()
     bundle = _load_bundle(args.dataset)
     spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
-    split = make_splits(bundle.graph.n, config.rng_seed)[args.fold]
+    split = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)[args.fold]
     max_degree = int(bundle.graph.degree.max())
     rows = []
     for frac in fractions:
@@ -299,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a synthetic dataset directory")
     g.add_argument("kind", choices=["chain", "planted", "benchmark"])
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     g.add_argument("--n", type=int, default=400)
     g.add_argument("--blocks", type=int, default=4)
     g.add_argument("--p-in", dest="p_in", type=float, default=0.05)
@@ -307,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--noise", type=float, default=0.4)
     g.add_argument("--nodes", type=int, default=100_000)
     g.add_argument("--edges", type=int, default=500_000)
-    g.add_argument("--features", type=int, default=100)
-    g.add_argument("--labels", type=int, default=10)
+    g.add_argument("--features", type=_POSITIVE, default=100)
+    g.add_argument("--labels", type=_POSITIVE, default=10)
     g.set_defaults(func=cmd_gen)
 
     t = sub.add_parser("train", help="train one kernel over the standard folds")
@@ -316,10 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--model", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--config", default=None, help="JSON file with training-config keys")
-    t.add_argument("--folds", type=int, default=5)
-    t.add_argument("-C", "--hops", dest="hops", type=int, default=2)
+    t.add_argument("--folds", type=_POSITIVE, default=5)
+    t.add_argument("-C", "--hops", dest="hops", type=_POSITIVE, default=2)
     t.add_argument("--sample-caps", default=None, help="comma list, one cap per hop")
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=_NON_NEGATIVE, default=None)
     t.set_defaults(func=cmd_train)
 
     h = sub.add_parser("hopf", help="iterative rounds of train + infer + label feedback")
@@ -327,32 +359,32 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--model", required=True, help="i_nip_mean or ss_ica")
     h.add_argument("--out", required=True)
     h.add_argument("--config", default=None)
-    h.add_argument("-C", type=int, default=2, help="differentiable hops per round")
-    h.add_argument("-T", type=int, default=1, help="number of rounds")
+    h.add_argument("-C", type=_POSITIVE, default=2, help="differentiable hops per round")
+    h.add_argument("-T", type=_POSITIVE, default=1, help="number of rounds")
     h.add_argument("--cold-start", action="store_true",
                    help="re-initialize weights each round instead of continuing")
     h.add_argument("--shifted-averaging", action="store_true",
                    help="weight fresh predictions by (T-t+1)/T instead of (T-t)/T")
-    h.add_argument("--fold", type=int, default=0)
-    h.add_argument("--seed", type=int, default=None)
+    h.add_argument("--fold", type=_NON_NEGATIVE, default=0)
+    h.add_argument("--seed", type=_NON_NEGATIVE, default=None)
     h.set_defaults(func=cmd_hopf)
 
     b = sub.add_parser("bench-scaling", help="epoch-time scaling across total hops")
     b.add_argument("--hops", required=True, help="comma list of total hop counts K")
     b.add_argument("--variants", required=True,
                    help="comma list: nip_mean, i_nip_mean_c1, i_nip_mean_c2, ...")
-    b.add_argument("--repeats", type=int, default=3)
+    b.add_argument("--repeats", type=_POSITIVE, default=3)
     b.add_argument("--out", required=True)
     b.add_argument("--dataset", default=None, help="reuse a generated benchmark bundle")
     b.add_argument("--nodes", type=int, default=100_000)
     b.add_argument("--edges", type=int, default=500_000)
-    b.add_argument("--features", type=int, default=100)
-    b.add_argument("--labels", type=int, default=10)
-    b.add_argument("--batch-size", type=int, default=128)
-    b.add_argument("--hidden-dim", type=int, default=128)
+    b.add_argument("--features", type=_POSITIVE, default=100)
+    b.add_argument("--labels", type=_POSITIVE, default=10)
+    b.add_argument("--batch-size", type=_POSITIVE, default=128)
+    b.add_argument("--hidden-dim", type=_POSITIVE, default=128)
     b.add_argument("--memory-budget", type=float, default=4.0,
                    help="GiB allowed for per-batch activations/gradients; <=0 disables")
-    b.add_argument("--seed", type=int, default=None)
+    b.add_argument("--seed", type=_NON_NEGATIVE, default=None)
     b.add_argument("--config", default=None)
     b.set_defaults(func=cmd_bench_scaling)
 
@@ -361,16 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--model", required=True)
     f.add_argument("--fractions", required=True, help="comma list in (0, 1]")
     f.add_argument("--out", required=True)
-    f.add_argument("-C", "--hops", dest="hops", type=int, default=2)
-    f.add_argument("--fold", type=int, default=0)
+    f.add_argument("-C", "--hops", dest="hops", type=_POSITIVE, default=2)
+    f.add_argument("--fold", type=_NON_NEGATIVE, default=0)
     f.add_argument("--config", default=None)
-    f.add_argument("--seed", type=int, default=None)
+    f.add_argument("--seed", type=_NON_NEGATIVE, default=None)
     f.set_defaults(func=cmd_neighbor_fraction)
 
     n = sub.add_parser("nim", help="self-information decay table")
     n.add_argument("--alpha", type=float, required=True)
     n.add_argument("--beta", type=float, required=True)
-    n.add_argument("--max-k", type=int, default=10)
+    n.add_argument("--max-k", type=_NON_NEGATIVE, default=10)
     n.add_argument("--skip", action="store_true", help="also tabulate the skip-connection decay")
     n.add_argument("--out", required=True)
     n.set_defaults(func=cmd_nim)

@@ -280,12 +280,16 @@ def normalize_adjacency(sub, scheme: NormScheme) -> sp.csr_matrix:
 
     MEAN rows sum to one on nodes of positive degree; isolated nodes keep a
     zero row (their neighbor term vanishes, the kernel's node path still
-    contributes). MEAN and COUNT weigh each row by its own entries: on every
-    row a kernel layer computes, a BFS ball holds the node's whole
-    neighborhood, and a sampled ball means over its samples. SYM_SELF takes
-    ``sub.degree``, the degrees in the whole graph, incremented by one for
-    the implicit self weight, so a row's weights do not depend on how far
-    the ball reaches past it. MAXPOOL has no matrix form.
+    contributes). MEAN and COUNT weigh each row by its own entries, which are
+    all of the node's neighbors inside the ball: on every row a kernel layer
+    computes, a BFS ball holds the node's whole neighborhood. A sampled ball
+    is induced as well, so its caps limit which nodes join the ball, not what
+    a row averages; a row means over every in-ball neighbor, sampled or not.
+    In K8, seed 0 with caps [2, 2] gets a 6-node ball, and every row, the
+    seed's too, means over 5 neighbors. SYM_SELF takes ``sub.degree``, the
+    degrees in the whole graph, incremented by one for the implicit self
+    weight, so a row's weights do not depend on how far the ball reaches
+    past it. MAXPOOL has no matrix form.
     """
     if scheme == NormScheme.MAXPOOL:
         raise ArgumentError("maxpool is not a matrix normalization; it is applied inside the kernel")

@@ -172,17 +172,24 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
     return result
 
 
+# _dump_labels formats this many rows at a time, so a matrix never exists as
+# one whole string or one whole list of Python floats
+_DUMP_BLOCK_ROWS = 1024
+
+
 def _dump_labels(path, matrix: np.ndarray) -> None:
     """Write a label matrix as CSV: a ``label_j`` header, then one row per node.
 
     The bytes are those of ``csv.writer`` with ``repr`` floats: commas, CRLF
     line ends and no quoting, since no float's ``repr`` holds a comma, quote
     or newline. ``tolist()`` floats ``repr`` like ``float(v)`` of each cell.
+    Rows are formatted and written ``_DUMP_BLOCK_ROWS`` at a time.
     """
-    header = ",".join(f"label_{j}" for j in range(matrix.shape[1]))
-    rows = [",".join(map(repr, row)) for row in matrix.tolist()]
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([header, *rows, ""]))
+        fh.write(",".join(f"label_{j}" for j in range(matrix.shape[1])) + "\r\n")
+        for start in range(0, matrix.shape[0], _DUMP_BLOCK_ROWS):
+            block = matrix[start : start + _DUMP_BLOCK_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
 def _append_metrics_row(path: Path, iteration: int, test_f1: float) -> None:

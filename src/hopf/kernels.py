@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .errors import ArgumentError, ConfigError, ShapeError, StateError
 from .graph import Graph, NormScheme, Subgraph, normalize_adjacency
 from .metrics import Task
-from .numerics import dropout_mask, glorot_init, relu, sigmoid, softmax_rows, spmm
+from .numerics import dropout_mask, glorot_init, sigmoid, softmax_rows, spmm
 
 
 class Phi(Enum):
@@ -332,14 +332,22 @@ class ModelWeights:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs from one forward evaluation.
+    """What the backward pass reads from one forward evaluation, and no more.
 
-    ``x[k]`` and ``pre[k]`` hold only the ``rows[k]`` prefix of the ball that
-    the seeds depend on (see :func:`layer_rows`). ``gathered`` is None when
-    the input layer multiplied the whole graph-level ``features`` (see
-    ``WHOLE_GRAPH_FRACTION``). ``adj[k]`` is layer k+1's block of the
-    normalized adjacency, ``rows[k+1]`` by ``rows[k]``; its ``.T`` is a free
-    CSC view, which the backward pass multiplies by directly.
+    ``x[k]`` is layer k's activation after ReLU, skip connection and dropout;
+    ``active[k]`` is its ReLU mask ``pre > 0`` as a bool array, so no float64
+    pre-activation outlives the layer that computed it. Both hold only the
+    ``rows[k]`` prefix of the ball that the seeds depend on (see
+    :func:`layer_rows`). ``phi_inputs[k]`` and ``psi_inputs[k]`` are views of
+    ``x`` (of ``yhat`` for a ``Psi.LABELS`` layer): a
+    ``Psi.H_PREV_CONCAT_LABELS`` layer multiplies ``h`` and the label channel
+    by the two row blocks of ``wpsi[k]`` apart, so no ``[h | yhat]`` copy
+    exists, and ``psi_inputs[k]`` holds its ``h`` part only. Of the
+    output only ``ytilde`` is kept; backward never reads the logits.
+    ``gathered`` is None when the input layer multiplied the whole graph-level
+    ``features`` (see ``WHOLE_GRAPH_FRACTION``). ``adj[k]`` is layer k+1's
+    block of the normalized adjacency, ``rows[k+1]`` by ``rows[k]``; its
+    ``.T`` is a free CSC view, which the backward pass multiplies by directly.
     """
 
     spec: KernelSpec
@@ -350,15 +358,14 @@ class ForwardCache:
     yhat: np.ndarray | None               # label channel rows of the layer-0 prefix
     gathered: np.ndarray | None = None    # x rows of the layer-0 prefix, gathered form only
     x: list = field(default_factory=list)        # dropped activations x_0..x_C
-    pre: list = field(default_factory=list)      # pre-activations, same indexing
-    masks: list = field(default_factory=list)    # dropout masks or None
+    active: list = field(default_factory=list)   # bool ReLU masks, same indexing
+    dropout: list = field(default_factory=list)  # dropout masks or None
     phi_inputs: list = field(default_factory=list)
     psi_inputs: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     adj: list = field(default_factory=list)
     alpha_vec: np.ndarray | None = None
     maxpool_argmax: list = field(default_factory=list)
-    logits: np.ndarray | None = None
     ytilde: np.ndarray | None = None
 
 
@@ -434,6 +441,49 @@ def _graph_rows(name: str, arr: np.ndarray, sub: Subgraph) -> np.ndarray:
     return arr
 
 
+def _layer_pre(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
+               k: int) -> np.ndarray:
+    """Layer k+1's pre-activation from ``cache.x[k]``; records the layer's inputs.
+
+    The products it needs on the way die when it returns, so they never
+    overlap the next layer's or the output's.
+    """
+    n_in, n_out = cache.rows[k], cache.rows[k + 1]
+    prev = cache.x[k]
+    node = None
+    phi_in = None
+    if spec.has_node_path:
+        phi_in = (cache.x[0] if spec.phi is Phi.H0 else prev)[:n_out]
+        node = phi_in @ weights.wphi[k]
+        if cache.alpha_vec is not None:
+            node = cache.alpha_vec[:n_out, None] * node
+    neigh = None
+    psi_in = None
+    argmax = None
+    if spec.has_neighbor_path:
+        psi_in = cache.yhat[:n_in] if spec.psi is Psi.LABELS else prev
+        w = psi_in.shape[1]
+        lin = psi_in @ weights.wpsi[k][:w]
+        if spec.psi is Psi.H_PREV_CONCAT_LABELS:
+            # [h | yhat] @ W as h @ W[:w] + yhat @ W[w:], with no concatenated copy
+            lin += cache.yhat[:n_in] @ weights.wpsi[k][w:]
+        if spec.norm is NormScheme.MAXPOOL:
+            neigh, argmax = _maxpool_with_argmax(cache.sub, lin, n_out)
+        else:
+            neigh = spmm(cache.adj[k], lin)
+    cache.phi_inputs.append(phi_in)
+    cache.psi_inputs.append(psi_in)
+    cache.maxpool_argmax.append(argmax)
+
+    if spec.combine is Combine.CONCAT:
+        return np.hstack([node, neigh])
+    if node is None:
+        return neigh
+    if neigh is not None:
+        node += neigh
+    return node
+
+
 def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
             features: np.ndarray, yhat: np.ndarray | None = None,
             task: Task = Task.MULTI_CLASS, dropout_rate: float = 0.0,
@@ -475,70 +525,32 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
     if spec.alpha is AlphaMode.INV_DEG_SELF:
         cache.alpha_vec = 1.0 / (sub.degree[: rows[1]].astype(np.float64) + 1.0)
 
-    def drop(h):
-        if dropout_rate > 0.0:
-            mask = dropout_mask(rng, h.shape, dropout_rate)
-        else:
-            mask = None
-        cache.masks.append(mask)
-        return h if mask is None else h * mask
+    def activate(pre, skip=None):
+        """ReLU in place, keeping only its bool mask; then skip and dropout."""
+        cache.active.append(pre > 0)
+        h = np.maximum(pre, 0.0, out=pre)
+        if skip is not None:
+            h += skip
+        mask = dropout_mask(rng, h.shape, dropout_rate) if dropout_rate > 0.0 else None
+        cache.dropout.append(mask)
+        if mask is not None:
+            h *= mask
+        cache.x.append(h)
 
     if rows[0] >= WHOLE_GRAPH_FRACTION * features.shape[0]:
         pre0 = (features @ weights.w0)[ids]
     else:
         cache.gathered = features[ids]
         pre0 = cache.gathered @ weights.w0
-    cache.pre.append(pre0)
-    cache.x.append(drop(relu(pre0)))
+    activate(pre0)
 
     for k in range(spec.depth):
-        n_in, n_out = rows[k], rows[k + 1]
-        prev = cache.x[-1]
-        node = None
-        phi_in = None
-        if spec.has_node_path:
-            phi_in = (cache.x[0] if spec.phi is Phi.H0 else prev)[:n_out]
-            node = phi_in @ weights.wphi[k]
-            if cache.alpha_vec is not None:
-                node = cache.alpha_vec[:n_out, None] * node
-        neigh = None
-        psi_in = None
-        argmax = None
-        if spec.has_neighbor_path:
-            if spec.psi is Psi.H_PREV:
-                psi_in = prev
-            elif spec.psi is Psi.LABELS:
-                psi_in = yhat[:n_in]
-            else:
-                psi_in = np.hstack([prev, yhat[:n_in]])
-            lin = psi_in @ weights.wpsi[k]
-            if spec.norm is NormScheme.MAXPOOL:
-                neigh, argmax = _maxpool_with_argmax(sub, lin, n_out)
-            else:
-                neigh = spmm(cache.adj[k], lin)
-        cache.phi_inputs.append(phi_in)
-        cache.psi_inputs.append(psi_in)
-        cache.maxpool_argmax.append(argmax)
-
-        if spec.combine is Combine.CONCAT:
-            pre = np.hstack([node, neigh])
-        elif node is None:
-            pre = neigh
-        elif neigh is None:
-            pre = node
-        else:
-            pre = node + neigh
-        cache.pre.append(pre)
-        h = relu(pre)
-        if spec.skip_connections:
-            h = h + prev[:n_out]
-        cache.x.append(drop(h))
+        skip = cache.x[-1][: rows[k + 1]] if spec.skip_connections else None
+        activate(_layer_pre(spec, weights, cache, k), skip)
 
     if cache.x[-1].shape[1] != plan.output_in:
         raise ShapeError("layer plan mismatch in forward pass")
-    logits = cache.x[-1] @ weights.wl
-    cache.logits = logits
-    cache.ytilde = _output_activation(logits, task)
+    cache.ytilde = _output_activation(cache.x[-1] @ weights.wl, task)
     return cache.ytilde, cache
 
 
@@ -574,14 +586,14 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
     dx[-1] += dlogits @ weights.wl.T
 
     for k in range(spec.depth - 1, -1, -1):
-        layer = k + 1  # index into cache.x / cache.pre
+        layer = k + 1  # index into cache.x / cache.active
         n_out = cache.rows[layer]
         dh = dx[layer]
-        if cache.masks[layer] is not None:
-            dh = dh * cache.masks[layer]
+        if cache.dropout[layer] is not None:
+            dh = dh * cache.dropout[layer]
         if spec.skip_connections:
             dx[layer - 1][:n_out] += dh
-        dpre = dh * (cache.pre[layer] > 0)
+        dpre = dh * cache.active[layer]
 
         d = spec.hidden_dim
         if spec.combine is Combine.CONCAT:
@@ -609,19 +621,18 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
                 np.add.at(dlin, (arg[r, c], c), dneigh[r, c])
             else:
                 dlin = spmm(cache.adj[k].T, dneigh)
-            grads.wpsi[k] += cache.psi_inputs[k].T @ dlin
-            dpsi = dlin @ weights.wpsi[k].T
-            if spec.psi is Psi.H_PREV:
-                dx[layer - 1] += dpsi
-            elif spec.psi is Psi.H_PREV_CONCAT_LABELS:
-                prev_width = cache.x[layer - 1].shape[1]
-                dx[layer - 1] += dpsi[:, :prev_width]
-            # Psi.LABELS: gradient stops at the label channel.
+            psi_in = cache.psi_inputs[k]
+            w = psi_in.shape[1]
+            grads.wpsi[k][:w] += psi_in.T @ dlin
+            if spec.psi is Psi.H_PREV_CONCAT_LABELS:
+                grads.wpsi[k][w:] += cache.yhat[: cache.rows[k]].T @ dlin
+            if spec.psi is not Psi.LABELS:  # the label channel takes no gradient
+                dx[layer - 1] += dlin @ weights.wpsi[k][:w].T
 
     dh0 = dx[0]
-    if cache.masks[0] is not None:
-        dh0 = dh0 * cache.masks[0]
-    dpre0 = dh0 * (cache.pre[0] > 0)
+    if cache.dropout[0] is not None:
+        dh0 = dh0 * cache.dropout[0]
+    dpre0 = dh0 * cache.active[0]
     if cache.gathered is not None:
         grads.w0 += cache.gathered.T @ dpre0
     else:

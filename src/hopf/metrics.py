@@ -168,7 +168,11 @@ def write_records_csv(records, path) -> None:
 def read_scores_csv(path) -> dict:
     """Read a (model, dataset, micro_f1) CSV into the nested score-table form."""
     scores: dict[str, dict[str, float]] = {}
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ArgumentError(f"{path}: cannot read scores ({exc.strerror or exc})") from exc
+    with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"model", "dataset", "micro_f1"} <= set(reader.fieldnames):
             raise ArgumentError(f"{path}: expected columns model, dataset, micro_f1")

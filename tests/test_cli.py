@@ -34,6 +34,45 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+# (what the error message must name, argv before --out); {data} and {tmp}
+# stand for the planted bundle and the test's tmp_path
+BAD_ARGUMENTS = [
+    pytest.param("--fold", ["hopf", "--dataset", "{data}", "--model", "i_nip_mean",
+                            "--fold", "-1"], id="hopf-fold-negative"),
+    pytest.param("--fold", ["neighbor-fraction", "--dataset", "{data}", "--model", "nip_mean",
+                            "--fractions", "1.0", "--fold", "-1"], id="fraction-fold-negative"),
+    pytest.param("--folds", ["train", "--dataset", "{data}", "--model", "nip_mean",
+                             "--folds", "0"], id="train-folds-zero"),
+    pytest.param("--repeats", ["bench-scaling", "--hops", "1", "--variants", "nip_mean",
+                               "--repeats", "0"], id="bench-repeats-zero"),
+    pytest.param("--seed", ["train", "--dataset", "{data}", "--model", "nip_mean",
+                            "--seed", "-1"], id="train-seed-negative"),
+    pytest.param("--seed", ["gen", "chain", "--seed", "-1"], id="gen-seed-negative"),
+    pytest.param("rng_seed", ["train", "--dataset", "{data}", "--model", "nip_mean",
+                              "--config", "{tmp}/negative_seed.json"], id="config-seed-negative"),
+    pytest.param("--max-k", ["nim", "--alpha", "1", "--beta", "1", "--max-k", "-1"],
+                 id="nim-max-k-negative"),
+    pytest.param("--features", ["gen", "benchmark", "--nodes", "10", "--edges", "12",
+                                "--features", "0"], id="gen-features-zero"),
+    pytest.param("--sample-caps", ["train", "--dataset", "{data}", "--model", "nip_mean",
+                                   "--sample-caps", "1,x"], id="sample-caps-not-int"),
+    pytest.param("--hops", ["bench-scaling", "--hops", "1,x", "--variants", "nip_mean"],
+                 id="bench-hops-not-int"),
+    pytest.param("--fractions", ["neighbor-fraction", "--dataset", "{data}", "--model",
+                                 "nip_mean", "--fractions", "0.5,x"], id="fractions-not-float"),
+    pytest.param("missing.json", ["train", "--dataset", "{data}", "--model", "nip_mean",
+                                  "--config", "{tmp}/missing.json"], id="config-missing"),
+    pytest.param("not_json.json", ["hopf", "--dataset", "{data}", "--model", "ss_ica",
+                                   "--config", "{tmp}/not_json.json"], id="config-not-json"),
+    pytest.param("list.json", ["train", "--dataset", "{data}", "--model", "nip_mean",
+                               "--config", "{tmp}/list.json"], id="config-json-list"),
+    pytest.param("wrong_type.json", ["train", "--dataset", "{data}", "--model", "nip_mean",
+                                    "--config", "{tmp}/wrong_type.json"], id="config-wrong-type"),
+    pytest.param("missing.csv", ["compare", "--scores", "{tmp}/missing.csv"],
+                 id="scores-missing"),
+]
+
+
 class TestExitCodes:
     def test_unknown_model_is_usage_error(self, planted_dir, tmp_path):
         code = main(["train", "--dataset", str(planted_dir), "--model", "gs_lstm",
@@ -76,6 +115,18 @@ class TestExitCodes:
         assert code == 2
         assert "exceeds the limit" in capsys.readouterr().err
         assert not (tmp_path / "dataset").exists()
+
+    @pytest.mark.parametrize("named,argv", BAD_ARGUMENTS)
+    def test_bad_argument_or_input_file_exits_2(self, planted_dir, tmp_path, capsys,
+                                                named, argv):
+        (tmp_path / "negative_seed.json").write_text('{"rng_seed": -1}\n')
+        (tmp_path / "not_json.json").write_text("max_epochs: 3\n")
+        (tmp_path / "list.json").write_text("[1, 2]\n")
+        (tmp_path / "wrong_type.json").write_text('{"batch_size": "64"}\n')
+        fill = {"data": str(planted_dir), "tmp": str(tmp_path)}
+        code = main([a.format(**fill) for a in argv] + ["--out", str(tmp_path / "run")])
+        assert code == 2
+        assert named in capsys.readouterr().err
 
     def test_manifest_written_before_results(self, tmp_path):
         out = tmp_path / "run"
@@ -236,6 +287,19 @@ class TestNeighborFraction:
         by_frac = {float(r["fraction"]): float(r["micro_f1"]) for r in rows}
         assert by_frac[1.0] == full_f1
 
+    def test_any_fold_index_runs(self, planted_dir, fast_config, tmp_path):
+        # neighbor-fraction builds fold + 1 folds; fold 5 is train's sixth fold
+        t_out, f_out = tmp_path / "train", tmp_path / "frac"
+        assert main(["train", "--dataset", str(planted_dir), "--model", "nip_mean",
+                     "--config", str(fast_config), "--folds", "6", "--seed", "11",
+                     "--out", str(t_out)]) == 0
+        assert main(["neighbor-fraction", "--dataset", str(planted_dir),
+                     "--model", "nip_mean", "--config", str(fast_config),
+                     "--fractions", "1.0", "--fold", "5", "--seed", "11",
+                     "--out", str(f_out)]) == 0
+        fold5 = read_csv(t_out / "metrics.csv")[5]["micro_f1"]
+        assert float(read_csv(f_out / "fractions.csv")[0]["micro_f1"]) == float(fold5)
+
     def test_fraction_range_validated(self, planted_dir, tmp_path):
         assert main(["neighbor-fraction", "--dataset", str(planted_dir),
                      "--model", "nip_mean", "--fractions", "0,0.5",
@@ -277,10 +341,12 @@ class TestBenchScaling:
         assert rows[0]["mean_seconds"] == ""
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # only the compare verb ranks; every other verb starts without scipy.stats
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])
+def test_import_leaves_module_unloaded(module):
+    # only the compare verb ranks (scipy.stats); the sigmoid is plain numpy
+    # (scipy.special), so every other verb starts without either
     src = str(Path(cli_mod.__file__).resolve().parents[1])
-    probe = "import sys, hopf.cli; print('scipy.stats' in sys.modules)"
+    probe = f"import sys, hopf.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={"PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hopf import (ArgumentError, ConfigError, HopfConfig, ModelWeights, Task, Tr
                   gen_chain, gen_planted_partition, khop_subgraph, make_kernel, make_splits,
                   predict, row_normalize, run_hopf, temporal_average, train,
                   warm_start_transfer)
-from hopf.iterate import _dump_labels
+from hopf.iterate import _DUMP_BLOCK_ROWS, _dump_labels
 
 
 def fixture(seed):
@@ -168,12 +169,15 @@ class TestLabelCopies:
         assert (out / "yhat_t3.csv").read_bytes() != (out / "yhat_t2.csv").read_bytes()
 
 
-def test_label_dump_bytes_match_csv_writer(tmp_path):
+@pytest.mark.parametrize("rows", [6, _DUMP_BLOCK_ROWS - 1, _DUMP_BLOCK_ROWS,
+                                  _DUMP_BLOCK_ROWS + 1])
+def test_label_dump_bytes_match_csv_writer(tmp_path, rows):
     rng = np.random.default_rng(0)
-    m = rng.random((6, 4))
+    m = rng.random((rows, 4))
     m[0] = [0.0, 1.0, 0.0, 1.0]
     m[1] = [1e-300, 5e-324, -0.0, 1.0 - 2.0**-53]
     m[2] = [1.0, 1.0, 1.0, 1.0]
+    m[-1] = [5e-324, 0.0, 1.0, -0.0]  # the last row, in the last block
     path = tmp_path / "labels.csv"
     _dump_labels(path, m)
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
@@ -182,7 +186,22 @@ def test_label_dump_bytes_match_csv_writer(tmp_path):
         for row in m:
             writer.writerow([repr(float(v)) for v in row])
     assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    assert path.read_bytes().count(b"\r\n") == 7
+    assert path.read_bytes().count(b"\r\n") == rows + 1
+
+
+def test_label_dump_peak_memory_is_a_block_not_the_file(tmp_path):
+    # rows are formatted one block at a time: over 16 blocks the traced peak
+    # is about a third of the file's size, where formatting the whole matrix
+    # at once took about four times it
+    m = np.random.default_rng(1).random((16 * _DUMP_BLOCK_ROWS, 4))
+    path = tmp_path / "labels.csv"
+    tracemalloc.start()
+    try:
+        _dump_labels(path, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * path.stat().st_size
 
 
 def test_warm_start_transfer_is_deep_copy():

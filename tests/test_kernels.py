@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -315,6 +317,45 @@ class TestBackward:
         other = ModelWeights.init(spec, 5, 3, 2)
         with pytest.raises(StateError):
             backward(spec, other, cache, np.zeros_like(yt))
+
+
+class TestForwardCache:
+    """The cache holds what backward reads: bool ReLU masks, views of x, no copies."""
+
+    def test_masks_are_bool_and_label_concat_is_not_copied(self):
+        _, sub, x, yh, _ = rand_setup()
+        spec = make_kernel("i_nip_mean", depth=2, hidden_dim=4)
+        w = ModelWeights.init(spec, 5, 3, 2)
+        _, cache = predict(spec, w, sub, x, yh, task=Task.MULTI_LABEL, dropout_rate=0.3,
+                           rng=np.random.default_rng(0))
+        assert len(cache.active) == len(cache.x) == spec.depth + 1
+        for mask, xk in zip(cache.active, cache.x):
+            assert mask.dtype == bool and mask.shape == xk.shape
+        for k in range(spec.depth):
+            # the neighbor input is x[k] itself; yhat is multiplied by its own rows of wpsi[k]
+            assert np.shares_memory(cache.psi_inputs[k], cache.x[k])
+            assert cache.psi_inputs[k].shape[1] == cache.x[k].shape[1]
+
+    def test_whole_graph_inference_cache_stays_small(self):
+        # the shape of a hopf round's inference: i_nip_mean C=1 over every node.
+        # Keeping the float64 pre-activations, a [h | yhat] copy and the logits
+        # held about 8x n*hidden*8 bytes; bool masks and views hold about 4x
+        n, hidden, labels = 2000, 16, 10
+        rng = np.random.default_rng(4)
+        g = random_graph(n, 3 * n, 4)
+        sub = khop_subgraph(g, np.arange(n), 1)
+        x, yh = rng.random((n, 20)), rng.random((n, labels))
+        spec = make_kernel("i_nip_mean", depth=1, hidden_dim=hidden)
+        w = ModelWeights.init(spec, 20, labels, 0)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            yt, cache = predict(spec, w, sub, x, yh, task=Task.MULTI_LABEL)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cache.gathered is None and yt.shape == (n, labels)
+        assert kept < 6 * n * hidden * 8
 
 
 class TestMaxpool:

@@ -59,6 +59,14 @@ class TestMakeSplits:
         with pytest.raises(ConfigError):
             make_splits(9, rng_seed=0)
 
+    def test_fold_does_not_depend_on_fold_count(self):
+        # folds are drawn in turn from one rng, so `hopf` and `neighbor-fraction`
+        # can build fold + 1 folds and get the fold that `train` calls fold k
+        few, many = make_splits(180, rng_seed=4, num_folds=2), make_splits(180, rng_seed=4)
+        for a, b in zip(few, many):
+            for part in ("train_nodes", "val_nodes", "test_nodes", "unlabeled_nodes"):
+                assert np.array_equal(getattr(a, part), getattr(b, part))
+
 
 class TestEarlyStopState:
     def test_improvement_resets_patience(self):
@@ -359,5 +367,7 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(dropout_rate=1.0)
+    with pytest.raises(ConfigError, match="rng_seed"):
+        TrainConfig(rng_seed=-1)
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"nonsense": 1})
