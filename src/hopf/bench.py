@@ -1,8 +1,9 @@
 """Wall-clock scaling benchmark: full-kernel depth vs iterative label feedback.
 
 Timed work for one cell is everything a training epoch does: subgraph
-extraction, forward pass, loss, backward pass and the Adam updates. A fully differentiable kernel reaches K hops with
-depth K in a single epoch; an iterative variant with C differentiable hops
+extraction, then the step ``train`` runs (forward with the config's dropout,
+loss plus L2, backward, Adam). A fully differentiable kernel reaches K hops
+with depth K in a single epoch; an iterative variant with C differentiable hops
 reaches the same K by running K/C single-epoch rounds, so its cost grows
 linearly in K while the full kernel's neighborhood sizes blow up with depth.
 
@@ -21,10 +22,9 @@ import numpy as np
 from .data import DatasetBundle
 from .errors import ConfigError
 from .graph import khop_subgraph
-from .kernels import layer_plan, make_kernel, ModelWeights, backward, predict
-from .metrics import weighted_cross_entropy
-from .numerics import AdamState, adam_step
-from .training import SplitSpec, TrainConfig, _batches
+from .kernels import layer_plan, make_kernel, ModelWeights
+from .numerics import AdamState
+from .training import SplitSpec, TrainConfig, _batches, _class_weights, train_step
 
 
 class BudgetExceeded(Exception):
@@ -71,26 +71,25 @@ def estimate_batch_bytes(spec, num_features: int, num_labels: int,
 
 def time_epoch(spec, graph, x, y, train_nodes, config: TrainConfig, task,
                yhat, budget_bytes: int | None, epoch_seed: int) -> float:
-    """One mini-batch epoch, timed end to end; raises BudgetExceeded when over budget."""
+    """One mini-batch epoch of :func:`~hopf.training.train_step`, timed end to end.
+
+    Raises BudgetExceeded when a batch's projected footprint is over budget.
+    """
     weights = ModelWeights.init(spec, x.shape[1], y.shape[1], config.rng_seed)
     adam = {name: AdamState.for_param(p, lr=config.learning_rate) for name, p in weights.params()}
-    omega = np.ones(y.shape[1])
+    omega = _class_weights(y, train_nodes, config.use_wce)
     rng = np.random.default_rng(epoch_seed)
     batches = _batches(train_nodes, config.batch_size, rng)
     start = time.perf_counter()
     try:
-        for batch in batches:
+        for bidx, batch in enumerate(batches):
             sub = khop_subgraph(graph, batch, spec.depth)
             if budget_bytes is not None:
                 need = estimate_batch_bytes(spec, x.shape[1], y.shape[1], sub.n, sub.indices.size)
                 if need > budget_bytes:
                     raise BudgetExceeded(f"batch needs ~{need/2**30:.2f} GiB")
-            yt, cache = predict(spec, weights, sub, x, yhat, task=task)
-            _, dloss = weighted_cross_entropy(yt, y[batch], omega, task)
-            grads = backward(spec, weights, cache, dloss)
-            gdict = dict(grads.params())
-            for name, p in weights.params():
-                adam_step(p, gdict[name], adam[name])
+            train_step(spec, weights, adam, sub, x, y[batch], yhat, omega, config, task,
+                       config.learning_rate, epoch=1, batch=bidx)
     except MemoryError as exc:  # pragma: no cover - depends on host memory
         raise BudgetExceeded(str(exc)) from exc
     return time.perf_counter() - start

@@ -28,8 +28,8 @@ from .data import (DatasetBundle, gen_benchmark_graph, gen_chain, gen_planted_pa
 from .errors import ArgumentError, ConfigError, HopfError, IngestError, TrainingError
 from .iterate import HopfConfig, run_hopf
 from .kernels import ITERATIVE_MODELS, TRAINABLE_MODELS, make_kernel, nim_decay_table
-from .manifest import RunManifest
-from .metrics import (MetricsRecord, average_rank, read_scores_csv,
+from .manifest import manifest_scope
+from .metrics import (MetricsRecord, average_rank, per_dataset_shortfall, read_scores_csv,
                       shortfall, write_records_csv, write_report_json)
 from .training import TrainConfig, evaluate, make_splits, train
 
@@ -49,6 +49,17 @@ def _int_at_least(low: int):
 
 _POSITIVE = _int_at_least(1)
 _NON_NEGATIVE = _int_at_least(0)
+
+
+def _finite_float(text: str) -> float:
+    """argparse ``type=`` for finite floats; nan, inf or a non-number exits with code 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _parse_list(text: str, flag: str, kind) -> list:
@@ -81,8 +92,7 @@ def _train_config(args) -> TrainConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"--config {args.config}: expected a JSON object, "
                               f"got a {type(file_cfg).__name__}")
-        hopf_keys = set(HopfConfig.__dataclass_fields__)
-        overrides.update({k: v for k, v in file_cfg.items() if k not in hopf_keys})
+        overrides.update(file_cfg)
     if getattr(args, "seed", None) is not None:
         overrides["rng_seed"] = args.seed
     try:
@@ -110,23 +120,18 @@ def _history_rows(history):
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
-    manifest = RunManifest.start("gen", {"kind": args.kind, **{k: getattr(args, k, None) for k in
-                                 ("n", "blocks", "p_in", "p_out", "noise", "nodes", "edges",
-                                  "features", "labels")}},
-                                 seeds={"seed": args.seed})
-    manifest.write(out)
-    t0 = time.perf_counter()
-    if args.kind == "chain":
-        bundle = gen_chain(args.n)
-    elif args.kind == "planted":
-        bundle = gen_planted_partition(args.n, args.blocks, args.p_in, args.p_out,
-                                       args.noise, args.seed)
-    else:
-        bundle = gen_benchmark_graph(args.nodes, args.edges, args.features,
-                                     args.labels, args.seed)
-    save_dataset(bundle, out / "dataset")
-    manifest.timings = {"generate_seconds": time.perf_counter() - t0}
-    manifest.write(out)
+    config = {"kind": args.kind, **{k: getattr(args, k, None) for k in
+              ("n", "blocks", "p_in", "p_out", "noise", "nodes", "edges", "features", "labels")}}
+    with manifest_scope(out, "gen", config, seeds={"seed": args.seed}):
+        if args.kind == "chain":
+            bundle = gen_chain(args.n)
+        elif args.kind == "planted":
+            bundle = gen_planted_partition(args.n, args.blocks, args.p_in, args.p_out,
+                                           args.noise, args.seed)
+        else:
+            bundle = gen_benchmark_graph(args.nodes, args.edges, args.features,
+                                         args.labels, args.seed)
+        save_dataset(bundle, out / "dataset")
     print(f"wrote {bundle.name}: n={bundle.graph.n} |E|={bundle.graph.num_edges} "
           f"f={bundle.num_features} l={bundle.num_labels} -> {out / 'dataset'}")
     return 0
@@ -137,42 +142,37 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     caps = _parse_list(args.sample_caps, "--sample-caps", int) if args.sample_caps else None
     out = Path(args.out)
-    manifest = RunManifest.start("train", {**asdict(config), "model": args.model,
-                                           "hops": args.hops, "folds": args.folds,
-                                           "sample_caps": args.sample_caps},
-                                 seeds={"rng_seed": config.rng_seed},
-                                 dataset_dir=args.dataset)
-    manifest.write(out)
-
-    t0 = time.perf_counter()
-    bundle = _load_bundle(args.dataset)
-    load_done = time.perf_counter()
-    spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
-    if caps is not None and len(caps) != spec.depth:
-        raise ConfigError(f"--sample-caps needs {spec.depth} entries, got {len(caps)}")
-    splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.folds)
-    records = []
-    for fold, split in enumerate(splits):
-        weights, history = train(spec, bundle.graph, bundle.x, bundle.y, split, config,
-                                 bundle.task, sample_caps=caps)
-        ev = evaluate(spec, weights, bundle.graph, bundle.x, bundle.y,
-                      split.test_nodes, bundle.task)
-        records.append(MetricsRecord(args.model, bundle.name, fold, ev["micro_f1"], ev["loss"]))
-        _write_csv(out / f"history_fold{fold}.csv", ["epoch", "train_loss", "val_loss", "lr"],
-                   _history_rows(history))
-        _write_csv(out / f"predictions_fold{fold}.csv",
-                   ["node"] + [f"label_{j}" for j in range(bundle.num_labels)],
-                   [[n] + [repr(v) for v in row]
-                    for n, row in zip(split.test_nodes.tolist(), ev["predictions"].tolist())])
-    write_records_csv(records, out / "metrics.csv")
-    f1s = [r.micro_f1 for r in records]
-    report = {"model": args.model, "dataset": bundle.name, "folds": args.folds,
-              "mean_micro_f1": float(np.mean(f1s)), "std_micro_f1": float(np.std(f1s))}
-    write_report_json(report, out / "report.json")
-    manifest.timings = {"load_seconds": load_done - t0,
-                        "train_eval_seconds": time.perf_counter() - load_done,
-                        "total_seconds": time.perf_counter() - t0}
-    manifest.write(out)
+    with manifest_scope(out, "train", {**asdict(config), "model": args.model,
+                                       "hops": args.hops, "folds": args.folds,
+                                       "sample_caps": args.sample_caps},
+                        seeds={"rng_seed": config.rng_seed},
+                        dataset_dir=args.dataset) as manifest:
+        t0 = time.perf_counter()
+        bundle = _load_bundle(args.dataset)
+        manifest.timings["load_seconds"] = time.perf_counter() - t0
+        spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
+        if caps is not None and len(caps) != spec.depth:
+            raise ConfigError(f"--sample-caps needs {spec.depth} entries, got {len(caps)}")
+        splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.folds)
+        records = []
+        for fold, split in enumerate(splits):
+            weights, history = train(spec, bundle.graph, bundle.x, bundle.y, split, config,
+                                     bundle.task, sample_caps=caps)
+            ev = evaluate(spec, weights, bundle.graph, bundle.x, bundle.y,
+                          split.test_nodes, bundle.task)
+            records.append(MetricsRecord(args.model, bundle.name, fold, ev["micro_f1"], ev["loss"]))
+            _write_csv(out / f"history_fold{fold}.csv", ["epoch", "train_loss", "val_loss", "lr"],
+                       _history_rows(history))
+            # a generator: each row is formatted as it is written, never all at once
+            _write_csv(out / f"predictions_fold{fold}.csv",
+                       ["node"] + [f"label_{j}" for j in range(bundle.num_labels)],
+                       ([n] + [repr(v) for v in row]
+                        for n, row in zip(split.test_nodes.tolist(), ev["predictions"].tolist())))
+        write_records_csv(records, out / "metrics.csv")
+        f1s = [r.micro_f1 for r in records]
+        report = {"model": args.model, "dataset": bundle.name, "folds": args.folds,
+                  "mean_micro_f1": float(np.mean(f1s)), "std_micro_f1": float(np.std(f1s))}
+        write_report_json(report, out / "report.json")
     print(f"{args.model} on {bundle.name}: micro-F1 {report['mean_micro_f1']:.4f} "
           f"± {report['std_micro_f1']:.4f} over {args.folds} folds")
     return 0
@@ -181,33 +181,26 @@ def cmd_train(args) -> int:
 def cmd_hopf(args) -> int:
     _check_model(args.model, ITERATIVE_MODELS)
     config = _train_config(args)
-    c_hops = 1 if args.model == "ss_ica" else args.C
-    hopf_config = HopfConfig(C=c_hops, T=args.T, warm_start=not args.cold_start,
+    spec = make_kernel(args.model, depth=args.C, hidden_dim=config.hidden_dim)
+    hopf_config = HopfConfig(C=spec.depth, T=args.T, warm_start=not args.cold_start,
                              shifted_averaging=args.shifted_averaging)
     out = Path(args.out)
-    manifest = RunManifest.start("hopf", {**asdict(config), **asdict(hopf_config),
-                                          "model": args.model, "fold": args.fold},
-                                 seeds={"rng_seed": config.rng_seed},
-                                 dataset_dir=args.dataset)
-    manifest.write(out)
-
-    t0 = time.perf_counter()
-    bundle = _load_bundle(args.dataset)
-    spec = make_kernel(args.model, depth=c_hops, hidden_dim=config.hidden_dim)
-    splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)
-    result = run_hopf(spec, bundle.graph, bundle.x, bundle.y, splits[args.fold],
-                      config, hopf_config, bundle.task, out_dir=out / "iterations")
-    _write_csv(out / "trajectory.csv", ["iteration", "micro_f1"],
-               [[row["iteration"], repr(float(row["micro_f1"]))] for row in result.trajectory])
-    # the last round's label dumps already hold the final matrices
-    for name in ("yhat", "ytilde"):
-        shutil.copyfile(out / "iterations" / f"{name}_t{hopf_config.T}.csv",
-                        out / f"{name}_final.csv")
-    records = [MetricsRecord(args.model, bundle.name, args.fold,
-                             row["micro_f1"], float("nan")) for row in result.trajectory]
-    write_records_csv(records, out / "metrics.csv")
-    manifest.timings = {"total_seconds": time.perf_counter() - t0}
-    manifest.write(out)
+    with manifest_scope(out, "hopf", {**asdict(config), **asdict(hopf_config),
+                                      "model": args.model, "fold": args.fold},
+                        seeds={"rng_seed": config.rng_seed}, dataset_dir=args.dataset):
+        bundle = _load_bundle(args.dataset)
+        splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)
+        result = run_hopf(spec, bundle.graph, bundle.x, bundle.y, splits[args.fold],
+                          config, hopf_config, bundle.task, out_dir=out / "iterations")
+        _write_csv(out / "trajectory.csv", ["iteration", "micro_f1"],
+                   [[row["iteration"], repr(float(row["micro_f1"]))] for row in result.trajectory])
+        # the last round's label dumps already hold the final matrices
+        for name in ("yhat", "ytilde"):
+            shutil.copyfile(out / "iterations" / f"{name}_t{hopf_config.T}.csv",
+                            out / f"{name}_final.csv")
+        records = [MetricsRecord(args.model, bundle.name, args.fold,
+                                 row["micro_f1"], float("nan")) for row in result.trajectory]
+        write_records_csv(records, out / "metrics.csv")
     final = result.trajectory[-1]["micro_f1"]
     print(f"{args.model} C={hopf_config.C} T={hopf_config.T}: "
           f"final-round test micro-F1 {final:.4f}")
@@ -220,30 +213,25 @@ def cmd_bench_scaling(args) -> int:
     config = replace(config, batch_size=args.batch_size, hidden_dim=args.hidden_dim,
                      use_wce=False)
     hops = _parse_list(args.hops, "--hops", int)
-    manifest = RunManifest.start("bench-scaling",
-                                 {"hops": args.hops, "variants": args.variants,
-                                  "repeats": args.repeats, "nodes": args.nodes,
-                                  "edges": args.edges, "memory_budget_gib": args.memory_budget,
-                                  "batch_size": args.batch_size, "hidden_dim": args.hidden_dim},
-                                 seeds={"rng_seed": config.rng_seed})
-    manifest.write(out)
-
-    t0 = time.perf_counter()
-    if args.dataset:
-        bundle = _load_bundle(args.dataset)
-    else:
-        bundle = gen_benchmark_graph(args.nodes, args.edges, args.features, args.labels,
-                                     rng_seed=config.rng_seed)
-        bundle.x = row_normalize(bundle.x)
-    split = make_splits(bundle.graph.n, config.rng_seed)[0]
-    budget = None if args.memory_budget <= 0 else int(args.memory_budget * 2**30)
-    cells = run_scaling(bundle, split, args.variants.split(","), hops,
-                        args.repeats, config, budget_bytes=budget)
-    _write_csv(out / "timings.csv", ["variant", "hops", "mean_seconds", "status"],
-               [[c.variant, c.hops, "" if c.mean_seconds is None else repr(c.mean_seconds),
-                 c.status] for c in cells])
-    manifest.timings = {"total_seconds": time.perf_counter() - t0}
-    manifest.write(out)
+    with manifest_scope(out, "bench-scaling",
+                        {"hops": args.hops, "variants": args.variants,
+                         "repeats": args.repeats, "nodes": args.nodes,
+                         "edges": args.edges, "memory_budget_gib": args.memory_budget,
+                         "batch_size": args.batch_size, "hidden_dim": args.hidden_dim},
+                        seeds={"rng_seed": config.rng_seed}):
+        if args.dataset:
+            bundle = _load_bundle(args.dataset)
+        else:
+            bundle = gen_benchmark_graph(args.nodes, args.edges, args.features, args.labels,
+                                         rng_seed=config.rng_seed)
+            bundle.x = row_normalize(bundle.x)
+        split = make_splits(bundle.graph.n, config.rng_seed)[0]
+        budget = None if args.memory_budget <= 0 else int(args.memory_budget * 2**30)
+        cells = run_scaling(bundle, split, args.variants.split(","), hops,
+                            args.repeats, config, budget_bytes=budget)
+        _write_csv(out / "timings.csv", ["variant", "hops", "mean_seconds", "status"],
+                   [[c.variant, c.hops, "" if c.mean_seconds is None else repr(c.mean_seconds),
+                     c.status] for c in cells])
     width = max(len(c.variant) for c in cells) + 2
     print(f"{'variant':<{width}}{'hops':>6}  {'mean epoch s':>14}  status")
     for c in cells:
@@ -259,29 +247,23 @@ def cmd_neighbor_fraction(args) -> int:
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
     out = Path(args.out)
-    manifest = RunManifest.start("neighbor-fraction",
-                                 {**asdict(config), "model": args.model,
-                                  "fractions": fractions, "hops": args.hops},
-                                 seeds={"rng_seed": config.rng_seed},
-                                 dataset_dir=args.dataset)
-    manifest.write(out)
-
-    t0 = time.perf_counter()
-    bundle = _load_bundle(args.dataset)
-    spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
-    split = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)[args.fold]
-    max_degree = int(bundle.graph.degree.max())
-    rows = []
-    for frac in fractions:
-        caps = [max(1, math.ceil(frac * max_degree))] * spec.depth
-        weights, _ = train(spec, bundle.graph, bundle.x, bundle.y, split, config,
-                           bundle.task, sample_caps=caps)
-        ev = evaluate(spec, weights, bundle.graph, bundle.x, bundle.y,
-                      split.test_nodes, bundle.task)
-        rows.append([repr(frac), caps[0], repr(ev["micro_f1"]), repr(ev["loss"])])
-    _write_csv(out / "fractions.csv", ["fraction", "cap_per_hop", "micro_f1", "loss"], rows)
-    manifest.timings = {"total_seconds": time.perf_counter() - t0}
-    manifest.write(out)
+    with manifest_scope(out, "neighbor-fraction",
+                        {**asdict(config), "model": args.model,
+                         "fractions": fractions, "hops": args.hops},
+                        seeds={"rng_seed": config.rng_seed}, dataset_dir=args.dataset):
+        bundle = _load_bundle(args.dataset)
+        spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
+        split = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)[args.fold]
+        max_degree = int(bundle.graph.degree.max())
+        rows = []
+        for frac in fractions:
+            caps = [max(1, math.ceil(frac * max_degree))] * spec.depth
+            weights, _ = train(spec, bundle.graph, bundle.x, bundle.y, split, config,
+                               bundle.task, sample_caps=caps)
+            ev = evaluate(spec, weights, bundle.graph, bundle.x, bundle.y,
+                          split.test_nodes, bundle.task)
+            rows.append([repr(frac), caps[0], repr(ev["micro_f1"]), repr(ev["loss"])])
+        _write_csv(out / "fractions.csv", ["fraction", "cap_per_hop", "micro_f1", "loss"], rows)
     return 0
 
 
@@ -289,12 +271,10 @@ def cmd_nim(args) -> int:
     if args.alpha == 0 and args.beta == 0:
         raise ConfigError("alpha and beta cannot both be zero")
     out = Path(args.out)
-    manifest = RunManifest.start("nim", {"alpha": args.alpha, "beta": args.beta,
-                                         "max_k": args.max_k, "skip": args.skip},
-                                 seeds={})
-    manifest.write(out)
-    header, rows = nim_decay_table(args.alpha, args.beta, args.max_k, args.skip)
-    _write_csv(out / "decay.csv", header, rows)
+    with manifest_scope(out, "nim", {"alpha": args.alpha, "beta": args.beta,
+                                     "max_k": args.max_k, "skip": args.skip}, seeds={}):
+        header, rows = nim_decay_table(args.alpha, args.beta, args.max_k, args.skip)
+        _write_csv(out / "decay.csv", header, rows)
     for row in [header] + rows:
         print("\t".join(str(v) for v in row))
     return 0
@@ -302,20 +282,16 @@ def cmd_nim(args) -> int:
 
 def cmd_compare(args) -> int:
     out = Path(args.out)
-    manifest = RunManifest.start("compare", {"scores": str(args.scores)}, seeds={})
-    manifest.write(out)
-    scores = read_scores_csv(args.scores)
-    sf = shortfall(scores)
-    ranks = average_rank(scores)
-    order = sorted(sf, key=sf.get)
-    _write_csv(out / "report.csv", ["model", "shortfall", "avg_rank"],
-               [[m, repr(sf[m]), repr(ranks[m])] for m in order])
-    detail = {"shortfall": sf, "avg_rank": ranks,
-              "per_dataset_shortfall": {
-                  m: {d: (max(v[d] for v in scores.values()) - scores[m][d])
-                      / max(v[d] for v in scores.values())
-                      for d in scores[m]} for m in scores}}
-    write_report_json(detail, out / "report.json")
+    with manifest_scope(out, "compare", {"scores": str(args.scores)}, seeds={}):
+        scores = read_scores_csv(args.scores)
+        cells = per_dataset_shortfall(scores)
+        sf = shortfall(scores)
+        ranks = average_rank(scores)
+        order = sorted(sf, key=sf.get)
+        _write_csv(out / "report.csv", ["model", "shortfall", "avg_rank"],
+                   [[m, repr(sf[m]), repr(ranks[m])] for m in order])
+        write_report_json({"shortfall": sf, "avg_rank": ranks, "per_dataset_shortfall": cells},
+                          out / "report.json")
     width = max(len(m) for m in order) + 2
     print(f"{'model':<{width}}{'shortfall':>12}{'avg rank':>10}")
     for m in order:
@@ -382,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--labels", type=_POSITIVE, default=10)
     b.add_argument("--batch-size", type=_POSITIVE, default=128)
     b.add_argument("--hidden-dim", type=_POSITIVE, default=128)
-    b.add_argument("--memory-budget", type=float, default=4.0,
+    b.add_argument("--memory-budget", type=_finite_float, default=4.0,
                    help="GiB allowed for per-batch activations/gradients; <=0 disables")
     b.add_argument("--seed", type=_NON_NEGATIVE, default=None)
     b.add_argument("--config", default=None)

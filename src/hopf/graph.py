@@ -40,21 +40,16 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class Graph:
-    """Undirected graph as symmetric CSR plus a degree vector."""
+class _CSR:
+    """Read-only CSR adjacency of ``n`` nodes plus one degree per node."""
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     degree: np.ndarray
-    avg_degree: float
 
     def __post_init__(self):
         _freeze(self.indptr, self.indices, self.degree)
-
-    @property
-    def num_edges(self) -> int:
-        return self.indices.size // 2
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -65,7 +60,20 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Subgraph:
+class Graph(_CSR):
+    """Undirected graph as symmetric CSR plus a degree vector."""
+
+    @property
+    def num_edges(self) -> int:
+        return self.indices.size // 2
+
+    @property
+    def avg_degree(self) -> float:
+        return self.indices.size / self.n if self.n else 0.0
+
+
+@dataclass(frozen=True)
+class Subgraph(_CSR):
     """Induced subgraph with local CSR indices and the local-to-global id map.
 
     ``frontier_offsets[h]`` is the start of hop-h nodes inside ``global_ids``;
@@ -80,26 +88,16 @@ class Subgraph:
     edges than that, and degree-normalized schemes must not see the cut.
     """
 
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
     global_ids: np.ndarray
     frontier_offsets: tuple[int, ...]
-    degree: np.ndarray
 
     def __post_init__(self):
-        _freeze(self.indptr, self.indices, self.global_ids, self.degree)
+        super().__post_init__()
+        _freeze(self.global_ids)
 
     @property
     def num_seeds(self) -> int:
         return self.frontier_offsets[1]
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def to_scipy(self) -> sp.csr_matrix:
-        data = np.ones(self.indices.size, dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 def build_graph(edge_list, n: int) -> Graph:
@@ -130,15 +128,11 @@ def build_graph(edge_list, n: int) -> Graph:
     else:
         adj = sp.csr_matrix((n, n), dtype=np.float64)
 
-    degree = np.diff(adj.indptr).astype(np.int64)
-    num_edges = adj.nnz // 2
-    avg = 2.0 * num_edges / n if n else 0.0
     return Graph(
         n=n,
         indptr=adj.indptr.astype(np.int64),
         indices=adj.indices.astype(np.int64),
-        degree=degree,
-        avg_degree=avg,
+        degree=np.diff(adj.indptr).astype(np.int64),
     )
 
 

@@ -39,14 +39,11 @@ class HopfConfig:
     C: int = 2
     T: int = 1
     warm_start: bool = True
-    theta_mode: str = "labels"
     shifted_averaging: bool = False
 
     def __post_init__(self):
         if self.C < 1 or self.T < 1:
             raise ConfigError(f"need C >= 1 and T >= 1, got C={self.C}, T={self.T}")
-        if self.theta_mode != "labels":
-            raise ConfigError(f"only the label summary channel is supported, got {self.theta_mode!r}")
 
     @property
     def reach(self) -> int:
@@ -90,11 +87,6 @@ def temporal_average(ytilde_u: np.ndarray, yhat_u_old: np.ndarray, t: int, T: in
     return fresh * ytilde_u + (1.0 - fresh) * yhat_u_old
 
 
-def warm_start_transfer(weights_prev: ModelWeights) -> ModelWeights:
-    """Deep-copied weights to seed the next round; optimizer state never carries over."""
-    return weights_prev.copy()
-
-
 @dataclass
 class HopfResult:
     yhat: np.ndarray
@@ -102,13 +94,11 @@ class HopfResult:
     trajectory: list
     weights: ModelWeights
     histories: list = field(default_factory=list)
-    weights_history: list | None = None
 
 
 def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
              split: SplitSpec, train_config: TrainConfig, hopf_config: HopfConfig,
-             task: Task, out_dir=None, sample_caps=None,
-             keep_weights_history: bool = False) -> HopfResult:
+             task: Task, out_dir=None) -> HopfResult:
     """Run T rounds of train / infer / restore / average; returns final estimates.
 
     The label estimate starts at zero everywhere (round one sees an all-zero
@@ -131,18 +121,15 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
 
     weights = None
     dumped: dict[str, bytes] = {}  # stem -> bytes of the matrix last written under it
-    result = HopfResult(yhat=state.yhat, ytilde=state.ytilde, trajectory=[], weights=None,
-                        weights_history=[] if keep_weights_history else None)
+    result = HopfResult(yhat=state.yhat, ytilde=state.ytilde, trajectory=[], weights=None)
     for t in range(1, hopf_config.T + 1):
         cfg_t = replace(train_config, rng_seed=train_config.rng_seed + _ITER_SEED_STRIDE * (t - 1))
-        init = warm_start_transfer(weights) if (hopf_config.warm_start and weights is not None) else None
+        # a warm start resumes from a copy of the last weights; Adam's moments start afresh
+        init = weights.copy() if (hopf_config.warm_start and weights is not None) else None
         yhat_frozen = state.yhat.copy()
         weights, history = train(spec, graph, x, y, split, cfg_t, task,
-                                 yhat=yhat_frozen, sample_caps=sample_caps,
-                                 init_weights=init)
+                                 yhat=yhat_frozen, init_weights=init)
         result.histories.append(history)
-        if result.weights_history is not None:
-            result.weights_history.append(weights.copy())
 
         state.ytilde[u_nodes] = infer(spec, weights, graph, x, u_nodes, task, yhat_frozen)
         state.restore_labeled(y)

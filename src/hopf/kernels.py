@@ -76,7 +76,6 @@ class KernelSpec:
     hidden_dim: int = 16
     iterative: bool = False
     differentiable: bool = True
-    hidden_activation: str = "relu"
 
     def __post_init__(self):
         if self.depth < 1:

@@ -2,21 +2,34 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
+_HASH_CHUNK = 1 << 20  # fingerprint_dir reads files this many bytes at a time
+
+
 def fingerprint_dir(path) -> str:
-    """SHA-256 over a directory's file names and contents, order-independent."""
+    """SHA-256 over a directory's file names and contents, order-independent.
+
+    Each file is hashed in fixed-size chunks through one reused buffer, so a
+    large dataset file never sits in memory whole.
+    """
     h = hashlib.sha256()
     root = Path(path)
+    buf = bytearray(_HASH_CHUNK)
+    view = memoryview(buf)
     for p in sorted(root.rglob("*")):
         if p.is_file():
             h.update(str(p.relative_to(root)).encode())
-            h.update(p.read_bytes())
+            with open(p, "rb") as fh:
+                while size := fh.readinto(buf):
+                    h.update(view[:size])
     return h.hexdigest()
 
 
@@ -51,3 +64,20 @@ class RunManifest:
             json.dump(asdict(self), fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
         return path
+
+
+@contextlib.contextmanager
+def manifest_scope(out_dir, command: str, config: dict, seeds: dict, dataset_dir=None):
+    """Write ``manifest.json`` into ``out_dir`` on entry, before any result file.
+
+    Yields the manifest, whose ``timings`` the body may add to; a body that
+    returns normally has ``timings.total_seconds`` (time since the first
+    write) recorded and the manifest written again. On an exception the
+    manifest stays as first written.
+    """
+    manifest = RunManifest.start(command, config, seeds, dataset_dir)
+    manifest.write(out_dir)
+    t0 = time.perf_counter()
+    yield manifest
+    manifest.timings["total_seconds"] = time.perf_counter() - t0
+    manifest.write(out_dir)

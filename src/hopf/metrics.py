@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -111,7 +111,7 @@ def _score_table(scores: dict) -> tuple[list[str], list[str], np.ndarray]:
     models = list(scores)
     if not models:
         raise ArgumentError("empty score table")
-    datasets = list(scores[models[0]])
+    datasets = list(dict.fromkeys(d for m in models for d in scores[m]))
     if not datasets:
         raise ArgumentError("score table has no dataset columns")
     table = np.empty((len(models), len(datasets)))
@@ -123,18 +123,24 @@ def _score_table(scores: dict) -> tuple[list[str], list[str], np.ndarray]:
     return models, datasets, table
 
 
-def shortfall(scores: dict) -> dict[str, float]:
-    """Mean relative gap to the per-dataset best model; lower is better.
+def per_dataset_shortfall(scores: dict) -> dict[str, dict[str, float]]:
+    """Relative gap (best - score) / best of each model on each dataset.
 
-    ``scores`` maps model -> dataset -> micro-F1. Per cell the shortfall is
-    (best - score) / best, so every column's winner contributes 0.
+    ``scores`` maps model -> dataset -> micro-F1; every model must score
+    every dataset, and each column's winner gets 0.
     """
-    models, _, table = _score_table(scores)
+    models, datasets, table = _score_table(scores)
     best = table.max(axis=0)
     if np.any(best <= 0):
         raise ArgumentError("per-dataset best score must be positive")
     cells = (best[None, :] - table) / best[None, :]
-    return {m: float(v) for m, v in zip(models, cells.mean(axis=1))}
+    return {m: dict(zip(datasets, row.tolist())) for m, row in zip(models, cells)}
+
+
+def shortfall(scores: dict) -> dict[str, float]:
+    """Mean relative gap to the per-dataset best model; lower is better."""
+    return {m: float(np.mean(list(row.values())))
+            for m, row in per_dataset_shortfall(scores).items()}
 
 
 def average_rank(scores: dict) -> dict[str, float]:
@@ -205,7 +211,3 @@ def write_report_json(report: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def records_to_json(records) -> list[dict]:
-    return [asdict(r) for r in records]

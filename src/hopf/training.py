@@ -129,7 +129,7 @@ class EarlyStopState:
         return "annealed"
 
 
-def _class_weights(y: np.ndarray, train_nodes: np.ndarray, task: Task, use_wce: bool) -> np.ndarray:
+def _class_weights(y: np.ndarray, train_nodes: np.ndarray, use_wce: bool) -> np.ndarray:
     num_labels = y.shape[1]
     if not use_wce:
         return np.ones(num_labels)
@@ -160,6 +160,34 @@ def infer(spec: KernelSpec, weights: ModelWeights, graph: Graph, x: np.ndarray,
     return yt
 
 
+def train_step(spec: KernelSpec, weights: ModelWeights, adam: dict, sub, x: np.ndarray,
+               y_batch: np.ndarray, yhat: np.ndarray | None, omega: np.ndarray,
+               config: TrainConfig, task: Task, lr: float, epoch: int, batch: int) -> float:
+    """One update on the seeds of ``sub``; returns the batch loss, L2 term included.
+
+    Forward with the config's dropout (masks drawn from ``(rng_seed, epoch,
+    batch)``), weighted cross entropy plus L2, backward, then one Adam step
+    per weight matrix at ``lr``. ``weights`` and ``adam`` are updated in place.
+    """
+    drop_rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, epoch, batch)))
+    yt, cache = predict(spec, weights, sub, x, yhat, task=task,
+                        dropout_rate=config.dropout_rate, rng=drop_rng)
+    loss, dloss = weighted_cross_entropy(yt, y_batch, omega, task)
+    if config.l2_weight > 0:
+        loss += 0.5 * config.l2_weight * weights.l2_norm_sq()
+    if not np.isfinite(loss):
+        raise TrainingError(f"non-finite loss {loss}", epoch=epoch, batch=batch)
+    grads = backward(spec, weights, cache, dloss)
+    gdict = dict(grads.params())
+    for name, p in weights.params():
+        g = gdict[name]
+        if config.l2_weight > 0:
+            g = g + config.l2_weight * p
+        adam[name].lr = lr
+        adam_step(p, g, adam[name])
+    return loss
+
+
 def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
           split: SplitSpec, config: TrainConfig, task: Task,
           yhat: np.ndarray | None = None, sample_caps=None,
@@ -174,7 +202,7 @@ def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
         raise ConfigError("training split is empty")
     if spec.uses_labels and yhat is None:
         yhat = np.zeros((graph.n, y.shape[1]))
-    omega = _class_weights(y, split.train_nodes, task, config.use_wce)
+    omega = _class_weights(y, split.train_nodes, config.use_wce)
     weights = init_weights if init_weights is not None else ModelWeights.init(
         spec, x.shape[1], y.shape[1], config.rng_seed)
     adam = {name: AdamState.for_param(p, lr=config.learning_rate) for name, p in weights.params()}
@@ -196,22 +224,8 @@ def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
                                        rng_seed=sample_seed + bidx)
             else:
                 sub = khop_subgraph(graph, batch, spec.depth)
-            drop_rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, epoch, bidx)))
-            yt, cache = predict(spec, weights, sub, x, yhat, task=task,
-                                dropout_rate=config.dropout_rate, rng=drop_rng)
-            loss, dloss = weighted_cross_entropy(yt, y[batch], omega, task)
-            if config.l2_weight > 0:
-                loss += 0.5 * config.l2_weight * weights.l2_norm_sq()
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss {loss}", epoch=epoch, batch=bidx)
-            grads = backward(spec, weights, cache, dloss)
-            gdict = dict(grads.params())
-            for name, p in weights.params():
-                g = gdict[name]
-                if config.l2_weight > 0:
-                    g = g + config.l2_weight * p
-                adam[name].lr = early.lr_current
-                adam_step(p, g, adam[name])
+            loss = train_step(spec, weights, adam, sub, x, y[batch], yhat, omega, config,
+                              task, early.lr_current, epoch, bidx)
             epoch_loss += loss * batch.size
         epoch_loss /= split.train_nodes.size
 
@@ -237,7 +251,7 @@ def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
 
 def evaluate(spec: KernelSpec, weights: ModelWeights, graph: Graph, x: np.ndarray,
              y: np.ndarray, node_set: np.ndarray, task: Task,
-             yhat: np.ndarray | None = None, class_weights=None) -> dict:
+             yhat: np.ndarray | None = None) -> dict:
     """Deterministic inference plus micro-F1 and loss on ``node_set``."""
     node_set = np.asarray(node_set)
     if node_set.size == 0:
@@ -245,7 +259,6 @@ def evaluate(spec: KernelSpec, weights: ModelWeights, graph: Graph, x: np.ndarra
     if spec.uses_labels and yhat is None:
         yhat = np.zeros((graph.n, y.shape[1]))
     preds = infer(spec, weights, graph, x, node_set, task, yhat)
-    omega = np.ones(y.shape[1]) if class_weights is None else np.asarray(class_weights)
-    loss, _ = weighted_cross_entropy(preds, y[node_set], omega, task)
+    loss, _ = weighted_cross_entropy(preds, y[node_set], np.ones(y.shape[1]), task)
     f1 = micro_f1(binarize_predictions(preds, task), y[node_set])
     return {"micro_f1": f1, "loss": loss, "predictions": preds}

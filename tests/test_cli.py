@@ -70,6 +70,13 @@ BAD_ARGUMENTS = [
                                     "--config", "{tmp}/wrong_type.json"], id="config-wrong-type"),
     pytest.param("missing.csv", ["compare", "--scores", "{tmp}/missing.csv"],
                  id="scores-missing"),
+    pytest.param("unknown config keys: ['T']", ["hopf", "--dataset", "{data}", "--model",
+                                                "i_nip_mean", "--config", "{tmp}/hopf_key.json"],
+                 id="config-hopf-key"),
+    pytest.param("--memory-budget", ["bench-scaling", "--hops", "1", "--variants", "nip_mean",
+                                     "--memory-budget", "nan"], id="bench-budget-nan"),
+    pytest.param("--memory-budget", ["bench-scaling", "--hops", "1", "--variants", "nip_mean",
+                                     "--memory-budget", "inf"], id="bench-budget-inf"),
 ]
 
 
@@ -123,6 +130,7 @@ class TestExitCodes:
         (tmp_path / "not_json.json").write_text("max_epochs: 3\n")
         (tmp_path / "list.json").write_text("[1, 2]\n")
         (tmp_path / "wrong_type.json").write_text('{"batch_size": "64"}\n')
+        (tmp_path / "hopf_key.json").write_text('{"T": 4}\n')
         fill = {"data": str(planted_dir), "tmp": str(tmp_path)}
         code = main([a.format(**fill) for a in argv] + ["--out", str(tmp_path / "run")])
         assert code == 2
@@ -270,6 +278,15 @@ class TestCompareCommand:
         rows = read_csv(out / "report.csv")
         assert [r["model"] for r in rows] == ["better", "middle", "worse"]
 
+    @pytest.mark.parametrize("rows", ["A,d1,0.5\nB,d1,0.6\nB,d2,0.7\n",
+                                      "B,d1,0.6\nB,d2,0.7\nA,d1,0.5\n"],
+                             ids=["short-model-first", "short-model-last"])
+    def test_model_missing_a_dataset_is_usage_error(self, tmp_path, capsys, rows):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("model,dataset,micro_f1\n" + rows)
+        assert main(["compare", "--scores", str(scores), "--out", str(tmp_path / "cmp")]) == 2
+        assert "model 'A' is missing a score for dataset 'd2'" in capsys.readouterr().err
+
 
 class TestNeighborFraction:
     def test_full_fraction_matches_plain_training(self, planted_dir, fast_config, tmp_path):
@@ -339,6 +356,37 @@ class TestBenchScaling:
         rows = read_csv(out / "timings.csv")
         assert rows[0]["status"] == "infeasible"
         assert rows[0]["mean_seconds"] == ""
+
+
+# one successful run of each verb, argv before --out; {data}, {cfg} and {tmp}
+# stand for the planted bundle, the fast config and the test's tmp_path
+VERB_RUNS = [
+    pytest.param(["gen", "chain", "--n", "6"], id="gen"),
+    pytest.param(["train", "--dataset", "{data}", "--model", "nip_mean", "--config", "{cfg}",
+                  "--folds", "1"], id="train"),
+    pytest.param(["hopf", "--dataset", "{data}", "--model", "ss_ica", "--config", "{cfg}",
+                  "-T", "2"], id="hopf"),
+    pytest.param(["bench-scaling", "--hops", "1", "--variants", "nip_mean", "--repeats", "1",
+                  "--nodes", "200", "--edges", "600", "--features", "4", "--labels", "2",
+                  "--batch-size", "32", "--hidden-dim", "4"], id="bench-scaling"),
+    pytest.param(["neighbor-fraction", "--dataset", "{data}", "--model", "nip_mean",
+                  "--config", "{cfg}", "--fractions", "1.0"], id="neighbor-fraction"),
+    pytest.param(["nim", "--alpha", "1", "--beta", "1"], id="nim"),
+    pytest.param(["compare", "--scores", "{tmp}/scores.csv"], id="compare"),
+]
+
+
+@pytest.mark.parametrize("argv", VERB_RUNS)
+def test_every_verb_records_its_total_time(planted_dir, fast_config, tmp_path, capsys, argv):
+    (tmp_path / "scores.csv").write_text("model,dataset,micro_f1\nA,d1,0.5\nB,d1,0.6\n")
+    fill = {"data": str(planted_dir), "cfg": str(fast_config), "tmp": str(tmp_path)}
+    out = tmp_path / "run"
+    assert main([a.format(**fill) for a in argv] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["timings"]["total_seconds"] > 0
+    assert ("load_seconds" in manifest["timings"]) == (argv[0] == "train")
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])

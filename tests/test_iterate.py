@@ -8,8 +8,7 @@ import pytest
 import hopf.iterate as iterate_mod
 from hopf import (ArgumentError, ConfigError, HopfConfig, ModelWeights, Task, TrainConfig,
                   gen_chain, gen_planted_partition, khop_subgraph, make_kernel, make_splits,
-                  predict, row_normalize, run_hopf, temporal_average, train,
-                  warm_start_transfer)
+                  predict, row_normalize, run_hopf, temporal_average, train)
 from hopf.iterate import _DUMP_BLOCK_ROWS, _dump_labels
 
 
@@ -106,21 +105,34 @@ class TestHopfLoop:
             diffs.append(first_epoch[True] - first_epoch[False])
         assert np.median(diffs) < 0.0
 
-    def test_cold_start_reinitializes_differently(self):
+    def test_cold_start_reinitializes_differently(self, tmp_path):
         bundle, split, cfg = fixture(26)
         spec = make_kernel("ss_ica", hidden_dim=16)
-        res = run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                       HopfConfig(C=1, T=2, warm_start=False), bundle.task,
-                       keep_weights_history=True)
-        w1, w2 = res.weights_history
+        run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
+                 HopfConfig(C=1, T=2, warm_start=False), bundle.task, out_dir=tmp_path)
+        w1, w2 = (ModelWeights.load(tmp_path / f"weights_t{t}.bin", spec) for t in (1, 2))
         assert not np.array_equal(w1.w0, w2.w0)
 
-    def test_weight_history_absent_by_default(self):
+    def test_warm_start_trains_a_copy_of_the_last_round(self, monkeypatch):
+        # round 2 starts from round 1's final weights, and training it leaves
+        # round 1's weights as they were returned
         bundle, split, cfg = fixture(27)
-        spec = make_kernel("ss_ica", hidden_dim=16)
-        res = run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                       HopfConfig(C=1, T=2), bundle.task)
-        assert res.weights_history is None
+        cfg = replace(cfg, max_epochs=3, min_epochs=1)
+        real, rounds = iterate_mod.train, []
+
+        def recording(*args, init_weights=None, **kwargs):
+            start = None if init_weights is None else [p.copy() for _, p in init_weights.params()]
+            weights, history = real(*args, init_weights=init_weights, **kwargs)
+            rounds.append((start, weights, [p.copy() for _, p in weights.params()]))
+            return weights, history
+
+        monkeypatch.setattr(iterate_mod, "train", recording)
+        run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle.graph, bundle.x, bundle.y,
+                 split, cfg, HopfConfig(C=1, T=2), bundle.task)
+        (start1, w1, w1_returned), (start2, _, _) = rounds
+        assert start1 is None
+        assert all(np.array_equal(a, b) for a, b in zip(start2, w1_returned))
+        assert all(np.array_equal(p, b) for (_, p), b in zip(w1.params(), w1_returned))
 
     def test_artifacts_written_per_round(self, tmp_path):
         bundle, split, cfg = fixture(28)
@@ -202,14 +214,6 @@ def test_label_dump_peak_memory_is_a_block_not_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * path.stat().st_size
-
-
-def test_warm_start_transfer_is_deep_copy():
-    spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
-    w = ModelWeights.init(spec, 5, 3, 0)
-    c = warm_start_transfer(w)
-    c.w0[0, 0] += 1.0
-    assert w.w0[0, 0] != c.w0[0, 0]
 
 
 class TestReach:

@@ -212,6 +212,26 @@ class TestTrainLoop:
         for (_, a), (_, b) in zip(runs[0].params(), runs[1].params()):
             assert np.array_equal(a, b)
 
+    def test_benchmark_epoch_runs_the_training_step(self, monkeypatch):
+        # bench.time_epoch trains through hopf.training's step, so its forward
+        # passes get the config's dropout just as train's do
+        from hopf.bench import time_epoch
+
+        real, rates = training_mod.predict, []
+
+        def recording(*args, dropout_rate=0.0, **kwargs):
+            rates.append(dropout_rate)
+            return real(*args, dropout_rate=dropout_rate, **kwargs)
+
+        monkeypatch.setattr(training_mod, "predict", recording)
+        bundle = planted(8, n=100)
+        split = make_splits(100, rng_seed=8)[0]
+        spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
+        cfg = quick_config(seed=8, hidden_dim=4, batch_size=4, dropout_rate=0.5)
+        time_epoch(spec, bundle.graph, bundle.x, bundle.y, split.train_nodes, cfg,
+                   bundle.task, None, budget_bytes=None, epoch_seed=0)
+        assert rates == [0.5] * (split.train_nodes.size // 4)
+
 
 class _RowLogger(np.ndarray):
     """ndarray that records every row index pulled out via fancy indexing."""
