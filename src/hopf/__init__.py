@@ -6,7 +6,7 @@ from .errors import (ArgumentError, ConfigError, HopfError, IngestError, Numeric
                      ShapeError, StateError, TrainingError)
 from .graph import (Graph, NormScheme, Subgraph, build_graph, khop_subgraph,
                     load_edge_list, normalize_adjacency, sample_neighbors)
-from .iterate import HopfConfig, HopfResult, PredictionState, run_hopf, temporal_average
+from .iterate import HopfConfig, HopfResult, run_hopf, temporal_average
 from .kernels import (ITERATIVE_MODELS, REGISTRY, TRAINABLE_MODELS, AlphaMode, BetaMode,
                       Combine, ForwardCache, KernelSpec, ModelWeights, Phi, Psi, backward,
                       layer_plan, linear_unroll_coefficient, make_kernel, maxpool_aggregate,

@@ -43,15 +43,15 @@ def parse_variant(token: str) -> tuple[str, int]:
     """Map a CLI variant token to (kernel name, differentiable hops per round).
 
     ``nip_mean`` runs the full kernel (C grows with K); ``i_nip_mean_cN``
-    keeps C = N and iterates.
+    keeps C = N >= 1 and iterates.
     """
     if token == "nip_mean":
         return "nip_mean", 0
     m = re.fullmatch(r"i_nip_mean_c(\d+)", token)
-    if m:
+    if m and int(m.group(1)) >= 1:
         return "i_nip_mean", int(m.group(1))
     raise ConfigError(f"unknown benchmark variant {token!r}; "
-                      "use nip_mean or i_nip_mean_c<N>")
+                      "use nip_mean or i_nip_mean_c<N> with N >= 1")
 
 
 def estimate_batch_bytes(spec, num_features: int, num_labels: int,
@@ -99,12 +99,14 @@ def run_scaling(bundle: DatasetBundle, split: SplitSpec, variants, hops_list,
                 repeats: int, config: TrainConfig,
                 budget_bytes: int | None = None) -> list[BenchCell]:
     """Mean epoch-equivalent seconds per (variant, total hops K) cell."""
+    parsed = [(token, *parse_variant(token)) for token in variants]  # all, before any timing
+    if any(k < 1 for k in hops_list):
+        raise ConfigError(f"every total hop count must be >= 1, got {list(hops_list)}")
     cells = []
     x = bundle.x
     y = bundle.y
     yhat_zero = np.zeros_like(y, dtype=np.float64)
-    for token in variants:
-        name, c_fixed = parse_variant(token)
+    for token, name, c_fixed in parsed:
         for k in hops_list:
             if c_fixed and k % c_fixed != 0:
                 cells.append(BenchCell(token, k, None, "n/a"))

@@ -17,7 +17,7 @@ import math
 import shutil
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -182,10 +182,10 @@ def cmd_hopf(args) -> int:
     _check_model(args.model, ITERATIVE_MODELS)
     config = _train_config(args)
     spec = make_kernel(args.model, depth=args.C, hidden_dim=config.hidden_dim)
-    hopf_config = HopfConfig(C=spec.depth, T=args.T, warm_start=not args.cold_start,
+    hopf_config = HopfConfig(T=args.T, warm_start=not args.cold_start,
                              shifted_averaging=args.shifted_averaging)
     out = Path(args.out)
-    with manifest_scope(out, "hopf", {**asdict(config), **asdict(hopf_config),
+    with manifest_scope(out, "hopf", {**asdict(config), "C": spec.depth, **asdict(hopf_config),
                                       "model": args.model, "fold": args.fold},
                         seeds={"rng_seed": config.rng_seed}, dataset_dir=args.dataset):
         bundle = _load_bundle(args.dataset)
@@ -202,29 +202,20 @@ def cmd_hopf(args) -> int:
                                  row["micro_f1"], float("nan")) for row in result.trajectory]
         write_records_csv(records, out / "metrics.csv")
     final = result.trajectory[-1]["micro_f1"]
-    print(f"{args.model} C={hopf_config.C} T={hopf_config.T}: "
+    print(f"{args.model} C={spec.depth} T={hopf_config.T}: "
           f"final-round test micro-F1 {final:.4f}")
     return 0
 
 
 def cmd_bench_scaling(args) -> int:
-    out = Path(args.out)
     config = _train_config(args)
-    config = replace(config, batch_size=args.batch_size, hidden_dim=args.hidden_dim,
-                     use_wce=False)
     hops = _parse_list(args.hops, "--hops", int)
+    out = Path(args.out)
     with manifest_scope(out, "bench-scaling",
-                        {"hops": args.hops, "variants": args.variants,
-                         "repeats": args.repeats, "nodes": args.nodes,
-                         "edges": args.edges, "memory_budget_gib": args.memory_budget,
-                         "batch_size": args.batch_size, "hidden_dim": args.hidden_dim},
-                        seeds={"rng_seed": config.rng_seed}):
-        if args.dataset:
-            bundle = _load_bundle(args.dataset)
-        else:
-            bundle = gen_benchmark_graph(args.nodes, args.edges, args.features, args.labels,
-                                         rng_seed=config.rng_seed)
-            bundle.x = row_normalize(bundle.x)
+                        {**asdict(config), "hops": args.hops, "variants": args.variants,
+                         "repeats": args.repeats, "memory_budget_gib": args.memory_budget},
+                        seeds={"rng_seed": config.rng_seed}, dataset_dir=args.dataset):
+        bundle = _load_bundle(args.dataset)
         split = make_splits(bundle.graph.n, config.rng_seed)[0]
         budget = None if args.memory_budget <= 0 else int(args.memory_budget * 2**30)
         cells = run_scaling(bundle, split, args.variants.split(","), hops,
@@ -351,13 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: nip_mean, i_nip_mean_c1, i_nip_mean_c2, ...")
     b.add_argument("--repeats", type=_POSITIVE, default=3)
     b.add_argument("--out", required=True)
-    b.add_argument("--dataset", default=None, help="reuse a generated benchmark bundle")
-    b.add_argument("--nodes", type=int, default=100_000)
-    b.add_argument("--edges", type=int, default=500_000)
-    b.add_argument("--features", type=_POSITIVE, default=100)
-    b.add_argument("--labels", type=_POSITIVE, default=10)
-    b.add_argument("--batch-size", type=_POSITIVE, default=128)
-    b.add_argument("--hidden-dim", type=_POSITIVE, default=128)
+    b.add_argument("--dataset", required=True, help="a bundle, e.g. from gen benchmark")
     b.add_argument("--memory-budget", type=_finite_float, default=4.0,
                    help="GiB allowed for per-batch activations/gradients; <=0 disables")
     b.add_argument("--seed", type=_NON_NEGATIVE, default=None)

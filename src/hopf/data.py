@@ -109,16 +109,17 @@ def load_dataset(dir_path) -> DatasetBundle:
     for fname in ("meta.json", "graph.tsv", "features.tsv", "labels.tsv"):
         if not (d / fname).exists():
             raise IngestError(f"{d}: missing {fname}")
-    meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
-    try:
+    try:  # not JSON, not UTF-8, not an object, or a field of the wrong kind
+        meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
         n, f, l = int(meta["n"]), int(meta["f"]), int(meta["l"])
         task = Task(meta["task"])
         name = str(meta["name"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"{d}/meta.json: {exc}") from exc
-    graph = build_graph(load_edge_list(d / "graph.tsv"), n)
+    # the row checks confirm n before build_graph allocates O(n) for it
     x = _read_matrix(d / "features.tsv", n, f"{d}/features.tsv")
     y = _read_matrix(d / "labels.tsv", n, f"{d}/labels.tsv")
+    graph = build_graph(load_edge_list(d / "graph.tsv"), n)
     if x.shape[1] != f:
         raise IngestError(f"{d}/features.tsv: expected {f} columns, found {x.shape[1]}")
     if y.shape[1] != l:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ArgumentError, ConfigError
 from .graph import Graph, khop_subgraph  # noqa: F401  (perfbench/spans.py traces this name)
-from .kernels import KernelSpec, ModelWeights, predict  # noqa: F401  (likewise)
+from .kernels import ITERATIVE_MODELS, KernelSpec, ModelWeights
+from .kernels import predict  # noqa: F401  (likewise)
 from .metrics import Task, binarize_predictions, micro_f1
 from .training import SplitSpec, TrainConfig, infer, train
 
@@ -29,44 +30,20 @@ _ITER_SEED_STRIDE = 1000003  # round t trains with seed rng_seed + stride*(t-1)
 
 @dataclass
 class HopfConfig:
-    """Outer-loop shape: C differentiable hops per round, T rounds, reach K = T*C.
+    """Outer-loop shape: T rounds of the kernel's C = ``spec.depth`` hops, reach K = T*C.
 
     ``shifted_averaging`` swaps the fresh-prediction weight (T - t)/T for
     (T - t + 1)/T, which keeps a nonzero share for the final round's inference
     instead of discarding it.
     """
 
-    C: int = 2
     T: int = 1
     warm_start: bool = True
     shifted_averaging: bool = False
 
     def __post_init__(self):
-        if self.C < 1 or self.T < 1:
-            raise ConfigError(f"need C >= 1 and T >= 1, got C={self.C}, T={self.T}")
-
-    @property
-    def reach(self) -> int:
-        return self.C * self.T
-
-
-@dataclass
-class PredictionState:
-    """Label matrices mutated across rounds: running estimate, fresh inference, S mask."""
-
-    yhat: np.ndarray
-    ytilde: np.ndarray
-    labeled_mask: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int, num_labels: int, labeled_nodes: np.ndarray) -> "PredictionState":
-        mask = np.zeros(n, dtype=bool)
-        mask[labeled_nodes] = True
-        return cls(yhat=np.zeros((n, num_labels)), ytilde=np.zeros((n, num_labels)),
-                   labeled_mask=mask)
-
-    def restore_labeled(self, y: np.ndarray) -> None:
-        self.yhat[self.labeled_mask] = y[self.labeled_mask]
+        if self.T < 1:
+            raise ConfigError(f"need T >= 1, got T={self.T}")
 
 
 def temporal_average(ytilde_u: np.ndarray, yhat_u_old: np.ndarray, t: int, T: int,
@@ -106,13 +83,11 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
     micro-F1 of the fresh inference. Artifacts per round land in ``out_dir``:
     a binary weights snapshot plus CSV dumps of both label matrices.
     """
-    if spec.depth != hopf_config.C:
-        raise ConfigError(f"spec depth {spec.depth} != configured C {hopf_config.C}")
     if hopf_config.T > 1 and not spec.uses_labels:
         raise ConfigError(f"{spec.name} has no label channel; multiple rounds need one "
-                          f"(use one of: ss_ica, i_nip_mean)")
+                          f"(use one of: {', '.join(ITERATIVE_MODELS)})")
     n, num_labels = y.shape
-    state = PredictionState.zeros(n, num_labels, split.train_nodes)
+    yhat, ytilde = np.zeros((n, num_labels)), np.zeros((n, num_labels))
     u_nodes = np.setdiff1d(np.arange(n), split.train_nodes)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -121,29 +96,28 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
 
     weights = None
     dumped: dict[str, bytes] = {}  # stem -> bytes of the matrix last written under it
-    result = HopfResult(yhat=state.yhat, ytilde=state.ytilde, trajectory=[], weights=None)
+    result = HopfResult(yhat=yhat, ytilde=ytilde, trajectory=[], weights=None)
     for t in range(1, hopf_config.T + 1):
         cfg_t = replace(train_config, rng_seed=train_config.rng_seed + _ITER_SEED_STRIDE * (t - 1))
         # a warm start resumes from a copy of the last weights; Adam's moments start afresh
         init = weights.copy() if (hopf_config.warm_start and weights is not None) else None
-        yhat_frozen = state.yhat.copy()
+        yhat_frozen = yhat.copy()
         weights, history = train(spec, graph, x, y, split, cfg_t, task,
                                  yhat=yhat_frozen, init_weights=init)
         result.histories.append(history)
 
-        state.ytilde[u_nodes] = infer(spec, weights, graph, x, u_nodes, task, yhat_frozen)
-        state.restore_labeled(y)
-        state.yhat[u_nodes] = temporal_average(state.ytilde[u_nodes], state.yhat[u_nodes],
-                                               t, hopf_config.T,
-                                               shifted=hopf_config.shifted_averaging)
+        ytilde[u_nodes] = infer(spec, weights, graph, x, u_nodes, task, yhat_frozen)
+        yhat[split.train_nodes] = y[split.train_nodes]
+        yhat[u_nodes] = temporal_average(ytilde[u_nodes], yhat[u_nodes], t, hopf_config.T,
+                                         shifted=hopf_config.shifted_averaging)
 
-        test_f1 = micro_f1(binarize_predictions(state.ytilde[split.test_nodes], task),
+        test_f1 = micro_f1(binarize_predictions(ytilde[split.test_nodes], task),
                            y[split.test_nodes])
         result.trajectory.append({"iteration": t, "micro_f1": test_f1})
 
         if out_path is not None:
             weights.save(out_path / f"weights_t{t}.bin")
-            for stem, matrix in (("yhat", state.yhat), ("ytilde", state.ytilde)):
+            for stem, matrix in (("yhat", yhat), ("ytilde", ytilde)):
                 # under the (T-t)/T rule round T's fresh weight is 0, so yhat_t{T}
                 # repeats yhat_t{T-1}; bytes, not values, so -0.0 and NaN never alias
                 raw = matrix.tobytes()

@@ -74,7 +74,6 @@ class KernelSpec:
     skip_connections: bool = False
     depth: int = 2
     hidden_dim: int = 16
-    iterative: bool = False
     differentiable: bool = True
 
     def __post_init__(self):
@@ -110,8 +109,7 @@ REGISTRY: dict[str, dict] = {
     "bl_neigh": dict(phi=Phi.NONE, norm=NormScheme.MEAN, psi=Psi.H_PREV,
                      alpha=AlphaMode.ZERO, beta=BetaMode.ONE, tie_weights=False),
     "ss_ica": dict(phi=Phi.H0, norm=NormScheme.MEAN, psi=Psi.LABELS,
-                   alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False,
-                   iterative=True),
+                   alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False),
     "wl": dict(phi=Phi.H_PREV, norm=NormScheme.COUNT, psi=Psi.H_PREV,
                alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False,
                differentiable=False),
@@ -131,12 +129,10 @@ REGISTRY: dict[str, dict] = {
     "nip_mean": dict(phi=Phi.H0, norm=NormScheme.MEAN, psi=Psi.H_PREV,
                      alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False),
     "i_nip_mean": dict(phi=Phi.H0, norm=NormScheme.MEAN, psi=Psi.H_PREV_CONCAT_LABELS,
-                       alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False,
-                       iterative=True),
+                       alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False),
 }
 
 TRAINABLE_MODELS = tuple(n for n, row in REGISTRY.items() if row.get("differentiable", True))
-ITERATIVE_MODELS = tuple(n for n, row in REGISTRY.items() if row.get("iterative"))
 
 
 def make_kernel(name: str, depth: int = 2, hidden_dim: int = 16) -> KernelSpec:
@@ -151,6 +147,10 @@ def make_kernel(name: str, depth: int = 2, hidden_dim: int = 16) -> KernelSpec:
     if name == "ss_ica":
         depth = 1
     return KernelSpec(name=name, depth=depth, hidden_dim=hidden_dim, **row)
+
+
+# the iterative loop needs a label channel to feed back, so these are its models
+ITERATIVE_MODELS = tuple(n for n in REGISTRY if make_kernel(n).uses_labels)
 
 
 @dataclass(frozen=True)

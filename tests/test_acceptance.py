@@ -273,7 +273,7 @@ def test_c07_planted_partition_margins():
                                     split.test_nodes, bundle.task)["micro_f1"]
         wins += scores["nip_mean"] > scores["bl_node"]
         res = run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle.graph, x, bundle.y,
-                       split, cfg, HopfConfig(C=1, T=5), bundle.task)
+                       split, cfg, HopfConfig(T=5), bundle.task)
         trajectories.append([r["micro_f1"] for r in res.trajectory])
     assert wins >= 4, f"nip_mean won only {wins}/5 seeds"
     median = np.median(np.asarray(trajectories), axis=0)

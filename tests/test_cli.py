@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import hopf.bench as bench_mod
 import hopf.cli as cli_mod
 from hopf.cli import main
 
@@ -43,8 +44,9 @@ BAD_ARGUMENTS = [
                             "--fractions", "1.0", "--fold", "-1"], id="fraction-fold-negative"),
     pytest.param("--folds", ["train", "--dataset", "{data}", "--model", "nip_mean",
                              "--folds", "0"], id="train-folds-zero"),
-    pytest.param("--repeats", ["bench-scaling", "--hops", "1", "--variants", "nip_mean",
-                               "--repeats", "0"], id="bench-repeats-zero"),
+    pytest.param("--repeats", ["bench-scaling", "--dataset", "{data}", "--hops", "1",
+                               "--variants", "nip_mean", "--repeats", "0"],
+                 id="bench-repeats-zero"),
     pytest.param("--seed", ["train", "--dataset", "{data}", "--model", "nip_mean",
                             "--seed", "-1"], id="train-seed-negative"),
     pytest.param("--seed", ["gen", "chain", "--seed", "-1"], id="gen-seed-negative"),
@@ -56,8 +58,16 @@ BAD_ARGUMENTS = [
                                 "--features", "0"], id="gen-features-zero"),
     pytest.param("--sample-caps", ["train", "--dataset", "{data}", "--model", "nip_mean",
                                    "--sample-caps", "1,x"], id="sample-caps-not-int"),
-    pytest.param("--hops", ["bench-scaling", "--hops", "1,x", "--variants", "nip_mean"],
-                 id="bench-hops-not-int"),
+    pytest.param("--hops", ["bench-scaling", "--dataset", "{data}", "--hops", "1,x",
+                            "--variants", "nip_mean"], id="bench-hops-not-int"),
+    pytest.param("hop count must be >= 1", ["bench-scaling", "--dataset", "{data}", "--hops",
+                                            "0,2", "--variants", "i_nip_mean_c1"],
+                 id="bench-hops-zero"),
+    pytest.param("hop count must be >= 1", ["bench-scaling", "--dataset", "{data}", "--hops",
+                                            "-2", "--variants", "i_nip_mean_c1"],
+                 id="bench-hops-negative"),
+    pytest.param("i_nip_mean_c0", ["bench-scaling", "--dataset", "{data}", "--hops", "2",
+                                   "--variants", "i_nip_mean_c0"], id="bench-variant-c0"),
     pytest.param("--fractions", ["neighbor-fraction", "--dataset", "{data}", "--model",
                                  "nip_mean", "--fractions", "0.5,x"], id="fractions-not-float"),
     pytest.param("missing.json", ["train", "--dataset", "{data}", "--model", "nip_mean",
@@ -73,10 +83,18 @@ BAD_ARGUMENTS = [
     pytest.param("unknown config keys: ['T']", ["hopf", "--dataset", "{data}", "--model",
                                                 "i_nip_mean", "--config", "{tmp}/hopf_key.json"],
                  id="config-hopf-key"),
-    pytest.param("--memory-budget", ["bench-scaling", "--hops", "1", "--variants", "nip_mean",
-                                     "--memory-budget", "nan"], id="bench-budget-nan"),
-    pytest.param("--memory-budget", ["bench-scaling", "--hops", "1", "--variants", "nip_mean",
-                                     "--memory-budget", "inf"], id="bench-budget-inf"),
+    pytest.param("--memory-budget", ["bench-scaling", "--dataset", "{data}", "--hops", "1",
+                                     "--variants", "nip_mean", "--memory-budget", "nan"],
+                 id="bench-budget-nan"),
+    pytest.param("--memory-budget", ["bench-scaling", "--dataset", "{data}", "--hops", "1",
+                                     "--variants", "nip_mean", "--memory-budget", "inf"],
+                 id="bench-budget-inf"),
+] + [
+    # bench-scaling takes its graph from --dataset and its step from --config only
+    pytest.param(f"unrecognized arguments: {flag}",
+                 ["bench-scaling", "--dataset", "{data}", "--hops", "1", "--variants",
+                  "nip_mean", flag, "8"], id=f"bench-removed{flag}")
+    for flag in ("--nodes", "--edges", "--features", "--labels", "--batch-size", "--hidden-dim")
 ]
 
 
@@ -136,6 +154,27 @@ class TestExitCodes:
         assert code == 2
         assert named in capsys.readouterr().err
 
+    # (meta.json bytes, what the error must name) on a 12-node chain bundle
+    @pytest.mark.parametrize("meta,named", [
+        pytest.param(b"{not json", "meta.json", id="not-json"),
+        pytest.param(b"[1,2]", "meta.json", id="not-an-object"),
+        pytest.param(b"\xff\xfe", "meta.json", id="not-utf8"),
+        pytest.param(b'{"name": "c", "n": [1], "f": 12, "l": 2, "task": "multi_class"}',
+                     "meta.json", id="n-a-list"),
+        # the rows refute n before any O(n) array; numpy would refuse these tens of TiB anyway
+        pytest.param(b'{"name": "c", "n": 10000000000000, "f": 12, "l": 2, '
+                     b'"task": "multi_class"}', "expected 10000000000000 rows, found 12",
+                     id="n-beyond-the-rows"),
+    ])
+    def test_malformed_meta_json_exits_2(self, tmp_path, capsys, meta, named):
+        assert main(["gen", "chain", "--n", "12", "--out", str(tmp_path / "gen")]) == 0
+        data = tmp_path / "gen" / "dataset"
+        (data / "meta.json").write_bytes(meta)
+        code = main(["train", "--dataset", str(data), "--model", "nip_mean",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
     def test_manifest_written_before_results(self, tmp_path):
         out = tmp_path / "run"
         code = main(["train", "--dataset", str(tmp_path / "nonexistent"),
@@ -162,15 +201,27 @@ class TestTrainCommand:
         assert manifest["dataset_fingerprint"]
         assert manifest["timings"]["total_seconds"] > 0
 
-    def test_rerun_reproduces_metrics_bit_identically(self, planted_dir, fast_config, tmp_path):
-        outs = []
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["train", "--model", "gcn_mean", "--folds", "1"], id="train"),
+        pytest.param(["hopf", "--model", "i_nip_mean", "-C", "1", "-T", "3"], id="hopf"),
+    ])
+    def test_rerun_reproduces_metrics_bit_identically(self, planted_dir, fast_config, tmp_path,
+                                                      argv):
+        # every file but the manifest (timings, out path): weights and label CSVs too
+        config = tmp_path / "dropout.json"
+        config.write_text(json.dumps({**json.loads(fast_config.read_text()), "dropout_rate": 0.2}))
+        trees = []
         for tag in ("a", "b"):
             out = tmp_path / tag
-            assert main(["train", "--dataset", str(planted_dir), "--model", "gcn_mean",
-                         "--config", str(fast_config), "--folds", "1", "--seed", "9",
-                         "--out", str(out)]) == 0
-            outs.append((out / "metrics.csv").read_bytes())
-        assert outs[0] == outs[1]
+            assert main(argv + ["--dataset", str(planted_dir), "--config", str(config),
+                                "--seed", "9", "--out", str(out)]) == 0
+            trees.append({p.relative_to(out).as_posix(): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"})
+        assert trees[0] == trees[1]
+        assert "metrics.csv" in trees[0]
+        if argv[0] == "hopf":
+            assert {"iterations/weights_t3.bin", "iterations/yhat_t3.csv",
+                    "yhat_final.csv"} <= trees[0].keys()
 
     def test_prediction_rows_keep_their_bytes(self, planted_dir, fast_config, tmp_path,
                                               monkeypatch):
@@ -323,17 +374,30 @@ class TestNeighborFraction:
                      "--out", str(tmp_path / "x")]) == 2
 
 
+def gen_benchmark(tmp_path, nodes, edges) -> str:
+    out = tmp_path / f"bench_{nodes}"
+    assert main(["gen", "benchmark", "--nodes", str(nodes), "--edges", str(edges),
+                 "--features", "8", "--labels", "3", "--seed", "0", "--out", str(out)]) == 0
+    return str(out / "dataset")
+
+
+@pytest.fixture(scope="module")
+def bench_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bench_cfg") / "config.json"
+    path.write_text(json.dumps({"batch_size": 32, "hidden_dim": 8, "use_wce": False}))
+    return str(path)
+
+
 class TestBenchScaling:
-    def test_smoke_table(self, tmp_path, capsys):
+    def test_smoke_table(self, tmp_path, capsys, bench_config):
         import time
 
+        data = gen_benchmark(tmp_path, 1000, 3000)
         out = tmp_path / "bench"
         start = time.perf_counter()
-        code = main(["bench-scaling", "--hops", "1,2", "--variants",
-                     "nip_mean,i_nip_mean_c1,i_nip_mean_c2", "--repeats", "1",
-                     "--nodes", "1000", "--edges", "3000", "--features", "8",
-                     "--labels", "3", "--batch-size", "32", "--hidden-dim", "8",
-                     "--seed", "0", "--out", str(out)])
+        code = main(["bench-scaling", "--dataset", data, "--config", bench_config,
+                     "--hops", "1,2", "--variants", "nip_mean,i_nip_mean_c1,i_nip_mean_c2",
+                     "--repeats", "1", "--seed", "0", "--out", str(out)])
         assert code == 0
         assert time.perf_counter() - start < 300.0
         capsys.readouterr()
@@ -344,18 +408,44 @@ class TestBenchScaling:
         assert cells[("i_nip_mean_c2", 1)]["status"] == "n/a"  # 1 hop unreachable with C=2
         assert float(cells[("nip_mean", 2)]["mean_seconds"]) > 0
 
-    def test_memory_budget_marks_infeasible(self, tmp_path, capsys):
+    def test_memory_budget_marks_infeasible(self, tmp_path, capsys, bench_config):
+        data = gen_benchmark(tmp_path, 600, 1800)
         out = tmp_path / "bench"
-        code = main(["bench-scaling", "--hops", "2", "--variants", "nip_mean",
-                     "--repeats", "1", "--nodes", "600", "--edges", "1800",
-                     "--features", "8", "--labels", "3", "--batch-size", "32",
-                     "--hidden-dim", "8", "--memory-budget", "0.000001",
-                     "--seed", "0", "--out", str(out)])
+        code = main(["bench-scaling", "--dataset", data, "--config", bench_config,
+                     "--hops", "2", "--variants", "nip_mean", "--repeats", "1",
+                     "--memory-budget", "0.000001", "--seed", "0", "--out", str(out)])
         assert code == 0
         capsys.readouterr()
         rows = read_csv(out / "timings.csv")
         assert rows[0]["status"] == "infeasible"
         assert rows[0]["mean_seconds"] == ""
+
+    def test_config_reaches_the_timed_step_and_the_manifest(self, planted_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"batch_size": 7, "hidden_dim": 3, "use_wce": True}))
+        real, seen = bench_mod.train_step, []
+
+        def recording(spec, weights, adam, sub, x, y_batch, *args, **kwargs):
+            seen.append((spec.hidden_dim, len(y_batch), args[2]))
+            return real(spec, weights, adam, sub, x, y_batch, *args, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "train_step", recording)
+        out = tmp_path / "bench"
+        assert main(["bench-scaling", "--dataset", str(planted_dir), "--config", str(config),
+                     "--hops", "1", "--variants", "nip_mean", "--repeats", "1",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert seen
+        assert {hidden for hidden, _, _ in seen} == {3}
+        assert max(rows for _, rows, _ in seen) == 7
+        assert all(cfg.batch_size == 7 and cfg.use_wce for _, _, cfg in seen)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {k: manifest["config"][k] for k in ("batch_size", "hidden_dim", "use_wce")} == \
+            {"batch_size": 7, "hidden_dim": 3, "use_wce": True}
+        assert {"learning_rate", "l2_weight", "dropout_rate",
+                "rng_seed"} <= manifest["config"].keys()
+        assert manifest["dataset_fingerprint"]
 
 
 # one successful run of each verb, argv before --out; {data}, {cfg} and {tmp}
@@ -366,9 +456,8 @@ VERB_RUNS = [
                   "--folds", "1"], id="train"),
     pytest.param(["hopf", "--dataset", "{data}", "--model", "ss_ica", "--config", "{cfg}",
                   "-T", "2"], id="hopf"),
-    pytest.param(["bench-scaling", "--hops", "1", "--variants", "nip_mean", "--repeats", "1",
-                  "--nodes", "200", "--edges", "600", "--features", "4", "--labels", "2",
-                  "--batch-size", "32", "--hidden-dim", "4"], id="bench-scaling"),
+    pytest.param(["bench-scaling", "--dataset", "{data}", "--config", "{cfg}", "--hops", "1",
+                  "--variants", "nip_mean", "--repeats", "1"], id="bench-scaling"),
     pytest.param(["neighbor-fraction", "--dataset", "{data}", "--model", "nip_mean",
                   "--config", "{cfg}", "--fractions", "1.0"], id="neighbor-fraction"),
     pytest.param(["nim", "--alpha", "1", "--beta", "1"], id="nim"),

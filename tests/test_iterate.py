@@ -57,7 +57,7 @@ class TestRoundReduction:
         bundle, split, cfg = fixture(21)
         spec = make_kernel("i_nip_mean", depth=2, hidden_dim=16)
         result = run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                          HopfConfig(C=2, T=1), bundle.task)
+                          HopfConfig(T=1), bundle.task)
         weights, _ = train(spec, bundle.graph, bundle.x, bundle.y, split, cfg, bundle.task)
         for (_, a), (_, b) in zip(result.weights.params(), weights.params()):
             assert np.array_equal(a, b)
@@ -72,14 +72,7 @@ class TestRoundReduction:
         spec = make_kernel("gcn_mean", depth=2, hidden_dim=16)
         with pytest.raises(ConfigError, match="label channel"):
             run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                     HopfConfig(C=2, T=3), bundle.task)
-
-    def test_depth_mismatch_rejected(self):
-        bundle, split, cfg = fixture(23)
-        spec = make_kernel("i_nip_mean", depth=2, hidden_dim=16)
-        with pytest.raises(ConfigError, match="depth"):
-            run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                     HopfConfig(C=3, T=2), bundle.task)
+                     HopfConfig(T=3), bundle.task)
 
 
 class TestHopfLoop:
@@ -87,7 +80,7 @@ class TestHopfLoop:
         bundle, split, cfg = fixture(24)
         spec = make_kernel("ss_ica", hidden_dim=16)
         result = run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                          HopfConfig(C=1, T=3), bundle.task)
+                          HopfConfig(T=3), bundle.task)
         assert np.array_equal(result.yhat[split.train_nodes], bundle.y[split.train_nodes])
         assert len(result.trajectory) == 3
         assert np.all(result.yhat >= 0.0) and np.all(result.yhat <= 1.0)
@@ -100,7 +93,7 @@ class TestHopfLoop:
             first_epoch = {}
             for warm in (True, False):
                 res = run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                               HopfConfig(C=2, T=2, warm_start=warm), bundle.task)
+                               HopfConfig(T=2, warm_start=warm), bundle.task)
                 first_epoch[warm] = res.histories[1][0]["train_loss"]
             diffs.append(first_epoch[True] - first_epoch[False])
         assert np.median(diffs) < 0.0
@@ -109,7 +102,7 @@ class TestHopfLoop:
         bundle, split, cfg = fixture(26)
         spec = make_kernel("ss_ica", hidden_dim=16)
         run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                 HopfConfig(C=1, T=2, warm_start=False), bundle.task, out_dir=tmp_path)
+                 HopfConfig(T=2, warm_start=False), bundle.task, out_dir=tmp_path)
         w1, w2 = (ModelWeights.load(tmp_path / f"weights_t{t}.bin", spec) for t in (1, 2))
         assert not np.array_equal(w1.w0, w2.w0)
 
@@ -128,7 +121,7 @@ class TestHopfLoop:
 
         monkeypatch.setattr(iterate_mod, "train", recording)
         run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle.graph, bundle.x, bundle.y,
-                 split, cfg, HopfConfig(C=1, T=2), bundle.task)
+                 split, cfg, HopfConfig(T=2), bundle.task)
         (start1, w1, w1_returned), (start2, _, _) = rounds
         assert start1 is None
         assert all(np.array_equal(a, b) for a, b in zip(start2, w1_returned))
@@ -138,7 +131,7 @@ class TestHopfLoop:
         bundle, split, cfg = fixture(28)
         spec = make_kernel("ss_ica", hidden_dim=16)
         run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                 HopfConfig(C=1, T=2), bundle.task, out_dir=tmp_path / "run")
+                 HopfConfig(T=2), bundle.task, out_dir=tmp_path / "run")
         for t in (1, 2):
             assert (tmp_path / "run" / f"weights_t{t}.bin").exists()
             assert (tmp_path / "run" / f"yhat_t{t}.csv").exists()
@@ -161,7 +154,7 @@ class TestLabelCopies:
         monkeypatch.setattr(iterate_mod, "_dump_labels", recording)
         out = tmp_path / ("shifted" if shifted else "plain")
         result = run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle.graph, bundle.x,
-                          bundle.y, split, cfg, HopfConfig(C=1, T=3, shifted_averaging=shifted),
+                          bundle.y, split, cfg, HopfConfig(T=3, shifted_averaging=shifted),
                           bundle.task, out_dir=out)
         return result, out, formatted
 

@@ -9,8 +9,8 @@ from hopf import (ArgumentError, ConfigError, HopfError, ModelWeights, NormSchem
                   StateError, Task, backward, build_graph, finite_diff_grad, khop_subgraph,
                   linear_unroll_coefficient, make_kernel, maxpool_aggregate,
                   nim_relative_importance, predict, weighted_cross_entropy)
-from hopf.kernels import (REGISTRY, TRAINABLE_MODELS, WHOLE_GRAPH_FRACTION, AlphaMode, BetaMode,
-                          Combine, Phi, Psi, layer_plan, layer_rows)
+from hopf.kernels import (ITERATIVE_MODELS, REGISTRY, TRAINABLE_MODELS, WHOLE_GRAPH_FRACTION,
+                          AlphaMode, BetaMode, Combine, Phi, Psi, layer_plan, layer_rows)
 
 from conftest import random_graph
 
@@ -90,9 +90,10 @@ class TestRegistryFidelity:
         assert make_kernel("gs_max").combine is Combine.CONCAT
         assert make_kernel("gcn_mean").combine is Combine.SUM
         assert not make_kernel("wl").differentiable
-        assert make_kernel("ss_ica").iterative
-        assert make_kernel("i_nip_mean").iterative
-        assert not make_kernel("nip_mean").iterative
+        assert make_kernel("ss_ica").uses_labels
+        assert make_kernel("i_nip_mean").uses_labels
+        assert not make_kernel("nip_mean").uses_labels
+        assert ITERATIVE_MODELS == ("ss_ica", "i_nip_mean")
 
     def test_ss_ica_depth_pinned_to_one(self):
         assert make_kernel("ss_ica", depth=4).depth == 1
