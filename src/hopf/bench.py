@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import DatasetBundle
 from .errors import ConfigError
-from .graph import khop_subgraph
-from .kernels import layer_plan, make_kernel, ModelWeights
+from .graph import Subgraph, khop_subgraph
+from .kernels import WHOLE_GRAPH_FRACTION, layer_plan, layer_rows, make_kernel, ModelWeights
 from .numerics import AdamState
 from .training import SplitSpec, TrainConfig, _batches, _class_weights, train_step
 
@@ -54,19 +54,36 @@ def parse_variant(token: str) -> tuple[str, int]:
                       "use nip_mean or i_nip_mean_c<N> with N >= 1")
 
 
-def estimate_batch_bytes(spec, num_features: int, num_labels: int,
-                         sub_nodes: int, sub_nnz: int) -> int:
-    """Rough float64 footprint of one batch: activations, gradients, adjacency.
+def estimate_batch_bytes(spec, sub: Subgraph, num_nodes: int, num_features: int,
+                         num_labels: int, dropout: bool = False) -> int:
+    """Bytes one training step on ``sub`` holds at its peak: the ball, what
+    :func:`~hopf.kernels.predict` keeps for backward, and backward's working set.
 
-    Counts the x/pre buffers and their gradients for every layer plus three
-    sparse copies (forward, transpose, workspace). Weight matrices and Adam
-    moments are excluded; they do not grow with the subgraph.
+    Layer k holds ``layer_rows(sub, depth)[k]`` rows of ``h_widths[k]`` float64s,
+    plus a bool ReLU mask and, with dropout, a float64 mask. Backward's largest
+    layer holds its pre-activation gradient, and for the layer below the
+    gradient, the aggregated neighbor term and its product with the weights.
+    The input layer copies the ball's feature rows (gathered form) or scatters
+    into one ``num_nodes``-row gradient (whole-graph form; see
+    ``WHOLE_GRAPH_FRACTION``). Weight matrices and Adam moments are excluded;
+    they do not grow with the ball.
     """
     plan = layer_plan(spec, num_features, num_labels)
-    width_sum = num_features + num_labels + sum(plan.h_widths)
-    dense = 8 * sub_nodes * width_sum * 4
-    sparse = 8 * sub_nnz * 3
-    return dense + sparse
+    rows = layer_rows(sub, spec.depth)
+    widths = plan.h_widths
+    nnz = sub.indices.size
+    ball = 8 * (nnz + 3 * sub.n)  # indices, indptr, global ids, degrees
+    adjacency = 12 * nnz + 4 * sub.n  # float64 weights, int32 indices and indptr
+    cache = sum(r * w * (9 + 8 * dropout) for r, w in zip(rows, widths))
+    if spec.uses_labels:
+        cache += 8 * rows[0] * num_labels
+    working = max(8 * (3 * rows[k - 1] * widths[k - 1] + rows[k] * widths[k])
+                  for k in range(1, spec.depth + 1))
+    if rows[0] >= WHOLE_GRAPH_FRACTION * num_nodes:
+        working = max(working, 8 * (num_nodes + rows[0]) * widths[0])
+    else:
+        cache += 8 * rows[0] * num_features
+    return ball + adjacency + cache + working
 
 
 def time_epoch(spec, graph, x, y, train_nodes, config: TrainConfig, task,
@@ -85,7 +102,8 @@ def time_epoch(spec, graph, x, y, train_nodes, config: TrainConfig, task,
         for bidx, batch in enumerate(batches):
             sub = khop_subgraph(graph, batch, spec.depth)
             if budget_bytes is not None:
-                need = estimate_batch_bytes(spec, x.shape[1], y.shape[1], sub.n, sub.indices.size)
+                need = estimate_batch_bytes(spec, sub, x.shape[0], x.shape[1], y.shape[1],
+                                            config.dropout_rate > 0)
                 if need > budget_bytes:
                     raise BudgetExceeded(f"batch needs ~{need/2**30:.2f} GiB")
             train_step(spec, weights, adam, sub, x, y[batch], yhat, omega, config, task,

@@ -163,11 +163,12 @@ def cmd_train(args) -> int:
             records.append(MetricsRecord(args.model, bundle.name, fold, ev["micro_f1"], ev["loss"]))
             _write_csv(out / f"history_fold{fold}.csv", ["epoch", "train_loss", "val_loss", "lr"],
                        _history_rows(history))
-            # a generator: each row is formatted as it is written, never all at once
+            # a generator: each row is converted and formatted as it is written, never all
+            # at once (a generator's outermost iterable is built eagerly, so no .tolist() there)
             _write_csv(out / f"predictions_fold{fold}.csv",
                        ["node"] + [f"label_{j}" for j in range(bundle.num_labels)],
-                       ([n] + [repr(v) for v in row]
-                        for n, row in zip(split.test_nodes.tolist(), ev["predictions"].tolist())))
+                       ([int(n)] + [repr(v) for v in row.tolist()]
+                        for n, row in zip(split.test_nodes, ev["predictions"])))
         write_records_csv(records, out / "metrics.csv")
         f1s = [r.micro_f1 for r in records]
         report = {"model": args.model, "dataset": bundle.name, "folds": args.folds,

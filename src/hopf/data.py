@@ -103,6 +103,14 @@ def save_dataset(bundle: DatasetBundle, dir_path) -> None:
     _write_matrix(d / "labels.tsv", bundle.y)
 
 
+def _json_int(meta: dict, key: str) -> int:
+    """``meta[key]`` if it is a JSON integer; a float, string or bool is a TypeError."""
+    value = meta[key]
+    if type(value) is not int:  # bool is a subclass of int, so isinstance would pass it
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def load_dataset(dir_path) -> DatasetBundle:
     """Read a dataset directory; features come back unnormalized."""
     d = Path(dir_path)
@@ -111,7 +119,7 @@ def load_dataset(dir_path) -> DatasetBundle:
             raise IngestError(f"{d}: missing {fname}")
     try:  # not JSON, not UTF-8, not an object, or a field of the wrong kind
         meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
-        n, f, l = int(meta["n"]), int(meta["f"]), int(meta["l"])
+        n, f, l = (_json_int(meta, key) for key in ("n", "f", "l"))
         task = Task(meta["task"])
         name = str(meta["name"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -138,10 +146,21 @@ def row_normalize(x: np.ndarray) -> np.ndarray:
     return np.divide(x, norms, out=x.copy(), where=norms > 0)
 
 
+# gen_chain's one-hot attributes are a dense n x n matrix: 8 n^2 bytes, 0.8 GB at the cap
+CHAIN_MAX_N = 10_000
+
+
 def gen_chain(n: int) -> DatasetBundle:
-    """Path graph with one-hot per-node attributes and a two-class midpoint split."""
+    """Path graph with one-hot per-node attributes and a two-class midpoint split.
+
+    The attributes are a dense n x n identity, so n is capped at
+    ``CHAIN_MAX_N``; larger n is rejected before anything is allocated.
+    """
     if n < 2:
         raise ConfigError(f"chain needs n >= 2, got {n}")
+    if n > CHAIN_MAX_N:
+        raise ConfigError(f"chain attributes are a dense n x n matrix (8*n^2 bytes); "
+                          f"n={n} exceeds the limit of {CHAIN_MAX_N}")
     graph = build_graph([(i, i + 1) for i in range(n - 1)], n)
     x = np.eye(n)
     y = np.zeros((n, 2))

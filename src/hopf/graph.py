@@ -185,9 +185,12 @@ def _check_seeds(n: int, seeds) -> np.ndarray:
 def _induce(g: Graph, order: np.ndarray, offsets: list[int]) -> Subgraph:
     """Induced adjacency over ``order``, rows/columns renumbered to local ids.
 
-    One sliced CSR: rows in ``order``, then columns in ``order``, each row's
-    columns sorted ascending. A radius-zero extraction (a single frontier)
-    carries no edges: with no expansion step there is nothing to aggregate over.
+    One gather of the ball nodes' neighbor lists, mapped to local ids through
+    an n-length lookup; the in-ball entries are the row's columns, in the
+    graph's own neighbor order (ascending global id), so a row does not depend
+    on which other nodes share the ball. A radius-zero extraction (a single
+    frontier) carries no edges: with no expansion step there is nothing to
+    aggregate over.
     """
     if len(offsets) == 2:
         return Subgraph(
@@ -198,15 +201,21 @@ def _induce(g: Graph, order: np.ndarray, offsets: list[int]) -> Subgraph:
             frontier_offsets=tuple(offsets),
             degree=g.degree[order],
         )
-    adj = g.to_scipy()[order][:, order]
-    adj.sort_indices()
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[order] = np.arange(order.size)
+    cols = local[_gather_neighbors(g, order)]
+    keep = cols >= 0
+    # kept entries before each row's run of the gather
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    degree = g.degree[order]
+    run_ends = np.concatenate(([0], np.cumsum(degree)))
     return Subgraph(
         n=order.size,
-        indptr=adj.indptr.astype(np.int64),
-        indices=adj.indices.astype(np.int64),
+        indptr=kept_before[run_ends],
+        indices=cols[keep],
         global_ids=order,
         frontier_offsets=tuple(offsets),
-        degree=g.degree[order],
+        degree=degree,
     )
 
 
@@ -287,17 +296,15 @@ def normalize_adjacency(sub, scheme: NormScheme) -> sp.csr_matrix:
     """
     if scheme == NormScheme.MAXPOOL:
         raise ArgumentError("maxpool is not a matrix normalization; it is applied inside the kernel")
-    adj = sub.to_scipy()
-    counts = np.diff(adj.indptr)
-    deg = counts.astype(np.float64)
     if scheme == NormScheme.COUNT:
-        return adj
+        return sub.to_scipy()
+    counts = np.diff(sub.indptr)
     if scheme == NormScheme.MEAN:
-        inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-        adj.data = np.repeat(inv, counts)
-        return adj
-    if scheme == NormScheme.SYM_SELF:
+        deg = counts.astype(np.float64)
+        data = np.repeat(np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0), counts)
+    elif scheme == NormScheme.SYM_SELF:
         s = 1.0 / np.sqrt(sub.degree + 1.0)
-        adj.data = np.repeat(s, counts) * s[adj.indices]
-        return adj
-    raise ArgumentError(f"unknown normalization scheme {scheme!r}")
+        data = np.repeat(s, counts) * s[sub.indices]
+    else:
+        raise ArgumentError(f"unknown normalization scheme {scheme!r}")
+    return sp.csr_matrix((data, sub.indices, sub.indptr), shape=(sub.n, sub.n))

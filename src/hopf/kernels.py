@@ -347,6 +347,8 @@ class ForwardCache:
     ``features`` (see ``WHOLE_GRAPH_FRACTION``). ``adj[k]`` is layer k+1's
     block of the normalized adjacency, ``rows[k+1]`` by ``rows[k]``; its
     ``.T`` is a free CSC view, which the backward pass multiplies by directly.
+    :func:`backward` is the cache's only reader, and it consumes the cache:
+    it drops each layer's entries once it is done with them.
     """
 
     spec: KernelSpec
@@ -564,35 +566,62 @@ def _doutput(cache: ForwardCache, dloss_dy: np.ndarray) -> np.ndarray:
 
 def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
              dloss_dy: np.ndarray) -> ModelWeights:
-    """Exact gradients for every weight matrix of ``spec``.
+    """Exact gradients for every weight matrix of ``spec``; consumes ``cache``.
 
     Tied layers accumulate both path contributions into the shared array. The
     label channel is treated as data: no gradient is ever produced for it.
     Every activation gradient has the shape of its ``cache.x`` entry, so no
-    gradient reaches a row the forward pass did not compute.
+    gradient reaches a row the forward pass did not compute. Each gradient is
+    allocated when it is first written, and once a layer is done its ``x``,
+    ``active``, ``dropout``, ``phi_inputs``, ``psi_inputs`` and
+    ``maxpool_argmax`` entries and its gradient are dropped, so the step's
+    peak holds one layer's gradients, not every layer's. The cache cannot be
+    passed to ``backward`` a second time.
     """
     if cache.spec is not spec or cache.weights is not weights:
         raise StateError("cache does not belong to this spec/weights pair")
     dloss_dy = np.asarray(dloss_dy, dtype=np.float64)
     if dloss_dy.shape != cache.ytilde.shape:
         raise ShapeError(f"dloss shape {dloss_dy.shape} vs predictions {cache.ytilde.shape}")
+    if cache.x[-1] is None:
+        raise StateError("cache was already consumed by backward")
 
     grads = weights.zeros_like()
     dlogits = _doutput(cache, dloss_dy)
     grads.wl += cache.x[-1].T @ dlogits
 
-    dx = [np.zeros_like(x) for x in cache.x]
-    dx[-1] += dlogits @ weights.wl.T
+    dx = [None] * len(cache.x)
+    dx[-1] = dlogits @ weights.wl.T
 
-    for k in range(spec.depth - 1, -1, -1):
+    def add_grad(i: int, g: np.ndarray) -> None:
+        """``dx[i][:len(g)] += g``; a first write of every row takes ``g`` itself."""
+        if dx[i] is None and g.shape[0] == cache.rows[i]:
+            dx[i] = g
+            return
+        if dx[i] is None:
+            dx[i] = np.zeros_like(cache.x[i])
+        dx[i][: g.shape[0]] += g
+
+    def layer_grad(layer: int) -> np.ndarray:
+        """Layer's gradient at its pre-activation, masked in place; frees the layer."""
+        dh = dx[layer] if dx[layer] is not None else np.zeros_like(cache.x[layer])
+        dx[layer] = None
+        if cache.dropout[layer] is not None:
+            dh *= cache.dropout[layer]
+        if spec.skip_connections and layer > 0:
+            # the identity path passes dh on unmasked, so the ReLU mask needs its own array
+            dpre = dh * cache.active[layer]
+            add_grad(layer - 1, dh)
+        else:
+            dpre = np.multiply(dh, cache.active[layer], out=dh)
+        cache.x[layer] = cache.active[layer] = cache.dropout[layer] = None
+        return dpre
+
+    def propagate(k: int) -> None:
+        """Layer k+1's weight gradients, and its gradient into layers k and 0."""
         layer = k + 1  # index into cache.x / cache.active
         n_out = cache.rows[layer]
-        dh = dx[layer]
-        if cache.dropout[layer] is not None:
-            dh = dh * cache.dropout[layer]
-        if spec.skip_connections:
-            dx[layer - 1][:n_out] += dh
-        dpre = dh * cache.active[layer]
+        dpre = layer_grad(layer)
 
         d = spec.hidden_dim
         if spec.combine is Combine.CONCAT:
@@ -605,11 +634,7 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
             if cache.alpha_vec is not None:
                 dnode = cache.alpha_vec[:n_out, None] * dnode
             grads.wphi[k] += cache.phi_inputs[k].T @ dnode
-            dphi = dnode @ weights.wphi[k].T
-            if spec.phi is Phi.H0:
-                dx[0][:n_out] += dphi
-            else:
-                dx[layer - 1][:n_out] += dphi
+            add_grad(0 if spec.phi is Phi.H0 else layer - 1, dnode @ weights.wphi[k].T)
 
         if dneigh is not None:
             if spec.norm is NormScheme.MAXPOOL:
@@ -626,17 +651,19 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
             if spec.psi is Psi.H_PREV_CONCAT_LABELS:
                 grads.wpsi[k][w:] += cache.yhat[: cache.rows[k]].T @ dlin
             if spec.psi is not Psi.LABELS:  # the label channel takes no gradient
-                dx[layer - 1] += dlin @ weights.wpsi[k][:w].T
+                add_grad(layer - 1, dlin @ weights.wpsi[k][:w].T)
+        cache.phi_inputs[k] = cache.psi_inputs[k] = cache.maxpool_argmax[k] = None
 
-    dh0 = dx[0]
-    if cache.dropout[0] is not None:
-        dh0 = dh0 * cache.dropout[0]
-    dpre0 = dh0 * cache.active[0]
+    for k in range(spec.depth - 1, -1, -1):
+        propagate(k)
+
+    dpre0 = layer_grad(0)
     if cache.gathered is not None:
         grads.w0 += cache.gathered.T @ dpre0
     else:
         dpre0_graph = np.zeros((cache.features.shape[0], dpre0.shape[1]))
         dpre0_graph[cache.sub.global_ids[: cache.rows[0]]] = dpre0
+        del dpre0
         grads.w0 += cache.features.T @ dpre0_graph
     return grads
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -10,6 +12,23 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile("deterministic")
+
+
+def traced_peak(fn):
+    """Run ``fn()`` under tracemalloc; return ``(result, peak, kept)``.
+
+    ``peak`` is the most memory, in bytes, that ``fn`` held at once and
+    ``kept`` what is still allocated when it returns (its result, say), both
+    counted from the call's start.
+    """
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, kept - before
 
 
 def random_graph(n: int, num_edges: int, seed: int):

@@ -89,6 +89,8 @@ BAD_ARGUMENTS = [
     pytest.param("--memory-budget", ["bench-scaling", "--dataset", "{data}", "--hops", "1",
                                      "--variants", "nip_mean", "--memory-budget", "inf"],
                  id="bench-budget-inf"),
+    pytest.param("n=10001 exceeds the limit", ["gen", "chain", "--n", "10001"],
+                 id="gen-chain-past-limit"),
 ] + [
     # bench-scaling takes its graph from --dataset and its step from --config only
     pytest.param(f"unrecognized arguments: {flag}",
@@ -165,6 +167,13 @@ class TestExitCodes:
         pytest.param(b'{"name": "c", "n": 10000000000000, "f": 12, "l": 2, '
                      b'"task": "multi_class"}', "expected 10000000000000 rows, found 12",
                      id="n-beyond-the-rows"),
+        # only JSON integers count: a float is not truncated, a string not parsed, a bool not 1
+        pytest.param(b'{"name": "c", "n": 12.9, "f": 12, "l": 2, "task": "multi_class"}',
+                     "meta.json: 'n' must be an integer", id="n-a-float"),
+        pytest.param(b'{"name": "c", "n": "12", "f": 12, "l": 2, "task": "multi_class"}',
+                     "meta.json: 'n' must be an integer", id="n-a-string"),
+        pytest.param(b'{"name": "c", "n": true, "f": 12, "l": 2, "task": "multi_class"}',
+                     "meta.json: 'n' must be an integer", id="n-a-bool"),
     ])
     def test_malformed_meta_json_exits_2(self, tmp_path, capsys, meta, named):
         assert main(["gen", "chain", "--n", "12", "--out", str(tmp_path / "gen")]) == 0

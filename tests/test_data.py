@@ -9,6 +9,8 @@ from hopf import (ConfigError, DatasetBundle, IngestError, Task, build_graph,
                   gen_benchmark_graph, gen_chain, gen_planted_partition, load_dataset,
                   row_normalize, save_dataset)
 
+from conftest import traced_peak
+
 
 def minimal_bundle():
     g = build_graph([(0, 1), (1, 2)], 3)
@@ -150,6 +152,15 @@ class TestChain:
     def test_two_nodes(self):
         b = gen_chain(2)
         assert b.graph.num_edges == 1
+
+    def test_rejects_dense_identity_past_limit(self):
+        # the identity for n=10**6 would be 8 TB; the check comes before any allocation
+        def attempt():
+            with pytest.raises(ConfigError, match="exceeds the limit"):
+                gen_chain(10**6)
+
+        _, peak, _ = traced_peak(attempt)
+        assert peak < 2**20
 
 
 def pairwise_distance(graph):

@@ -1,5 +1,4 @@
 import csv
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +9,8 @@ from hopf import (ArgumentError, ConfigError, HopfConfig, ModelWeights, Task, Tr
                   gen_chain, gen_planted_partition, khop_subgraph, make_kernel, make_splits,
                   predict, row_normalize, run_hopf, temporal_average, train)
 from hopf.iterate import _DUMP_BLOCK_ROWS, _dump_labels
+
+from conftest import traced_peak
 
 
 def fixture(seed):
@@ -200,12 +201,7 @@ def test_label_dump_peak_memory_is_a_block_not_the_file(tmp_path):
     # at once took about four times it
     m = np.random.default_rng(1).random((16 * _DUMP_BLOCK_ROWS, 4))
     path = tmp_path / "labels.csv"
-    tracemalloc.start()
-    try:
-        _dump_labels(path, m)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced_peak(lambda: _dump_labels(path, m))
     assert peak < 0.5 * path.stat().st_size
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +10,7 @@ from hopf import (ArgumentError, ConfigError, HopfError, ModelWeights, NormSchem
 from hopf.kernels import (ITERATIVE_MODELS, REGISTRY, TRAINABLE_MODELS, WHOLE_GRAPH_FRACTION,
                           AlphaMode, BetaMode, Combine, Phi, Psi, layer_plan, layer_rows)
 
-from conftest import random_graph
+from conftest import random_graph, traced_peak
 
 # Expected resolved update rule per registry row, field by field:
 # (phi, F(A), psi, alpha, beta, tied)
@@ -319,6 +317,20 @@ class TestBackward:
         with pytest.raises(StateError):
             backward(spec, other, cache, np.zeros_like(yt))
 
+    def test_backward_consumes_the_cache(self):
+        # every layer's activations, masks and inputs are released as backward goes
+        _, sub, x, _, _ = rand_setup()
+        spec = make_kernel("gcn_s", depth=2, hidden_dim=4)
+        w = ModelWeights.init(spec, 5, 3, 1)
+        yt, cache = predict(spec, w, sub, x, task=Task.MULTI_CLASS, dropout_rate=0.3,
+                            rng=np.random.default_rng(0))
+        backward(spec, w, cache, np.ones_like(yt))
+        for entries in (cache.x, cache.active, cache.dropout, cache.phi_inputs,
+                        cache.psi_inputs):
+            assert all(e is None for e in entries)
+        with pytest.raises(StateError, match="already consumed"):
+            backward(spec, w, cache, np.ones_like(yt))
+
 
 class TestForwardCache:
     """The cache holds what backward reads: bool ReLU masks, views of x, no copies."""
@@ -348,13 +360,8 @@ class TestForwardCache:
         x, yh = rng.random((n, 20)), rng.random((n, labels))
         spec = make_kernel("i_nip_mean", depth=1, hidden_dim=hidden)
         w = ModelWeights.init(spec, 20, labels, 0)
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            yt, cache = predict(spec, w, sub, x, yh, task=Task.MULTI_LABEL)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        (yt, cache), _, kept = traced_peak(
+            lambda: predict(spec, w, sub, x, yh, task=Task.MULTI_LABEL))
         assert cache.gathered is None and yt.shape == (n, labels)
         assert kept < 6 * n * hidden * 8
 

@@ -1,8 +1,8 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 
+from conftest import traced_peak
 from hopf.manifest import fingerprint_dir
 
 
@@ -29,10 +29,5 @@ def test_chunked_digest_matches_one_shot_digest(tmp_path):
 def test_peak_memory_is_a_chunk_not_the_file(tmp_path):
     size = 8 * 2**20
     (tmp_path / "features.tsv").write_bytes(np.random.default_rng(1).bytes(size))
-    tracemalloc.start()
-    try:
-        fingerprint_dir(tmp_path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced_peak(lambda: fingerprint_dir(tmp_path))
     assert peak < size / 4

@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 import hopf.training as training_mod
 from hopf import (ArgumentError, ConfigError, EarlyStopState, Task, TrainConfig, TrainingError,
-                  evaluate, gen_planted_partition, infer, khop_subgraph, make_kernel,
-                  make_splits, row_normalize, train)
+                  evaluate, gen_benchmark_graph, gen_planted_partition, infer, khop_subgraph,
+                  make_kernel, make_splits, row_normalize, train)
+from hopf.bench import estimate_batch_bytes
 from hopf.kernels import TRAINABLE_MODELS, WHOLE_GRAPH_FRACTION, ModelWeights, layer_rows
+from hopf.numerics import AdamState
+from hopf.training import train_step
 
-from conftest import random_graph
+from conftest import random_graph, traced_peak
 
 
 def planted(seed, noise=0.4, n=400):
@@ -231,6 +234,59 @@ class TestTrainLoop:
         time_epoch(spec, bundle.graph, bundle.x, bundle.y, split.train_nodes, cfg,
                    bundle.task, None, budget_bytes=None, epoch_seed=0)
         assert rates == [0.5] * (split.train_nodes.size // 4)
+
+
+def step_on(spec, x, y, seeds, config=TrainConfig()):
+    """``train_step`` on a ball of ``seeds``, as one batch of ``train``; returns the ball."""
+    weights = ModelWeights.init(spec, x.shape[1], y.shape[1], config.rng_seed)
+    adam = {name: AdamState.for_param(p, lr=config.learning_rate) for name, p in weights.params()}
+    yhat = np.zeros_like(y) if spec.uses_labels else None
+
+    def step(sub):
+        train_step(spec, weights, adam, sub, x, y[seeds], yhat, np.ones(y.shape[1]), config,
+                   Task.MULTI_LABEL, config.learning_rate, epoch=1, batch=0)
+        return sub
+
+    return step
+
+
+class TestStepMemory:
+    def test_step_peak_is_a_few_layers_wide(self):
+        # a 128-seed nip_mean C=3 ball covering the graph, as on full_k3 (input layer in
+        # whole-graph form). In units U = rows[0]*hidden*8 the forward cache is about 3.8U
+        # (activations 2.6U, ReLU masks, the normalized adjacency), and backward adds at
+        # most a layer's gradient, the layer below's gradient, the aggregated neighbor term
+        # and its product: about 7.3U in all. Allocating every layer's gradient up front and
+        # masking into new arrays adds about 3U more.
+        bundle = gen_benchmark_graph(2000, 10_000, 50, 10, rng_seed=0)
+        seeds = np.random.default_rng(0).choice(2000, 128, replace=False)
+        spec = make_kernel("nip_mean", depth=3, hidden_dim=16)
+        sub = khop_subgraph(bundle.graph, seeds, spec.depth)
+        rows = layer_rows(sub, spec.depth)
+        assert rows[0] >= WHOLE_GRAPH_FRACTION * bundle.graph.n
+        step = step_on(spec, bundle.x, bundle.y, seeds)
+        step(sub)  # first call: lazy imports and caches
+        _, peak, _ = traced_peak(lambda: step(sub))
+        assert peak < 8.5 * rows[0] * spec.hidden_dim * 8
+
+    @pytest.mark.parametrize("name,depth", [("nip_mean", 1), ("nip_mean", 2), ("nip_mean", 3),
+                                            ("i_nip_mean", 1), ("i_nip_mean", 2)])
+    @pytest.mark.parametrize("whole_graph", [False, True], ids=["gathered", "whole-graph"])
+    def test_batch_estimate_tracks_the_traced_peak(self, name, depth, whole_graph):
+        # the models bench-scaling runs; 32 seeds of a sparse graph keep the ball under
+        # WHOLE_GRAPH_FRACTION, half the nodes put it over
+        n = 3000
+        graph = random_graph(n, 4000, 5)
+        rng = np.random.default_rng(5)
+        x, y = rng.random((n, 100)), (rng.random((n, 10)) < 0.3).astype(np.float64)
+        seeds = rng.choice(n, n // 2 if whole_graph else 32, replace=False)
+        spec = make_kernel(name, depth=depth)
+        step = step_on(spec, x, y, seeds)
+        step(khop_subgraph(graph, seeds, depth))  # first call: lazy imports and caches
+        sub, peak, _ = traced_peak(lambda: step(khop_subgraph(graph, seeds, depth)))
+        assert (layer_rows(sub, depth)[0] >= WHOLE_GRAPH_FRACTION * n) == whole_graph
+        estimate = estimate_batch_bytes(spec, sub, n, 100, 10)
+        assert 0.5 * peak <= estimate <= 2 * peak
 
 
 class _RowLogger(np.ndarray):
