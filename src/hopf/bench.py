@@ -7,7 +7,8 @@ with depth K in a single epoch; an iterative variant with C differentiable hops
 reaches the same K by running K/C single-epoch rounds, so its cost grows
 linearly in K while the full kernel's neighborhood sizes blow up with depth.
 
-Cells whose projected activation/gradient footprint exceeds the configured
+Each cell also reports its largest per-batch footprint from
+:func:`estimate_batch_bytes`; cells whose footprint exceeds the configured
 memory budget are reported as ``infeasible`` instead of crashing.
 """
 
@@ -30,6 +31,10 @@ from .training import SplitSpec, TrainConfig, _batches, _class_weights, train_st
 class BudgetExceeded(Exception):
     """Projected working set is over the memory budget; the cell is infeasible."""
 
+    def __init__(self, message: str, batch_bytes: int):
+        super().__init__(message)
+        self.batch_bytes = batch_bytes
+
 
 @dataclass
 class BenchCell:
@@ -37,6 +42,7 @@ class BenchCell:
     hops: int
     mean_seconds: float | None
     status: str  # ok | infeasible | n/a
+    batch_bytes: int | None = None  # largest estimate_batch_bytes over the cell's batches
 
 
 def parse_variant(token: str) -> tuple[str, int]:
@@ -72,8 +78,8 @@ def estimate_batch_bytes(spec, sub: Subgraph, num_nodes: int, num_features: int,
     rows = layer_rows(sub, spec.depth)
     widths = plan.h_widths
     nnz = sub.indices.size
-    ball = 8 * (nnz + 3 * sub.n)  # indices, indptr, global ids, degrees
-    adjacency = 12 * nnz + 4 * sub.n  # float64 weights, int32 indices and indptr
+    ball = 4 * (nnz + sub.n) + 16 * sub.n  # int32 indices and indptr, int64 ids and degrees
+    adjacency = 8 * nnz  # float64 weights; scipy shares the ball's int32 index arrays
     cache = sum(r * w * (9 + 8 * dropout) for r, w in zip(rows, widths))
     if spec.uses_labels:
         cache += 8 * rows[0] * num_labels
@@ -87,30 +93,33 @@ def estimate_batch_bytes(spec, sub: Subgraph, num_nodes: int, num_features: int,
 
 
 def time_epoch(spec, graph, x, y, train_nodes, config: TrainConfig, task,
-               yhat, budget_bytes: int | None, epoch_seed: int) -> float:
+               yhat, budget_bytes: int | None, epoch_seed: int) -> tuple[float, int]:
     """One mini-batch epoch of :func:`~hopf.training.train_step`, timed end to end.
 
-    Raises BudgetExceeded when a batch's projected footprint is over budget.
+    Returns the seconds and the largest :func:`estimate_batch_bytes` of its
+    batches. Raises BudgetExceeded when a batch's projected footprint is over
+    budget.
     """
     weights = ModelWeights.init(spec, x.shape[1], y.shape[1], config.rng_seed)
     adam = {name: AdamState.for_param(p, lr=config.learning_rate) for name, p in weights.params()}
     omega = _class_weights(y, train_nodes, config.use_wce)
     rng = np.random.default_rng(epoch_seed)
     batches = _batches(train_nodes, config.batch_size, rng)
+    peak = 0
     start = time.perf_counter()
     try:
         for bidx, batch in enumerate(batches):
             sub = khop_subgraph(graph, batch, spec.depth)
-            if budget_bytes is not None:
-                need = estimate_batch_bytes(spec, sub, x.shape[0], x.shape[1], y.shape[1],
-                                            config.dropout_rate > 0)
-                if need > budget_bytes:
-                    raise BudgetExceeded(f"batch needs ~{need/2**30:.2f} GiB")
+            need = estimate_batch_bytes(spec, sub, x.shape[0], x.shape[1], y.shape[1],
+                                        config.dropout_rate > 0)
+            peak = max(peak, need)
+            if budget_bytes is not None and need > budget_bytes:
+                raise BudgetExceeded(f"batch needs ~{need/2**30:.2f} GiB", need)
             train_step(spec, weights, adam, sub, x, y[batch], yhat, omega, config, task,
                        config.learning_rate, epoch=1, batch=bidx)
     except MemoryError as exc:  # pragma: no cover - depends on host memory
-        raise BudgetExceeded(str(exc)) from exc
-    return time.perf_counter() - start
+        raise BudgetExceeded(str(exc), peak) from exc
+    return time.perf_counter() - start, peak
 
 
 def run_scaling(bundle: DatasetBundle, split: SplitSpec, variants, hops_list,
@@ -132,17 +141,22 @@ def run_scaling(bundle: DatasetBundle, split: SplitSpec, variants, hops_list,
             depth = k if not c_fixed else c_fixed
             rounds = 1 if not c_fixed else k // c_fixed
             spec = make_kernel(name, depth=depth, hidden_dim=config.hidden_dim)
+            peak = 0
             try:
                 times = []
                 for rep in range(repeats + 1):  # first lap warms caches, not counted
                     total = 0.0
                     for t in range(rounds):
-                        total += time_epoch(spec, bundle.graph, x, y, split.train_nodes,
-                                            config, bundle.task, yhat_zero, budget_bytes,
-                                            epoch_seed=config.rng_seed + 7919 * (rep * rounds + t))
+                        seconds, need = time_epoch(
+                            spec, bundle.graph, x, y, split.train_nodes, config, bundle.task,
+                            yhat_zero, budget_bytes,
+                            epoch_seed=config.rng_seed + 7919 * (rep * rounds + t))
+                        total += seconds
+                        peak = max(peak, need)
                     if rep > 0:
                         times.append(total)
-                cells.append(BenchCell(token, k, float(np.mean(times)), "ok"))
-            except BudgetExceeded:
-                cells.append(BenchCell(token, k, None, "infeasible"))
+                cells.append(BenchCell(token, k, float(np.mean(times)), "ok", peak))
+            except BudgetExceeded as exc:
+                cells.append(BenchCell(token, k, None, "infeasible",
+                                       max(peak, exc.batch_bytes)))
     return cells

@@ -73,8 +73,12 @@ def _parse_list(text: str, flag: str, kind) -> list:
     return values
 
 
-def _load_bundle(path) -> DatasetBundle:
+def _load_bundle(path, manifest, out) -> DatasetBundle:
+    """The bundle at ``path`` with row-normalized features; the manifest records,
+    and is written again with, how the dataset cache served it."""
     bundle = load_dataset(path)
+    manifest.dataset_cache = bundle.cache_outcome
+    manifest.write(out)
     bundle.x = row_normalize(bundle.x)
     return bundle
 
@@ -148,7 +152,7 @@ def cmd_train(args) -> int:
                         seeds={"rng_seed": config.rng_seed},
                         dataset_dir=args.dataset) as manifest:
         t0 = time.perf_counter()
-        bundle = _load_bundle(args.dataset)
+        bundle = _load_bundle(args.dataset, manifest, out)
         manifest.timings["load_seconds"] = time.perf_counter() - t0
         spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
         if caps is not None and len(caps) != spec.depth:
@@ -188,8 +192,9 @@ def cmd_hopf(args) -> int:
     out = Path(args.out)
     with manifest_scope(out, "hopf", {**asdict(config), "C": spec.depth, **asdict(hopf_config),
                                       "model": args.model, "fold": args.fold},
-                        seeds={"rng_seed": config.rng_seed}, dataset_dir=args.dataset):
-        bundle = _load_bundle(args.dataset)
+                        seeds={"rng_seed": config.rng_seed},
+                        dataset_dir=args.dataset) as manifest:
+        bundle = _load_bundle(args.dataset, manifest, out)
         splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)
         result = run_hopf(spec, bundle.graph, bundle.x, bundle.y, splits[args.fold],
                           config, hopf_config, bundle.task, out_dir=out / "iterations")
@@ -215,15 +220,17 @@ def cmd_bench_scaling(args) -> int:
     with manifest_scope(out, "bench-scaling",
                         {**asdict(config), "hops": args.hops, "variants": args.variants,
                          "repeats": args.repeats, "memory_budget_gib": args.memory_budget},
-                        seeds={"rng_seed": config.rng_seed}, dataset_dir=args.dataset):
-        bundle = _load_bundle(args.dataset)
+                        seeds={"rng_seed": config.rng_seed},
+                        dataset_dir=args.dataset) as manifest:
+        bundle = _load_bundle(args.dataset, manifest, out)
         split = make_splits(bundle.graph.n, config.rng_seed)[0]
         budget = None if args.memory_budget <= 0 else int(args.memory_budget * 2**30)
         cells = run_scaling(bundle, split, args.variants.split(","), hops,
                             args.repeats, config, budget_bytes=budget)
-        _write_csv(out / "timings.csv", ["variant", "hops", "mean_seconds", "status"],
+        _write_csv(out / "timings.csv",
+                   ["variant", "hops", "mean_seconds", "status", "batch_bytes"],
                    [[c.variant, c.hops, "" if c.mean_seconds is None else repr(c.mean_seconds),
-                     c.status] for c in cells])
+                     c.status, "" if c.batch_bytes is None else c.batch_bytes] for c in cells])
     width = max(len(c.variant) for c in cells) + 2
     print(f"{'variant':<{width}}{'hops':>6}  {'mean epoch s':>14}  status")
     for c in cells:
@@ -242,8 +249,9 @@ def cmd_neighbor_fraction(args) -> int:
     with manifest_scope(out, "neighbor-fraction",
                         {**asdict(config), "model": args.model,
                          "fractions": fractions, "hops": args.hops},
-                        seeds={"rng_seed": config.rng_seed}, dataset_dir=args.dataset):
-        bundle = _load_bundle(args.dataset)
+                        seeds={"rng_seed": config.rng_seed},
+                        dataset_dir=args.dataset) as manifest:
+        bundle = _load_bundle(args.dataset, manifest, out)
         spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
         split = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)[args.fold]
         max_degree = int(bundle.graph.degree.max())

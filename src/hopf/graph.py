@@ -8,10 +8,12 @@ reproducible for a fixed seed set.
 
 from __future__ import annotations
 
+import codecs
+import io
+import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,7 +43,11 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class _CSR:
-    """Read-only CSR adjacency of ``n`` nodes plus one degree per node."""
+    """Read-only CSR adjacency of ``n`` nodes plus one degree per node.
+
+    ``indptr`` and ``indices`` are int32, the index type scipy's sparse
+    products take without a copy; ``degree`` is int64.
+    """
 
     n: int
     indptr: np.ndarray
@@ -100,14 +106,20 @@ class Subgraph(_CSR):
         return self.frontier_offsets[1]
 
 
+# the int32 CSR holds at most this many nodes and stored adjacency entries
+CSR_INDEX_MAX = np.iinfo(np.int32).max
+
+
 def build_graph(edge_list, n: int) -> Graph:
     """Build a symmetric CSR graph from an iterable of (u, v) pairs.
 
     Duplicate edges are collapsed and self-loops dropped (a node's own
     contribution enters through the kernel's node path, never the adjacency).
+    More than ``CSR_INDEX_MAX`` nodes or stored entries (twice the edge
+    count) do not fit the int32 CSR and are rejected.
     """
-    if n < 0:
-        raise IngestError(f"node count must be non-negative, got {n}")
+    if not 0 <= n <= CSR_INDEX_MAX:
+        raise IngestError(f"node count must lie in [0, {CSR_INDEX_MAX}], got {n}")
     pairs = np.asarray(edge_list if isinstance(edge_list, np.ndarray) else list(edge_list),
                        dtype=np.int64)
     if pairs.size == 0:
@@ -119,6 +131,9 @@ def build_graph(edge_list, n: int) -> Graph:
         raise IngestError(f"edge ({bad[0]}, {bad[1]}) out of range for n={n}")
 
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # strip self-loops
+    if 2 * pairs.shape[0] > CSR_INDEX_MAX:
+        raise IngestError(f"{pairs.shape[0]} edges exceed the int32 CSR limit of "
+                          f"{CSR_INDEX_MAX} adjacency entries")
     if pairs.shape[0]:
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
@@ -130,33 +145,66 @@ def build_graph(edge_list, n: int) -> Graph:
 
     return Graph(
         n=n,
-        indptr=adj.indptr.astype(np.int64),
-        indices=adj.indices.astype(np.int64),
+        indptr=adj.indptr.astype(np.int32, copy=False),
+        indices=adj.indices.astype(np.int32, copy=False),
         degree=np.diff(adj.indptr).astype(np.int64),
     )
 
 
-def load_edge_list(path) -> np.ndarray:
+READ_BLOCK = 1 << 16  # read_lines reads files this many bytes at a time
+
+
+def read_lines(path, digest=None):
+    """The lines of a UTF-8 text file, without their ends, read a block at a time.
+
+    Line ends are those of text mode (``\\n``, ``\\r\\n`` or ``\\r``). Each block of
+    bytes goes to ``digest.update``, if a digest is given, as it is read. The
+    lines come out of one list per block, so numpy's C reader iterates them
+    without running Python code per line, and only a block of the file is held
+    at a time.
+    """
+    return itertools.chain.from_iterable(_line_blocks(path, digest))
+
+
+def _line_blocks(path, digest):
+    decode = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(),
+                                          translate=True).decode
+    tail = ""
+    with open(path, "rb") as fh:
+        while block := fh.read(READ_BLOCK):
+            if digest is not None:
+                digest.update(block)
+            lines = (tail + decode(block)).split("\n")
+            tail = lines.pop()
+            yield lines
+    tail += decode(b"", final=True)
+    if tail:
+        yield [tail]
+
+
+def load_edge_list(path, open_lines=read_lines) -> np.ndarray:
     """Parse a tab-separated edge-list file into an (m, 2) int64 array.
 
-    ``#`` starts a comment. numpy's C reader parses the file; only when it
-    rejects the file does the per-line reader run, to name the offending line.
+    ``#`` starts a comment. numpy's C reader parses the lines
+    ``open_lines(path)`` returns; only when it rejects them does the per-line
+    reader run, on the lines of a second ``open_lines(path)``, to name the
+    offending line.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty file warns; the line reader handles it
-            edges = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments="#", ndmin=2,
-                               encoding="utf-8")
+            edges = np.loadtxt(open_lines(path), dtype=np.int64, delimiter="\t", comments="#",
+                               ndmin=2)
         if edges.shape[1] == 2:
             return edges
     except (ValueError, Warning):
         pass
-    return _read_edge_lines(path)
+    return _read_edge_lines(path, open_lines)
 
 
-def _read_edge_lines(path) -> np.ndarray:
+def _read_edge_lines(path, open_lines) -> np.ndarray:
     edges = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in numbered_lines(open_lines(path), path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -171,6 +219,21 @@ def _read_edge_lines(path) -> np.ndarray:
             raise IngestError(f"{path}:{lineno}: node id out of the int64 range")
         edges.append((u, v))
     return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def numbered_lines(lines, name):
+    """``(line number, line)`` for each of ``lines``, from :func:`read_lines`.
+
+    Bytes that are not UTF-8 are an IngestError naming ``name`` and the last
+    good line; lines are decoded a block at a time, so the bad byte lies in
+    one of the lines after it.
+    """
+    lineno = 0
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{name}: not UTF-8 text after line {lineno} ({exc.reason})") from exc
 
 
 def _check_seeds(n: int, seeds) -> np.ndarray:
@@ -195,13 +258,13 @@ def _induce(g: Graph, order: np.ndarray, offsets: list[int]) -> Subgraph:
     if len(offsets) == 2:
         return Subgraph(
             n=order.size,
-            indptr=np.zeros(order.size + 1, dtype=np.int64),
-            indices=np.empty(0, dtype=np.int64),
+            indptr=np.zeros(order.size + 1, dtype=np.int32),
+            indices=np.empty(0, dtype=np.int32),
             global_ids=order,
             frontier_offsets=tuple(offsets),
             degree=g.degree[order],
         )
-    local = np.full(g.n, -1, dtype=np.int64)
+    local = np.full(g.n, -1, dtype=np.int32)
     local[order] = np.arange(order.size)
     cols = local[_gather_neighbors(g, order)]
     keep = cols >= 0
@@ -211,7 +274,7 @@ def _induce(g: Graph, order: np.ndarray, offsets: list[int]) -> Subgraph:
     run_ends = np.concatenate(([0], np.cumsum(degree)))
     return Subgraph(
         n=order.size,
-        indptr=kept_before[run_ends],
+        indptr=kept_before[run_ends].astype(np.int32),
         indices=cols[keep],
         global_ids=order,
         frontier_offsets=tuple(offsets),

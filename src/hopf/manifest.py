@@ -42,6 +42,8 @@ class RunManifest:
     dataset_fingerprint: str | None
     code_version: str
     timings: dict = field(default_factory=dict)
+    # how the dataset was read: "hit" or "miss" in the binary cache, or "unavailable"
+    dataset_cache: str | None = None
 
     @classmethod
     def start(cls, command: str, config: dict, seeds: dict,

@@ -377,3 +377,32 @@ def test_c10_wce_and_model_comparison(tmp_path):
     assert round(reddit_gcn, 5) == 0.07633
     report(10, f"i_nip_mean ranks first with mean shortfall {best_sf:.4f}; "
                f"reddit/gcn cell shortfall {reddit_gcn:.5f}")
+
+
+def test_c11_iterative_reach_fits_where_full_kernel_does_not():
+    # the paper's memory claim, from byte counts alone: under one fixed per-batch
+    # budget the full kernel runs out of room as its depth K grows, while the
+    # iterative kernel reaches the same K with C=1 and K rounds at a constant footprint
+    from hopf import gen_benchmark_graph
+    from hopf.bench import run_scaling
+
+    bundle = gen_benchmark_graph(n=2000, m_edges=8000, f=16, l=4, rng_seed=0)
+    bundle.x = row_normalize(bundle.x)
+    split = make_splits(2000, rng_seed=0)[0]
+    cfg = TrainConfig(batch_size=64, hidden_dim=16, use_wce=False, rng_seed=0,
+                      max_epochs=1, min_epochs=1)
+    budget = 2**20
+    hops = [1, 2, 3, 4]
+    cells = run_scaling(bundle, split, ["nip_mean", "i_nip_mean_c1"], hops, repeats=1,
+                        config=cfg, budget_bytes=budget)
+    full = {c.hops: c for c in cells if c.variant == "nip_mean"}
+    iterative = {c.hops: c for c in cells if c.variant == "i_nip_mean_c1"}
+
+    assert all(iterative[k].status == "ok" and iterative[k].batch_bytes <= budget for k in hops)
+    assert full[1].status == "ok" and full[1].batch_bytes <= budget
+    first_out = min(k for k in hops if full[k].status == "infeasible")
+    assert all(full[k].status == "infeasible" and full[k].batch_bytes > budget
+               for k in hops if k >= first_out)
+    report(11, f"at {budget} bytes per batch, nip_mean is infeasible from K={first_out} "
+               f"({full[first_out].batch_bytes} bytes) while i_nip_mean_c1 stays within "
+               f"{max(c.batch_bytes for c in iterative.values())} bytes up to K={hops[-1]}")

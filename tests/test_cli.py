@@ -184,6 +184,22 @@ class TestExitCodes:
         assert code == 2
         assert named in capsys.readouterr().err
 
+    # a planted bundle with one feature cell made non-finite: an ingest error, not a
+    # "non-finite validation loss" from training
+    @pytest.mark.parametrize("cell", [pytest.param("nan", id="feature-nan"),
+                                      pytest.param("inf", id="feature-inf")])
+    def test_non_finite_feature_exits_2(self, tmp_path, capsys, cell):
+        assert main(["gen", "planted", "--n", "400", "--seed", "1",
+                     "--out", str(tmp_path / "gen")]) == 0
+        path = tmp_path / "gen" / "dataset" / "features.tsv"
+        lines = path.read_text().splitlines()
+        lines[6] = "\t".join([cell] + lines[6].split("\t")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--dataset", str(path.parent), "--model", "nip_mean", "-C", "1",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"features.tsv:7: non-finite value {float(cell)}" in capsys.readouterr().err
+
     def test_manifest_written_before_results(self, tmp_path):
         out = tmp_path / "run"
         code = main(["train", "--dataset", str(tmp_path / "nonexistent"),
@@ -416,6 +432,10 @@ class TestBenchScaling:
         assert cells[("i_nip_mean_c1", 2)]["status"] == "ok"
         assert cells[("i_nip_mean_c2", 1)]["status"] == "n/a"  # 1 hop unreachable with C=2
         assert float(cells[("nip_mean", 2)]["mean_seconds"]) > 0
+        # bytes beside seconds: the largest batch estimate of each cell that ran
+        assert cells[("i_nip_mean_c2", 1)]["batch_bytes"] == ""
+        bytes_at = {hops: int(cells[("nip_mean", hops)]["batch_bytes"]) for hops in (1, 2)}
+        assert bytes_at[2] > bytes_at[1] > 0
 
     def test_memory_budget_marks_infeasible(self, tmp_path, capsys, bench_config):
         data = gen_benchmark(tmp_path, 600, 1800)
@@ -428,6 +448,7 @@ class TestBenchScaling:
         rows = read_csv(out / "timings.csv")
         assert rows[0]["status"] == "infeasible"
         assert rows[0]["mean_seconds"] == ""
+        assert int(rows[0]["batch_bytes"]) > 0.000001 * 2**30
 
     def test_config_reaches_the_timed_step_and_the_manifest(self, planted_dir, tmp_path,
                                                             capsys, monkeypatch):
@@ -485,6 +506,8 @@ def test_every_verb_records_its_total_time(planted_dir, fast_config, tmp_path, c
     assert manifest["command"] == argv[0]
     assert manifest["timings"]["total_seconds"] > 0
     assert ("load_seconds" in manifest["timings"]) == (argv[0] == "train")
+    # each test starts on an empty cache, so a verb that reads the bundle parses it
+    assert manifest["dataset_cache"] == ("miss" if "--dataset" in argv else None)
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])

@@ -97,6 +97,16 @@ class TestIngestErrors:
             with pytest.raises(IngestError, match="features.tsv:2"):
                 load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, cell):
+        save_dataset(minimal_bundle(), tmp_path / "d")
+        path = tmp_path / "d" / "features.tsv"
+        good = path.read_text().splitlines()
+        # a blank line before the bad row: the error names the line, not the row
+        path.write_text("\n".join([good[0], "", good[1], f"1\t{cell}"]) + "\n")
+        with pytest.raises(IngestError, match=r"features.tsv:4: non-finite value"):
+            load_dataset(tmp_path / "d")
+
     def test_multiclass_must_be_one_hot(self, tmp_path):
         save_dataset(minimal_bundle(), tmp_path / "d")
         (tmp_path / "d" / "labels.tsv").write_text("1\t1\n0\t1\n1\t0\n")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hopf import (ArgumentError, IngestError, NormScheme, build_graph, khop_subgraph,
                   load_edge_list, normalize_adjacency, sample_neighbors)
+from hopf import graph as graph_mod
 
 from conftest import random_graph
 
@@ -70,6 +71,22 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             triangle.degree[0] = 5
 
+    def test_csr_indices_are_int32_and_degrees_int64(self, chain6):
+        assert chain6.indptr.dtype == chain6.indices.dtype == np.int32
+        assert chain6.degree.dtype == np.int64
+        sub = khop_subgraph(chain6, [0, 5], 2)
+        assert sub.indptr.dtype == sub.indices.dtype == np.int32
+        assert sub.degree.dtype == np.int64
+
+    def test_rejects_more_entries_than_int32_holds(self, monkeypatch):
+        # 2**31 - 1 entries cannot be allocated in a test; the check reads the module limit
+        monkeypatch.setattr(graph_mod, "CSR_INDEX_MAX", 4)
+        assert build_graph([(0, 1), (1, 2)], 3).indices.size == 4
+        with pytest.raises(IngestError, match="int32 CSR limit"):
+            build_graph([(0, 1), (1, 2), (2, 0)], 3)
+        with pytest.raises(IngestError, match="node count"):
+            build_graph([], 5)
+
 
 class TestEdgeListFile:
     def test_parse(self, tmp_path):
@@ -81,6 +98,17 @@ class TestEdgeListFile:
         p = tmp_path / "bad.tsv"
         p.write_text("0 1\n")
         with pytest.raises(IngestError):
+            load_edge_list(p)
+
+    def test_crlf_and_cr_line_ends(self, tmp_path):
+        p = tmp_path / "graph.tsv"
+        p.write_bytes(b"0\t1\r\n1\t2\r2\t3\n")
+        assert load_edge_list(p).tolist() == [[0, 1], [1, 2], [2, 3]]
+
+    def test_not_utf8_names_file(self, tmp_path):
+        p = tmp_path / "graph.tsv"
+        p.write_bytes(b"0\t1\n\xff\t2\n")
+        with pytest.raises(IngestError, match="graph.tsv: not UTF-8 text after line 0"):
             load_edge_list(p)
 
 
@@ -201,6 +229,12 @@ class TestNormalize:
             deg = sub.degree
             assert np.allclose(out[deg > 0], 1.0)
             assert np.allclose(out[deg == 0], 0.0)
+
+    @pytest.mark.parametrize("scheme", [NormScheme.MEAN, NormScheme.SYM_SELF, NormScheme.COUNT])
+    def test_weighted_adjacency_shares_the_ball_index_arrays(self, chain6, scheme):
+        sub = khop_subgraph(chain6, [2], 2)
+        m = normalize_adjacency(sub, scheme)
+        assert np.shares_memory(m.indices, sub.indices) and np.shares_memory(m.indptr, sub.indptr)
 
     def test_maxpool_rejected(self, triangle):
         with pytest.raises(ArgumentError):
