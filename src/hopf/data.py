@@ -93,7 +93,8 @@ def _read_matrix_lines(path: Path, name: str, open_lines) -> np.ndarray:
         if rows and len(row) != len(rows[0]):
             raise IngestError(f"{name}:{lineno}: expected {len(rows[0])} columns, found {len(row)}")
         rows.append(row)
-    return np.asarray(rows, dtype=np.float64)
+    # 2-D even with no rows, so the column check can read shape[1]
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 def save_dataset(bundle: DatasetBundle, dir_path) -> None:
@@ -406,6 +407,8 @@ def gen_planted_partition(n: int, num_blocks: int, p_in: float, p_out: float,
         raise ConfigError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
     if num_blocks < 2 or n < num_blocks:
         raise ConfigError("need at least two blocks and one node per block")
+    if not 0.0 <= feature_noise <= 1.0:  # nan fails this too
+        raise ConfigError(f"feature noise must lie in [0, 1], got {feature_noise}")
     rng = np.random.default_rng(rng_seed)
     block = (np.arange(n) * num_blocks) // n
     same = block[:, None] == block[None, :]

@@ -80,7 +80,7 @@ class Graph(_CSR):
 
 @dataclass(frozen=True)
 class Subgraph(_CSR):
-    """Induced subgraph with local CSR indices and the local-to-global id map.
+    """A ball around seed nodes: local CSR indices and the local-to-global id map.
 
     ``frontier_offsets[h]`` is the start of hop-h nodes inside ``global_ids``;
     seeds occupy the prefix ``global_ids[:frontier_offsets[1]]``. Because of
@@ -89,9 +89,11 @@ class Subgraph(_CSR):
     the prefix ``[:frontier_offsets[C - k + 1]]`` (see
     :func:`hopf.kernels.layer_rows`).
 
-    ``degree`` holds each node's degree in the whole graph, as on
-    :class:`Graph`; a node on the ball's last frontier has fewer induced
-    edges than that, and degree-normalized schemes must not see the cut.
+    Row v holds the neighbors node v drew when the ball expanded it (see
+    :func:`sample_neighbors`); nodes of the last frontier were not expanded,
+    and their rows are empty. ``degree`` holds each node's degree in the
+    whole graph, as on :class:`Graph`, also where a sampled or empty row holds
+    fewer entries.
     """
 
     global_ids: np.ndarray
@@ -245,43 +247,6 @@ def _check_seeds(n: int, seeds) -> np.ndarray:
     return seeds
 
 
-def _induce(g: Graph, order: np.ndarray, offsets: list[int]) -> Subgraph:
-    """Induced adjacency over ``order``, rows/columns renumbered to local ids.
-
-    One gather of the ball nodes' neighbor lists, mapped to local ids through
-    an n-length lookup; the in-ball entries are the row's columns, in the
-    graph's own neighbor order (ascending global id), so a row does not depend
-    on which other nodes share the ball. A radius-zero extraction (a single
-    frontier) carries no edges: with no expansion step there is nothing to
-    aggregate over.
-    """
-    if len(offsets) == 2:
-        return Subgraph(
-            n=order.size,
-            indptr=np.zeros(order.size + 1, dtype=np.int32),
-            indices=np.empty(0, dtype=np.int32),
-            global_ids=order,
-            frontier_offsets=tuple(offsets),
-            degree=g.degree[order],
-        )
-    local = np.full(g.n, -1, dtype=np.int32)
-    local[order] = np.arange(order.size)
-    cols = local[_gather_neighbors(g, order)]
-    keep = cols >= 0
-    # kept entries before each row's run of the gather
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
-    degree = g.degree[order]
-    run_ends = np.concatenate(([0], np.cumsum(degree)))
-    return Subgraph(
-        n=order.size,
-        indptr=kept_before[run_ends].astype(np.int32),
-        indices=cols[keep],
-        global_ids=order,
-        frontier_offsets=tuple(offsets),
-        degree=degree,
-    )
-
-
 def _gather_neighbors(g: Graph, nodes: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists of ``nodes``, in one CSR gather."""
     starts = g.indptr[nodes]
@@ -292,35 +257,59 @@ def _gather_neighbors(g: Graph, nodes: np.ndarray) -> np.ndarray:
 
 
 def _expand(g: Graph, seeds, caps, rng) -> Subgraph:
-    """Frontier-ordered BFS from ``seeds``, one hop per cap.
+    """Frontier-ordered BFS from ``seeds``, one hop per cap, and the ball's CSR.
 
-    A node whose degree exceeds the hop's cap contributes ``cap`` neighbors
-    drawn uniformly without replacement, one ``rng.choice`` per such node in
-    frontier order; every other node contributes all of its neighbors.
+    A node whose degree exceeds the hop's cap draws ``cap`` neighbors
+    uniformly without replacement, one ``rng.choice`` per such node in
+    frontier order; every other node draws all of its neighbors. A node's
+    row is what it drew, in ascending global id, mapped to local ids, so a
+    row does not depend on which other nodes share the ball. Nodes of the
+    last frontier draw nothing, and their rows are empty.
     """
     seeds = _check_seeds(g.n, seeds)
-    in_set = np.zeros(g.n, dtype=bool)
-    in_set[seeds] = True
+    local = np.full(g.n, -1, dtype=np.int32)
+    local[seeds] = np.arange(seeds.size)
     order = [seeds]
     offsets = [0, seeds.size]
+    counts, cols = [], [np.empty(0, dtype=np.int32)]
     frontier = seeds
     for cap in caps:
-        over = g.degree[frontier] > cap
-        picked = [_gather_neighbors(g, frontier[~over])]
-        picked += [rng.choice(g.neighbors(v), size=cap, replace=False) for v in frontier[over]]
+        degree = g.degree[frontier]
+        over = degree > cap
+        lens = np.minimum(degree, cap)
+        drawn = _gather_neighbors(g, frontier[~over])
+        if over.any():
+            rows = np.empty(lens.sum(), dtype=drawn.dtype)
+            rows[np.repeat(~over, lens)] = drawn
+            for v, end in zip(frontier[over], np.cumsum(lens)[over]):
+                rows[end - cap : end] = np.sort(rng.choice(g.neighbors(v), size=cap,
+                                                           replace=False))
+            drawn = rows
         hit = np.zeros(g.n, dtype=bool)
-        hit[np.concatenate(picked)] = True
-        hit &= ~in_set
+        hit[drawn] = True
+        hit &= local < 0
         new = np.flatnonzero(hit)
-        in_set |= hit
+        local[new] = np.arange(offsets[-1], offsets[-1] + new.size)
+        counts.append(lens)
+        cols.append(local[drawn])
         order.append(new)
         offsets.append(offsets[-1] + new.size)
         frontier = new
-    return _induce(g, np.concatenate(order), offsets)
+    counts.append(np.zeros(frontier.size, dtype=np.int64))
+    order = np.concatenate(order)
+    return Subgraph(
+        n=order.size,
+        indptr=np.concatenate(([0], np.cumsum(np.concatenate(counts)))).astype(np.int32),
+        indices=np.concatenate(cols),
+        global_ids=order,
+        frontier_offsets=tuple(offsets),
+        degree=g.degree[order],
+    )
 
 
 def khop_subgraph(g: Graph, seeds, K: int) -> Subgraph:
-    """BFS ball of radius K around ``seeds`` with its induced adjacency."""
+    """BFS ball of radius K around ``seeds``; the row of each node within K-1
+    hops is its whole neighbor list."""
     if K < 0:
         raise ArgumentError(f"K must be >= 0, got {K}")
     # no degree exceeds n, so no hop ever samples and the rng is never drawn
@@ -332,6 +321,8 @@ def sample_neighbors(g: Graph, per_hop_caps, seeds, K: int, rng_seed: int) -> Su
 
     Sampling is uniform without replacement and only kicks in where the degree
     exceeds the cap, so generous caps reproduce :func:`khop_subgraph` exactly.
+    A node expanded at hop h keeps its sample as its row, so the row holds
+    ``min(degree, per_hop_caps[h])`` entries.
     """
     caps = [int(c) for c in per_hop_caps]
     if len(caps) != K:
@@ -344,18 +335,16 @@ def sample_neighbors(g: Graph, per_hop_caps, seeds, K: int, rng_seed: int) -> Su
 def normalize_adjacency(sub, scheme: NormScheme) -> sp.csr_matrix:
     """Weight a (sub)graph's adjacency per ``scheme``.
 
-    MEAN rows sum to one on nodes of positive degree; isolated nodes keep a
-    zero row (their neighbor term vanishes, the kernel's node path still
-    contributes). MEAN and COUNT weigh each row by its own entries, which are
-    all of the node's neighbors inside the ball: on every row a kernel layer
-    computes, a BFS ball holds the node's whole neighborhood. A sampled ball
-    is induced as well, so its caps limit which nodes join the ball, not what
-    a row averages; a row means over every in-ball neighbor, sampled or not.
-    In K8, seed 0 with caps [2, 2] gets a 6-node ball, and every row, the
-    seed's too, means over 5 neighbors. SYM_SELF takes ``sub.degree``, the
-    degrees in the whole graph, incremented by one for the implicit self
-    weight, so a row's weights do not depend on how far the ball reaches
-    past it. MAXPOOL has no matrix form.
+    MEAN rows with entries sum to one; an empty row (an isolated node, or one
+    on a ball's last frontier) stays zero, so its neighbor term vanishes and
+    the kernel's node path still contributes. MEAN and COUNT weigh each row
+    by its own entries: a BFS ball's row is the node's whole neighborhood, a
+    sampled ball's row is the node's sample. In K8, seed 0 with caps [2, 2]
+    gets a 6-node ball whose seed and hop-1 rows each mean over 2 neighbors.
+    SYM_SELF takes ``sub.degree``, the degrees in the whole graph,
+    incremented by one for the implicit self weight, so a row's weights do
+    not depend on how far the ball reaches past it. MAXPOOL has no matrix
+    form.
     """
     if scheme == NormScheme.MAXPOOL:
         raise ArgumentError("maxpool is not a matrix normalization; it is applied inside the kernel")

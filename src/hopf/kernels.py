@@ -396,18 +396,13 @@ def layer_rows(sub: Subgraph, depth: int) -> list[int]:
     """Rows of the ball that each layer's output needs, ``rows[0..depth]``.
 
     Layer ``depth`` computes the seed rows; layer k-1 must cover layer k's rows
-    and every neighbor they aggregate over. Rows are frontier-ordered, so each
-    set is a prefix: for a BFS ball of radius >= depth, ``rows[k]`` is
-    ``frontier_offsets[depth - k + 1]``, the nodes within depth-k hops of the
-    seeds, whose neighborhoods lie wholly inside the ball for k >= 1. In a
-    sampled ball an induced edge may reach past the next frontier; the prefix
-    then grows to cover it, so trimming never changes a result.
+    and every neighbor they aggregate over. Rows are frontier-ordered and a
+    row holds only what its node drew, which joined the ball by the next
+    hop, so ``rows[k]`` is the prefix ``frontier_offsets[depth - k + 1]``.
+    A ball shallower than ``depth`` gives the lower layers all of its rows.
     """
-    rows = [sub.num_seeds]
-    for _ in range(depth):
-        cols = sub.indices[: sub.indptr[rows[-1]]]
-        rows.append(max(rows[-1], int(cols.max()) + 1) if cols.size else rows[-1])
-    return rows[::-1]
+    offsets = sub.frontier_offsets
+    return [offsets[min(depth - k + 1, len(offsets) - 1)] for k in range(depth + 1)]
 
 
 # Once the ball's layer-0 rows are at least this share of X's rows, the input

@@ -9,6 +9,7 @@ import pytest
 import hopf.bench as bench_mod
 import hopf.cli as cli_mod
 from hopf.cli import main
+from hopf.data import load_dataset
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,14 @@ BAD_ARGUMENTS = [
                  id="bench-budget-inf"),
     pytest.param("n=10001 exceeds the limit", ["gen", "chain", "--n", "10001"],
                  id="gen-chain-past-limit"),
+    # meta.json says n=0 and every TSV is empty: the per-line reader's empty matrix is 2-D
+    pytest.param("features.tsv: expected 3 columns, found 0",
+                 ["train", "--dataset", "{tmp}/empty", "--model", "nip_mean"],
+                 id="bundle-n-zero"),
+] + [
+    pytest.param(f"feature noise must lie in [0, 1], got {float(noise)}",
+                 ["gen", "planted", "--noise", noise], id=f"gen-noise-{noise}")
+    for noise in ("2", "-0.1", "nan")
 ] + [
     # bench-scaling takes its graph from --dataset and its step from --config only
     pytest.param(f"unrecognized arguments: {flag}",
@@ -151,6 +160,12 @@ class TestExitCodes:
         (tmp_path / "list.json").write_text("[1, 2]\n")
         (tmp_path / "wrong_type.json").write_text('{"batch_size": "64"}\n')
         (tmp_path / "hopf_key.json").write_text('{"T": 4}\n')
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "meta.json").write_text('{"name": "e", "n": 0, "f": 3, "l": 2, '
+                                         '"task": "multi_class"}\n')
+        for name in ("graph.tsv", "features.tsv", "labels.tsv"):
+            (empty / name).write_text("")
         fill = {"data": str(planted_dir), "tmp": str(tmp_path)}
         code = main([a.format(**fill) for a in argv] + ["--out", str(tmp_path / "run")])
         assert code == 2
@@ -273,6 +288,19 @@ class TestTrainCommand:
                              for n, row in zip(seen["nodes"], preds))
         assert ((out / "predictions_fold0.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
+
+    def test_caps_at_max_degree_train_as_without_caps(self, planted_dir, fast_config, tmp_path):
+        # no node exceeds its cap, so every ball and every row is the BFS one
+        cap = str(int(load_dataset(planted_dir).graph.degree.max()))
+        outputs = []
+        for tag, caps in (("plain", []), ("capped", ["--sample-caps", f"{cap},{cap}"])):
+            out = tmp_path / tag
+            assert main(["train", "--dataset", str(planted_dir), "--model", "gs_mean",
+                         "-C", "2", "--config", str(fast_config), "--folds", "1",
+                         "--seed", "3", "--out", str(out)] + caps) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("predictions_fold0.csv", "history_fold0.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_sample_caps_cardinality_checked(self, planted_dir, fast_config, tmp_path):
         code = main(["train", "--dataset", str(planted_dir), "--model", "nip_mean",

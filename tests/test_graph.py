@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from hopf import (ArgumentError, IngestError, NormScheme, build_graph, khop_subgraph,
                   load_edge_list, normalize_adjacency, sample_neighbors)
 from hopf import graph as graph_mod
+from hopf.kernels import layer_rows
 
 from conftest import random_graph
 
@@ -148,10 +151,13 @@ class TestKhopSubgraph:
         sub = khop_subgraph(g, [0, 5], 2)
         gids = sub.global_ids
         in_ball = set(gids.tolist())
-        for v in range(sub.n):
+        expanded = sub.frontier_offsets[-2]
+        for v in range(expanded):
             local_nb = set(gids[sub.neighbors(v)].tolist())
-            expected = set(g.neighbors(gids[v]).tolist()) & in_ball
-            assert local_nb == expected, "induced adjacency restricted to the ball"
+            expected = set(g.neighbors(gids[v]).tolist())
+            assert expected <= in_ball, "an expanded node's neighbors all join the ball"
+            assert local_nb == expected, "an expanded row is the node's neighbor list"
+        assert sub.indptr[expanded] == sub.indptr[-1], "last-frontier rows are empty"
 
     def test_seed_order_preserved(self, chain6):
         sub = khop_subgraph(chain6, [4, 1], 1)
@@ -188,6 +194,15 @@ class TestSampleNeighbors:
         b = sample_neighbors(star6, [2], [0], 1, rng_seed=5)
         assert a.global_ids.tolist() == b.global_ids.tolist()
 
+    def test_k8_rows_hold_their_samples(self):
+        # every K8 node has degree 7; the seed and both hop-1 nodes keep 2 draws each
+        g = build_graph(list(itertools.combinations(range(8), 2)), 8)
+        sub = sample_neighbors(g, [2, 2], [0], 2, rng_seed=0)
+        assert sub.n == 6 and sub.frontier_offsets == (0, 1, 3, 6)
+        assert np.diff(sub.indptr).tolist() == [2, 2, 2, 0, 0, 0]
+        assert normalize_adjacency(sub, NormScheme.MEAN).data.tolist() == [0.5] * 6
+        assert layer_rows(sub, 2) == [6, 3, 1]
+
     def test_cap_length_mismatch(self, star6):
         with pytest.raises(ArgumentError):
             sample_neighbors(star6, [2, 2], [0], 1, rng_seed=0)
@@ -212,7 +227,7 @@ class TestNormalize:
 
     def test_two_node_path_sym_self(self):
         g = build_graph([(0, 1)], 2)
-        m = normalize_adjacency(khop_subgraph(g, [0], 1), NormScheme.SYM_SELF).toarray()
+        m = normalize_adjacency(khop_subgraph(g, [0], 2), NormScheme.SYM_SELF).toarray()
         assert m[0, 1] == pytest.approx(0.5)
         assert m[1, 0] == pytest.approx(0.5)
 
@@ -242,16 +257,17 @@ class TestNormalize:
 
 
 def reference_ball(graph, seeds, caps, rng):
-    """Per-node loop oracle for the frontier-ordered BFS and its induced CSR.
+    """Per-node loop oracle for the frontier-ordered BFS and its CSR.
 
-    One ``rng.choice`` per over-cap frontier node, in frontier order; then each
-    ball node's in-ball neighbors are renumbered to local ids, row by row, in
-    the graph's neighbor order.
+    One ``rng.choice`` per over-cap frontier node, in frontier order. Each
+    expanded node's row is the list it drew, in ascending global id,
+    renumbered to local ids row by row; the last frontier's rows are empty.
     """
     seeds = np.asarray(list(dict.fromkeys(seeds)), dtype=np.int64)
     in_set = np.zeros(graph.n, dtype=bool)
     in_set[seeds] = True
     order, offsets, frontier = [seeds], [0, seeds.size], seeds
+    drawn = []
     for cap in caps:
         picked = [np.empty(0, dtype=np.int64)]
         for v in frontier:
@@ -259,6 +275,7 @@ def reference_ball(graph, seeds, caps, rng):
             if nb.size > cap:
                 nb = np.sort(rng.choice(nb, size=cap, replace=False))
             picked.append(nb)
+        drawn += picked[1:]
         cand = np.unique(np.concatenate(picked))
         new = cand[~in_set[cand]]
         in_set[new] = True
@@ -266,16 +283,13 @@ def reference_ball(graph, seeds, caps, rng):
         offsets.append(offsets[-1] + new.size)
         frontier = new
     order = np.concatenate(order)
-    if not caps:
-        return order, tuple(offsets), np.zeros(order.size + 1, dtype=np.int64), np.empty(0)
     local = np.full(graph.n, -1, dtype=np.int64)
     local[order] = np.arange(order.size)
-    indptr, cols = [0], []
-    for gid in order:
-        kept = local[graph.neighbors(gid)]
-        kept = kept[kept >= 0]
-        cols.append(kept)
-        indptr.append(indptr[-1] + kept.size)
+    indptr, cols = [0], [np.empty(0, dtype=np.int64)]
+    for v in range(order.size):
+        row = local[drawn[v]] if v < len(drawn) else np.empty(0, dtype=np.int64)
+        cols.append(row)
+        indptr.append(indptr[-1] + row.size)
     return order, tuple(offsets), np.asarray(indptr), np.concatenate(cols)
 
 
@@ -301,6 +315,37 @@ def test_ball_matches_per_node_reference(n, num_edges, seed, k, raw_seeds, caps)
     assert_same_ball(khop_subgraph(g, seeds, k), reference_ball(g, seeds, [n] * k, None))
     sampled = sample_neighbors(g, caps[:k], seeds, k, rng_seed=seed)
     assert_same_ball(sampled, reference_ball(g, seeds, caps[:k], np.random.default_rng(seed)))
+
+
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=80),
+       st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=4),
+       st.lists(st.integers(min_value=0, max_value=29), min_size=1, max_size=6),
+       st.lists(st.integers(min_value=1, max_value=4), min_size=4, max_size=4),
+       st.booleans())
+def test_rows_hold_what_their_node_drew(n, num_edges, seed, k, raw_seeds, caps, sampled):
+    g = random_graph(n, num_edges, seed)
+    seeds = [s % n for s in raw_seeds]
+    # caps at the maximum degree sample nothing: the ball is the BFS ball
+    caps = caps[:k] if sampled else [max(1, int(g.degree.max()))] * k
+    sub = sample_neighbors(g, caps, seeds, k, rng_seed=seed)
+    if not sampled:
+        full = khop_subgraph(g, seeds, k)
+        assert sub.frontier_offsets == full.frontier_offsets
+        for name in ("global_ids", "indptr", "indices"):
+            assert getattr(sub, name).tolist() == getattr(full, name).tolist()
+    offsets = sub.frontier_offsets
+    for h in range(k + 1):
+        for v in range(offsets[h], offsets[h + 1]):
+            gid = sub.global_ids[v]
+            row = sub.global_ids[sub.neighbors(v)]
+            assert row.size == (min(g.degree[gid], caps[h]) if h < k else 0)
+            assert np.all(np.diff(row) > 0), "ascending global id"
+            assert set(row.tolist()) <= set(g.neighbors(gid).tolist())
+    # each layer's rows are a frontier prefix that holds every column the layer above reads
+    rows = layer_rows(sub, k)
+    assert rows == [offsets[k - j + 1] for j in range(k + 1)]
+    for j in range(1, k + 1):
+        assert np.all(sub.indices[: sub.indptr[rows[j]]] < rows[j - 1])
 
 
 @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=40),

@@ -369,7 +369,7 @@ class TestForwardCache:
 class TestMaxpool:
     def test_single_neighbor_identity(self):
         g = build_graph([(0, 1)], 2)
-        sub = khop_subgraph(g, [0], 1)
+        sub = khop_subgraph(g, [0], 2)
         feats = np.array([[3.0, -1.0], [2.0, 7.0]])
         out = maxpool_aggregate(sub, feats)
         assert out[0].tolist() == [2.0, 7.0]

@@ -12,7 +12,7 @@ from hopf.numerics import dropout_mask
 
 class TestSpmm:
     def test_mean_triangle_preserves_ones(self, triangle):
-        m = normalize_adjacency(khop_subgraph(triangle, [0], 1), NormScheme.MEAN)
+        m = normalize_adjacency(khop_subgraph(triangle, [0], 2), NormScheme.MEAN)
         out = spmm(m, np.ones((3, 1)))
         assert np.allclose(out, 1.0)
 
