@@ -72,7 +72,9 @@ def estimate_batch_bytes(spec, sub: Subgraph, num_nodes: int, num_features: int,
     The input layer copies the ball's feature rows (gathered form) or scatters
     into one ``num_nodes``-row gradient (whole-graph form; see
     ``WHOLE_GRAPH_FRACTION``). Weight matrices and Adam moments are excluded;
-    they do not grow with the ball.
+    they do not grow with the ball. So is the workspace that BLAS maps for
+    itself to pack operands, which numpy never allocates (see
+    ``kernels._input_product``).
     """
     plan = layer_plan(spec, num_features, num_labels)
     rows = layer_rows(sub, spec.depth)

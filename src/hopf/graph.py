@@ -239,12 +239,21 @@ def numbered_lines(lines, name):
 
 
 def _check_seeds(n: int, seeds) -> np.ndarray:
-    seeds = np.asarray(list(dict.fromkeys(seeds)), dtype=np.int64)
+    """Distinct seed ids as int64, in order of first occurrence.
+
+    Only an integer array is a seed set: a float, bool or string id is an
+    error, never rounded or read as a mask.
+    """
+    seeds = np.asarray(seeds)
     if seeds.size == 0:
         raise ArgumentError("seed set must be non-empty")
+    if seeds.ndim != 1 or not np.issubdtype(seeds.dtype, np.integer):
+        raise ArgumentError(f"seeds must be a 1-D sequence of integer node ids, "
+                            f"got dtype {seeds.dtype} and shape {seeds.shape}")
     if seeds.min() < 0 or seeds.max() >= n:
         raise ArgumentError(f"seed out of range for n={n}")
-    return seeds
+    _, first = np.unique(seeds, return_index=True)
+    return seeds[np.sort(first)].astype(np.int64, copy=False)
 
 
 def _gather_neighbors(g: Graph, nodes: np.ndarray) -> np.ndarray:

@@ -406,11 +406,25 @@ def layer_rows(sub: Subgraph, depth: int) -> list[int]:
 
 
 # Once the ball's layer-0 rows are at least this share of X's rows, the input
-# layer computes (X @ w0)[ids] and backward X.T @ G, so no step copies the
-# ball's feature rows; below it, gathering X[ids] first is faster. Time alone
-# breaks even nearer three quarters, but from one half on the copy the
-# whole-graph form avoids is at least half of X.
+# layer multiplies all of X by w0 and gathers the ball's rows of the product,
+# and backward computes X.T @ G, so no step copies the ball's feature rows;
+# below it, gathering X[ids] first is faster. Time alone breaks even nearer
+# three quarters, but from one half on the copy the whole-graph form avoids
+# is at least half of X (see _input_product for why BLAS copies none of it).
 WHOLE_GRAPH_FRACTION = 0.5
+
+
+def _input_product(x: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """``x @ w0``, computed as ``(w0.T @ x.T).T``; the result is F-ordered.
+
+    With more than one thread, OpenBLAS packs the whole left operand of a
+    numpy product (the right one of its column-major call) into per-thread
+    buffers that it maps itself, so ``x @ w0`` would copy all of ``x`` on
+    every call (15.6 MiB of a 20k×100 ``x``), memory that no tracemalloc
+    count sees. As the transposed right operand, ``x`` is read in panels and
+    nothing of its size is copied.
+    """
+    return (w0.T @ x.T).T
 
 
 def _row_block(m: sp.csr_matrix, rows: int, cols: int) -> sp.csr_matrix:
@@ -534,10 +548,10 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
         cache.x.append(h)
 
     if rows[0] >= WHOLE_GRAPH_FRACTION * features.shape[0]:
-        pre0 = (features @ weights.w0)[ids]
+        pre0 = _input_product(features, weights.w0)[ids]
     else:
         cache.gathered = features[ids]
-        pre0 = cache.gathered @ weights.w0
+        pre0 = _input_product(cache.gathered, weights.w0)
     activate(pre0)
 
     for k in range(spec.depth):

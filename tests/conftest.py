@@ -19,7 +19,10 @@ def traced_peak(fn):
 
     ``peak`` is the most memory, in bytes, that ``fn`` held at once and
     ``kept`` what is still allocated when it returns (its result, say), both
-    counted from the call's start.
+    counted from the call's start. Only allocations made through Python's
+    and numpy's allocators are counted: the buffers that BLAS maps for itself
+    (OpenBLAS packs operands into them) never show here, so a test of those
+    must read the process's resident set instead.
     """
     tracemalloc.start()
     try:

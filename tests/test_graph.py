@@ -137,6 +137,17 @@ class TestKhopSubgraph:
         with pytest.raises(ArgumentError):
             khop_subgraph(triangle, [], 1)
 
+    @pytest.mark.parametrize("seeds", [[0.7], [2.9], [True, False], ["1"]],
+                             ids=["float-0.7", "float-2.9", "bool-mask", "string"])
+    def test_non_integer_seeds_rejected(self, triangle, seeds):
+        # none of these may be rounded, truncated or read as a mask into node ids
+        with pytest.raises(ArgumentError, match="integer node ids"):
+            khop_subgraph(triangle, seeds, 1)
+
+    def test_repeated_seeds_keep_first_occurrence_order(self, triangle):
+        sub = khop_subgraph(triangle, [1, 1, 0], 1)
+        assert sub.global_ids[: sub.num_seeds].tolist() == [1, 0]
+
     def test_matches_bfs_oracle(self):
         for seed in range(25):
             g = random_graph(40, 70, seed)

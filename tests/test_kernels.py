@@ -1,8 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hopf.kernels as kernels_mod
 from hopf import (ArgumentError, ConfigError, HopfError, ModelWeights, NormScheme, ShapeError,
                   StateError, Task, backward, build_graph, finite_diff_grad, khop_subgraph,
                   linear_unroll_coefficient, make_kernel, maxpool_aggregate,
@@ -271,6 +276,27 @@ class TestBackward:
         cache = assert_grads_match_fd(spec, w, sub, x, yh, ytrue, Task.MULTI_CLASS)
         assert (cache.gathered is None) == whole_graph
 
+    @pytest.mark.parametrize("name", ["nip_mean", "i_nip_mean", "gcn"])
+    def test_both_input_forms_agree(self, name, monkeypatch):
+        # one ball through each input form: a fraction of 0 forces the
+        # whole-graph product, one above 1 the gathered rows; x is nonzero
+        # outside the ball, so a row the ball does not hold would show
+        g, sub, _, yh, ytrue = rand_setup(seed=13, n=40, edges=50, seeds=4)
+        x = np.random.default_rng(3).random((g.n, 5))
+        spec = make_kernel(name, depth=2, hidden_dim=4)
+        w = ModelWeights.init(spec, 5, 3, 7)
+        runs = []
+        for fraction in (0.0, 1.01):
+            monkeypatch.setattr(kernels_mod, "WHOLE_GRAPH_FRACTION", fraction)
+            yt, cache = predict(spec, w, sub, x, yh, task=Task.MULTI_CLASS)
+            assert (cache.gathered is None) == (fraction == 0.0)
+            _, dloss = weighted_cross_entropy(yt, ytrue, np.ones(3), Task.MULTI_CLASS)
+            runs.append((yt, backward(spec, w, cache, dloss).params()))
+        (y_whole, g_whole), (y_gathered, g_gathered) = runs
+        assert np.allclose(y_whole, y_gathered, rtol=0.0, atol=1e-12)
+        for (pname, a), (_, b) in zip(g_whole, g_gathered):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12), pname
+
     def test_tied_gradient_equals_sum_of_untied(self):
         _, sub, x, _, ytrue = rand_setup()
         tied_spec = make_kernel("gcn_mean", depth=2, hidden_dim=4)
@@ -474,3 +500,52 @@ def test_weights_load_rejects_truncated_or_mismatched_snapshots(tmp_path):
                   make_kernel("gs_mean", depth=3, hidden_dim=4)):  # deeper
         with pytest.raises(HopfError, match="does not fit"):
             ModelWeights.load(path, other)
+
+
+# One whole-graph predict + backward in a fresh process; prints the growth of
+# its peak resident set (VmHWM) over its resident set before the call (VmRSS),
+# and x's bytes. getrusage's ru_maxrss would not do: across exec it keeps the
+# peak of the process that spawned it, here the whole test session.
+_INPUT_LAYER_RSS_PROBE = """
+import numpy as np
+from hopf import ModelWeights, backward, build_graph, khop_subgraph, make_kernel, predict
+
+def status_kib(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
+n, f = 20000, 100
+g = build_graph([(i, (i + 1) % n) for i in range(n)], n)
+x = np.random.default_rng(0).random((n, f))
+sub = khop_subgraph(g, np.arange(n), 1)
+spec = make_kernel("nip_mean", depth=1, hidden_dim=4)
+w = ModelWeights.init(spec, f, 3, 0)
+before = status_kib("VmRSS")
+y, cache = predict(spec, w, sub, x)
+backward(spec, w, cache, np.ones_like(y))
+print(1024 * (status_kib("VmHWM") - before), x.nbytes)
+"""
+
+
+def _numpy_blas_name() -> str:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its build configuration
+        return ""
+    return str(config.get("Build Dependencies", {}).get("blas", {}).get("name", ""))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.skipif("openblas" not in _numpy_blas_name().lower(),
+                    reason="numpy's BLAS is not OpenBLAS")
+def test_whole_graph_input_layer_copies_no_x_in_blas():
+    # with two threads OpenBLAS packs the whole left operand of a product
+    # into buffers it maps itself, which tracemalloc never sees: as x @ w0
+    # that copied all of x, about 16 MB here; the rest of the call takes under 6 MB
+    src = str(Path(kernels_mod.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _INPUT_LAYER_RSS_PROBE], capture_output=True,
+                          text=True, env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    growth, x_bytes = map(int, done.stdout.split())
+    assert growth < x_bytes / 2, f"peak RSS grew by {growth / 1e6:.1f} MB"
