@@ -74,7 +74,7 @@ def estimate_batch_bytes(spec, sub: Subgraph, num_nodes: int, num_features: int,
     ``WHOLE_GRAPH_FRACTION``). Weight matrices and Adam moments are excluded;
     they do not grow with the ball. So is the workspace that BLAS maps for
     itself to pack operands, which numpy never allocates (see
-    ``kernels._input_product``).
+    ``kernels._input_product`` and ``kernels._hidden_product``).
     """
     plan = layer_plan(spec, num_features, num_labels)
     rows = layer_rows(sub, spec.depth)

@@ -101,7 +101,7 @@ def _train_config(args) -> TrainConfig:
         overrides["rng_seed"] = args.seed
     try:
         return TrainConfig.from_dict(overrides)
-    except TypeError as exc:  # a config value of the wrong type, such as a quoted number
+    except ConfigError as exc:  # --seed is checked by its parser, so the file is at fault
         raise ConfigError(f"--config {args.config}: {exc}") from exc
 
 
@@ -370,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_neighbor_fraction)
 
     n = sub.add_parser("nim", help="self-information decay table")
-    n.add_argument("--alpha", type=float, required=True)
-    n.add_argument("--beta", type=float, required=True)
+    n.add_argument("--alpha", type=_finite_float, required=True)
+    n.add_argument("--beta", type=_finite_float, required=True)
     n.add_argument("--max-k", type=_NON_NEGATIVE, default=10)
     n.add_argument("--skip", action="store_true", help="also tabulate the skip-connection decay")
     n.add_argument("--out", required=True)

@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IngestError
-from .graph import READ_BLOCK, Graph, build_graph, load_edge_list, numbered_lines, read_lines
+from .graph import (CSR_INDEX_MAX, READ_BLOCK, Graph, build_graph, load_edge_list, numbered_lines,
+                    read_lines)
 from .metrics import Task
 
 
@@ -440,6 +441,9 @@ def gen_benchmark_graph(n: int = 100_000, m_edges: int = 500_000, f: int = 100,
         raise ConfigError(f"need n >= 2, got {n}")
     if m_edges > n * (n - 1) // 2:
         raise ConfigError(f"{m_edges} edges do not fit in a simple graph on {n} nodes")
+    if 2 * m_edges > CSR_INDEX_MAX:  # before the endpoint arrays, 32 bytes per edge
+        raise ConfigError(f"{m_edges} edges are {2 * m_edges} adjacency entries, over the "
+                          f"int32 CSR limit of {CSR_INDEX_MAX}")
     if m_edges < n - 1:
         raise ConfigError(f"need at least n-1 = {n - 1} edges to stay connected")
     rng = np.random.default_rng(rng_seed)

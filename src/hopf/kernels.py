@@ -17,6 +17,7 @@ checked against a central finite-difference oracle in the test suite.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -427,6 +428,34 @@ def _input_product(x: np.ndarray, w0: np.ndarray) -> np.ndarray:
     return (w0.T @ x.T).T
 
 
+# Row height of the blocks that _hidden_product multiplies one at a time.
+HIDDEN_BLOCK_ROWS = 2048
+
+
+def _hidden_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` for a ball-tall ``a`` and a hidden-width ``w``, computed in row
+    blocks; the result is C-ordered and bit-identical to the plain product.
+
+    With more than one thread, OpenBLAS packs the left operand of a product
+    into buffers that it maps itself, and as a ball's row count changes from
+    step to step it keeps touching new pages of them: 600 products of
+    1k–20k-row operands by 16×16 weights grew a fresh 2-thread process by
+    31 MiB, memory that no tracemalloc count sees. Blocks of
+    ``HIDDEN_BLOCK_ROWS`` rows, the last one taking the remainder, held it to
+    6.6 MiB. No block is short: with a few rows OpenBLAS switches kernels and
+    the last bit of a result changes. Blocks of equal height are as exact, but
+    at odd heights a transposed ``w`` took up to twice as long.
+    """
+    m = a.shape[0]
+    out = np.empty((m, w.shape[1]))
+    blocks = max(1, m // HIDDEN_BLOCK_ROWS)
+    for i in range(blocks):
+        lo = i * HIDDEN_BLOCK_ROWS
+        hi = m if i == blocks - 1 else lo + HIDDEN_BLOCK_ROWS
+        np.matmul(a[lo:hi], w, out=out[lo:hi])
+    return out
+
+
 def _row_block(m: sp.csr_matrix, rows: int, cols: int) -> sp.csr_matrix:
     """The leading ``rows`` rows of ``m`` as a (rows, cols) matrix; every column
     index in them must already be below ``cols``."""
@@ -464,7 +493,7 @@ def _layer_pre(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
     phi_in = None
     if spec.has_node_path:
         phi_in = (cache.x[0] if spec.phi is Phi.H0 else prev)[:n_out]
-        node = phi_in @ weights.wphi[k]
+        node = _hidden_product(phi_in, weights.wphi[k])
         if cache.alpha_vec is not None:
             node = cache.alpha_vec[:n_out, None] * node
     neigh = None
@@ -473,10 +502,10 @@ def _layer_pre(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
     if spec.has_neighbor_path:
         psi_in = cache.yhat[:n_in] if spec.psi is Psi.LABELS else prev
         w = psi_in.shape[1]
-        lin = psi_in @ weights.wpsi[k][:w]
+        lin = _hidden_product(psi_in, weights.wpsi[k][:w])
         if spec.psi is Psi.H_PREV_CONCAT_LABELS:
             # [h | yhat] @ W as h @ W[:w] + yhat @ W[w:], with no concatenated copy
-            lin += cache.yhat[:n_in] @ weights.wpsi[k][w:]
+            lin += _hidden_product(cache.yhat[:n_in], weights.wpsi[k][w:])
         if spec.norm is NormScheme.MAXPOOL:
             neigh, argmax = _maxpool_with_argmax(cache.sub, lin, n_out)
         else:
@@ -643,7 +672,8 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
             if cache.alpha_vec is not None:
                 dnode = cache.alpha_vec[:n_out, None] * dnode
             grads.wphi[k] += cache.phi_inputs[k].T @ dnode
-            add_grad(0 if spec.phi is Phi.H0 else layer - 1, dnode @ weights.wphi[k].T)
+            add_grad(0 if spec.phi is Phi.H0 else layer - 1,
+                     _hidden_product(dnode, weights.wphi[k].T))
 
         if dneigh is not None:
             if spec.norm is NormScheme.MAXPOOL:
@@ -660,7 +690,7 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
             if spec.psi is Psi.H_PREV_CONCAT_LABELS:
                 grads.wpsi[k][w:] += cache.yhat[: cache.rows[k]].T @ dlin
             if spec.psi is not Psi.LABELS:  # the label channel takes no gradient
-                add_grad(layer - 1, dlin @ weights.wpsi[k][:w].T)
+                add_grad(layer - 1, _hidden_product(dlin, weights.wpsi[k][:w].T))
         cache.phi_inputs[k] = cache.psi_inputs[k] = cache.maxpool_argmax[k] = None
 
     for k in range(spec.depth - 1, -1, -1):
@@ -684,6 +714,8 @@ def nim_relative_importance(alpha: float, beta: float, k: int, skip: bool = Fals
     skip shifts both terms by one, (alpha + 1)^k / (alpha + beta + 1)^k, which
     decays strictly slower for positive alpha and beta.
     """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ArgumentError(f"alpha and beta must be finite, got {alpha!r} and {beta!r}")
     if alpha < 0 or beta < 0:
         raise ArgumentError("alpha and beta must be non-negative")
     if alpha == 0 and beta == 0:

@@ -9,6 +9,7 @@ patience window together, and stops after two consecutive exhaustions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,18 @@ class TrainConfig:
     min_epochs: int = 50
 
     def __post_init__(self):
+        for name in ("batch_size", "hidden_dim", "max_epochs", "rng_seed", "patience",
+                     "min_epochs"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is a subclass of int, so isinstance would pass it
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "l2_weight", "dropout_rate"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if type(self.use_wce) is not bool:
+            raise ConfigError(f"use_wce must be true or false, got {self.use_wce!r}")
         if self.batch_size < 1 or self.hidden_dim < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size, hidden_dim and max_epochs must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:

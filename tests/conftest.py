@@ -1,4 +1,7 @@
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +24,9 @@ def traced_peak(fn):
     ``kept`` what is still allocated when it returns (its result, say), both
     counted from the call's start. Only allocations made through Python's
     and numpy's allocators are counted: the buffers that BLAS maps for itself
-    (OpenBLAS packs operands into them) never show here, so a test of those
-    must read the process's resident set instead.
+    (OpenBLAS packs operands into them; see ``kernels._input_product`` and
+    ``kernels._hidden_product``) never show here, so a test of those must
+    read the process's resident set instead, as ``blas_peak_growth`` does.
     """
     tracemalloc.start()
     try:
@@ -32,6 +36,52 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - before, kept - before
+
+
+def _numpy_blas_name() -> str:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its build configuration
+        return ""
+    return str(config.get("Build Dependencies", {}).get("blas", {}).get("name", ""))
+
+
+# VmRSS and VmHWM come from /proc/self/status, in KiB; getrusage's ru_maxrss
+# would not do, since across exec it keeps the peak of the process that spawned it.
+_PEAK_PROBE = """
+{setup}
+def _status_kib(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+_before = _status_kib("VmRSS")
+{step}
+print(1024 * (_status_kib("VmHWM") - _before))
+"""
+
+
+def blas_peak_growth(setup: str, step: str) -> tuple[int, list[str]]:
+    """Run ``setup`` then ``step`` in a fresh Python process at two OpenBLAS
+    threads; return how many bytes ``step`` raised its peak resident set
+    (VmHWM) above its resident set before it (VmRSS), and the lines that
+    ``setup`` and ``step`` printed.
+
+    This counts what ``traced_peak`` cannot: the buffers OpenBLAS maps for
+    itself to pack operands. The test is skipped without ``/proc/self/status``
+    or when numpy's BLAS is not OpenBLAS.
+    """
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    if "openblas" not in _numpy_blas_name().lower():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    import hopf
+
+    src = str(Path(hopf.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _PEAK_PROBE.format(setup=setup, step=step)],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"})
+    assert done.returncode == 0, done.stderr
+    *printed, growth = done.stdout.splitlines()
+    return int(growth), printed
 
 
 def random_graph(n: int, num_edges: int, seed: int):

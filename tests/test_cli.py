@@ -36,6 +36,30 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+# --config files the cases below name, written into each case's tmp_path
+CONFIG_FILES = {
+    "negative_seed.json": '{"rng_seed": -1}',
+    "not_json.json": "max_epochs: 3",
+    "list.json": "[1, 2]",
+    "wrong_type.json": '{"batch_size": "64"}',
+    "hopf_key.json": '{"T": 4}',
+}
+
+# (case, config file, what the error must name): integers must be JSON
+# integers, numbers finite, and use_wce a bool
+BAD_CONFIG_VALUES = [
+    ("hidden_dim-1.5", '{"hidden_dim": 1.5}', "hidden_dim must be an integer, got 1.5"),
+    ("batch_size-2.5", '{"batch_size": 2.5}', "batch_size must be an integer, got 2.5"),
+    ("max_epochs-2.5", '{"max_epochs": 2.5}', "max_epochs must be an integer, got 2.5"),
+    ("rng_seed-1.5", '{"rng_seed": 1.5}', "rng_seed must be an integer, got 1.5"),
+    ("hidden_dim-true", '{"hidden_dim": true}', "hidden_dim must be an integer, got True"),
+    ("learning_rate-nan", '{"learning_rate": NaN}',
+     "learning_rate must be a finite number, got nan"),
+    ("l2_weight-inf", '{"l2_weight": Infinity}', "l2_weight must be a finite number, got inf"),
+    ("use_wce-string", '{"use_wce": "no"}', "use_wce must be true or false, got 'no'"),
+]
+CONFIG_FILES.update((f"{case}.json", text) for case, text, _ in BAD_CONFIG_VALUES)
+
 # (what the error message must name, argv before --out); {data} and {tmp}
 # stand for the planted bundle and the test's tmp_path
 BAD_ARGUMENTS = [
@@ -92,6 +116,10 @@ BAD_ARGUMENTS = [
                  id="bench-budget-inf"),
     pytest.param("n=10001 exceeds the limit", ["gen", "chain", "--n", "10001"],
                  id="gen-chain-past-limit"),
+    # 2.2e9 adjacency entries overflow the int32 CSR; refused before any endpoint array
+    pytest.param("over the int32 CSR limit", ["gen", "benchmark", "--nodes", "70000",
+                                              "--edges", "1100000000"],
+                 id="gen-benchmark-past-csr-limit"),
     # meta.json says n=0 and every TSV is empty: the per-line reader's empty matrix is 2-D
     pytest.param("features.tsv: expected 3 columns, found 0",
                  ["train", "--dataset", "{tmp}/empty", "--model", "nip_mean"],
@@ -100,6 +128,13 @@ BAD_ARGUMENTS = [
     pytest.param(f"feature noise must lie in [0, 1], got {float(noise)}",
                  ["gen", "planted", "--noise", noise], id=f"gen-noise-{noise}")
     for noise in ("2", "-0.1", "nan")
+] + [
+    pytest.param(named, ["train", "--dataset", "{data}", "--model", "nip_mean",
+                         "--config", "{tmp}/" + case + ".json"], id=f"config-{case}")
+    for case, _, named in BAD_CONFIG_VALUES
+] + [
+    pytest.param("--alpha", ["nim", "--alpha", rate, "--beta", "1"], id=f"nim-alpha-{rate}")
+    for rate in ("nan", "inf")
 ] + [
     # bench-scaling takes its graph from --dataset and its step from --config only
     pytest.param(f"unrecognized arguments: {flag}",
@@ -155,11 +190,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("named,argv", BAD_ARGUMENTS)
     def test_bad_argument_or_input_file_exits_2(self, planted_dir, tmp_path, capsys,
                                                 named, argv):
-        (tmp_path / "negative_seed.json").write_text('{"rng_seed": -1}\n')
-        (tmp_path / "not_json.json").write_text("max_epochs: 3\n")
-        (tmp_path / "list.json").write_text("[1, 2]\n")
-        (tmp_path / "wrong_type.json").write_text('{"batch_size": "64"}\n')
-        (tmp_path / "hopf_key.json").write_text('{"T": 4}\n')
+        for name, text in CONFIG_FILES.items():
+            (tmp_path / name).write_text(text + "\n")
         empty = tmp_path / "empty"
         empty.mkdir()
         (empty / "meta.json").write_text('{"name": "e", "n": 0, "f": 3, "l": 2, '

@@ -1,7 +1,3 @@
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,10 +8,11 @@ from hopf import (ArgumentError, ConfigError, HopfError, ModelWeights, NormSchem
                   StateError, Task, backward, build_graph, finite_diff_grad, khop_subgraph,
                   linear_unroll_coefficient, make_kernel, maxpool_aggregate,
                   nim_relative_importance, predict, weighted_cross_entropy)
-from hopf.kernels import (ITERATIVE_MODELS, REGISTRY, TRAINABLE_MODELS, WHOLE_GRAPH_FRACTION,
-                          AlphaMode, BetaMode, Combine, Phi, Psi, layer_plan, layer_rows)
+from hopf.kernels import (HIDDEN_BLOCK_ROWS, ITERATIVE_MODELS, REGISTRY, TRAINABLE_MODELS,
+                          WHOLE_GRAPH_FRACTION, AlphaMode, BetaMode, Combine, Phi, Psi,
+                          _hidden_product, layer_plan, layer_rows)
 
-from conftest import random_graph, traced_peak
+from conftest import blas_peak_growth, random_graph, traced_peak
 
 # Expected resolved update rule per registry row, field by field:
 # (phi, F(A), psi, alpha, beta, tied)
@@ -435,6 +432,12 @@ class TestNimDecay:
         with pytest.raises(ArgumentError):
             nim_relative_importance(-1.0, 2.0, 2)
 
+    @pytest.mark.parametrize("alpha,beta", [(float("nan"), 1.0), (1.0, float("inf")),
+                                            (float("inf"), 1.0)])
+    def test_non_finite_rate_rejected(self, alpha, beta):
+        with pytest.raises(ArgumentError, match="finite"):
+            nim_relative_importance(alpha, beta, 2)
+
     @given(st.floats(min_value=0.01, max_value=10), st.floats(min_value=0.01, max_value=10),
            st.integers(min_value=1, max_value=12))
     def test_strictly_decreasing_in_k(self, alpha, beta, k):
@@ -502,50 +505,79 @@ def test_weights_load_rejects_truncated_or_mismatched_snapshots(tmp_path):
             ModelWeights.load(path, other)
 
 
-# One whole-graph predict + backward in a fresh process; prints the growth of
-# its peak resident set (VmHWM) over its resident set before the call (VmRSS),
-# and x's bytes. getrusage's ru_maxrss would not do: across exec it keeps the
-# peak of the process that spawned it, here the whole test session.
-_INPUT_LAYER_RSS_PROBE = """
+# a ball of the whole 20k-node ring, so the input layer multiplies all of x
+_WHOLE_GRAPH_SETUP = """
 import numpy as np
 from hopf import ModelWeights, backward, build_graph, khop_subgraph, make_kernel, predict
-
-def status_kib(field):
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
-
 n, f = 20000, 100
 g = build_graph([(i, (i + 1) % n) for i in range(n)], n)
 x = np.random.default_rng(0).random((n, f))
 sub = khop_subgraph(g, np.arange(n), 1)
 spec = make_kernel("nip_mean", depth=1, hidden_dim=4)
 w = ModelWeights.init(spec, f, 3, 0)
-before = status_kib("VmRSS")
-y, cache = predict(spec, w, sub, x)
-backward(spec, w, cache, np.ones_like(y))
-print(1024 * (status_kib("VmHWM") - before), x.nbytes)
 """
 
 
-def _numpy_blas_name() -> str:
-    try:
-        config = np.show_config(mode="dicts")
-    except TypeError:  # numpy before 1.26 only prints its build configuration
-        return ""
-    return str(config.get("Build Dependencies", {}).get("blas", {}).get("name", ""))
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-@pytest.mark.skipif("openblas" not in _numpy_blas_name().lower(),
-                    reason="numpy's BLAS is not OpenBLAS")
 def test_whole_graph_input_layer_copies_no_x_in_blas():
     # with two threads OpenBLAS packs the whole left operand of a product
     # into buffers it maps itself, which tracemalloc never sees: as x @ w0
     # that copied all of x, about 16 MB here; the rest of the call takes under 6 MB
-    src = str(Path(kernels_mod.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", _INPUT_LAYER_RSS_PROBE], capture_output=True,
-                          text=True, env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"},
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
-    growth, x_bytes = map(int, done.stdout.split())
+    growth, _ = blas_peak_growth(_WHOLE_GRAPH_SETUP, """
+y, cache = predict(spec, w, sub, x)
+backward(spec, w, cache, np.ones_like(y))
+""")
+    x_bytes = 20000 * 100 * 8
     assert growth < x_bytes / 2, f"peak RSS grew by {growth / 1e6:.1f} MB"
+
+
+# 30 C=2 balls of about 1k-19k rows on a 20k-node graph of mean degree 10; prints the
+# most bytes a step on any of them holds by estimate_batch_bytes' count
+_VARIED_BALLS_SETUP = """
+import numpy as np
+from hopf import ModelWeights, backward, build_graph, khop_subgraph, make_kernel, predict
+from hopf.bench import estimate_batch_bytes
+n, f, l = 20000, 8, 3
+rng = np.random.default_rng(0)
+g = build_graph(rng.integers(n, size=(5 * n, 2)), n)
+x = rng.random((n, f))
+spec = make_kernel("nip_mean", depth=2, hidden_dim=16)
+w = ModelWeights.init(spec, f, l, 0)
+subs = [khop_subgraph(g, rng.choice(n, size=s, replace=False), 2)
+        for s in np.geomspace(10, 600, 30).astype(int)]
+print(min(s.n for s in subs), max(s.n for s in subs))
+print(max(estimate_batch_bytes(spec, s, n, f, l) for s in subs))
+"""
+
+
+def test_hidden_products_keep_blas_workspace_small_as_balls_vary():
+    # OpenBLAS touches new pages of its pack buffers as a product's row count
+    # changes; plain products over these balls grew the peak about 17 MiB
+    # beyond the steps' own arrays, row blocks about 4 MiB
+    growth, (sizes, own) = blas_peak_growth(_VARIED_BALLS_SETUP, """
+for sub in subs:
+    y, cache = predict(spec, w, sub, x)
+    backward(spec, w, cache, np.ones_like(y))
+""")
+    smallest, largest = map(int, sizes.split())
+    assert smallest < 1500 and largest > 15000
+    beyond = growth - int(own)
+    assert beyond < 8 * 2**20, f"peak RSS grew {beyond / 2**20:.1f} MiB beyond the steps' arrays"
+
+
+_B = HIDDEN_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("m", [1, 2, _B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 13128, 20000])
+def test_hidden_product_is_the_plain_product_bit_for_bit(m):
+    # a short block would make OpenBLAS switch kernels and change last bits
+    rng = np.random.default_rng(m)
+    # (fan-in, width): forward 16 and 32 wide, the backward W.T of a concat
+    # layer, and a label half 10 -> 16
+    for k, n in ((16, 16), (32, 16), (16, 32), (10, 16)):
+        a = rng.standard_normal((m, 2 * k))
+        # C- and F-ordered operands, and a column block such as a concat layer's gradient
+        for left in (np.ascontiguousarray(a[:, :k]), np.asfortranarray(a[:, :k]), a[:, :k]):
+            for w in (rng.standard_normal((k, n)), rng.standard_normal((n, k)).T):
+                got = _hidden_product(left, w)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == (left @ w).tobytes(), (m, k, n)

@@ -447,3 +447,10 @@ def test_config_validation():
         TrainConfig(rng_seed=-1)
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"nonsense": 1})
+    # integer fields take ints only, number fields finite ints or floats, use_wce a bool
+    for bad in ({"hidden_dim": 1.5}, {"max_epochs": True}, {"patience": np.int64(3)},
+                {"learning_rate": float("nan")}, {"l2_weight": float("inf")},
+                {"dropout_rate": "0.1"}, {"use_wce": 1}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            TrainConfig(**bad)
+    assert TrainConfig(learning_rate=1, l2_weight=np.float64(0.5)).learning_rate == 1
