@@ -3,7 +3,9 @@
 A dataset directory holds four files: ``meta.json`` (name, n, f, l, task),
 ``graph.tsv`` (tab-separated edge list), ``features.tsv`` and ``labels.tsv``
 (dense tab-separated rows, one node per line, node order = id order). The
-format round-trips byte-identically through save/load.
+format round-trips byte-identically through save/load. One reader,
+``_read_table``, parses all three TSV files, 64 KiB at a time, and names the
+file and line of whatever it rejects.
 
 ``load_dataset`` keeps a binary copy of every bundle it parses under
 :func:`cache_root`, one uncompressed ``.npz`` per bundle, keyed by the SHA-256
@@ -13,8 +15,10 @@ instead of parsing the text, and runs every check on it again.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -28,8 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IngestError
-from .graph import (CSR_INDEX_MAX, READ_BLOCK, Graph, build_graph, load_edge_list, numbered_lines,
-                    read_lines)
+from .graph import CSR_INDEX_MAX, Graph, build_graph
 from .metrics import Task
 
 
@@ -63,39 +66,88 @@ def _write_matrix(path: Path, m: np.ndarray) -> None:
             fh.write("\n")
 
 
-def _read_matrix(path: Path, expect_rows: int, name: str, open_lines) -> np.ndarray:
-    """Dense float64 rows of a tab-separated file, parsed by numpy's C reader.
+READ_BLOCK = 1 << 16  # read_lines reads files this many bytes at a time
 
-    The values are bit-identical to ``float()`` of each cell. Only lines the
-    C reader rejects go through the per-line reader, which names the
-    offending line. Each reads the lines of its own ``open_lines(path)``.
+
+def read_lines(path, digest=None):
+    """The lines of a UTF-8 text file, without their ends, read a block at a time.
+
+    Line ends are those of text mode (``\\n``, ``\\r\\n`` or ``\\r``). Each block of
+    bytes goes to ``digest.update``, if a digest is given, as it is read. The
+    lines come out of one list per block, so numpy's C reader iterates them
+    without running Python code per line, and only a block of the file is held
+    at a time.
+    """
+    return itertools.chain.from_iterable(_line_blocks(path, digest))
+
+
+def _line_blocks(path, digest):
+    decode = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(),
+                                          translate=True).decode
+    tail = ""
+    with open(path, "rb") as fh:
+        while block := fh.read(READ_BLOCK):
+            if digest is not None:
+                digest.update(block)
+            lines = (tail + decode(block)).split("\n")
+            tail = lines.pop()
+            yield lines
+    tail += decode(b"", final=True)
+    if tail:
+        yield [tail]
+
+
+def _read_table(path, name, open_lines, dtype, comments=None, width=None) -> np.ndarray:
+    """The tab-separated rows of ``path`` as a 2-D ``dtype`` array.
+
+    numpy's C reader parses the lines ``open_lines(path)`` returns; its values
+    are bit-identical to ``float()`` or ``int()`` of each cell. Only when it
+    rejects them, or finds other than ``width`` columns, does the line reader
+    run, on the lines of a second ``open_lines(path)``, to name the offending
+    line of ``name``: a bad cell, a wrong column count, an integer beyond int64,
+    or bytes that are not UTF-8. ``comments`` starts a comment; a blank line
+    holds no row.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty file warns; the line reader handles it
-            m = np.loadtxt(open_lines(path), dtype=np.float64, delimiter="\t", comments=None,
-                           ndmin=2)
+            table = np.loadtxt(open_lines(path), dtype=dtype, delimiter="\t", comments=comments,
+                               ndmin=2)
+        if width in (None, table.shape[1]):
+            return table
     except (ValueError, Warning):
-        m = _read_matrix_lines(path, name, open_lines)
-    if m.shape[0] != expect_rows:
-        raise IngestError(f"{name}: expected {expect_rows} rows, found {m.shape[0]}")
-    return m
-
-
-def _read_matrix_lines(path: Path, name: str, open_lines) -> np.ndarray:
+        pass
+    parse = int if np.issubdtype(dtype, np.integer) else float
     rows = []
-    for lineno, line in numbered_lines(open_lines(path), name):
-        if not line.strip():
-            continue
-        try:
-            row = [float(v) for v in line.split("\t")]
-        except ValueError as exc:
-            raise IngestError(f"{name}:{lineno}: {exc}") from exc
-        if rows and len(row) != len(rows[0]):
-            raise IngestError(f"{name}:{lineno}: expected {len(rows[0])} columns, found {len(row)}")
-        rows.append(row)
-    # 2-D even with no rows, so the column check can read shape[1]
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(rows[0]) if rows else 0)
+    lineno = 0
+    try:
+        for lineno, line in enumerate(open_lines(path), start=1):
+            if comments:  # a comment goes, and so does the whitespace around the cells
+                line = line.split(comments, 1)[0].strip()
+            if not line.strip():
+                continue
+            cells = line.split("\t")
+            width = width or len(cells)
+            if len(cells) != width:
+                raise IngestError(f"{name}:{lineno}: expected {width} columns, "
+                                  f"found {len(cells)}")
+            try:
+                row = [parse(cell) for cell in cells]
+            except ValueError as exc:
+                raise IngestError(f"{name}:{lineno}: {exc}") from exc
+            if parse is int and max(map(abs, row)) >= 2**63:
+                raise IngestError(f"{name}:{lineno}: value out of the int64 range")
+            rows.append(row)
+    except UnicodeDecodeError as exc:
+        # lines are decoded a block at a time, so the bad byte lies in a line after this one
+        raise IngestError(f"{name}: not UTF-8 text after line {lineno} ({exc.reason})") from exc
+    # 2-D even with no rows, so the column checks can read shape[1]
+    return np.asarray(rows, dtype=dtype).reshape(len(rows), width or 0)
+
+
+def load_edge_list(path) -> np.ndarray:
+    """Parse a tab-separated edge-list file into an (m, 2) int64 array; ``#`` starts a comment."""
+    return _read_table(path, path, read_lines, np.int64, comments="#", width=2)
 
 
 def save_dataset(bundle: DatasetBundle, dir_path) -> None:
@@ -350,11 +402,12 @@ def load_dataset(dir_path) -> DatasetBundle:
         digest = parsed[Path(path).name] = _Digest()
         return read_lines(path, digest)
 
-    # the row checks confirm n before build_graph allocates O(n) for it
-    x = _read_matrix(d / "features.tsv", meta.n, f"{d}/features.tsv", open_lines)
-    y = _read_matrix(d / "labels.tsv", meta.n, f"{d}/labels.tsv", open_lines)
-    graph = build_graph(load_edge_list(d / "graph.tsv", open_lines), meta.n)
-    _check_arrays(d, meta, x, y)
+    x, y = (_read_table(d / f, f"{d}/{f}", open_lines, np.float64)
+            for f in ("features.tsv", "labels.tsv"))
+    _check_arrays(d, meta, x, y)  # the row checks confirm n before build_graph allocates O(n)
+    edges = _read_table(d / "graph.tsv", f"{d}/graph.tsv", open_lines, np.int64, comments="#",
+                        width=2)
+    graph = build_graph(edges, meta.n)
     bundle = DatasetBundle(graph=graph, x=x, y=y, task=meta.task, name=meta.name)
     stored = root is not None and _store_entry(root, _entry_name(parsed), bundle)
     bundle.cache_outcome = "miss" if stored else "unavailable"

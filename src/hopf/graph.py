@@ -3,15 +3,12 @@
 Graphs are simple, undirected and unweighted; edges are stored symmetrically.
 Subgraphs order their nodes by expansion frontier (seeds first, then each hop's
 new nodes in ascending global id), which makes every downstream computation
-reproducible for a fixed seed set.
+reproducible for a fixed seed set. This module reads no files: the edge-list
+format is parsed in :mod:`hopf.data`.
 """
 
 from __future__ import annotations
 
-import codecs
-import io
-import itertools
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -151,91 +148,6 @@ def build_graph(edge_list, n: int) -> Graph:
         indices=adj.indices.astype(np.int32, copy=False),
         degree=np.diff(adj.indptr).astype(np.int64),
     )
-
-
-READ_BLOCK = 1 << 16  # read_lines reads files this many bytes at a time
-
-
-def read_lines(path, digest=None):
-    """The lines of a UTF-8 text file, without their ends, read a block at a time.
-
-    Line ends are those of text mode (``\\n``, ``\\r\\n`` or ``\\r``). Each block of
-    bytes goes to ``digest.update``, if a digest is given, as it is read. The
-    lines come out of one list per block, so numpy's C reader iterates them
-    without running Python code per line, and only a block of the file is held
-    at a time.
-    """
-    return itertools.chain.from_iterable(_line_blocks(path, digest))
-
-
-def _line_blocks(path, digest):
-    decode = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(),
-                                          translate=True).decode
-    tail = ""
-    with open(path, "rb") as fh:
-        while block := fh.read(READ_BLOCK):
-            if digest is not None:
-                digest.update(block)
-            lines = (tail + decode(block)).split("\n")
-            tail = lines.pop()
-            yield lines
-    tail += decode(b"", final=True)
-    if tail:
-        yield [tail]
-
-
-def load_edge_list(path, open_lines=read_lines) -> np.ndarray:
-    """Parse a tab-separated edge-list file into an (m, 2) int64 array.
-
-    ``#`` starts a comment. numpy's C reader parses the lines
-    ``open_lines(path)`` returns; only when it rejects them does the per-line
-    reader run, on the lines of a second ``open_lines(path)``, to name the
-    offending line.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty file warns; the line reader handles it
-            edges = np.loadtxt(open_lines(path), dtype=np.int64, delimiter="\t", comments="#",
-                               ndmin=2)
-        if edges.shape[1] == 2:
-            return edges
-    except (ValueError, Warning):
-        pass
-    return _read_edge_lines(path, open_lines)
-
-
-def _read_edge_lines(path, open_lines) -> np.ndarray:
-    edges = []
-    for lineno, raw in numbered_lines(open_lines(path), path):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise IngestError(f"{path}:{lineno}: expected 'src<TAB>dst', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: non-integer node id") from exc
-        if max(abs(u), abs(v)) >= 2**63:
-            raise IngestError(f"{path}:{lineno}: node id out of the int64 range")
-        edges.append((u, v))
-    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-
-
-def numbered_lines(lines, name):
-    """``(line number, line)`` for each of ``lines``, from :func:`read_lines`.
-
-    Bytes that are not UTF-8 are an IngestError naming ``name`` and the last
-    good line; lines are decoded a block at a time, so the bad byte lies in
-    one of the lines after it.
-    """
-    lineno = 0
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            yield lineno, line
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{name}: not UTF-8 text after line {lineno} ({exc.reason})") from exc
 
 
 def _check_seeds(n: int, seeds) -> np.ndarray:

@@ -371,12 +371,6 @@ class ForwardCache:
     ytilde: np.ndarray | None = None
 
 
-def maxpool_aggregate(sub: Subgraph, neighbor_features: np.ndarray) -> np.ndarray:
-    """Element-wise max over each node's neighbors; isolated rows are zero."""
-    out, _ = _maxpool_with_argmax(sub, np.asarray(neighbor_features, dtype=np.float64), sub.n)
-    return out
-
-
 def _maxpool_with_argmax(sub: Subgraph, feats: np.ndarray, n: int):
     """Maxpool for the first ``n`` rows of ``sub``."""
     w = feats.shape[1]

@@ -190,23 +190,6 @@ def read_scores_csv(path) -> dict:
     return scores
 
 
-def aggregate_report(records) -> dict:
-    """Fold-averaged scores plus shortfall and mean-rank columns per model."""
-    cells: dict[str, dict[str, list[float]]] = {}
-    for r in records:
-        cells.setdefault(r.model, {}).setdefault(r.dataset, []).append(r.micro_f1)
-    scores = {m: {d: float(np.mean(v)) for d, v in ds.items()} for m, ds in cells.items()}
-    sf = shortfall(scores)
-    ranks = average_rank(scores)
-    return {
-        "scores": scores,
-        "models": [
-            {"model": m, "shortfall": sf[m], "avg_rank": ranks[m]}
-            for m in sorted(sf, key=sf.get)
-        ],
-    }
-
-
 def write_report_json(report: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -36,10 +36,6 @@ def glorot_init(fan_in: int, fan_out: int, rng_seed) -> np.ndarray:
     return as_rng(rng_seed).uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, clipped to stay strictly inside (0, 1).
 

@@ -53,8 +53,9 @@ class TrainConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.learning_rate < 0 or self.l2_weight < 0:
             raise ConfigError("learning_rate and l2_weight must be non-negative")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        for name in ("rng_seed", "patience", "min_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

@@ -46,7 +46,7 @@ CONFIG_FILES = {
 }
 
 # (case, config file, what the error must name): integers must be JSON
-# integers, numbers finite, and use_wce a bool
+# integers, numbers finite, use_wce a bool, and patience and min_epochs >= 0
 BAD_CONFIG_VALUES = [
     ("hidden_dim-1.5", '{"hidden_dim": 1.5}', "hidden_dim must be an integer, got 1.5"),
     ("batch_size-2.5", '{"batch_size": 2.5}', "batch_size must be an integer, got 2.5"),
@@ -57,6 +57,8 @@ BAD_CONFIG_VALUES = [
      "learning_rate must be a finite number, got nan"),
     ("l2_weight-inf", '{"l2_weight": Infinity}', "l2_weight must be a finite number, got inf"),
     ("use_wce-string", '{"use_wce": "no"}', "use_wce must be true or false, got 'no'"),
+    ("patience-negative", '{"patience": -5}', "patience must be >= 0, got -5"),
+    ("min_epochs-negative", '{"min_epochs": -3}', "min_epochs must be >= 0, got -3"),
 ]
 CONFIG_FILES.update((f"{case}.json", text) for case, text, _ in BAD_CONFIG_VALUES)
 

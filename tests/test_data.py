@@ -107,6 +107,14 @@ class TestIngestErrors:
         with pytest.raises(IngestError, match=r"features.tsv:4: non-finite value"):
             load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("fname", ["features.tsv", "labels.tsv"])
+    def test_not_utf8_names_file(self, tmp_path, fname):
+        save_dataset(minimal_bundle(), tmp_path / "d")
+        path = tmp_path / "d" / fname
+        path.write_bytes(path.read_bytes().replace(b"0", b"\xff", 1))
+        with pytest.raises(IngestError, match=f"{fname}: not UTF-8 text after line"):
+            load_dataset(tmp_path / "d")
+
     def test_multiclass_must_be_one_hot(self, tmp_path):
         save_dataset(minimal_bundle(), tmp_path / "d")
         (tmp_path / "d" / "labels.tsv").write_text("1\t1\n0\t1\n1\t0\n")

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 import hopf.kernels as kernels_mod
 from hopf import (ArgumentError, ConfigError, HopfError, ModelWeights, NormScheme, ShapeError,
                   StateError, Task, backward, build_graph, finite_diff_grad, khop_subgraph,
-                  linear_unroll_coefficient, make_kernel, maxpool_aggregate,
-                  nim_relative_importance, predict, weighted_cross_entropy)
+                  linear_unroll_coefficient, make_kernel, nim_relative_importance,
+                  predict, weighted_cross_entropy)
 from hopf.kernels import (HIDDEN_BLOCK_ROWS, ITERATIVE_MODELS, REGISTRY, TRAINABLE_MODELS,
                           WHOLE_GRAPH_FRACTION, AlphaMode, BetaMode, Combine, Phi, Psi,
-                          _hidden_product, layer_plan, layer_rows)
+                          _hidden_product, _maxpool_with_argmax, layer_plan, layer_rows)
 
 from conftest import blas_peak_growth, random_graph, traced_peak
 
@@ -394,7 +394,7 @@ class TestMaxpool:
         g = build_graph([(0, 1)], 2)
         sub = khop_subgraph(g, [0], 2)
         feats = np.array([[3.0, -1.0], [2.0, 7.0]])
-        out = maxpool_aggregate(sub, feats)
+        out = _maxpool_with_argmax(sub, feats, sub.n)[0]
         assert out[0].tolist() == [2.0, 7.0]
         assert out[1].tolist() == [3.0, -1.0]
 
@@ -404,13 +404,13 @@ class TestMaxpool:
         feats = np.zeros((3, 2))
         feats[sub.global_ids.tolist().index(1)] = [1.0, -2.0]
         feats[sub.global_ids.tolist().index(2)] = [0.0, 5.0]
-        out = maxpool_aggregate(sub, feats)
+        out = _maxpool_with_argmax(sub, feats, sub.n)[0]
         assert out[0].tolist() == [1.0, 5.0]
 
     def test_isolated_row_is_zero(self):
         g = build_graph([(0, 1)], 3)
         sub = khop_subgraph(g, [0, 1, 2], 1)
-        out = maxpool_aggregate(sub, np.full((3, 2), -9.0))
+        out = _maxpool_with_argmax(sub, np.full((3, 2), -9.0), sub.n)[0]
         iso = sub.global_ids.tolist().index(2)
         assert out[iso].tolist() == [0.0, 0.0]
 

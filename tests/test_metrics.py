@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hopf import (ArgumentError, ConfigError, Task, average_rank, binarize_predictions,
                   finite_diff_grad, micro_f1, shortfall, wce_weights, weighted_cross_entropy)
-from hopf.metrics import MetricsRecord, aggregate_report, read_scores_csv, write_records_csv
+from hopf.metrics import MetricsRecord, read_scores_csv, write_records_csv
 
 
 class TestWceWeights:
@@ -162,7 +162,7 @@ class TestShortfallAndRank:
             shortfall({"a": {"d1": 5.0, "d2": 5.0}, "b": {"d1": 5.0}})
 
 
-def test_records_roundtrip_and_report(tmp_path):
+def test_records_roundtrip(tmp_path):
     records = [
         MetricsRecord("m1", "data", 0, 0.8, 0.5),
         MetricsRecord("m1", "data", 1, 0.9, 0.4),
@@ -172,10 +172,6 @@ def test_records_roundtrip_and_report(tmp_path):
     write_records_csv(records, path)
     scores = read_scores_csv(path)
     assert scores["m2"]["data"] == 0.6
-    report = aggregate_report(records)
-    assert report["scores"]["m1"]["data"] == pytest.approx(0.85)
-    assert report["models"][0]["model"] == "m1"
-    assert report["models"][0]["shortfall"] == 0.0
 
 
 def test_malformed_scores_csv(tmp_path):

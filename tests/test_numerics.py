@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hopf import (AdamState, NormScheme, NumericsError, ShapeError, adam_step,
                   finite_diff_grad, glorot_init, khop_subgraph, normalize_adjacency,
-                  relu, sigmoid, softmax_rows, spmm)
+                  sigmoid, softmax_rows, spmm)
 from hopf.numerics import dropout_mask
 
 
@@ -67,10 +67,6 @@ class TestGlorot:
 
 
 class TestActivations:
-    def test_relu(self):
-        assert relu(np.array([-3.0]))[0] == 0.0
-        assert relu(np.array([2.0]))[0] == 2.0
-
     def test_sigmoid_zero(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
 

@@ -443,8 +443,9 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(dropout_rate=1.0)
-    with pytest.raises(ConfigError, match="rng_seed"):
-        TrainConfig(rng_seed=-1)
+    for name in ("rng_seed", "patience", "min_epochs"):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0, got -1"):
+            TrainConfig(**{name: -1})
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"nonsense": 1})
     # integer fields take ints only, number fields finite ints or floats, use_wce a bool
