@@ -79,6 +79,13 @@ def _load_bundle(path, manifest, out) -> DatasetBundle:
     bundle = load_dataset(path)
     manifest.dataset_cache = bundle.cache_outcome
     manifest.write(out)
+    # Normalized into a copy on purpose. Dividing x in place, with norms summed a
+    # block at a time, saves the 15 MiB load transient of the 20k-node bundle but
+    # lowers no call's peak, and a full_k3 call took 1.5-1.7 s instead of
+    # 1.2-1.3 s (2-core VM): freeing the original x is what raises glibc's
+    # dynamic mmap threshold above the 2.5 MB step arrays, and without that free
+    # each is mmapped and faulted in afresh (about 150k minor page faults per
+    # call against 9k, and 0.4 s more system time).
     bundle.x = row_normalize(bundle.x)
     return bundle
 

@@ -12,6 +12,7 @@ trainable parameter count stays that of a single C-layer kernel.
 from __future__ import annotations
 
 import csv
+import hashlib
 import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -95,18 +96,19 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
         (out_path / "metrics.csv").unlink(missing_ok=True)
 
     weights = None
-    dumped: dict[str, bytes] = {}  # stem -> bytes of the matrix last written under it
+    dumped: dict[str, bytes] = {}  # stem -> SHA-256 of the matrix last written under it
     result = HopfResult(yhat=yhat, ytilde=ytilde, trajectory=[], weights=None)
     for t in range(1, hopf_config.T + 1):
         cfg_t = replace(train_config, rng_seed=train_config.rng_seed + _ITER_SEED_STRIDE * (t - 1))
         # a warm start resumes from a copy of the last weights; Adam's moments start afresh
         init = weights.copy() if (hopf_config.warm_start and weights is not None) else None
-        yhat_frozen = yhat.copy()
+        # train and infer read yhat as this round's frozen channel; it is first
+        # written below, once infer has returned, so they need no copy of it
         weights, history = train(spec, graph, x, y, split, cfg_t, task,
-                                 yhat=yhat_frozen, init_weights=init)
+                                 yhat=yhat, init_weights=init)
         result.histories.append(history)
 
-        ytilde[u_nodes] = infer(spec, weights, graph, x, u_nodes, task, yhat_frozen)
+        ytilde[u_nodes] = infer(spec, weights, graph, x, u_nodes, task, yhat)
         yhat[split.train_nodes] = y[split.train_nodes]
         yhat[u_nodes] = temporal_average(ytilde[u_nodes], yhat[u_nodes], t, hopf_config.T,
                                          shifted=hopf_config.shifted_averaging)
@@ -119,14 +121,15 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
             weights.save(out_path / f"weights_t{t}.bin")
             for stem, matrix in (("yhat", yhat), ("ytilde", ytilde)):
                 # under the (T-t)/T rule round T's fresh weight is 0, so yhat_t{T}
-                # repeats yhat_t{T-1}; bytes, not values, so -0.0 and NaN never alias
-                raw = matrix.tobytes()
-                if dumped.get(stem) == raw:
+                # repeats yhat_t{T-1}; a digest of the bytes, not the values, so
+                # -0.0 and NaN never alias, and no copy of the matrix is kept
+                digest = hashlib.sha256(matrix).digest()
+                if dumped.get(stem) == digest:
                     shutil.copyfile(out_path / f"{stem}_t{t - 1}.csv",
                                     out_path / f"{stem}_t{t}.csv")
                 else:
                     _dump_labels(out_path / f"{stem}_t{t}.csv", matrix)
-                    dumped[stem] = raw
+                    dumped[stem] = digest
             _append_metrics_row(out_path / "metrics.csv", t, test_f1)
 
     result.weights = weights

@@ -341,8 +341,12 @@ class ForwardCache:
     :func:`layer_rows`). ``phi_inputs[k]`` and ``psi_inputs[k]`` are views of
     ``x`` (of ``yhat`` for a ``Psi.LABELS`` layer): a
     ``Psi.H_PREV_CONCAT_LABELS`` layer multiplies ``h`` and the label channel
-    by the two row blocks of ``wpsi[k]`` apart, so no ``[h | yhat]`` copy
-    exists, and ``psi_inputs[k]`` holds its ``h`` part only. Of the
+    by the two row blocks of ``wpsi[k]`` apart and adds the label half one row
+    block at a time (see :func:`_hidden_product`), so neither a
+    ``[h | yhat]`` copy nor a full-height label product exists, and
+    ``psi_inputs[k]`` holds its ``h`` part only. A layer builds its neighbour
+    path first and frees that path's pre-aggregation product before its node
+    path allocates, so the two never coexist. Of the
     output only ``ytilde`` is kept; backward never reads the logits.
     ``gathered`` is None when the input layer multiplied the whole graph-level
     ``features`` (see ``WHOLE_GRAPH_FRACTION``). ``adj[k]`` is layer k+1's
@@ -426,9 +430,15 @@ def _input_product(x: np.ndarray, w0: np.ndarray) -> np.ndarray:
 HIDDEN_BLOCK_ROWS = 2048
 
 
-def _hidden_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _hidden_product(a: np.ndarray, w: np.ndarray,
+                    plus: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """``a @ w`` for a ball-tall ``a`` and a hidden-width ``w``, computed in row
     blocks; the result is C-ordered and bit-identical to the plain product.
+
+    ``plus``, a pair ``(b, v)`` with ``b`` as tall as ``a``, adds ``b @ v``
+    block by block through one temporary the height of the tallest block, so
+    the result equals ``_hidden_product(a, w) + _hidden_product(b, v)`` bit
+    for bit with no full-height second product.
 
     With more than one thread, OpenBLAS packs the left operand of a product
     into buffers that it maps itself, and as a ball's row count changes from
@@ -443,10 +453,16 @@ def _hidden_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     m = a.shape[0]
     out = np.empty((m, w.shape[1]))
     blocks = max(1, m // HIDDEN_BLOCK_ROWS)
+    if plus is not None:
+        b, v = plus
+        part = np.empty((min(m, 2 * HIDDEN_BLOCK_ROWS - 1), v.shape[1]))
     for i in range(blocks):
         lo = i * HIDDEN_BLOCK_ROWS
         hi = m if i == blocks - 1 else lo + HIDDEN_BLOCK_ROWS
         np.matmul(a[lo:hi], w, out=out[lo:hi])
+        if plus is not None:
+            np.matmul(b[lo:hi], v, out=part[: hi - lo])
+            out[lo:hi] += part[: hi - lo]
     return out
 
 
@@ -478,11 +494,29 @@ def _layer_pre(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
                k: int) -> np.ndarray:
     """Layer k+1's pre-activation from ``cache.x[k]``; records the layer's inputs.
 
-    The products it needs on the way die when it returns, so they never
+    The neighbour path comes first, and its ``rows[k]``-tall product ``lin``
+    is freed as soon as it is aggregated, before the node path allocates. The
+    other products it needs on the way die when it returns, so they never
     overlap the next layer's or the output's.
     """
     n_in, n_out = cache.rows[k], cache.rows[k + 1]
     prev = cache.x[k]
+    neigh = None
+    psi_in = None
+    argmax = None
+    if spec.has_neighbor_path:
+        psi_in = cache.yhat[:n_in] if spec.psi is Psi.LABELS else prev
+        w = psi_in.shape[1]
+        # [h | yhat] @ W as h @ W[:w] + yhat @ W[w:], the label half added block by
+        # block, so there is neither a concatenated copy nor a full-height label product
+        plus = ((cache.yhat[:n_in], weights.wpsi[k][w:])
+                if spec.psi is Psi.H_PREV_CONCAT_LABELS else None)
+        lin = _hidden_product(psi_in, weights.wpsi[k][:w], plus)
+        if spec.norm is NormScheme.MAXPOOL:
+            neigh, argmax = _maxpool_with_argmax(cache.sub, lin, n_out)
+        else:
+            neigh = spmm(cache.adj[k], lin)
+        del lin
     node = None
     phi_in = None
     if spec.has_node_path:
@@ -490,20 +524,6 @@ def _layer_pre(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
         node = _hidden_product(phi_in, weights.wphi[k])
         if cache.alpha_vec is not None:
             node = cache.alpha_vec[:n_out, None] * node
-    neigh = None
-    psi_in = None
-    argmax = None
-    if spec.has_neighbor_path:
-        psi_in = cache.yhat[:n_in] if spec.psi is Psi.LABELS else prev
-        w = psi_in.shape[1]
-        lin = _hidden_product(psi_in, weights.wpsi[k][:w])
-        if spec.psi is Psi.H_PREV_CONCAT_LABELS:
-            # [h | yhat] @ W as h @ W[:w] + yhat @ W[w:], with no concatenated copy
-            lin += _hidden_product(cache.yhat[:n_in], weights.wpsi[k][w:])
-        if spec.norm is NormScheme.MAXPOOL:
-            neigh, argmax = _maxpool_with_argmax(cache.sub, lin, n_out)
-        else:
-            neigh = spmm(cache.adj[k], lin)
     cache.phi_inputs.append(phi_in)
     cache.psi_inputs.append(psi_in)
     cache.maxpool_argmax.append(argmax)

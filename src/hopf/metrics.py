@@ -172,7 +172,13 @@ def write_records_csv(records, path) -> None:
 
 
 def read_scores_csv(path) -> dict:
-    """Read a (model, dataset, micro_f1) CSV into the nested score-table form."""
+    """Read a (model, dataset, micro_f1) CSV into the nested score-table form.
+
+    Each (model, dataset) pair must appear once: a repeated pair, such as the
+    per-fold rows of a ``train`` run's ``metrics.csv`` or the per-round rows of
+    a ``hopf`` run's, is an ``ArgumentError`` rather than a silent choice of
+    one row.
+    """
     scores: dict[str, dict[str, float]] = {}
     try:
         fh = open(path, newline="")
@@ -184,9 +190,14 @@ def read_scores_csv(path) -> dict:
             raise ArgumentError(f"{path}: expected columns model, dataset, micro_f1")
         for row in reader:
             try:
-                scores.setdefault(row["model"], {})[row["dataset"]] = float(row["micro_f1"])
+                score = float(row["micro_f1"])
             except (TypeError, ValueError) as exc:
                 raise ArgumentError(f"{path}: malformed row {row!r}") from exc
+            per_model = scores.setdefault(row["model"], {})
+            if row["dataset"] in per_model:
+                raise ArgumentError(f"{path}: model {row['model']!r} on dataset "
+                                    f"{row['dataset']!r} is scored more than once")
+            per_model[row["dataset"]] = score
     return scores
 
 

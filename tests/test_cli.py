@@ -43,6 +43,9 @@ CONFIG_FILES = {
     "list.json": "[1, 2]",
     "wrong_type.json": '{"batch_size": "64"}',
     "hopf_key.json": '{"T": 4}',
+    # a two-fold train run's metrics.csv: one model scored twice on one dataset
+    "folds.csv": "model,dataset,fold,micro_f1,loss\nnip_mean,planted,0,0.8,0.5\n"
+                 "nip_mean,planted,1,0.9,0.4",
 }
 
 # (case, config file, what the error must name): integers must be JSON
@@ -107,6 +110,8 @@ BAD_ARGUMENTS = [
                                     "--config", "{tmp}/wrong_type.json"], id="config-wrong-type"),
     pytest.param("missing.csv", ["compare", "--scores", "{tmp}/missing.csv"],
                  id="scores-missing"),
+    pytest.param("folds.csv: model 'nip_mean' on dataset 'planted' is scored more than once",
+                 ["compare", "--scores", "{tmp}/folds.csv"], id="scores-repeated-pair"),
     pytest.param("unknown config keys: ['T']", ["hopf", "--dataset", "{data}", "--model",
                                                 "i_nip_mean", "--config", "{tmp}/hopf_key.json"],
                  id="config-hopf-key"),

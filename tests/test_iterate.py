@@ -6,8 +6,9 @@ import pytest
 
 import hopf.iterate as iterate_mod
 from hopf import (ArgumentError, ConfigError, HopfConfig, ModelWeights, Task, TrainConfig,
-                  gen_chain, gen_planted_partition, khop_subgraph, make_kernel, make_splits,
-                  predict, row_normalize, run_hopf, temporal_average, train)
+                  gen_benchmark_graph, gen_chain, gen_planted_partition, khop_subgraph,
+                  make_kernel, make_splits, predict, row_normalize, run_hopf, temporal_average,
+                  train)
 from hopf.iterate import _DUMP_BLOCK_ROWS, _dump_labels
 
 from conftest import traced_peak
@@ -203,6 +204,25 @@ def test_label_dump_peak_memory_is_a_block_not_the_file(tmp_path):
     path = tmp_path / "labels.csv"
     _, peak, _ = traced_peak(lambda: _dump_labels(path, m))
     assert peak < 0.5 * path.stat().st_size
+
+
+def test_label_dumps_keep_no_copy_of_a_label_matrix(tmp_path):
+    # run_hopf remembers each stem's last matrix by its digest, and the rounds read
+    # yhat itself, so writing the round files adds less than one n x L matrix to the
+    # traced peak; 4 features keep one 1,024-row dump block below a matrix's size
+    bundle = gen_benchmark_graph(20_000, 60_000, f=4, l=4, rng_seed=5)
+    split = make_splits(bundle.graph.n, rng_seed=5)[0]
+    cfg = TrainConfig(batch_size=512, hidden_dim=8, max_epochs=1, min_epochs=1, rng_seed=5)
+    spec = make_kernel("i_nip_mean", depth=1, hidden_dim=8)
+
+    def run(out_dir):
+        return run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg, HopfConfig(T=3),
+                        bundle.task, out_dir=out_dir)
+
+    _, plain, _ = traced_peak(lambda: run(None))
+    _, dumped, _ = traced_peak(lambda: run(tmp_path / "iterations"))
+    assert len(list((tmp_path / "iterations").glob("*_t3.csv"))) == 2
+    assert dumped - plain < bundle.y.nbytes
 
 
 class TestReach:

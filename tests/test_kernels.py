@@ -581,3 +581,8 @@ def test_hidden_product_is_the_plain_product_bit_for_bit(m):
                 got = _hidden_product(left, w)
                 assert got.flags.c_contiguous
                 assert got.tobytes() == (left @ w).tobytes(), (m, k, n)
+                # a label-concat layer's [h | yhat] @ W, its 10-wide label half added per block
+                labels, w_labels = rng.random((m, 10)), rng.standard_normal((10, n))
+                whole = _hidden_product(left, w) + _hidden_product(labels, w_labels)
+                got = _hidden_product(left, w, (labels, w_labels))
+                assert got.tobytes() == whole.tobytes(), (m, k, n)

@@ -165,13 +165,24 @@ class TestShortfallAndRank:
 def test_records_roundtrip(tmp_path):
     records = [
         MetricsRecord("m1", "data", 0, 0.8, 0.5),
-        MetricsRecord("m1", "data", 1, 0.9, 0.4),
+        MetricsRecord("m1", "other", 0, 0.9, 0.4),
         MetricsRecord("m2", "data", 0, 0.6, 0.9),
     ]
     path = tmp_path / "metrics.csv"
     write_records_csv(records, path)
     scores = read_scores_csv(path)
-    assert scores["m2"]["data"] == 0.6
+    assert scores == {"m1": {"data": 0.8, "other": 0.9}, "m2": {"data": 0.6}}
+
+
+def test_repeated_model_dataset_pair_is_rejected(tmp_path):
+    # one row per fold: scoring only the last fold would be a silent choice
+    path = tmp_path / "metrics.csv"
+    write_records_csv([MetricsRecord("m1", "data", 0, 0.8, 0.5),
+                       MetricsRecord("m2", "data", 0, 0.6, 0.9),
+                       MetricsRecord("m1", "data", 1, 0.9, 0.4)], path)
+    with pytest.raises(ArgumentError, match="metrics.csv: model 'm1' on dataset 'data' "
+                                            "is scored more than once"):
+        read_scores_csv(path)
 
 
 def test_malformed_scores_csv(tmp_path):
