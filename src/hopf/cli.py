@@ -158,6 +158,10 @@ def cmd_train(args) -> int:
                                        "sample_caps": args.sample_caps},
                         seeds={"rng_seed": config.rng_seed},
                         dataset_dir=args.dataset) as manifest:
+        # a rerun into the same --out: the folds of a longer earlier run must not linger
+        for pattern in ("history_fold*.csv", "predictions_fold*.csv"):
+            for stale in out.glob(pattern):
+                stale.unlink()
         t0 = time.perf_counter()
         bundle = _load_bundle(args.dataset, manifest, out)
         manifest.timings["load_seconds"] = time.perf_counter() - t0

@@ -341,6 +341,17 @@ class TestTrainCommand:
                             for name in ("predictions_fold0.csv", "history_fold0.csv")])
         assert outputs[0] == outputs[1]
 
+    def test_rerun_with_fewer_folds_leaves_no_stale_fold(self, planted_dir, fast_config,
+                                                           tmp_path):
+        out = tmp_path / "run"
+        for folds in ("3", "1"):
+            assert main(["train", "--dataset", str(planted_dir), "--model", "nip_mean",
+                         "--config", str(fast_config), "--folds", folds, "-C", "1",
+                         "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "history_fold0.csv", "manifest.json", "metrics.csv", "predictions_fold0.csv",
+            "report.json"]
+
     def test_sample_caps_cardinality_checked(self, planted_dir, fast_config, tmp_path):
         code = main(["train", "--dataset", str(planted_dir), "--model", "nip_mean",
                      "--config", str(fast_config), "--sample-caps", "5",
@@ -371,6 +382,20 @@ class TestHopfCommand:
             final = (out / f"{name}_final.csv").read_bytes()
             assert final == (out / "iterations" / f"{name}_t3.csv").read_bytes()
             assert final != (out / "iterations" / f"{name}_t1.csv").read_bytes()
+
+    def test_rerun_with_fewer_rounds_leaves_no_stale_round(self, planted_dir, fast_config,
+                                                            tmp_path):
+        out = tmp_path / "run"
+        argv = ["hopf", "--dataset", str(planted_dir), "--model", "i_nip_mean",
+                "--config", str(fast_config), "-C", "1", "--out", str(out)]
+        assert main(argv + ["-T", "4"]) == 0
+        killed = out / "iterations" / ".labels-killed"  # the snapshots a killed run leaves
+        killed.mkdir()
+        (killed / "yhat_t1.f64").write_bytes(b"")
+        assert main(argv + ["-T", "2"]) == 0
+        assert sorted(p.name for p in (out / "iterations").iterdir()) == sorted(
+            ["metrics.csv"] + [f"{stem}_t{t}.{ext}" for t in (1, 2) for stem, ext in
+                               (("weights", "bin"), ("yhat", "csv"), ("ytilde", "csv"))])
 
     def test_non_iterative_model_rejected(self, planted_dir, tmp_path):
         code = main(["hopf", "--dataset", str(planted_dir), "--model", "gcn",

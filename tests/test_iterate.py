@@ -1,15 +1,21 @@
 import csv
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hopf.iterate as iterate_mod
-from hopf import (ArgumentError, ConfigError, HopfConfig, ModelWeights, Task, TrainConfig,
-                  gen_benchmark_graph, gen_chain, gen_planted_partition, khop_subgraph,
-                  make_kernel, make_splits, predict, row_normalize, run_hopf, temporal_average,
-                  train)
-from hopf.iterate import _DUMP_BLOCK_ROWS, _dump_labels
+from hopf import (ArgumentError, ConfigError, HopfConfig, HopfError, ModelWeights, Task,
+                  TrainConfig, TrainingError, gen_benchmark_graph, gen_chain,
+                  gen_planted_partition, khop_subgraph, make_kernel, make_splits, predict,
+                  row_normalize, run_hopf, temporal_average, train)
+from hopf.iterate import _dump_labels
+from hopf.labelcsv import BLOCK_ROWS
 
 from conftest import traced_peak
 
@@ -147,13 +153,15 @@ class TestLabelCopies:
     def run_and_record(tmp_path, monkeypatch, shifted):
         bundle, split, cfg = fixture(29)
         cfg = replace(cfg, max_epochs=3, min_epochs=1)
-        real, formatted = _dump_labels, []
+        real, formatted = iterate_mod._format_labels, []
 
-        def recording(path, matrix):
-            formatted.append(path.name)
-            real(path, matrix)
+        def recording(jobs, rows, cols):
+            # every CSV to format is handed out here, to this process or to the helper
+            formatted.extend(path.name for _, path in jobs)
+            real(jobs, rows, cols)
 
-        monkeypatch.setattr(iterate_mod, "_dump_labels", recording)
+        monkeypatch.setattr(iterate_mod, "_format_labels", recording)
+        monkeypatch.setattr(iterate_mod, "_usable_cores", lambda: 2)
         out = tmp_path / ("shifted" if shifted else "plain")
         result = run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle.graph, bundle.x,
                           bundle.y, split, cfg, HopfConfig(T=3, shifted_averaging=shifted),
@@ -176,31 +184,167 @@ class TestLabelCopies:
         assert (out / "yhat_t3.csv").read_bytes() != (out / "yhat_t2.csv").read_bytes()
 
 
-@pytest.mark.parametrize("rows", [6, _DUMP_BLOCK_ROWS - 1, _DUMP_BLOCK_ROWS,
-                                  _DUMP_BLOCK_ROWS + 1])
-def test_label_dump_bytes_match_csv_writer(tmp_path, rows):
-    rng = np.random.default_rng(0)
-    m = rng.random((rows, 4))
+def edge_matrix(rows):
+    """A label matrix whose rows hold the floats whose ``repr`` is easiest to get wrong."""
+    m = np.random.default_rng(0).random((rows, 4))
     m[0] = [0.0, 1.0, 0.0, 1.0]
     m[1] = [1e-300, 5e-324, -0.0, 1.0 - 2.0**-53]
     m[2] = [1.0, 1.0, 1.0, 1.0]
     m[-1] = [5e-324, 0.0, 1.0, -0.0]  # the last row, in the last block
-    path = tmp_path / "labels.csv"
-    _dump_labels(path, m)
-    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+    return m
+
+
+def csv_writer_bytes(path, m):
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"label_{j}" for j in range(m.shape[1])])
         for row in m:
             writer.writerow([repr(float(v)) for v in row])
-    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [6, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_label_dump_bytes_match_csv_writer(tmp_path, rows):
+    m = edge_matrix(rows)
+    path = tmp_path / "labels.csv"
+    _dump_labels(path, m)
+    assert path.read_bytes() == csv_writer_bytes(tmp_path / "reference.csv", m)
     assert path.read_bytes().count(b"\r\n") == rows + 1
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("rows", [6, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_formatted_snapshot_bytes_match_csv_writer(tmp_path, monkeypatch, rows, cores):
+    # with two usable cores this process writes the first file and the head of the
+    # second, and the helper interpreter the tail of the second and the third;
+    # with one, this process writes all three
+    m = edge_matrix(rows)
+    snapshot = tmp_path / "labels.f64"
+    m.tofile(snapshot)
+    jobs = [(snapshot, tmp_path / f"{name}.csv") for name in ("first", "second", "third")]
+    real, dumped = _dump_labels, []
+
+    def recording(path, matrix):
+        dumped.append((path.name, len(matrix)))
+        real(path, matrix)
+
+    monkeypatch.setattr(iterate_mod, "_dump_labels", recording)
+    monkeypatch.setattr(iterate_mod, "_usable_cores", lambda: cores)
+    iterate_mod._format_labels(jobs, rows, m.shape[1])
+    if cores > 1:
+        assert dumped == [("first.csv", rows), ("second.csv", 3 * rows - 3 * rows // 2 - rows)]
+    else:
+        assert dumped == [("first.csv", rows), ("second.csv", rows), ("third.csv", rows)]
+    reference = csv_writer_bytes(tmp_path / "reference.csv", m)
+    assert [path.read_bytes() == reference for _, path in jobs] == [True, True, True]
+
+
+# SIGTERM while this process formats its first label CSV, the helper still running
+SIGTERM_SCRIPT = """
+import json, os, signal, subprocess, sys
+from pathlib import Path
+import hopf.iterate as iterate_mod
+from hopf import (HopfConfig, TrainConfig, gen_planted_partition, make_kernel, make_splits,
+                  run_hopf)
+out = Path(sys.argv[1])
+bundle = gen_planted_partition(200, 4, 0.3, 0.01, 0.4, rng_seed=3)
+cfg = TrainConfig(batch_size=64, hidden_dim=8, max_epochs=2, min_epochs=1, rng_seed=3)
+real, helpers = subprocess.Popen, []
+subprocess.Popen = lambda *args, **kwargs: helpers.append(real(*args, **kwargs)) or helpers[-1]
+iterate_mod._usable_cores = lambda: 2
+iterate_mod._dump_labels = lambda path, matrix: os.kill(os.getpid(), signal.SIGTERM)
+try:
+    run_hopf(make_kernel("ss_ica", hidden_dim=8), bundle.graph, bundle.x, bundle.y,
+             make_splits(200, rng_seed=3)[0], cfg, HopfConfig(T=2), bundle.task, out_dir=out)
+finally:
+    print(json.dumps({"helpers": [p.returncode for p in helpers],
+                      "snapshots": [p.name for p in out.glob(".labels-*")],
+                      "sigterm_restored": signal.getsignal(signal.SIGTERM) == signal.SIG_DFL}))
+"""
+
+
+class TestLabelFormattingFailures:
+    """Whatever ends a run, the helper is reaped and the snapshots are removed."""
+
+    @staticmethod
+    def run(tmp_path, monkeypatch, helpers):
+        bundle, split, cfg = fixture(30)
+        cfg = replace(cfg, max_epochs=2, min_epochs=1)
+        real = subprocess.Popen
+
+        def recording(*args, **kwargs):
+            helpers.append(real(*args, **kwargs))
+            return helpers[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording)
+        monkeypatch.setattr(iterate_mod, "_usable_cores", lambda: 2)
+        run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle.graph, bundle.x, bundle.y,
+                 split, cfg, HopfConfig(T=2), bundle.task, out_dir=tmp_path)
+
+    def test_failed_helper_names_its_file(self, tmp_path, monkeypatch):
+        # T=2: yhat_t2 repeats yhat_t1, so three files are formatted and the helper
+        # writes the last, ytilde_t2, from a snapshot cut short inside a row
+        real, helpers = iterate_mod._format_labels, []
+
+        def cutting(jobs, rows, cols):
+            snapshot = jobs[-1][0]
+            snapshot.write_bytes(snapshot.read_bytes()[:-3])
+            real(jobs, rows, cols)
+
+        monkeypatch.setattr(iterate_mod, "_format_labels", cutting)
+        with pytest.raises(HopfError, match=r"ytilde_t2\.csv.*ends inside a row"):
+            self.run(tmp_path, monkeypatch, helpers)
+        assert [h.returncode for h in helpers] == [1]
+        assert not list(tmp_path.glob(".labels-*"))
+
+    def test_failure_here_kills_the_helper(self, tmp_path, monkeypatch):
+        def failing(path, matrix):
+            raise OSError(f"no space left for {path.name}")
+
+        monkeypatch.setattr(iterate_mod, "_dump_labels", failing)
+        helpers = []
+        with pytest.raises(OSError, match="no space left for yhat_t1.csv"):
+            self.run(tmp_path, monkeypatch, helpers)
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+        assert not list(tmp_path.glob(".labels-*"))
+
+    def test_a_failed_round_keeps_the_earlier_rounds_files(self, tmp_path, monkeypatch):
+        self.run(tmp_path / "whole", monkeypatch, [])
+        real, rounds = iterate_mod.train, []
+
+        def failing_round_2(*args, **kwargs):
+            rounds.append(len(rounds) + 1)
+            if len(rounds) == 2:
+                raise TrainingError("diverged", epoch=1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(iterate_mod, "train", failing_round_2)
+        helpers = []
+        with pytest.raises(TrainingError):
+            self.run(tmp_path / "failed", monkeypatch, helpers)
+        left = sorted(p.name for p in (tmp_path / "failed").iterdir())
+        assert left == ["metrics.csv", "weights_t1.bin", "yhat_t1.csv", "ytilde_t1.csv"]
+        for name in left[1:]:
+            assert (tmp_path / "failed" / name).read_bytes() == \
+                (tmp_path / "whole" / name).read_bytes()
+        assert len(helpers) == 1 and helpers[0].returncode == 0
+
+    def test_sigterm_exits_143_and_reaps_the_helper(self, tmp_path):
+        src = str(Path(iterate_mod.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", SIGTERM_SCRIPT, str(tmp_path)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 143, proc.stderr
+        state = json.loads(proc.stdout)
+        assert len(state["helpers"]) == 1 and state["helpers"][0] is not None
+        assert state["snapshots"] == [] and state["sigterm_restored"]
 
 
 def test_label_dump_peak_memory_is_a_block_not_the_file(tmp_path):
     # rows are formatted one block at a time: over 16 blocks the traced peak
     # is about a third of the file's size, where formatting the whole matrix
     # at once took about four times it
-    m = np.random.default_rng(1).random((16 * _DUMP_BLOCK_ROWS, 4))
+    m = np.random.default_rng(1).random((16 * BLOCK_ROWS, 4))
     path = tmp_path / "labels.csv"
     _, peak, _ = traced_peak(lambda: _dump_labels(path, m))
     assert peak < 0.5 * path.stat().st_size
