@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import manifest as run_manifest
 from .bench import run_scaling
 from .data import (DatasetBundle, gen_benchmark_graph, gen_chain, gen_planted_partition,
                    load_dataset, row_normalize, save_dataset)
@@ -75,10 +76,13 @@ def _parse_list(text: str, flag: str, kind) -> list:
 
 def _load_bundle(path, manifest, out) -> DatasetBundle:
     """The bundle at ``path`` with row-normalized features; the manifest records,
-    and is written again with, how the dataset cache served it."""
+    and is written again with, how the dataset cache served it, the bundle's
+    fingerprint and the load's seconds."""
+    t0 = time.perf_counter()
     bundle = load_dataset(path)
     manifest.dataset_cache = bundle.cache_outcome
-    manifest.write(out)
+    # through the module, so a tracer that swaps run_manifest.fingerprint_dir sees the call
+    manifest.dataset_fingerprint = run_manifest.fingerprint_dir(bundle.digests)
     # Normalized into a copy on purpose. Dividing x in place, with norms summed a
     # block at a time, saves the 15 MiB load transient of the 20k-node bundle but
     # lowers no call's peak, and a full_k3 call took 1.5-1.7 s instead of
@@ -87,6 +91,8 @@ def _load_bundle(path, manifest, out) -> DatasetBundle:
     # each is mmapped and faulted in afresh (about 150k minor page faults per
     # call against 9k, and 0.4 s more system time).
     bundle.x = row_normalize(bundle.x)
+    manifest.timings["load_seconds"] = time.perf_counter() - t0
+    manifest.write(out)
     return bundle
 
 
@@ -156,15 +162,12 @@ def cmd_train(args) -> int:
     with manifest_scope(out, "train", {**asdict(config), "model": args.model,
                                        "hops": args.hops, "folds": args.folds,
                                        "sample_caps": args.sample_caps},
-                        seeds={"rng_seed": config.rng_seed},
-                        dataset_dir=args.dataset) as manifest:
+                        seeds={"rng_seed": config.rng_seed}) as manifest:
         # a rerun into the same --out: the folds of a longer earlier run must not linger
         for pattern in ("history_fold*.csv", "predictions_fold*.csv"):
             for stale in out.glob(pattern):
                 stale.unlink()
-        t0 = time.perf_counter()
         bundle = _load_bundle(args.dataset, manifest, out)
-        manifest.timings["load_seconds"] = time.perf_counter() - t0
         spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
         if caps is not None and len(caps) != spec.depth:
             raise ConfigError(f"--sample-caps needs {spec.depth} entries, got {len(caps)}")
@@ -203,8 +206,7 @@ def cmd_hopf(args) -> int:
     out = Path(args.out)
     with manifest_scope(out, "hopf", {**asdict(config), "C": spec.depth, **asdict(hopf_config),
                                       "model": args.model, "fold": args.fold},
-                        seeds={"rng_seed": config.rng_seed},
-                        dataset_dir=args.dataset) as manifest:
+                        seeds={"rng_seed": config.rng_seed}) as manifest:
         bundle = _load_bundle(args.dataset, manifest, out)
         splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)
         result = run_hopf(spec, bundle.graph, bundle.x, bundle.y, splits[args.fold],
@@ -231,8 +233,7 @@ def cmd_bench_scaling(args) -> int:
     with manifest_scope(out, "bench-scaling",
                         {**asdict(config), "hops": args.hops, "variants": args.variants,
                          "repeats": args.repeats, "memory_budget_gib": args.memory_budget},
-                        seeds={"rng_seed": config.rng_seed},
-                        dataset_dir=args.dataset) as manifest:
+                        seeds={"rng_seed": config.rng_seed}) as manifest:
         bundle = _load_bundle(args.dataset, manifest, out)
         split = make_splits(bundle.graph.n, config.rng_seed)[0]
         budget = None if args.memory_budget <= 0 else int(args.memory_budget * 2**30)
@@ -260,8 +261,7 @@ def cmd_neighbor_fraction(args) -> int:
     with manifest_scope(out, "neighbor-fraction",
                         {**asdict(config), "model": args.model,
                          "fractions": fractions, "hops": args.hops},
-                        seeds={"rng_seed": config.rng_seed},
-                        dataset_dir=args.dataset) as manifest:
+                        seeds={"rng_seed": config.rng_seed}) as manifest:
         bundle = _load_bundle(args.dataset, manifest, out)
         spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
         split = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)[args.fold]

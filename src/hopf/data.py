@@ -45,6 +45,8 @@ class DatasetBundle:
     name: str
     # how load_dataset got the bundle: "hit", "miss" or "unavailable" (see load_dataset)
     cache_outcome: str | None = None
+    # load_dataset's hex SHA-256 of each bundle file's bytes, by file name
+    digests: dict[str, str] | None = None
 
     @property
     def num_features(self) -> int:
@@ -259,6 +261,10 @@ def _file_digest(path: Path) -> _Digest:
     return digest
 
 
+def _hexdigests(digests: dict) -> dict[str, str]:
+    return {fname: digests[fname].sha.hexdigest() for fname in _BUNDLE_FILES}
+
+
 def _sizes_tag(sizes) -> str:
     return ".".join(str(size) for size in sizes)
 
@@ -377,7 +383,9 @@ def load_dataset(dir_path) -> DatasetBundle:
     The bundle's ``cache_outcome`` says how it was read: ``hit`` from the
     binary cache, ``miss`` parsed from the text and kept in the cache, or
     ``unavailable`` parsed and not kept (no writable cache directory). A hit
-    runs the same meta, shape, label and feature checks as a parse.
+    runs the same meta, shape, label and feature checks as a parse. The
+    bundle's ``digests`` are the four files' SHA-256, from the bytes the hit's
+    lookup or the parse read.
     """
     d = Path(dir_path)
     for fname in _BUNDLE_FILES:
@@ -392,6 +400,7 @@ def load_dataset(dir_path) -> DatasetBundle:
         digests["meta.json"] = _Digest(meta_raw)
         bundle = _load_entry(root / _entry_name(digests), d, meta)
         if bundle is not None:
+            bundle.digests = _hexdigests(digests)
             return bundle
 
     # each file's bytes are hashed as the parser reads them, so the entry is
@@ -408,7 +417,8 @@ def load_dataset(dir_path) -> DatasetBundle:
     edges = _read_table(d / "graph.tsv", f"{d}/graph.tsv", open_lines, np.int64, comments="#",
                         width=2)
     graph = build_graph(edges, meta.n)
-    bundle = DatasetBundle(graph=graph, x=x, y=y, task=meta.task, name=meta.name)
+    bundle = DatasetBundle(graph=graph, x=x, y=y, task=meta.task, name=meta.name,
+                           digests=_hexdigests(parsed))
     stored = root is not None and _store_entry(root, _entry_name(parsed), bundle)
     bundle.cache_outcome = "miss" if stored else "unavailable"
     return bundle

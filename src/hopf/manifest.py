@@ -11,25 +11,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
-_HASH_CHUNK = 1 << 20  # fingerprint_dir reads files this many bytes at a time
-
-
-def fingerprint_dir(path) -> str:
-    """SHA-256 over a directory's file names and contents, order-independent.
-
-    Each file is hashed in fixed-size chunks through one reused buffer, so a
-    large dataset file never sits in memory whole.
-    """
+def fingerprint_dir(digests: dict) -> str:
+    """A dataset's fingerprint: SHA-256 over its files' names, sorted, each name
+    followed by the hex SHA-256 of that file's bytes (``DatasetBundle.digests``)."""
     h = hashlib.sha256()
-    root = Path(path)
-    buf = bytearray(_HASH_CHUNK)
-    view = memoryview(buf)
-    for p in sorted(root.rglob("*")):
-        if p.is_file():
-            h.update(str(p.relative_to(root)).encode())
-            with open(p, "rb") as fh:
-                while size := fh.readinto(buf):
-                    h.update(view[:size])
+    for name in sorted(digests):
+        h.update(name.encode() + digests[name].encode())
     return h.hexdigest()
 
 
@@ -39,15 +26,15 @@ class RunManifest:
     argv: list[str]
     config: dict
     seeds: dict
-    dataset_fingerprint: str | None
     code_version: str
     timings: dict = field(default_factory=dict)
     # how the dataset was read: "hit" or "miss" in the binary cache, or "unavailable"
     dataset_cache: str | None = None
+    # fingerprint_dir of the loaded bundle's digests; set with dataset_cache
+    dataset_fingerprint: str | None = None
 
     @classmethod
-    def start(cls, command: str, config: dict, seeds: dict,
-              dataset_dir=None) -> "RunManifest":
+    def start(cls, command: str, config: dict, seeds: dict) -> "RunManifest":
         from . import __version__
 
         return cls(
@@ -55,7 +42,6 @@ class RunManifest:
             argv=list(sys.argv[1:]),
             config=config,
             seeds=seeds,
-            dataset_fingerprint=fingerprint_dir(dataset_dir) if dataset_dir else None,
             code_version=__version__,
         )
 
@@ -69,15 +55,15 @@ class RunManifest:
 
 
 @contextlib.contextmanager
-def manifest_scope(out_dir, command: str, config: dict, seeds: dict, dataset_dir=None):
+def manifest_scope(out_dir, command: str, config: dict, seeds: dict):
     """Write ``manifest.json`` into ``out_dir`` on entry, before any result file.
 
     Yields the manifest, whose ``timings`` the body may add to; a body that
     returns normally has ``timings.total_seconds`` (time since the first
     write) recorded and the manifest written again. On an exception the
-    manifest stays as first written.
+    manifest stays as last written.
     """
-    manifest = RunManifest.start(command, config, seeds, dataset_dir)
+    manifest = RunManifest.start(command, config, seeds)
     manifest.write(out_dir)
     t0 = time.perf_counter()
     yield manifest

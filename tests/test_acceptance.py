@@ -320,17 +320,22 @@ def test_c09_scaling_benchmark():
     split = make_splits(20_000, rng_seed=0)[0]
     cfg = TrainConfig(batch_size=128, hidden_dim=128, learning_rate=1e-2, use_wce=False,
                       rng_seed=0, max_epochs=1, min_epochs=1)
-    cells = run_scaling(bundle, split, ["i_nip_mean_c1"], [2, 3, 4], repeats=2,
-                        config=cfg, budget_bytes=4 * 2**30)
-    cells += run_scaling(bundle, split, ["nip_mean"], [2, 3], repeats=2,
-                         config=cfg, budget_bytes=4 * 2**30)
-    t = {(c.variant, c.hops): c.mean_seconds for c in cells}
-    assert all(c.status == "ok" for c in cells)
+    # The host's speed drifts over seconds, and a cell's laps run back to back, so
+    # one timing of K=2 then K=4 can catch two speeds (T4/T2 read 1.497 once).
+    # Five timings of one lap each put every K=4 cell a second from its K=2
+    # cell; each ratio is taken within a timing, and the median of the five kept.
+    iterative = [run_scaling(bundle, split, ["i_nip_mean_c1"], [2, 3, 4], repeats=1,
+                             config=cfg, budget_bytes=4 * 2**30) for _ in range(5)]
+    full = run_scaling(bundle, split, ["nip_mean"], [2, 3], repeats=2,
+                       config=cfg, budget_bytes=4 * 2**30)
+    assert all(c.status == "ok" for cells in iterative + [full] for c in cells)
+    t_iter = [{c.hops: c.mean_seconds for c in cells} for cells in iterative]
+    t_full = {c.hops: c.mean_seconds for c in full}
 
-    linear_ratio = t[("i_nip_mean_c1", 4)] / t[("i_nip_mean_c1", 2)]
+    linear_ratio = float(np.median([t[4] / t[2] for t in t_iter]))
     assert 1.5 <= linear_ratio <= 2.7, f"T4/T2 ratio {linear_ratio:.2f}"
-    diff_step = t[("nip_mean", 3)] / t[("nip_mean", 2)]
-    iter_step = t[("i_nip_mean_c1", 3)] / t[("i_nip_mean_c1", 2)]
+    diff_step = t_full[3] / t_full[2]
+    iter_step = float(np.median([t[3] / t[2] for t in t_iter]))
     assert diff_step > iter_step, f"full-kernel {diff_step:.2f} vs iterative {iter_step:.2f}"
     elapsed = time.perf_counter() - start
     assert elapsed < 1200.0
