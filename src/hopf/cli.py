@@ -139,7 +139,7 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     config = {"kind": args.kind, **{k: getattr(args, k, None) for k in
               ("n", "blocks", "p_in", "p_out", "noise", "nodes", "edges", "features", "labels")}}
-    with manifest_scope(out, "gen", config, seeds={"seed": args.seed}):
+    with manifest_scope(out, "gen", args.argv, config, seeds={"seed": args.seed}):
         if args.kind == "chain":
             bundle = gen_chain(args.n)
         elif args.kind == "planted":
@@ -159,9 +159,9 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     caps = _parse_list(args.sample_caps, "--sample-caps", int) if args.sample_caps else None
     out = Path(args.out)
-    with manifest_scope(out, "train", {**asdict(config), "model": args.model,
-                                       "hops": args.hops, "folds": args.folds,
-                                       "sample_caps": args.sample_caps},
+    with manifest_scope(out, "train", args.argv,
+                        {**asdict(config), "model": args.model, "hops": args.hops,
+                         "folds": args.folds, "sample_caps": args.sample_caps},
                         seeds={"rng_seed": config.rng_seed}) as manifest:
         # a rerun into the same --out: the folds of a longer earlier run must not linger
         for pattern in ("history_fold*.csv", "predictions_fold*.csv"):
@@ -204,8 +204,9 @@ def cmd_hopf(args) -> int:
     hopf_config = HopfConfig(T=args.T, warm_start=not args.cold_start,
                              shifted_averaging=args.shifted_averaging)
     out = Path(args.out)
-    with manifest_scope(out, "hopf", {**asdict(config), "C": spec.depth, **asdict(hopf_config),
-                                      "model": args.model, "fold": args.fold},
+    with manifest_scope(out, "hopf", args.argv,
+                        {**asdict(config), "C": spec.depth, **asdict(hopf_config),
+                         "model": args.model, "fold": args.fold},
                         seeds={"rng_seed": config.rng_seed}) as manifest:
         bundle = _load_bundle(args.dataset, manifest, out)
         splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)
@@ -230,7 +231,7 @@ def cmd_bench_scaling(args) -> int:
     config = _train_config(args)
     hops = _parse_list(args.hops, "--hops", int)
     out = Path(args.out)
-    with manifest_scope(out, "bench-scaling",
+    with manifest_scope(out, "bench-scaling", args.argv,
                         {**asdict(config), "hops": args.hops, "variants": args.variants,
                          "repeats": args.repeats, "memory_budget_gib": args.memory_budget},
                         seeds={"rng_seed": config.rng_seed}) as manifest:
@@ -258,7 +259,7 @@ def cmd_neighbor_fraction(args) -> int:
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
     out = Path(args.out)
-    with manifest_scope(out, "neighbor-fraction",
+    with manifest_scope(out, "neighbor-fraction", args.argv,
                         {**asdict(config), "model": args.model,
                          "fractions": fractions, "hops": args.hops},
                         seeds={"rng_seed": config.rng_seed}) as manifest:
@@ -282,8 +283,9 @@ def cmd_nim(args) -> int:
     if args.alpha == 0 and args.beta == 0:
         raise ConfigError("alpha and beta cannot both be zero")
     out = Path(args.out)
-    with manifest_scope(out, "nim", {"alpha": args.alpha, "beta": args.beta,
-                                     "max_k": args.max_k, "skip": args.skip}, seeds={}):
+    with manifest_scope(out, "nim", args.argv, {"alpha": args.alpha, "beta": args.beta,
+                                                "max_k": args.max_k, "skip": args.skip},
+                        seeds={}):
         header, rows = nim_decay_table(args.alpha, args.beta, args.max_k, args.skip)
         _write_csv(out / "decay.csv", header, rows)
     for row in [header] + rows:
@@ -293,7 +295,7 @@ def cmd_nim(args) -> int:
 
 def cmd_compare(args) -> int:
     out = Path(args.out)
-    with manifest_scope(out, "compare", {"scores": str(args.scores)}, seeds={}):
+    with manifest_scope(out, "compare", args.argv, {"scores": str(args.scores)}, seeds={}):
         scores = read_scores_csv(args.scores)
         cells = per_dataset_shortfall(scores)
         sf = shortfall(scores)
@@ -397,10 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.argv = argv  # the manifest records the arguments this call parsed
     if not hasattr(args, "func"):
         parser.print_help()
         return 2

@@ -47,12 +47,6 @@ class Psi(Enum):
 class AlphaMode(Enum):
     ONE = "one"
     INV_DEG_SELF = "inv_deg_self"  # per-node 1/(deg+1)
-    ZERO = "zero"
-
-
-class BetaMode(Enum):
-    ONE = "one"
-    ZERO = "zero"
 
 
 class Combine(Enum):
@@ -62,15 +56,18 @@ class Combine(Enum):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One row of the instantiation table, plus depth/width configuration."""
+    """One row of the instantiation table, plus depth/width configuration.
+
+    A path exists exactly when its ``phi``/``psi`` is not ``NONE``; beta is 1
+    on every neighbour path, and ``alpha`` scales the node path.
+    """
 
     name: str
     phi: Phi
     psi: Psi
     norm: NormScheme | None
-    alpha: AlphaMode
-    beta: BetaMode
     tie_weights: bool
+    alpha: AlphaMode = AlphaMode.ONE
     combine: Combine = Combine.SUM
     skip_connections: bool = False
     depth: int = 2
@@ -84,8 +81,11 @@ class KernelSpec:
             raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.skip_connections and self.combine is not Combine.SUM:
             raise ConfigError("skip connections require summation combine")
-        if self.combine is Combine.CONCAT and (self.phi is Phi.NONE or self.psi is Psi.NONE):
+        one_path = self.phi is Phi.NONE or self.psi is Psi.NONE
+        if one_path and self.combine is Combine.CONCAT:
             raise ConfigError("concat combine needs both a node and a neighbor path")
+        if one_path and self.tie_weights:
+            raise ConfigError("tied weights need both a node and a neighbor path")
         if self.phi is Phi.NONE and self.psi is Psi.NONE:
             raise ConfigError("kernel must keep at least one of the node/neighbor paths")
 
@@ -95,42 +95,33 @@ class KernelSpec:
 
     @property
     def has_node_path(self) -> bool:
-        return self.phi is not Phi.NONE and self.alpha is not AlphaMode.ZERO
+        return self.phi is not Phi.NONE
 
     @property
     def has_neighbor_path(self) -> bool:
-        return self.psi is not Psi.NONE and self.beta is not BetaMode.ZERO
+        return self.psi is not Psi.NONE
 
 
 # Canonical registry. Field order mirrors the instantiation table:
-# (phi, norm, psi, alpha, beta, tie_weights), then artifact-level settings.
+# (phi, norm, psi, tie_weights), alpha where it is not 1, then artifact-level settings.
 REGISTRY: dict[str, dict] = {
-    "bl_node": dict(phi=Phi.H0, norm=None, psi=Psi.NONE,
-                    alpha=AlphaMode.ONE, beta=BetaMode.ZERO, tie_weights=False),
-    "bl_neigh": dict(phi=Phi.NONE, norm=NormScheme.MEAN, psi=Psi.H_PREV,
-                     alpha=AlphaMode.ZERO, beta=BetaMode.ONE, tie_weights=False),
-    "ss_ica": dict(phi=Phi.H0, norm=NormScheme.MEAN, psi=Psi.LABELS,
-                   alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False),
-    "wl": dict(phi=Phi.H_PREV, norm=NormScheme.COUNT, psi=Psi.H_PREV,
-               alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False,
+    "bl_node": dict(phi=Phi.H0, norm=None, psi=Psi.NONE, tie_weights=False),
+    "bl_neigh": dict(phi=Phi.NONE, norm=NormScheme.MEAN, psi=Psi.H_PREV, tie_weights=False),
+    "ss_ica": dict(phi=Phi.H0, norm=NormScheme.MEAN, psi=Psi.LABELS, tie_weights=False),
+    "wl": dict(phi=Phi.H_PREV, norm=NormScheme.COUNT, psi=Psi.H_PREV, tie_weights=False,
                differentiable=False),
-    "gcn": dict(phi=Phi.H_PREV, norm=NormScheme.SYM_SELF, psi=Psi.H_PREV,
-                alpha=AlphaMode.INV_DEG_SELF, beta=BetaMode.ONE, tie_weights=True),
-    "gcn_s": dict(phi=Phi.H_PREV, norm=NormScheme.SYM_SELF, psi=Psi.H_PREV,
-                  alpha=AlphaMode.INV_DEG_SELF, beta=BetaMode.ONE, tie_weights=True,
-                  skip_connections=True),
-    "gcn_mean": dict(phi=Phi.H_PREV, norm=NormScheme.MEAN, psi=Psi.H_PREV,
-                     alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=True),
-    "gs_mean": dict(phi=Phi.H_PREV, norm=NormScheme.MEAN, psi=Psi.H_PREV,
-                    alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False,
+    "gcn": dict(phi=Phi.H_PREV, norm=NormScheme.SYM_SELF, psi=Psi.H_PREV, tie_weights=True,
+                alpha=AlphaMode.INV_DEG_SELF),
+    "gcn_s": dict(phi=Phi.H_PREV, norm=NormScheme.SYM_SELF, psi=Psi.H_PREV, tie_weights=True,
+                  alpha=AlphaMode.INV_DEG_SELF, skip_connections=True),
+    "gcn_mean": dict(phi=Phi.H_PREV, norm=NormScheme.MEAN, psi=Psi.H_PREV, tie_weights=True),
+    "gs_mean": dict(phi=Phi.H_PREV, norm=NormScheme.MEAN, psi=Psi.H_PREV, tie_weights=False,
                     combine=Combine.CONCAT),
-    "gs_max": dict(phi=Phi.H_PREV, norm=NormScheme.MAXPOOL, psi=Psi.H_PREV,
-                   alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False,
+    "gs_max": dict(phi=Phi.H_PREV, norm=NormScheme.MAXPOOL, psi=Psi.H_PREV, tie_weights=False,
                    combine=Combine.CONCAT),
-    "nip_mean": dict(phi=Phi.H0, norm=NormScheme.MEAN, psi=Psi.H_PREV,
-                     alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False),
+    "nip_mean": dict(phi=Phi.H0, norm=NormScheme.MEAN, psi=Psi.H_PREV, tie_weights=False),
     "i_nip_mean": dict(phi=Phi.H0, norm=NormScheme.MEAN, psi=Psi.H_PREV_CONCAT_LABELS,
-                       alpha=AlphaMode.ONE, beta=BetaMode.ONE, tie_weights=False),
+                       tie_weights=False),
 }
 
 TRAINABLE_MODELS = tuple(n for n, row in REGISTRY.items() if row.get("differentiable", True))
@@ -186,7 +177,7 @@ def layer_plan(spec: KernelSpec, num_features: int, num_labels: int) -> LayerPla
                 sw = num_labels
             else:
                 sw = prev + num_labels
-        if spec.tie_weights and pw and sw and pw != sw:
+        if spec.tie_weights and pw != sw:
             raise ConfigError(f"{spec.name}: tied weights need equal fan-in ({pw} vs {sw})")
         phi_in.append(pw)
         psi_in.append(sw)
@@ -199,16 +190,27 @@ def layer_plan(spec: KernelSpec, num_features: int, num_labels: int) -> LayerPla
 
 @dataclass
 class ModelWeights:
-    """All learnable matrices of one kernel: input, per-layer phi/psi, output.
+    """All learnable matrices of one kernel, by name in save order: ``w0``, then
+    per layer k either ``w{k}`` (the spec ties weights: one matrix serves both
+    paths) or ``w{k}_phi`` and/or ``w{k}_psi``, then ``wl``.
 
-    When the spec ties weights, ``wphi[k]`` and ``wpsi[k]`` are the same array
-    object; they count once for initialization, optimization and saving.
+    ``wphi[k]`` and ``wpsi[k]`` are layer k+1's matrix of each path, or None
+    where the layer has no such path; a tied layer gives the same array for
+    both, so it counts once for initialization, optimization and saving.
     """
 
-    w0: np.ndarray
-    wphi: list
-    wpsi: list
-    wl: np.ndarray
+    mats: dict[str, np.ndarray]
+
+    w0 = property(lambda self: self.mats["w0"])
+    wl = property(lambda self: self.mats["wl"])
+    wphi = property(lambda self: self._path("phi"))
+    wpsi = property(lambda self: self._path("psi"))
+
+    def _path(self, part: str) -> list:
+        """Per layer k, the tied ``w{k}``, else ``w{k}_{part}``, else None."""
+        depth = len({name.split("_")[0] for name in self.mats}) - 2  # w1..wC besides w0, wl
+        return [self.mats.get(f"w{k}", self.mats.get(f"w{k}_{part}"))
+                for k in range(1, depth + 1)]
 
     @classmethod
     def init(cls, spec: KernelSpec, num_features: int, num_labels: int, rng_seed: int) -> "ModelWeights":
@@ -218,51 +220,31 @@ class ModelWeights:
         seeds = np.random.SeedSequence(rng_seed).spawn(2 * spec.depth + 2)
         gens = iter(np.random.default_rng(s) for s in seeds)
         d = spec.hidden_dim
-        w0 = glorot_init(num_features, d, next(gens))
-        wphi, wpsi = [], []
-        for k in range(spec.depth):
-            wp = glorot_init(plan.phi_in[k], d, next(gens)) if plan.phi_in[k] else None
-            if spec.tie_weights and wp is not None:
-                ws = wp
+        mats = {"w0": glorot_init(num_features, d, next(gens))}
+        for k, (pw, sw) in enumerate(zip(plan.phi_in, plan.psi_in), start=1):
+            if spec.tie_weights:
+                mats[f"w{k}"] = glorot_init(pw, d, next(gens))
                 next(gens)  # keep the seed schedule independent of tying
-            else:
-                ws = glorot_init(plan.psi_in[k], d, next(gens)) if plan.psi_in[k] else None
-            wphi.append(wp)
-            wpsi.append(ws)
-        wl = glorot_init(plan.output_in, num_labels, next(gens))
-        return cls(w0=w0, wphi=wphi, wpsi=wpsi, wl=wl)
+                continue
+            if pw:
+                mats[f"w{k}_phi"] = glorot_init(pw, d, next(gens))
+            if sw:
+                mats[f"w{k}_psi"] = glorot_init(sw, d, next(gens))
+        mats["wl"] = glorot_init(plan.output_in, num_labels, next(gens))
+        return cls(mats)
 
     def params(self):
-        """Unique (name, array) pairs; tied layers appear once."""
-        out = [("w0", self.w0)]
-        for k, (wp, ws) in enumerate(zip(self.wphi, self.wpsi), start=1):
-            if wp is not None and ws is wp:
-                out.append((f"w{k}", wp))
-                continue
-            if wp is not None:
-                out.append((f"w{k}_phi", wp))
-            if ws is not None:
-                out.append((f"w{k}_psi", ws))
-        out.append(("wl", self.wl))
-        return out
+        """(name, array) pairs in save order; a tied layer appears once."""
+        return list(self.mats.items())
 
     def copy(self) -> "ModelWeights":
-        wphi, wpsi = [], []
-        for wp, ws in zip(self.wphi, self.wpsi):
-            cp = None if wp is None else wp.copy()
-            cs = cp if ws is wp else (None if ws is None else ws.copy())
-            wphi.append(cp)
-            wpsi.append(cs)
-        return ModelWeights(self.w0.copy(), wphi, wpsi, self.wl.copy())
+        return ModelWeights({name: a.copy() for name, a in self.mats.items()})
 
     def zeros_like(self) -> "ModelWeights":
-        z = self.copy()
-        for _, arr in z.params():
-            arr[:] = 0.0
-        return z
+        return ModelWeights({name: np.zeros_like(a) for name, a in self.mats.items()})
 
     def l2_norm_sq(self) -> float:
-        return float(sum(np.sum(a * a) for _, a in self.params()))
+        return float(sum(np.sum(a * a) for a in self.mats.values()))
 
     # Binary snapshot: magic, entry count, then per entry a name plus its
     # shape, followed by all matrices as row-major float64 in declared order.
@@ -319,15 +301,7 @@ class ModelWeights:
         found = {name: a.shape for name, a in arrs.items()}
         if found != expected:
             raise ShapeError(f"{path}: snapshot {found} does not fit {spec.name} {expected}")
-        wphi, wpsi = [], []
-        for k in range(1, spec.depth + 1):
-            if f"w{k}" in arrs:
-                wphi.append(arrs[f"w{k}"])
-                wpsi.append(arrs[f"w{k}"])
-            else:
-                wphi.append(arrs.get(f"w{k}_phi"))
-                wpsi.append(arrs.get(f"w{k}_psi"))
-        return cls(w0=arrs["w0"], wphi=wphi, wpsi=wpsi, wl=arrs["wl"])
+        return cls({name: arrs[name] for name in expected})
 
 
 @dataclass
@@ -338,13 +312,13 @@ class ForwardCache:
     ``active[k]`` is its ReLU mask ``pre > 0`` as a bool array, so no float64
     pre-activation outlives the layer that computed it. Both hold only the
     ``rows[k]`` prefix of the ball that the seeds depend on (see
-    :func:`layer_rows`). ``phi_inputs[k]`` and ``psi_inputs[k]`` are views of
-    ``x`` (of ``yhat`` for a ``Psi.LABELS`` layer): a
-    ``Psi.H_PREV_CONCAT_LABELS`` layer multiplies ``h`` and the label channel
-    by the two row blocks of ``wpsi[k]`` apart and adds the label half one row
-    block at a time (see :func:`_hidden_product`), so neither a
-    ``[h | yhat]`` copy nor a full-height label product exists, and
-    ``psi_inputs[k]`` holds its ``h`` part only. A layer builds its neighbour
+    :func:`layer_rows`). A layer's path inputs are not kept: they are row
+    prefixes of ``x`` and ``yhat``, which forward and backward slice alike
+    (see :func:`_path_inputs`). A ``Psi.H_PREV_CONCAT_LABELS`` layer
+    multiplies ``h`` and the label channel by the two row blocks of
+    ``wpsi[k]`` apart and adds the label half one row block at a time (see
+    :func:`_hidden_product`), so neither a ``[h | yhat]`` copy nor a
+    full-height label product exists. A layer builds its neighbour
     path first and frees that path's pre-aggregation product before its node
     path allocates, so the two never coexist. Of the
     output only ``ytilde`` is kept; backward never reads the logits.
@@ -366,8 +340,6 @@ class ForwardCache:
     x: list = field(default_factory=list)        # dropped activations x_0..x_C
     active: list = field(default_factory=list)   # bool ReLU masks, same indexing
     dropout: list = field(default_factory=list)  # dropout masks or None
-    phi_inputs: list = field(default_factory=list)
-    psi_inputs: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     adj: list = field(default_factory=list)
     alpha_vec: np.ndarray | None = None
@@ -490,9 +462,22 @@ def _graph_rows(name: str, arr: np.ndarray, sub: Subgraph) -> np.ndarray:
     return arr
 
 
+def _path_inputs(spec: KernelSpec, cache: ForwardCache, k: int):
+    """Layer k+1's node-path and neighbour-path inputs, each None where the
+    spec has no such path: row prefixes of ``cache.x`` (of ``cache.yhat`` for
+    ``Psi.LABELS``). A ``Psi.H_PREV_CONCAT_LABELS`` neighbour input is its
+    ``h`` part; the label half is ``cache.yhat[:rows[k]]``."""
+    phi_in = psi_in = None
+    if spec.has_node_path:
+        phi_in = cache.x[0 if spec.phi is Phi.H0 else k][: cache.rows[k + 1]]
+    if spec.has_neighbor_path:
+        psi_in = cache.yhat[: cache.rows[k]] if spec.psi is Psi.LABELS else cache.x[k]
+    return phi_in, psi_in
+
+
 def _layer_pre(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
                k: int) -> np.ndarray:
-    """Layer k+1's pre-activation from ``cache.x[k]``; records the layer's inputs.
+    """Layer k+1's pre-activation from ``cache.x[k]``.
 
     The neighbour path comes first, and its ``rows[k]``-tall product ``lin``
     is freed as soon as it is aggregated, before the node path allocates. The
@@ -500,32 +485,26 @@ def _layer_pre(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
     overlap the next layer's or the output's.
     """
     n_in, n_out = cache.rows[k], cache.rows[k + 1]
-    prev = cache.x[k]
-    neigh = None
-    psi_in = None
-    argmax = None
-    if spec.has_neighbor_path:
-        psi_in = cache.yhat[:n_in] if spec.psi is Psi.LABELS else prev
+    phi_in, psi_in = _path_inputs(spec, cache, k)
+    neigh = argmax = None
+    if psi_in is not None:
+        wpsi = weights.wpsi[k]
         w = psi_in.shape[1]
         # [h | yhat] @ W as h @ W[:w] + yhat @ W[w:], the label half added block by
         # block, so there is neither a concatenated copy nor a full-height label product
-        plus = ((cache.yhat[:n_in], weights.wpsi[k][w:])
+        plus = ((cache.yhat[:n_in], wpsi[w:])
                 if spec.psi is Psi.H_PREV_CONCAT_LABELS else None)
-        lin = _hidden_product(psi_in, weights.wpsi[k][:w], plus)
+        lin = _hidden_product(psi_in, wpsi[:w], plus)
         if spec.norm is NormScheme.MAXPOOL:
             neigh, argmax = _maxpool_with_argmax(cache.sub, lin, n_out)
         else:
             neigh = spmm(cache.adj[k], lin)
         del lin
     node = None
-    phi_in = None
-    if spec.has_node_path:
-        phi_in = (cache.x[0] if spec.phi is Phi.H0 else prev)[:n_out]
+    if phi_in is not None:
         node = _hidden_product(phi_in, weights.wphi[k])
         if cache.alpha_vec is not None:
             node = cache.alpha_vec[:n_out, None] * node
-    cache.phi_inputs.append(phi_in)
-    cache.psi_inputs.append(psi_in)
     cache.maxpool_argmax.append(argmax)
 
     if spec.combine is Combine.CONCAT:
@@ -623,12 +602,13 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
     Tied layers accumulate both path contributions into the shared array. The
     label channel is treated as data: no gradient is ever produced for it.
     Every activation gradient has the shape of its ``cache.x`` entry, so no
-    gradient reaches a row the forward pass did not compute. Each gradient is
-    allocated when it is first written, and once a layer is done its ``x``,
-    ``active``, ``dropout``, ``phi_inputs``, ``psi_inputs`` and
-    ``maxpool_argmax`` entries and its gradient are dropped, so the step's
-    peak holds one layer's gradients, not every layer's. The cache cannot be
-    passed to ``backward`` a second time.
+    gradient reaches a row the forward pass did not compute. A layer's path
+    inputs are sliced again from ``x`` and ``yhat`` (:func:`_path_inputs`);
+    layers run top down, so the ``x`` entries they read are still held. Each
+    gradient is allocated when it is first written, and once a layer is done
+    its ``x``, ``active``, ``dropout`` and ``maxpool_argmax`` entries and its
+    gradient are dropped, so the step's peak holds one layer's gradients, not
+    every layer's. The cache cannot be passed to ``backward`` a second time.
     """
     if cache.spec is not spec or cache.weights is not weights:
         raise StateError("cache does not belong to this spec/weights pair")
@@ -639,8 +619,9 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
         raise StateError("cache was already consumed by backward")
 
     grads = weights.zeros_like()
+    wphi, wpsi, gphi, gpsi = weights.wphi, weights.wpsi, grads.wphi, grads.wpsi
     dlogits = _doutput(cache, dloss_dy)
-    grads.wl += cache.x[-1].T @ dlogits
+    grads.mats["wl"] += cache.x[-1].T @ dlogits
 
     dx = [None] * len(cache.x)
     dx[-1] = dlogits @ weights.wl.T
@@ -674,6 +655,7 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
         layer = k + 1  # index into cache.x / cache.active
         n_out = cache.rows[layer]
         dpre = layer_grad(layer)
+        phi_in, psi_in = _path_inputs(spec, cache, k)
 
         d = spec.hidden_dim
         if spec.combine is Combine.CONCAT:
@@ -685,39 +667,37 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
         if dnode is not None:
             if cache.alpha_vec is not None:
                 dnode = cache.alpha_vec[:n_out, None] * dnode
-            grads.wphi[k] += cache.phi_inputs[k].T @ dnode
-            add_grad(0 if spec.phi is Phi.H0 else layer - 1,
-                     _hidden_product(dnode, weights.wphi[k].T))
+            gphi[k] += phi_in.T @ dnode
+            add_grad(0 if spec.phi is Phi.H0 else layer - 1, _hidden_product(dnode, wphi[k].T))
 
         if dneigh is not None:
             if spec.norm is NormScheme.MAXPOOL:
-                dlin = np.zeros((cache.rows[k], weights.wpsi[k].shape[1]))
+                dlin = np.zeros((cache.rows[k], wpsi[k].shape[1]))
                 arg = cache.maxpool_argmax[k]
                 valid = arg >= 0
                 r, c = np.nonzero(valid)
                 np.add.at(dlin, (arg[r, c], c), dneigh[r, c])
             else:
                 dlin = spmm(cache.adj[k].T, dneigh)
-            psi_in = cache.psi_inputs[k]
             w = psi_in.shape[1]
-            grads.wpsi[k][:w] += psi_in.T @ dlin
+            gpsi[k][:w] += psi_in.T @ dlin
             if spec.psi is Psi.H_PREV_CONCAT_LABELS:
-                grads.wpsi[k][w:] += cache.yhat[: cache.rows[k]].T @ dlin
+                gpsi[k][w:] += cache.yhat[: cache.rows[k]].T @ dlin
             if spec.psi is not Psi.LABELS:  # the label channel takes no gradient
-                add_grad(layer - 1, _hidden_product(dlin, weights.wpsi[k][:w].T))
-        cache.phi_inputs[k] = cache.psi_inputs[k] = cache.maxpool_argmax[k] = None
+                add_grad(layer - 1, _hidden_product(dlin, wpsi[k][:w].T))
+        cache.maxpool_argmax[k] = None
 
     for k in range(spec.depth - 1, -1, -1):
         propagate(k)
 
     dpre0 = layer_grad(0)
     if cache.gathered is not None:
-        grads.w0 += cache.gathered.T @ dpre0
+        grads.mats["w0"] += cache.gathered.T @ dpre0
     else:
         dpre0_graph = np.zeros((cache.features.shape[0], dpre0.shape[1]))
         dpre0_graph[cache.sub.global_ids[: cache.rows[0]]] = dpre0
         del dpre0
-        grads.w0 += cache.features.T @ dpre0_graph
+        grads.mats["w0"] += cache.features.T @ dpre0_graph
     return grads
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -34,12 +33,12 @@ class RunManifest:
     dataset_fingerprint: str | None = None
 
     @classmethod
-    def start(cls, command: str, config: dict, seeds: dict) -> "RunManifest":
+    def start(cls, command: str, argv, config: dict, seeds: dict) -> "RunManifest":
         from . import __version__
 
         return cls(
             command=command,
-            argv=list(sys.argv[1:]),
+            argv=list(argv),
             config=config,
             seeds=seeds,
             code_version=__version__,
@@ -55,15 +54,17 @@ class RunManifest:
 
 
 @contextlib.contextmanager
-def manifest_scope(out_dir, command: str, config: dict, seeds: dict):
+def manifest_scope(out_dir, command: str, argv, config: dict, seeds: dict):
     """Write ``manifest.json`` into ``out_dir`` on entry, before any result file.
+
+    ``argv`` is the argument list the command line parsed, verb first.
 
     Yields the manifest, whose ``timings`` the body may add to; a body that
     returns normally has ``timings.total_seconds`` (time since the first
     write) recorded and the manifest written again. On an exception the
     manifest stays as last written.
     """
-    manifest = RunManifest.start(command, config, seeds)
+    manifest = RunManifest.start(command, argv, config, seeds)
     manifest.write(out_dir)
     t0 = time.perf_counter()
     yield manifest

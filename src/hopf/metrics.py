@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -178,6 +179,7 @@ def read_scores_csv(path) -> dict:
     per-fold rows of a ``train`` run's ``metrics.csv`` or the per-round rows of
     a ``hopf`` run's, is an ``ArgumentError`` rather than a silent choice of
     one row.
+    A score may be a fraction or a percentage, but not nan or inf.
     """
     scores: dict[str, dict[str, float]] = {}
     try:
@@ -193,6 +195,9 @@ def read_scores_csv(path) -> dict:
                 score = float(row["micro_f1"])
             except (TypeError, ValueError) as exc:
                 raise ArgumentError(f"{path}: malformed row {row!r}") from exc
+            if not math.isfinite(score):
+                raise ArgumentError(f"{path}: model {row['model']!r} on dataset "
+                                    f"{row['dataset']!r} has a non-finite micro_f1 {score!r}")
             per_model = scores.setdefault(row["model"], {})
             if row["dataset"] in per_model:
                 raise ArgumentError(f"{path}: model {row['model']!r} on dataset "

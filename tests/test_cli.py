@@ -46,6 +46,9 @@ CONFIG_FILES = {
     # a two-fold train run's metrics.csv: one model scored twice on one dataset
     "folds.csv": "model,dataset,fold,micro_f1,loss\nnip_mean,planted,0,0.8,0.5\n"
                  "nip_mean,planted,1,0.9,0.4",
+    # a percentage row, as in the paper's table, then a score that is not a number
+    **{f"{bad}_score.csv": f"model,dataset,micro_f1\ngcn_s,cora,77.523\nnip_mean,cora,{bad}"
+       for bad in ("nan", "inf")},
 }
 
 # (case, config file, what the error must name): integers must be JSON
@@ -112,6 +115,12 @@ BAD_ARGUMENTS = [
                  id="scores-missing"),
     pytest.param("folds.csv: model 'nip_mean' on dataset 'planted' is scored more than once",
                  ["compare", "--scores", "{tmp}/folds.csv"], id="scores-repeated-pair"),
+] + [
+    pytest.param(f"{bad}_score.csv: model 'nip_mean' on dataset 'cora' has a non-finite "
+                 f"micro_f1 {bad}", ["compare", "--scores", "{tmp}/" + bad + "_score.csv"],
+                 id=f"scores-{bad}")
+    for bad in ("nan", "inf")
+] + [
     pytest.param("unknown config keys: ['T']", ["hopf", "--dataset", "{data}", "--model",
                                                 "i_nip_mean", "--config", "{tmp}/hopf_key.json"],
                  id="config-hopf-key"),

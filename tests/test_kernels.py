@@ -1,3 +1,6 @@
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,25 +12,38 @@ from hopf import (ArgumentError, ConfigError, HopfError, ModelWeights, NormSchem
                   linear_unroll_coefficient, make_kernel, nim_relative_importance,
                   predict, weighted_cross_entropy)
 from hopf.kernels import (HIDDEN_BLOCK_ROWS, ITERATIVE_MODELS, REGISTRY, TRAINABLE_MODELS,
-                          WHOLE_GRAPH_FRACTION, AlphaMode, BetaMode, Combine, Phi, Psi,
-                          _hidden_product, _maxpool_with_argmax, layer_plan, layer_rows)
+                          WHOLE_GRAPH_FRACTION, AlphaMode, Combine, KernelSpec, Phi, Psi,
+                          _hidden_product, _maxpool_with_argmax, _path_inputs, layer_plan,
+                          layer_rows)
 
 from conftest import blas_peak_growth, random_graph, traced_peak
 
 # Expected resolved update rule per registry row, field by field:
-# (phi, F(A), psi, alpha, beta, tied)
+# (phi, F(A), psi, alpha, tied); beta is 1 wherever psi is not NONE
 TABLE = {
-    "bl_node":    (Phi.H0,     None,                Psi.NONE,                 AlphaMode.ONE,          BetaMode.ZERO, False),
-    "bl_neigh":   (Phi.NONE,   NormScheme.MEAN,     Psi.H_PREV,               AlphaMode.ZERO,         BetaMode.ONE,  False),
-    "ss_ica":     (Phi.H0,     NormScheme.MEAN,     Psi.LABELS,               AlphaMode.ONE,          BetaMode.ONE,  False),
-    "wl":         (Phi.H_PREV, NormScheme.COUNT,    Psi.H_PREV,               AlphaMode.ONE,          BetaMode.ONE,  False),
-    "gcn":        (Phi.H_PREV, NormScheme.SYM_SELF, Psi.H_PREV,               AlphaMode.INV_DEG_SELF, BetaMode.ONE,  True),
-    "gcn_s":      (Phi.H_PREV, NormScheme.SYM_SELF, Psi.H_PREV,               AlphaMode.INV_DEG_SELF, BetaMode.ONE,  True),
-    "gcn_mean":   (Phi.H_PREV, NormScheme.MEAN,     Psi.H_PREV,               AlphaMode.ONE,          BetaMode.ONE,  True),
-    "gs_mean":    (Phi.H_PREV, NormScheme.MEAN,     Psi.H_PREV,               AlphaMode.ONE,          BetaMode.ONE,  False),
-    "gs_max":     (Phi.H_PREV, NormScheme.MAXPOOL,  Psi.H_PREV,               AlphaMode.ONE,          BetaMode.ONE,  False),
-    "nip_mean":   (Phi.H0,     NormScheme.MEAN,     Psi.H_PREV,               AlphaMode.ONE,          BetaMode.ONE,  False),
-    "i_nip_mean": (Phi.H0,     NormScheme.MEAN,     Psi.H_PREV_CONCAT_LABELS, AlphaMode.ONE,          BetaMode.ONE,  False),
+    "bl_node":    (Phi.H0,     None,                Psi.NONE,                 AlphaMode.ONE,          False),
+    "bl_neigh":   (Phi.NONE,   NormScheme.MEAN,     Psi.H_PREV,               AlphaMode.ONE,          False),
+    "ss_ica":     (Phi.H0,     NormScheme.MEAN,     Psi.LABELS,               AlphaMode.ONE,          False),
+    "wl":         (Phi.H_PREV, NormScheme.COUNT,    Psi.H_PREV,               AlphaMode.ONE,          False),
+    "gcn":        (Phi.H_PREV, NormScheme.SYM_SELF, Psi.H_PREV,               AlphaMode.INV_DEG_SELF, True),
+    "gcn_s":      (Phi.H_PREV, NormScheme.SYM_SELF, Psi.H_PREV,               AlphaMode.INV_DEG_SELF, True),
+    "gcn_mean":   (Phi.H_PREV, NormScheme.MEAN,     Psi.H_PREV,               AlphaMode.ONE,          True),
+    "gs_mean":    (Phi.H_PREV, NormScheme.MEAN,     Psi.H_PREV,               AlphaMode.ONE,          False),
+    "gs_max":     (Phi.H_PREV, NormScheme.MAXPOOL,  Psi.H_PREV,               AlphaMode.ONE,          False),
+    "nip_mean":   (Phi.H0,     NormScheme.MEAN,     Psi.H_PREV,               AlphaMode.ONE,          False),
+    "i_nip_mean": (Phi.H0,     NormScheme.MEAN,     Psi.H_PREV_CONCAT_LABELS, AlphaMode.ONE,          False),
+}
+
+# Parameter names of each trainable kernel at depth 2 (ss_ica is pinned to one
+# layer), in save order: they name the matrices of every weights snapshot
+UNTIED_2 = ["w0", "w1_phi", "w1_psi", "w2_phi", "w2_psi", "wl"]
+TIED_2 = ["w0", "w1", "w2", "wl"]
+PARAM_NAMES = {
+    "bl_node": ["w0", "w1_phi", "w2_phi", "wl"],
+    "bl_neigh": ["w0", "w1_psi", "w2_psi", "wl"],
+    "ss_ica": ["w0", "w1_phi", "w1_psi", "wl"],
+    "gcn": TIED_2, "gcn_s": TIED_2, "gcn_mean": TIED_2,
+    "gs_mean": UNTIED_2, "gs_max": UNTIED_2, "nip_mean": UNTIED_2, "i_nip_mean": UNTIED_2,
 }
 
 GRAD_CHECK_MODELS = [n for n in REGISTRY if n != "wl"]
@@ -75,13 +91,24 @@ class TestRegistryFidelity:
     @pytest.mark.parametrize("name", list(TABLE))
     def test_row_matches_field_by_field(self, name):
         spec = make_kernel(name, depth=2, hidden_dim=8)
-        phi, norm, psi, alpha, beta, tied = TABLE[name]
+        phi, norm, psi, alpha, tied = TABLE[name]
         assert spec.phi is phi
         assert spec.norm is norm
         assert spec.psi is psi
         assert spec.alpha is alpha
-        assert spec.beta is beta
         assert spec.tie_weights is tied
+        assert spec.has_node_path is (phi is not Phi.NONE)
+        assert spec.has_neighbor_path is (psi is not Psi.NONE)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(phi=Phi.NONE, psi=Psi.NONE, tie_weights=False), "at least one"),
+        (dict(phi=Phi.H0, psi=Psi.NONE, tie_weights=False, combine=Combine.CONCAT), "concat"),
+        (dict(phi=Phi.H_PREV, psi=Psi.NONE, tie_weights=True), "tied weights"),
+        (dict(phi=Phi.NONE, psi=Psi.H_PREV, tie_weights=True), "tied weights"),
+    ])
+    def test_spec_without_a_path_it_needs_is_rejected(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            KernelSpec(name="custom", norm=NormScheme.MEAN, **fields)
 
     def test_structural_flags(self):
         assert make_kernel("gcn_s").skip_connections
@@ -107,6 +134,23 @@ class TestRegistryFidelity:
         for wp, ws in zip(w.wphi, w.wpsi):
             assert wp is ws
         assert len(w.params()) == 1 + 3 + 1
+
+    @pytest.mark.parametrize("name", TRAINABLE_MODELS)
+    def test_parameter_names_in_order(self, name):
+        w = ModelWeights.init(make_kernel(name, depth=2, hidden_dim=4), 5, 3, 0)
+        assert [n for n, _ in w.params()] == PARAM_NAMES[name]
+
+    @pytest.mark.parametrize("name", ["gcn", "gcn_s", "gcn_mean"])
+    def test_seed_schedule_does_not_depend_on_tying(self, name):
+        spec = make_kernel(name, depth=3, hidden_dim=4)
+        tied = ModelWeights.init(spec, 5, 3, 21)
+        untied = ModelWeights.init(replace(spec, tie_weights=False), 5, 3, 21)
+        assert tied.w0.tobytes() == untied.w0.tobytes()
+        assert tied.wl.tobytes() == untied.wl.tobytes()
+        for k in range(spec.depth):
+            # the tied matrix is drawn where the untied node-path one is
+            assert tied.wphi[k].tobytes() == untied.wphi[k].tobytes()
+            assert not np.array_equal(untied.wpsi[k], untied.wphi[k])
 
     def test_concat_widths_double(self):
         spec = make_kernel("gs_mean", depth=2, hidden_dim=4)
@@ -302,8 +346,6 @@ class TestBackward:
         _, dloss = weighted_cross_entropy(yt, ytrue, np.ones(3), Task.MULTI_CLASS)
         tied_grads = dict(backward(tied_spec, wt, cache, dloss).params())
 
-        from dataclasses import replace
-
         untied_spec = replace(tied_spec, name="gcn_mean_untied", tie_weights=False)
         wu = ModelWeights.init(untied_spec, 5, 3, 0)
         wu.w0[:] = wt.w0
@@ -347,10 +389,12 @@ class TestBackward:
         w = ModelWeights.init(spec, 5, 3, 1)
         yt, cache = predict(spec, w, sub, x, task=Task.MULTI_CLASS, dropout_rate=0.3,
                             rng=np.random.default_rng(0))
+        activations = [weakref.ref(xk) for xk in cache.x]
         backward(spec, w, cache, np.ones_like(yt))
-        for entries in (cache.x, cache.active, cache.dropout, cache.phi_inputs,
-                        cache.psi_inputs):
+        for entries in (cache.x, cache.active, cache.dropout, cache.maxpool_argmax):
             assert all(e is None for e in entries)
+        # a layer's inputs are views of its activations, and nothing keeps one alive
+        assert all(ref() is None for ref in activations)
         with pytest.raises(StateError, match="already consumed"):
             backward(spec, w, cache, np.ones_like(yt))
 
@@ -369,8 +413,14 @@ class TestForwardCache:
             assert mask.dtype == bool and mask.shape == xk.shape
         for k in range(spec.depth):
             # the neighbor input is x[k] itself; yhat is multiplied by its own rows of wpsi[k]
-            assert np.shares_memory(cache.psi_inputs[k], cache.x[k])
-            assert cache.psi_inputs[k].shape[1] == cache.x[k].shape[1]
+            _, psi_in = _path_inputs(spec, cache, k)
+            assert np.shares_memory(psi_in, cache.x[k])
+            assert psi_in.shape[1] == cache.x[k].shape[1]
+        # and no array the cache holds is as wide as [h | yhat]
+        concat_width = cache.x[0].shape[1] + yh.shape[1]
+        held = [a for v in vars(cache).values() for a in (v if isinstance(v, list) else [v])
+                if isinstance(a, np.ndarray)]
+        assert held and all(a.shape[-1] != concat_width for a in held)
 
     def test_whole_graph_inference_cache_stays_small(self):
         # the shape of a hopf round's inference: i_nip_mean C=1 over every node.

@@ -1,7 +1,9 @@
-"""The manifest's dataset fingerprint: built from the digests the bundle's load takes."""
+"""What the manifest records: the arguments the call parsed, and the dataset
+fingerprint built from the digests the bundle's load takes."""
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +34,18 @@ def train_manifest(dataset, out) -> dict:
     assert main(["train", "--dataset", str(dataset), "--model", "nip_mean", "--folds", "1",
                  "--config", str(dataset.parent / "config.json"), "--out", str(out)]) == 0
     return json.loads((out / "manifest.json").read_text())
+
+
+def test_the_manifest_records_the_arguments_main_parsed(tmp_path, monkeypatch):
+    argv = ["nim", "--alpha", "1", "--beta", "1", "--max-k", "2", "--out", str(tmp_path)]
+    # a host process (a test runner, a benchmark's child) has arguments of its own
+    monkeypatch.setattr(sys, "argv", ["host", "--host-flag"])
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["argv"] == argv
+    # called with no list, main parses the process's own arguments and records those
+    monkeypatch.setattr(sys, "argv", ["hopf", *argv])
+    assert main() == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["argv"] == argv
 
 
 def reference_fingerprint(dataset) -> str:
