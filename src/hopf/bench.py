@@ -103,7 +103,7 @@ def time_epoch(spec, graph, x, y, train_nodes, config: TrainConfig, task,
     budget.
     """
     weights = ModelWeights.init(spec, x.shape[1], y.shape[1], config.rng_seed)
-    adam = {name: AdamState.for_param(p, lr=config.learning_rate) for name, p in weights.params()}
+    adam = {name: AdamState.for_param(p) for name, p in weights.params()}
     omega = _class_weights(y, train_nodes, config.use_wce)
     rng = np.random.default_rng(epoch_seed)
     batches = _batches(train_nodes, config.batch_size, rng)

@@ -237,7 +237,8 @@ def khop_subgraph(g: Graph, seeds, K: int) -> Subgraph:
     return _expand(g, seeds, [g.n] * K, rng=None)
 
 
-def sample_neighbors(g: Graph, per_hop_caps, seeds, K: int, rng_seed: int) -> Subgraph:
+def sample_neighbors(g: Graph, per_hop_caps, seeds, K: int,
+                     rng_seed: int | np.random.SeedSequence) -> Subgraph:
     """K-hop expansion keeping at most ``per_hop_caps[h]`` sampled neighbors per node.
 
     Sampling is uniform without replacement and only kicks in where the degree

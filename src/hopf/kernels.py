@@ -88,6 +88,8 @@ class KernelSpec:
             raise ConfigError("tied weights need both a node and a neighbor path")
         if self.phi is Phi.NONE and self.psi is Psi.NONE:
             raise ConfigError("kernel must keep at least one of the node/neighbor paths")
+        if self.phi is Phi.NONE and self.alpha is not AlphaMode.ONE:
+            raise ConfigError("alpha scales the node path, and this kernel has none")
 
     @property
     def uses_labels(self) -> bool:
@@ -152,7 +154,6 @@ class LayerPlan:
     h_widths: tuple[int, ...]
     phi_in: tuple[int, ...]
     psi_in: tuple[int, ...]
-    num_labels: int
 
     @property
     def output_in(self) -> int:
@@ -181,11 +182,9 @@ def layer_plan(spec: KernelSpec, num_features: int, num_labels: int) -> LayerPla
             raise ConfigError(f"{spec.name}: tied weights need equal fan-in ({pw} vs {sw})")
         phi_in.append(pw)
         psi_in.append(sw)
-        out = 2 * d if spec.combine is Combine.CONCAT else d
-        if spec.skip_connections and out != prev:
-            raise ConfigError(f"{spec.name}: skip connection needs matching widths")
-        widths.append(out)
-    return LayerPlan(tuple(widths), tuple(phi_in), tuple(psi_in), num_labels)
+        # skip connections require SUM, so their layers keep the width d they add to
+        widths.append(2 * d if spec.combine is Combine.CONCAT else d)
+    return LayerPlan(tuple(widths), tuple(phi_in), tuple(psi_in))
 
 
 @dataclass
@@ -517,8 +516,8 @@ def _layer_pre(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
 
 
 def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
-            features: np.ndarray, yhat: np.ndarray | None = None,
-            task: Task = Task.MULTI_CLASS, dropout_rate: float = 0.0,
+            features: np.ndarray, yhat: np.ndarray | None = None, *,
+            task: Task, dropout_rate: float = 0.0,
             rng: np.random.Generator | None = None):
     """Forward pass over a subgraph; returns seed-row predictions and the cache.
 
@@ -544,7 +543,6 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
     if dropout_rate > 0.0 and rng is None:
         raise ConfigError("dropout needs an explicit rng for reproducibility")
 
-    plan = layer_plan(spec, features.shape[1], num_labels)
     rows = layer_rows(sub, spec.depth)
     ids = sub.global_ids[: rows[0]]
     yhat = yhat[ids] if spec.uses_labels else None
@@ -580,8 +578,6 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
         skip = cache.x[-1][: rows[k + 1]] if spec.skip_connections else None
         activate(_layer_pre(spec, weights, cache, k), skip)
 
-    if cache.x[-1].shape[1] != plan.output_in:
-        raise ShapeError("layer plan mismatch in forward pass")
     cache.ytilde = _output_activation(cache.x[-1] @ weights.wl, task)
     return cache.ytilde, cache
 
@@ -595,9 +591,8 @@ def _doutput(cache: ForwardCache, dloss_dy: np.ndarray) -> np.ndarray:
     return yt * (dloss_dy - inner)
 
 
-def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
-             dloss_dy: np.ndarray) -> ModelWeights:
-    """Exact gradients for every weight matrix of ``spec``; consumes ``cache``.
+def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
+    """Exact gradients for every weight matrix of the cache's spec; consumes ``cache``.
 
     Tied layers accumulate both path contributions into the shared array. The
     label channel is treated as data: no gradient is ever produced for it.
@@ -610,8 +605,7 @@ def backward(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
     gradient are dropped, so the step's peak holds one layer's gradients, not
     every layer's. The cache cannot be passed to ``backward`` a second time.
     """
-    if cache.spec is not spec or cache.weights is not weights:
-        raise StateError("cache does not belong to this spec/weights pair")
+    spec, weights = cache.spec, cache.weights
     dloss_dy = np.asarray(dloss_dy, dtype=np.float64)
     if dloss_dy.shape != cache.ytilde.shape:
         raise ShapeError(f"dloss shape {dloss_dy.shape} vs predictions {cache.ytilde.shape}")

@@ -61,43 +61,40 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e
 
 
+# Adam's decay rates and denominator guard; the rate is the caller's, per step.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments plus the shared hyperparameters."""
+    """One parameter's Adam moments and step count."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: np.ndarray, lr: float = 1e-2, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            first_moment=np.zeros_like(param),
-            second_moment=np.zeros_like(param),
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def for_param(cls, param: np.ndarray) -> "AdamState":
+        return cls(first_moment=np.zeros_like(param), second_moment=np.zeros_like(param))
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState):
-    """One bias-corrected Adam update, applied to ``param`` in place."""
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
+    """One bias-corrected Adam update at rate ``lr``, applied to ``param`` in place."""
     if param.shape != grad.shape:
         raise ShapeError(f"param {param.shape} vs grad {grad.shape}")
     if not np.all(np.isfinite(grad)):
         raise NumericsError("non-finite gradient passed to adam_step")
     state.step_count += 1
     t = state.step_count
-    state.first_moment *= state.beta1
-    state.first_moment += (1.0 - state.beta1) * grad
-    state.second_moment *= state.beta2
-    state.second_moment += (1.0 - state.beta2) * grad * grad
-    m_hat = state.first_moment / (1.0 - state.beta1**t)
-    v_hat = state.second_moment / (1.0 - state.beta2**t)
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.first_moment *= ADAM_BETA1
+    state.first_moment += (1.0 - ADAM_BETA1) * grad
+    state.second_moment *= ADAM_BETA2
+    state.second_moment += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.first_moment / (1.0 - ADAM_BETA1**t)
+    v_hat = state.second_moment / (1.0 - ADAM_BETA2**t)
+    param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return param, state
 
 

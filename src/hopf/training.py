@@ -113,14 +113,13 @@ class EarlyStopState:
 
     patience_budget: int
     lr_current: float
-    best_val_loss: float = np.inf
-    patience_remaining: int = field(default=0)
-    consecutive_exhaustions: int = 0
-    stopped: bool = False
+    best_val_loss: float = field(init=False, default=np.inf)
+    patience_remaining: int = field(init=False)
+    consecutive_exhaustions: int = field(init=False, default=0)
+    stopped: bool = field(init=False, default=False)
 
     def __post_init__(self):
-        if self.patience_remaining == 0:
-            self.patience_remaining = self.patience_budget
+        self.patience_remaining = self.patience_budget
 
     def observe(self, val_loss: float) -> str:
         """Feed one validation loss; returns improved | waiting | annealed | stop."""
@@ -191,14 +190,13 @@ def train_step(spec: KernelSpec, weights: ModelWeights, adam: dict, sub, x: np.n
         loss += 0.5 * config.l2_weight * weights.l2_norm_sq()
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite loss {loss}", epoch=epoch, batch=batch)
-    grads = backward(spec, weights, cache, dloss)
+    grads = backward(cache, dloss)
     gdict = dict(grads.params())
     for name, p in weights.params():
         g = gdict[name]
         if config.l2_weight > 0:
             g = g + config.l2_weight * p
-        adam[name].lr = lr
-        adam_step(p, g, adam[name])
+        adam_step(p, g, adam[name], lr)
     return loss
 
 
@@ -214,28 +212,30 @@ def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
     """
     if split.train_nodes.size == 0:
         raise ConfigError("training split is empty")
+    if spec.hidden_dim != config.hidden_dim:
+        raise ConfigError(f"{spec.name} has hidden width {spec.hidden_dim}, "
+                          f"but the config asks for {config.hidden_dim}")
     if spec.uses_labels and yhat is None:
         yhat = np.zeros((graph.n, y.shape[1]))
     omega = _class_weights(y, split.train_nodes, config.use_wce)
     weights = init_weights if init_weights is not None else ModelWeights.init(
         spec, x.shape[1], y.shape[1], config.rng_seed)
-    adam = {name: AdamState.for_param(p, lr=config.learning_rate) for name, p in weights.params()}
+    adam = {name: AdamState.for_param(p) for name, p in weights.params()}
 
     early = EarlyStopState(patience_budget=config.patience, lr_current=config.learning_rate)
     has_val = split.val_nodes.size > 0
-    best_weights = weights.copy()
-    best_epoch = 0
+    best_weights = weights  # the live weights, until validation first improves
     history = []
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, epoch)))
         batches = _batches(split.train_nodes, config.batch_size, epoch_rng)
-        sample_seed = config.rng_seed * 100003 + epoch
         epoch_loss = 0.0
         for bidx, batch in enumerate(batches):
             if sample_caps:
-                sub = sample_neighbors(graph, sample_caps, batch, spec.depth,
-                                       rng_seed=sample_seed + bidx)
+                # the trailing 1 keeps this stream apart from the batch's dropout stream
+                sample_seed = np.random.SeedSequence((config.rng_seed, epoch, bidx, 1))
+                sub = sample_neighbors(graph, sample_caps, batch, spec.depth, sample_seed)
             else:
                 sub = khop_subgraph(graph, batch, spec.depth)
             loss = train_step(spec, weights, adam, sub, x, y[batch], yhat, omega, config,
@@ -249,17 +249,13 @@ def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
             val_loss, _ = weighted_cross_entropy(val_pred, y[split.val_nodes], omega, task)
             if not np.isfinite(val_loss):
                 raise TrainingError(f"non-finite validation loss {val_loss}", epoch=epoch)
-            outcome = early.observe(val_loss)
-            if outcome == "improved":
+            if early.observe(val_loss) == "improved":
                 best_weights = weights.copy()
-                best_epoch = epoch
         history.append({"epoch": epoch, "train_loss": epoch_loss,
                         "val_loss": float(val_loss), "lr": early.lr_current})
         if has_val and early.stopped and epoch >= config.min_epochs:
             break
 
-    if not has_val or best_epoch == 0:
-        best_weights = weights
     return best_weights, history
 
 

@@ -142,7 +142,7 @@ def test_c03_gradient_correctness():
             _, dloss = weighted_cross_entropy(yt, ytrue, omega, task)
             from hopf import backward
 
-            grads = dict(backward(spec, w, cache, dloss).params())
+            grads = dict(backward(cache, dloss).params())
             for pname, p in w.params():
                 def loss_fn(pm, p=p):
                     saved = p.copy()

@@ -68,7 +68,7 @@ def assert_grads_match_fd(spec, w, sub, x, yh, ytrue, task):
     omega = np.ones(ytrue.shape[1])
     yt, cache = predict(spec, w, sub, x, yh, task=task)
     _, dloss = weighted_cross_entropy(yt, ytrue, omega, task)
-    grads = dict(backward(spec, w, cache, dloss).params())
+    grads = dict(backward(cache, dloss).params())
     for pname, p in w.params():
         def loss_fn(pm, p=p):
             saved = p.copy()
@@ -105,6 +105,8 @@ class TestRegistryFidelity:
         (dict(phi=Phi.H0, psi=Psi.NONE, tie_weights=False, combine=Combine.CONCAT), "concat"),
         (dict(phi=Phi.H_PREV, psi=Psi.NONE, tie_weights=True), "tied weights"),
         (dict(phi=Phi.NONE, psi=Psi.H_PREV, tie_weights=True), "tied weights"),
+        (dict(phi=Phi.NONE, psi=Psi.H_PREV, tie_weights=False,
+              alpha=AlphaMode.INV_DEG_SELF), "alpha scales the node path"),
     ])
     def test_spec_without_a_path_it_needs_is_rejected(self, fields, message):
         with pytest.raises(ConfigError, match=message):
@@ -220,21 +222,22 @@ class TestPredict:
         with pytest.raises(ConfigError):
             ModelWeights.init(spec, 3, 2, 0)
         with pytest.raises(ConfigError):
-            predict(spec, None, khop_subgraph(triangle, [0], 1), np.ones((3, 3)))
+            predict(spec, None, khop_subgraph(triangle, [0], 1), np.ones((3, 3)),
+                    task=Task.MULTI_CLASS)
 
     def test_missing_label_channel(self):
         _, sub, x, _, _ = rand_setup()
         spec = make_kernel("i_nip_mean", depth=2, hidden_dim=4)
         w = ModelWeights.init(spec, 5, 3, 0)
         with pytest.raises(ConfigError, match="label channel"):
-            predict(spec, w, sub, x, None)
+            predict(spec, w, sub, x, None, task=Task.MULTI_CLASS)
 
     def test_label_width_mismatch(self):
         g, sub, x, _, _ = rand_setup()
         spec = make_kernel("i_nip_mean", depth=2, hidden_dim=4)
         w = ModelWeights.init(spec, 5, 3, 0)
         with pytest.raises(ConfigError):
-            predict(spec, w, sub, x, np.zeros((g.n, 5)))
+            predict(spec, w, sub, x, np.zeros((g.n, 5)), task=Task.MULTI_CLASS)
 
     def test_inputs_short_of_rows_or_not_2d(self):
         g, sub, x, yh, _ = rand_setup(n=30, edges=40)
@@ -242,18 +245,18 @@ class TestPredict:
         assert need > 1
         spec = make_kernel("i_nip_mean", depth=2, hidden_dim=4)
         w = ModelWeights.init(spec, 5, 3, 0)
-        predict(spec, w, sub, x[:need], yh[:need])
+        predict(spec, w, sub, x[:need], yh[:need], task=Task.MULTI_CLASS)
         for bad_x, bad_yh in ((x[: need - 1], yh), (x, yh[: need - 1]),
                               (x[:, 0], yh), (x, yh[:, 0]), (x[None], yh)):
             with pytest.raises(ShapeError, match="one row per graph node"):
-                predict(spec, w, sub, bad_x, bad_yh)
+                predict(spec, w, sub, bad_x, bad_yh, task=Task.MULTI_CLASS)
 
     def test_feature_width_mismatch(self):
         _, sub, x, _, _ = rand_setup()
         spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
         w = ModelWeights.init(spec, 5, 3, 0)
         with pytest.raises(ShapeError):
-            predict(spec, w, sub, x[:, :3])
+            predict(spec, w, sub, x[:, :3], task=Task.MULTI_CLASS)
 
     def test_output_rows_cover_seed_prefix_only(self):
         _, sub, x, yh, _ = rand_setup(seeds=4)
@@ -280,7 +283,7 @@ def test_trimmed_layers_need_no_outer_frontier(name):
         yt, cache = predict(spec, w, sub, x, yh, task=Task.MULTI_LABEL)
         assert [xk.shape[0] for xk in cache.x] == [sub.frontier_offsets[C - k + 1]
                                                   for k in range(C + 1)]
-        grads = backward(spec, w, cache, np.linspace(-1.0, 1.0, yt.size).reshape(yt.shape))
+        grads = backward(cache, np.linspace(-1.0, 1.0, yt.size).reshape(yt.shape))
         outs.append((yt, grads.params()))
     (y_c, g_c), (y_wide, g_wide) = outs
     assert np.allclose(y_c, y_wide, rtol=0.0, atol=1e-12)
@@ -294,7 +297,7 @@ class TestBackward:
         spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
         w = ModelWeights.init(spec, 5, 3, 1)
         yt, cache = predict(spec, w, sub, x, task=Task.MULTI_CLASS)
-        grads = backward(spec, w, cache, np.zeros_like(yt))
+        grads = backward(cache, np.zeros_like(yt))
         assert all(np.all(a == 0.0) for _, a in grads.params())
 
     @pytest.mark.parametrize("name", GRAD_CHECK_MODELS)
@@ -332,7 +335,7 @@ class TestBackward:
             yt, cache = predict(spec, w, sub, x, yh, task=Task.MULTI_CLASS)
             assert (cache.gathered is None) == (fraction == 0.0)
             _, dloss = weighted_cross_entropy(yt, ytrue, np.ones(3), Task.MULTI_CLASS)
-            runs.append((yt, backward(spec, w, cache, dloss).params()))
+            runs.append((yt, backward(cache, dloss).params()))
         (y_whole, g_whole), (y_gathered, g_gathered) = runs
         assert np.allclose(y_whole, y_gathered, rtol=0.0, atol=1e-12)
         for (pname, a), (_, b) in zip(g_whole, g_gathered):
@@ -344,7 +347,7 @@ class TestBackward:
         wt = ModelWeights.init(tied_spec, 5, 3, 9)
         yt, cache = predict(tied_spec, wt, sub, x, task=Task.MULTI_CLASS)
         _, dloss = weighted_cross_entropy(yt, ytrue, np.ones(3), Task.MULTI_CLASS)
-        tied_grads = dict(backward(tied_spec, wt, cache, dloss).params())
+        tied_grads = dict(backward(cache, dloss).params())
 
         untied_spec = replace(tied_spec, name="gcn_mean_untied", tie_weights=False)
         wu = ModelWeights.init(untied_spec, 5, 3, 0)
@@ -355,7 +358,7 @@ class TestBackward:
             wu.wpsi[k][:] = wt.wpsi[k]
         yt2, cache2 = predict(untied_spec, wu, sub, x, task=Task.MULTI_CLASS)
         assert np.allclose(yt, yt2)
-        untied = dict(backward(untied_spec, wu, cache2, dloss).params())
+        untied = dict(backward(cache2, dloss).params())
         for k in (1, 2):
             combined = untied[f"w{k}_phi"] + untied[f"w{k}_psi"]
             assert np.allclose(tied_grads[f"w{k}"], combined, atol=1e-12)
@@ -366,21 +369,12 @@ class TestBackward:
         w = ModelWeights.init(spec, 5, 3, 2)
         yt, cache = predict(spec, w, sub, x, yh, task=Task.MULTI_CLASS)
         _, dloss = weighted_cross_entropy(yt, ytrue, np.ones(3), Task.MULTI_CLASS)
-        grads = backward(spec, w, cache, dloss)
+        grads = backward(cache, dloss)
         names = {n for n, _ in grads.params()}
         assert names == {n for n, _ in w.params()}
         # yet the channel itself matters to the forward values
         yt2, _ = predict(spec, w, sub, x, yh + 0.3, task=Task.MULTI_CLASS)
         assert not np.allclose(yt, yt2)
-
-    def test_stale_cache_rejected(self):
-        _, sub, x, _, _ = rand_setup()
-        spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
-        w = ModelWeights.init(spec, 5, 3, 1)
-        yt, cache = predict(spec, w, sub, x, task=Task.MULTI_CLASS)
-        other = ModelWeights.init(spec, 5, 3, 2)
-        with pytest.raises(StateError):
-            backward(spec, other, cache, np.zeros_like(yt))
 
     def test_backward_consumes_the_cache(self):
         # every layer's activations, masks and inputs are released as backward goes
@@ -390,13 +384,13 @@ class TestBackward:
         yt, cache = predict(spec, w, sub, x, task=Task.MULTI_CLASS, dropout_rate=0.3,
                             rng=np.random.default_rng(0))
         activations = [weakref.ref(xk) for xk in cache.x]
-        backward(spec, w, cache, np.ones_like(yt))
+        backward(cache, np.ones_like(yt))
         for entries in (cache.x, cache.active, cache.dropout, cache.maxpool_argmax):
             assert all(e is None for e in entries)
         # a layer's inputs are views of its activations, and nothing keeps one alive
         assert all(ref() is None for ref in activations)
         with pytest.raises(StateError, match="already consumed"):
-            backward(spec, w, cache, np.ones_like(yt))
+            backward(cache, np.ones_like(yt))
 
 
 class TestForwardCache:
@@ -558,7 +552,7 @@ def test_weights_load_rejects_truncated_or_mismatched_snapshots(tmp_path):
 # a ball of the whole 20k-node ring, so the input layer multiplies all of x
 _WHOLE_GRAPH_SETUP = """
 import numpy as np
-from hopf import ModelWeights, backward, build_graph, khop_subgraph, make_kernel, predict
+from hopf import ModelWeights, Task, backward, build_graph, khop_subgraph, make_kernel, predict
 n, f = 20000, 100
 g = build_graph([(i, (i + 1) % n) for i in range(n)], n)
 x = np.random.default_rng(0).random((n, f))
@@ -573,8 +567,8 @@ def test_whole_graph_input_layer_copies_no_x_in_blas():
     # into buffers it maps itself, which tracemalloc never sees: as x @ w0
     # that copied all of x, about 16 MB here; the rest of the call takes under 6 MB
     growth, _ = blas_peak_growth(_WHOLE_GRAPH_SETUP, """
-y, cache = predict(spec, w, sub, x)
-backward(spec, w, cache, np.ones_like(y))
+y, cache = predict(spec, w, sub, x, task=Task.MULTI_CLASS)
+backward(cache, np.ones_like(y))
 """)
     x_bytes = 20000 * 100 * 8
     assert growth < x_bytes / 2, f"peak RSS grew by {growth / 1e6:.1f} MB"
@@ -584,7 +578,7 @@ backward(spec, w, cache, np.ones_like(y))
 # most bytes a step on any of them holds by estimate_batch_bytes' count
 _VARIED_BALLS_SETUP = """
 import numpy as np
-from hopf import ModelWeights, backward, build_graph, khop_subgraph, make_kernel, predict
+from hopf import ModelWeights, Task, backward, build_graph, khop_subgraph, make_kernel, predict
 from hopf.bench import estimate_batch_bytes
 n, f, l = 20000, 8, 3
 rng = np.random.default_rng(0)
@@ -605,8 +599,8 @@ def test_hidden_products_keep_blas_workspace_small_as_balls_vary():
     # beyond the steps' own arrays, row blocks about 4 MiB
     growth, (sizes, own) = blas_peak_growth(_VARIED_BALLS_SETUP, """
 for sub in subs:
-    y, cache = predict(spec, w, sub, x)
-    backward(spec, w, cache, np.ones_like(y))
+    y, cache = predict(spec, w, sub, x, task=Task.MULTI_CLASS)
+    backward(cache, np.ones_like(y))
 """)
     smallest, largest = map(int, sizes.split())
     assert smallest < 1500 and largest > 15000

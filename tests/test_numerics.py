@@ -89,25 +89,25 @@ class TestActivations:
 class TestAdam:
     def test_zero_grad_no_move(self):
         p = np.array([[1.0, -2.0]])
-        state = AdamState.for_param(p, lr=0.1)
-        adam_step(p, np.zeros_like(p), state)
+        state = AdamState.for_param(p)
+        adam_step(p, np.zeros_like(p), state, lr=0.1)
         assert np.array_equal(p, [[1.0, -2.0]])
         assert state.step_count == 1
 
     def test_first_step_is_minus_lr(self):
         p = np.zeros((1, 1))
-        state = AdamState.for_param(p, lr=0.01)
-        adam_step(p, np.ones((1, 1)), state)
+        state = AdamState.for_param(p)
+        adam_step(p, np.ones((1, 1)), state, lr=0.01)
         # bias-corrected m_hat/sqrt(v_hat) = 1 on the first step, up to eps
         assert p[0, 0] == pytest.approx(-0.01, abs=1e-9)
 
     def test_constant_grad_moves_monotonically(self):
         p = np.zeros((1, 1))
-        state = AdamState.for_param(p, lr=0.01)
+        state = AdamState.for_param(p)
         grad = np.full((1, 1), 3.0)
-        adam_step(p, grad, state)
+        adam_step(p, grad, state, lr=0.01)
         first = p[0, 0]
-        adam_step(p, grad, state)
+        adam_step(p, grad, state, lr=0.01)
         assert p[0, 0] < first < 0.0
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
@@ -116,14 +116,31 @@ class TestAdam:
         steps = []
         for scale in (1.0, c):
             p = np.zeros_like(grad)
-            adam_step(p, scale * grad, AdamState.for_param(p, lr=0.01))
+            adam_step(p, scale * grad, AdamState.for_param(p), lr=0.01)
             steps.append(np.sign(p))
         assert np.array_equal(steps[0], steps[1])
 
     def test_nonfinite_grad_rejected(self):
         p = np.zeros((1, 1))
         with pytest.raises(NumericsError):
-            adam_step(p, np.array([[np.nan]]), AdamState.for_param(p))
+            adam_step(p, np.array([[np.nan]]), AdamState.for_param(p), lr=0.01)
+
+    def test_three_steps_match_a_hand_written_update_at_each_rate(self):
+        # bias correction uses the step count, and each step takes the rate it is given
+        grads = [np.array([[0.5, -2.0]]), np.array([[-1.0, 3.0]]), np.array([[0.25, 0.0]])]
+        rates = [0.1, 0.05, 0.2]
+        p = np.array([[1.0, -1.0]])
+        state = AdamState.for_param(p)
+        want = p.copy()
+        m = np.zeros_like(p)
+        v = np.zeros_like(p)
+        for t, (g, lr) in enumerate(zip(grads, rates), start=1):
+            adam_step(p, g, state, lr)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            want -= lr * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert state.step_count == t
+            assert np.array_equal(p, want)
 
 
 class TestFiniteDiff:

@@ -147,9 +147,9 @@ class TestTrainLoop:
         calls = []
         real = training_mod.adam_step
 
-        def counting(param, grad, state):
+        def counting(param, grad, state, lr):
             calls.append(state.step_count)
-            return real(param, grad, state)
+            return real(param, grad, state, lr)
 
         monkeypatch.setattr(training_mod, "adam_step", counting)
         bundle = planted(1, n=100)
@@ -202,6 +202,37 @@ class TestTrainLoop:
         for (_, a), (_, b) in zip(outs[0].params(), outs[1].params()):
             assert np.array_equal(a, b)
 
+    def test_sampled_batches_draw_distinct_streams(self, monkeypatch):
+        # every (epoch, batch) samples its ball from its own stream, apart from
+        # the epoch's batch order and the batch's dropout masks
+        streams = []
+        real = training_mod.sample_neighbors
+
+        def recording(graph, caps, seeds, K, rng_seed):
+            streams.append(np.random.default_rng(rng_seed).random(4).tobytes())
+            return real(graph, caps, seeds, K, rng_seed)
+
+        monkeypatch.setattr(training_mod, "sample_neighbors", recording)
+        bundle = planted(4, n=100)
+        split = make_splits(100, rng_seed=4)[0]
+        cfg = quick_config(seed=4, hidden_dim=4, batch_size=4, max_epochs=2)
+        train(make_kernel("nip_mean", depth=2, hidden_dim=4), bundle.graph, bundle.x,
+              bundle.y, split, cfg, bundle.task, sample_caps=[3, 3])
+        batches = -(-split.train_nodes.size // cfg.batch_size)
+        assert batches >= 2 and len(streams) == 2 * batches
+        others = {np.random.default_rng(np.random.SeedSequence(key)).random(4).tobytes()
+                  for epoch in (1, 2)
+                  for key in [(4, epoch)] + [(4, epoch, b) for b in range(batches)]}
+        assert len(set(streams)) == len(streams)
+        assert not set(streams) & others
+
+    def test_spec_and_config_must_agree_on_hidden_width(self):
+        bundle = planted(2, n=100)
+        split = make_splits(100, rng_seed=2)[0]
+        with pytest.raises(ConfigError, match="4.*64"):
+            train(make_kernel("nip_mean", depth=1, hidden_dim=4), bundle.graph, bundle.x,
+                  bundle.y, split, quick_config(hidden_dim=64), bundle.task)
+
     def test_dropout_training_reproducible(self):
         bundle = planted(6, n=100)
         split = make_splits(100, rng_seed=6)[0]
@@ -239,7 +270,7 @@ class TestTrainLoop:
 def step_on(spec, x, y, seeds, config=TrainConfig()):
     """``train_step`` on a ball of ``seeds``, as one batch of ``train``; returns the ball."""
     weights = ModelWeights.init(spec, x.shape[1], y.shape[1], config.rng_seed)
-    adam = {name: AdamState.for_param(p, lr=config.learning_rate) for name, p in weights.params()}
+    adam = {name: AdamState.for_param(p) for name, p in weights.params()}
     yhat = np.zeros_like(y) if spec.uses_labels else None
 
     def step(sub):
