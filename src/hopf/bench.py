@@ -76,7 +76,7 @@ def estimate_batch_bytes(spec, sub: Subgraph, num_nodes: int, num_features: int,
     itself to pack operands, which numpy never allocates (see
     ``kernels._input_product`` and ``kernels._hidden_product``).
     """
-    plan = layer_plan(spec, num_features, num_labels)
+    plan = layer_plan(spec, num_labels)
     rows = layer_rows(sub, spec.depth)
     widths = plan.h_widths
     nnz = sub.indices.size

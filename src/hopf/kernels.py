@@ -18,7 +18,8 @@ checked against a central finite-difference oracle in the test suite.
 from __future__ import annotations
 
 import math
-import struct
+import os
+import zipfile
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -160,7 +161,7 @@ class LayerPlan:
         return self.h_widths[-1]
 
 
-def layer_plan(spec: KernelSpec, num_features: int, num_labels: int) -> LayerPlan:
+def layer_plan(spec: KernelSpec, num_labels: int) -> LayerPlan:
     """Width bookkeeping for a spec; concat layers double the running width."""
     d = spec.hidden_dim
     widths = [d]
@@ -215,7 +216,7 @@ class ModelWeights:
     def init(cls, spec: KernelSpec, num_features: int, num_labels: int, rng_seed: int) -> "ModelWeights":
         if not spec.differentiable:
             raise ConfigError(f"{spec.name} has no learnable weights")
-        plan = layer_plan(spec, num_features, num_labels)
+        plan = layer_plan(spec, num_labels)
         seeds = np.random.SeedSequence(rng_seed).spawn(2 * spec.depth + 2)
         gens = iter(np.random.default_rng(s) for s in seeds)
         d = spec.hidden_dim
@@ -245,62 +246,48 @@ class ModelWeights:
     def l2_norm_sq(self) -> float:
         return float(sum(np.sum(a * a) for a in self.mats.values()))
 
-    # Binary snapshot: magic, entry count, then per entry a name plus its
-    # shape, followed by all matrices as row-major float64 in declared order.
-    _MAGIC = b"HOPFW001"
-
     def save(self, path) -> None:
-        entries = self.params()
-        with open(path, "wb") as fh:
-            fh.write(self._MAGIC)
-            fh.write(struct.pack("<I", len(entries)))
-            for name, arr in entries:
-                raw = name.encode()
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-            for _, arr in entries:
-                fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-
-    @staticmethod
-    def load_arrays(path) -> dict[str, np.ndarray]:
-        def read(fh, size: int) -> bytes:
-            buf = fh.read(size)
-            if len(buf) != size:
-                raise ArgumentError(f"{path}: truncated weights snapshot")
-            return buf
-
-        with open(path, "rb") as fh:
-            if fh.read(8) != ModelWeights._MAGIC:
-                raise ArgumentError(f"{path}: not a weights snapshot")
-            (count,) = struct.unpack("<I", read(fh, 4))
-            shapes = []
-            for _ in range(count):
-                (nlen,) = struct.unpack("<H", read(fh, 2))
-                name = read(fh, nlen).decode()
-                rows, cols = struct.unpack("<II", read(fh, 8))
-                shapes.append((name, rows, cols))
-            out = {}
-            for name, rows, cols in shapes:
-                buf = read(fh, rows * cols * 8)
-                out[name] = np.frombuffer(buf, dtype=np.float64).reshape(rows, cols).copy()
-            if fh.read(1):
-                raise ArgumentError(f"{path}: trailing bytes after the last matrix")
-        return out
+        """An uncompressed ``np.savez`` archive of ``mats``, in save order."""
+        with open(path, "wb") as fh:  # a handle, so numpy appends no ".npz"
+            np.savez(fh, **self.mats)
 
     @classmethod
     def load(cls, path, spec: KernelSpec) -> "ModelWeights":
-        """Read a snapshot, checking every matrix's name and shape against ``spec``."""
-        arrs = cls.load_arrays(path)
+        """Read a snapshot, checking every matrix's name, shape and dtype against ``spec``.
+
+        A member's header is checked before its data is read, so a damaged one
+        cannot size an allocation larger than the file, and each member is read
+        to its end, where zip checks its CRC-32.
+        """
+        try:
+            with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
+                limit = os.fstat(fh.fileno()).st_size
+                arrs = {}
+                for info in archive.infolist():
+                    with archive.open(info) as member:
+                        np.lib.format.read_magic(member)
+                        shape, _, dtype = np.lib.format.read_array_header_1_0(member)
+                        if len(shape) != 2 or dtype.itemsize * math.prod(shape) > limit:
+                            raise ShapeError(f"{path}: {info.filename} claims {dtype} {shape}, "
+                                             "not a matrix the file can hold")
+                        member.seek(0)
+                        arrs[info.filename.removesuffix(".npy")] = np.lib.format.read_array(
+                            member, allow_pickle=False)
+                        if member.read(1):
+                            raise ArgumentError(f"{path}: {info.filename} runs past its matrix")
+        # zipfile raises RuntimeError for an encrypted member, NotImplementedError
+        # (a subclass) for an unknown compression method
+        except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
+            raise ArgumentError(f"{path}: unreadable weights snapshot ({exc})") from exc
         if "w0" not in arrs or "wl" not in arrs:
             raise ShapeError(f"{path}: snapshot lacks w0 or wl")
         # the layer plan for the snapshot's feature and label counts fixes every shape
         template = cls.init(spec, arrs["w0"].shape[0], arrs["wl"].shape[1], rng_seed=0)
-        expected = {name: a.shape for name, a in template.params()}
-        found = {name: a.shape for name, a in arrs.items()}
+        expected = [(name, a.shape, a.dtype) for name, a in template.params()]
+        found = [(name, a.shape, a.dtype) for name, a in arrs.items()]
         if found != expected:
             raise ShapeError(f"{path}: snapshot {found} does not fit {spec.name} {expected}")
-        return cls({name: arrs[name] for name in expected})
+        return cls(arrs)
 
 
 @dataclass
@@ -461,11 +448,12 @@ def _graph_rows(name: str, arr: np.ndarray, sub: Subgraph) -> np.ndarray:
     return arr
 
 
-def _path_inputs(spec: KernelSpec, cache: ForwardCache, k: int):
+def _path_inputs(cache: ForwardCache, k: int):
     """Layer k+1's node-path and neighbour-path inputs, each None where the
-    spec has no such path: row prefixes of ``cache.x`` (of ``cache.yhat`` for
+    cache's spec has no such path: row prefixes of ``cache.x`` (of ``cache.yhat`` for
     ``Psi.LABELS``). A ``Psi.H_PREV_CONCAT_LABELS`` neighbour input is its
     ``h`` part; the label half is ``cache.yhat[:rows[k]]``."""
+    spec = cache.spec
     phi_in = psi_in = None
     if spec.has_node_path:
         phi_in = cache.x[0 if spec.phi is Phi.H0 else k][: cache.rows[k + 1]]
@@ -474,8 +462,7 @@ def _path_inputs(spec: KernelSpec, cache: ForwardCache, k: int):
     return phi_in, psi_in
 
 
-def _layer_pre(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
-               k: int) -> np.ndarray:
+def _layer_pre(cache: ForwardCache, k: int) -> np.ndarray:
     """Layer k+1's pre-activation from ``cache.x[k]``.
 
     The neighbour path comes first, and its ``rows[k]``-tall product ``lin``
@@ -483,8 +470,9 @@ def _layer_pre(spec: KernelSpec, weights: ModelWeights, cache: ForwardCache,
     other products it needs on the way die when it returns, so they never
     overlap the next layer's or the output's.
     """
+    spec, weights = cache.spec, cache.weights
     n_in, n_out = cache.rows[k], cache.rows[k + 1]
-    phi_in, psi_in = _path_inputs(spec, cache, k)
+    phi_in, psi_in = _path_inputs(cache, k)
     neigh = argmax = None
     if psi_in is not None:
         wpsi = weights.wpsi[k]
@@ -576,7 +564,7 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
 
     for k in range(spec.depth):
         skip = cache.x[-1][: rows[k + 1]] if spec.skip_connections else None
-        activate(_layer_pre(spec, weights, cache, k), skip)
+        activate(_layer_pre(cache, k), skip)
 
     cache.ytilde = _output_activation(cache.x[-1] @ weights.wl, task)
     return cache.ytilde, cache
@@ -649,7 +637,7 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
         layer = k + 1  # index into cache.x / cache.active
         n_out = cache.rows[layer]
         dpre = layer_grad(layer)
-        phi_in, psi_in = _path_inputs(spec, cache, k)
+        phi_in, psi_in = _path_inputs(cache, k)
 
         d = spec.hidden_dim
         if spec.combine is Combine.CONCAT:

@@ -1,4 +1,6 @@
+import re
 import weakref
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -156,7 +158,7 @@ class TestRegistryFidelity:
 
     def test_concat_widths_double(self):
         spec = make_kernel("gs_mean", depth=2, hidden_dim=4)
-        plan = layer_plan(spec, 6, 3)
+        plan = layer_plan(spec, 3)
         assert plan.h_widths == (4, 8, 8)
         assert plan.phi_in == (4, 8)
         w = ModelWeights.init(spec, 6, 3, 0)
@@ -407,7 +409,7 @@ class TestForwardCache:
             assert mask.dtype == bool and mask.shape == xk.shape
         for k in range(spec.depth):
             # the neighbor input is x[k] itself; yhat is multiplied by its own rows of wpsi[k]
-            _, psi_in = _path_inputs(spec, cache, k)
+            _, psi_in = _path_inputs(cache, k)
             assert np.shares_memory(psi_in, cache.x[k])
             assert psi_in.shape[1] == cache.x[k].shape[1]
         # and no array the cache holds is as wide as [h | yhat]
@@ -540,13 +542,104 @@ def test_weights_load_rejects_truncated_or_mismatched_snapshots(tmp_path):
     raw = path.read_bytes()
     for cut in (10, 20, len(raw) - 8):
         (tmp_path / "cut.bin").write_bytes(raw[:cut])
-        with pytest.raises(HopfError, match="truncated"):
+        with pytest.raises(HopfError, match="unreadable weights snapshot"):
             ModelWeights.load(tmp_path / "cut.bin", spec)
     for other in (make_kernel("gcn", depth=2, hidden_dim=4),      # tied names
                   make_kernel("gs_mean", depth=2, hidden_dim=8),  # wider layers
                   make_kernel("gs_mean", depth=3, hidden_dim=4)):  # deeper
         with pytest.raises(HopfError, match="does not fit"):
             ModelWeights.load(path, other)
+
+
+@pytest.mark.parametrize("name", TRAINABLE_MODELS)
+def test_snapshot_is_a_plain_npz_archive(tmp_path, name):
+    w = ModelWeights.init(make_kernel(name, depth=2, hidden_dim=4), 5, 3, 0)
+    w.save(tmp_path / "w.bin")
+    assert [p.name for p in tmp_path.iterdir()] == ["w.bin"]
+    with np.load(tmp_path / "w.bin", allow_pickle=False) as archive:
+        assert archive.files == PARAM_NAMES[name]
+        for member, a in w.params():
+            assert archive[member].dtype == np.float64
+            assert archive[member].tobytes() == a.tobytes() and archive[member].shape == a.shape
+
+
+@pytest.mark.parametrize("mask", [0xFF, 0x01])
+def test_damaged_snapshot_never_loads_other_weights(tmp_path, mask):
+    # every byte flipped in turn, wholly and in its low bit: a flip either changes
+    # nothing that loads (a zip timestamp, say) or ends in a HopfError
+    spec = make_kernel("bl_node", depth=1, hidden_dim=2)
+    w = ModelWeights.init(spec, 3, 2, 5)
+    w.save(tmp_path / "w.bin")
+    raw = (tmp_path / "w.bin").read_bytes()
+    path, failed = tmp_path / "flip.bin", 0
+    for i in range(len(raw)):
+        path.write_bytes(raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:])
+        try:
+            back = ModelWeights.load(path, spec)
+        except HopfError:
+            failed += 1
+            continue
+        assert list(back.mats) == list(w.mats)
+        for name, a in w.params():
+            assert back.mats[name].dtype == a.dtype and back.mats[name].tobytes() == a.tobytes()
+    assert failed > len(raw) // 2
+
+
+def test_snapshot_header_claiming_fewer_rows_is_rejected(tmp_path):
+    # zip checks a member's CRC-32 once it is read to its end, and it reads 4 KiB
+    # ahead: a member larger than that whose row count is flipped lower must not
+    # load as its first rows
+    spec = make_kernel("bl_node", depth=1, hidden_dim=2)
+    path = tmp_path / "w.bin"
+    ModelWeights.init(spec, 300, 2, 5).save(path)
+    raw = path.read_bytes()
+    at = raw.index(b"'shape': (300, 2)") + len(b"'shape': (")
+    path.write_bytes(raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:])  # (200, 2)
+    with pytest.raises(ArgumentError, match="runs past its matrix"):
+        ModelWeights.load(path, spec)
+
+
+def _claiming(shape):
+    """An archive whose one member's header claims ``shape`` over 64 bytes of data."""
+    def write(fh):
+        with zipfile.ZipFile(fh, "w") as archive, archive.open("w0.npy", "w") as member:
+            np.lib.format.write_array_header_1_0(
+                member, {"descr": "<f8", "fortran_order": False, "shape": shape})
+            member.write(bytes(64))
+    return write
+
+
+def _savez(**arrays):
+    return lambda fh: np.savez(fh, **arrays)
+
+
+_GOOD = ModelWeights.init(make_kernel("bl_node", depth=1, hidden_dim=2), 3, 2, 5).mats
+
+
+@pytest.mark.parametrize("write", [
+    lambda fh: None,                                                     # empty
+    lambda fh: fh.write(b"HOPFW001" + bytes(40)),                        # the old format
+    lambda fh: np.save(fh, _GOOD["w0"]),                                 # a plain .npy
+    _savez(**{**_GOOD, "w0": np.empty((3, 2), dtype=object)}),           # pickled objects
+    _savez(**{**_GOOD, "w0": _GOOD["w0"].astype(np.float32)}),           # float32
+    _savez(**{**_GOOD, "w0": _GOOD["w0"].ravel()}),                      # not a matrix
+    _claiming((10**5, 10**5)),
+    _claiming((10**4, 10**4)),
+], ids=["empty", "hopfw001", "npy", "object", "float32", "1d", "claims_1e10", "claims_1e8"])
+def test_foreign_snapshot_is_rejected_without_a_large_allocation(tmp_path, write):
+    path = tmp_path / "w.bin"
+    with open(path, "wb") as fh:
+        write(fh)
+    spec = make_kernel("bl_node", depth=1, hidden_dim=2)
+
+    def load():
+        with pytest.raises((ArgumentError, ShapeError), match=re.escape(str(path))):
+            ModelWeights.load(path, spec)
+
+    # numpy reports its array allocations to tracemalloc, untouched pages too, so
+    # this bounds what the load could ever make resident
+    _, peak, _ = traced_peak(load)
+    assert peak < 4 * 2**20
 
 
 # a ball of the whole 20k-node ring, so the input layer multiplies all of x
