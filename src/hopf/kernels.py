@@ -188,6 +188,25 @@ def layer_plan(spec: KernelSpec, num_labels: int) -> LayerPlan:
     return LayerPlan(tuple(widths), tuple(phi_in), tuple(psi_in))
 
 
+def param_shapes(spec: KernelSpec, num_features: int, num_labels: int) -> dict[str, tuple[int, int]]:
+    """Each learnable matrix's (fan_in, fan_out), by name in save order (see :class:`ModelWeights`)."""
+    if not spec.differentiable:
+        raise ConfigError(f"{spec.name} has no learnable weights")
+    plan = layer_plan(spec, num_labels)
+    d = spec.hidden_dim
+    shapes = {"w0": (num_features, d)}
+    for k, (pw, sw) in enumerate(zip(plan.phi_in, plan.psi_in), start=1):
+        if spec.tie_weights:
+            shapes[f"w{k}"] = (pw, d)
+            continue
+        if pw:
+            shapes[f"w{k}_phi"] = (pw, d)
+        if sw:
+            shapes[f"w{k}_psi"] = (sw, d)
+    shapes["wl"] = (plan.output_in, num_labels)
+    return shapes
+
+
 @dataclass
 class ModelWeights:
     """All learnable matrices of one kernel, by name in save order: ``w0``, then
@@ -214,23 +233,13 @@ class ModelWeights:
 
     @classmethod
     def init(cls, spec: KernelSpec, num_features: int, num_labels: int, rng_seed: int) -> "ModelWeights":
-        if not spec.differentiable:
-            raise ConfigError(f"{spec.name} has no learnable weights")
-        plan = layer_plan(spec, num_labels)
         seeds = np.random.SeedSequence(rng_seed).spawn(2 * spec.depth + 2)
         gens = iter(np.random.default_rng(s) for s in seeds)
-        d = spec.hidden_dim
-        mats = {"w0": glorot_init(num_features, d, next(gens))}
-        for k, (pw, sw) in enumerate(zip(plan.phi_in, plan.psi_in), start=1):
-            if spec.tie_weights:
-                mats[f"w{k}"] = glorot_init(pw, d, next(gens))
+        mats = {}
+        for name, (fan_in, fan_out) in param_shapes(spec, num_features, num_labels).items():
+            mats[name] = glorot_init(fan_in, fan_out, next(gens))
+            if spec.tie_weights and name not in ("w0", "wl"):
                 next(gens)  # keep the seed schedule independent of tying
-                continue
-            if pw:
-                mats[f"w{k}_phi"] = glorot_init(pw, d, next(gens))
-            if sw:
-                mats[f"w{k}_psi"] = glorot_init(sw, d, next(gens))
-        mats["wl"] = glorot_init(plan.output_in, num_labels, next(gens))
         return cls(mats)
 
     def params(self):
@@ -253,11 +262,11 @@ class ModelWeights:
 
     @classmethod
     def load(cls, path, spec: KernelSpec) -> "ModelWeights":
-        """Read a snapshot, checking every matrix's name, shape and dtype against ``spec``.
+        """Read a snapshot, checking every matrix's name and shape against ``spec``.
 
-        A member's header is checked before its data is read, so a damaged one
-        cannot size an allocation larger than the file, and each member is read
-        to its end, where zip checks its CRC-32.
+        Each member's header must claim a nonempty float64 matrix no larger than
+        the file before any of its data is read, so a damaged or foreign header
+        cannot size an allocation; a member read to its end has its CRC-32 checked.
         """
         try:
             with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
@@ -265,26 +274,27 @@ class ModelWeights:
                 arrs = {}
                 for info in archive.infolist():
                     with archive.open(info) as member:
-                        np.lib.format.read_magic(member)
-                        shape, _, dtype = np.lib.format.read_array_header_1_0(member)
-                        if len(shape) != 2 or dtype.itemsize * math.prod(shape) > limit:
+                        version = np.lib.format.read_magic(member)
+                        shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
+                        n = dtype.itemsize * math.prod(shape)
+                        if (version != (1, 0) or dtype != np.dtype("<f8") or len(shape) != 2
+                                or min(shape) < 1 or n > limit):
                             raise ShapeError(f"{path}: {info.filename} claims {dtype} {shape}, "
-                                             "not a matrix the file can hold")
-                        member.seek(0)
-                        arrs[info.filename.removesuffix(".npy")] = np.lib.format.read_array(
-                            member, allow_pickle=False)
-                        if member.read(1):
-                            raise ArgumentError(f"{path}: {info.filename} runs past its matrix")
+                                             "not a float64 matrix the file can hold")
+                        data = member.read(n + 1)
+                    if len(data) != n:
+                        raise ArgumentError(f"{path}: {info.filename} runs past its matrix "
+                                            "or stops short of it")
+                    arrs[info.filename.removesuffix(".npy")] = np.frombuffer(data, "<f8").reshape(
+                        shape, order="F" if fortran else "C").copy()
         # zipfile raises RuntimeError for an encrypted member, NotImplementedError
         # (a subclass) for an unknown compression method
         except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
             raise ArgumentError(f"{path}: unreadable weights snapshot ({exc})") from exc
         if "w0" not in arrs or "wl" not in arrs:
             raise ShapeError(f"{path}: snapshot lacks w0 or wl")
-        # the layer plan for the snapshot's feature and label counts fixes every shape
-        template = cls.init(spec, arrs["w0"].shape[0], arrs["wl"].shape[1], rng_seed=0)
-        expected = [(name, a.shape, a.dtype) for name, a in template.params()]
-        found = [(name, a.shape, a.dtype) for name, a in arrs.items()]
+        expected = list(param_shapes(spec, arrs["w0"].shape[0], arrs["wl"].shape[1]).items())
+        found = [(name, a.shape) for name, a in arrs.items()]
         if found != expected:
             raise ShapeError(f"{path}: snapshot {found} does not fit {spec.name} {expected}")
         return cls(arrs)

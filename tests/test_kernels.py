@@ -599,13 +599,19 @@ def test_snapshot_header_claiming_fewer_rows_is_rejected(tmp_path):
         ModelWeights.load(path, spec)
 
 
-def _claiming(shape):
-    """An archive whose one member's header claims ``shape`` over 64 bytes of data."""
+def _claiming(shape, descr="<f8", name="w0", data=bytes(64)):
+    """A snapshot of ``_GOOD`` whose member ``name`` claims ``descr`` ``shape``
+    over ``data``."""
     def write(fh):
-        with zipfile.ZipFile(fh, "w") as archive, archive.open("w0.npy", "w") as member:
-            np.lib.format.write_array_header_1_0(
-                member, {"descr": "<f8", "fortran_order": False, "shape": shape})
-            member.write(bytes(64))
+        with zipfile.ZipFile(fh, "w") as archive:
+            for other, a in _GOOD.items():
+                with archive.open(f"{other}.npy", "w") as member:
+                    if other != name:
+                        np.lib.format.write_array(member, a)
+                        continue
+                    np.lib.format.write_array_header_1_0(
+                        member, {"descr": descr, "fortran_order": False, "shape": shape})
+                    member.write(data)
     return write
 
 
@@ -625,7 +631,11 @@ _GOOD = ModelWeights.init(make_kernel("bl_node", depth=1, hidden_dim=2), 3, 2, 5
     _savez(**{**_GOOD, "w0": _GOOD["w0"].ravel()}),                      # not a matrix
     _claiming((10**5, 10**5)),
     _claiming((10**4, 10**4)),
-], ids=["empty", "hopfw001", "npy", "object", "float32", "1d", "claims_1e10", "claims_1e8"])
+    _claiming((10**9, 0), data=b""),                                     # 10**9 features, 0 bytes
+    _claiming((0, 10**9), name="wl", data=b""),                          # 10**9 labels, 0 bytes
+    _claiming((10**9, 10**9), descr="|V0", data=b""),                    # 0-byte items
+], ids=["empty", "hopfw001", "npy", "object", "float32", "1d", "claims_1e10", "claims_1e8",
+        "w0_no_cols", "wl_no_rows", "void"])
 def test_foreign_snapshot_is_rejected_without_a_large_allocation(tmp_path, write):
     path = tmp_path / "w.bin"
     with open(path, "wb") as fh:
@@ -638,6 +648,22 @@ def test_foreign_snapshot_is_rejected_without_a_large_allocation(tmp_path, write
 
     # numpy reports its array allocations to tracemalloc, untouched pages too, so
     # this bounds what the load could ever make resident
+    _, peak, _ = traced_peak(load)
+    assert peak < 4 * 2**20
+
+
+def test_snapshot_is_checked_against_the_spec_without_building_its_weights(tmp_path):
+    # a 160 kB w0 of 20000 rows by 1 column: weights for a 512-wide spec and that
+    # many features would take 82 MB, and the check must not build them
+    path = tmp_path / "w.bin"
+    with open(path, "wb") as fh:
+        np.savez(fh, w0=np.zeros((20000, 1)), wl=np.zeros((512, 2)))
+    spec = make_kernel("bl_node", depth=1, hidden_dim=512)
+
+    def load():
+        with pytest.raises(ShapeError, match="does not fit"):
+            ModelWeights.load(path, spec)
+
     _, peak, _ = traced_peak(load)
     assert peak < 4 * 2**20
 
