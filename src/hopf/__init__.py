@@ -7,7 +7,7 @@ from .errors import (ArgumentError, ConfigError, HopfError, IngestError, Numeric
 from .graph import (Graph, NormScheme, Subgraph, build_graph, khop_subgraph,
                     normalize_adjacency, sample_neighbors)
 from .iterate import HopfConfig, HopfResult, run_hopf, temporal_average
-from .kernels import (ITERATIVE_MODELS, REGISTRY, TRAINABLE_MODELS, AlphaMode, Combine,
+from .kernels import (ITERATIVE_MODELS, REGISTRY, AlphaMode, Combine,
                       ForwardCache, KernelSpec, ModelWeights, Phi, Psi, backward, layer_plan,
                       linear_unroll_coefficient, make_kernel, nim_relative_importance, predict)
 from .metrics import (MetricsRecord, Task, average_rank, binarize_predictions, micro_f1,

@@ -28,7 +28,7 @@ from .data import (DatasetBundle, gen_benchmark_graph, gen_chain, gen_planted_pa
                    load_dataset, row_normalize, save_dataset)
 from .errors import ArgumentError, ConfigError, HopfError, IngestError, TrainingError
 from .iterate import HopfConfig, run_hopf
-from .kernels import ITERATIVE_MODELS, TRAINABLE_MODELS, make_kernel, nim_decay_table
+from .kernels import ITERATIVE_MODELS, REGISTRY, make_kernel, nim_decay_table
 from .manifest import manifest_scope
 from .metrics import (MetricsRecord, average_rank, per_dataset_shortfall, read_scores_csv,
                       shortfall, write_records_csv, write_report_json)
@@ -155,7 +155,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_model(args.model, TRAINABLE_MODELS)
+    _check_model(args.model, REGISTRY)
     config = _train_config(args)
     caps = _parse_list(args.sample_caps, "--sample-caps", int) if args.sample_caps else None
     out = Path(args.out)
@@ -253,7 +253,7 @@ def cmd_bench_scaling(args) -> int:
 
 
 def cmd_neighbor_fraction(args) -> int:
-    _check_model(args.model, TRAINABLE_MODELS)
+    _check_model(args.model, REGISTRY)
     config = _train_config(args)
     fractions = _parse_list(args.fractions, "--fractions", float)
     if any(not 0.0 < f <= 1.0 for f in fractions):

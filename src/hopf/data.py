@@ -21,6 +21,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import stat
 import tempfile
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IngestError
+from .errors import ArgumentError, ConfigError, IngestError, ShapeError
 from .graph import CSR_INDEX_MAX, Graph, build_graph
 from .metrics import Task
 
@@ -224,7 +225,10 @@ def _line_of_row(path: Path, row: int) -> int:
 
 
 _BUNDLE_FILES = ("meta.json", "graph.tsv", "features.tsv", "labels.tsv")
-_ENTRY_ARRAYS = ("x", "y", "indptr", "indices", "degree")
+# an entry's members in write order, each with the one (native) dtype it may hold
+_ENTRY_DTYPES = dict(x="f8", y="f8", indptr="i4", indices="i4", degree="i8")
+# read_npz's errors for a file that is no .npz (zipfile raises RuntimeError if encrypted)
+NPZ_ERRORS = (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile)
 CACHE_FORMAT = b"hopf-dataset-cache-1"  # part of every key; change it with an entry's layout
 CACHE_MAX_BYTES = 2**30  # after a store, least recently used entries go until the rest fit
 
@@ -280,10 +284,10 @@ def _entry_name(digests: dict) -> str:
     return f"{sizes}-{key.hexdigest()}.npz"
 
 
-def _entry_graph(n: int, indptr, indices, degree) -> Graph | None:
-    """The entry's graph if its CSR arrays are well formed for ``n`` nodes, else None."""
-    ok = (indptr.dtype == indices.dtype == np.int32 and degree.dtype == np.int64
-          and indptr.shape == (n + 1,) and indices.ndim == 1 and degree.shape == (n,)
+def _entry_graph(n: int, z: dict) -> Graph | None:
+    """The graph of entry arrays ``z`` if its CSR arrays are well formed for ``n`` nodes."""
+    indptr, indices, degree = z["indptr"], z["indices"], z["degree"]
+    ok = (indptr.shape == (n + 1,) and indices.ndim == 1 and degree.shape == (n,)
           and indptr[0] == 0 and indptr[-1] == indices.size
           and np.array_equal(np.diff(indptr), degree) and (degree >= 0).all()
           and (indices.size == 0 or (indices.min() >= 0 and indices.max() < n)))
@@ -298,11 +302,9 @@ def _load_entry(path: Path, d: Path, meta: _Meta) -> DatasetBundle | None:
     """
     bundle = None
     try:
-        # the file is opened here, so a damaged archive cannot leak numpy's handle
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
-            x, y, *csr = (z[k] for k in _ENTRY_ARRAYS)
-        graph = _entry_graph(meta.n, *csr)
-        if graph is not None and x.dtype == y.dtype == np.float64 and x.ndim == y.ndim == 2:
+        z = read_npz(path, _ENTRY_DTYPES.get)
+        x, y, graph = z["x"], z["y"], _entry_graph(meta.n, z)
+        if graph is not None and x.ndim == y.ndim == 2:
             _check_arrays(d, meta, x, y)
             bundle = DatasetBundle(graph=graph, x=x, y=y, task=meta.task, name=meta.name,
                                    cache_outcome="hit")
@@ -318,15 +320,41 @@ def _load_entry(path: Path, d: Path, meta: _Meta) -> DatasetBundle | None:
     return bundle
 
 
-def _write_npz(fh, arrays: dict) -> None:
-    """The bytes of ``np.savez(fh, **arrays)``, written from each array's own
-    buffer rather than from a copy of it."""
+def write_npz(fh, arrays: dict) -> None:
+    """``arrays`` as an uncompressed ``.npz`` from each array's own buffer, every
+    member C-ordered: for C-ordered arrays, the very bytes numpy's ``savez`` writes."""
     with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
         for name, a in arrays.items():
+            a = np.ascontiguousarray(a)
             with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
                 np.lib.format.write_array_header_1_0(
                     member, np.lib.format.header_data_from_array_1_0(a))
-                member.write(np.ascontiguousarray(a).reshape(-1).view(np.uint8))
+                member.write(a.reshape(-1).view(np.uint8))
+
+
+def read_npz(path, dtype_of) -> dict[str, np.ndarray]:
+    """The arrays of the uncompressed ``.npz`` at ``path``, by member name.
+
+    A header that claims a dtype other than ``dtype_of(name)`` (None refuses the member)
+    or more bytes than the file holds is a ShapeError before any data is read. numpy's
+    ``read_array`` then reads the member in chunks to its end, so zip checks its CRC-32.
+    Data past the claimed array is an ArgumentError."""
+    arrays = {}
+    with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
+        for info in archive.infolist():
+            with archive.open(info) as member:
+                version = np.lib.format.read_magic(member)
+                shape, _, dtype = np.lib.format.read_array_header_1_0(member)
+                want = dtype_of(name := info.filename.removesuffix(".npy"))
+                if (version != (1, 0) or want is None or dtype != want
+                        or dtype.itemsize * math.prod(shape) > os.fstat(fh.fileno()).st_size):
+                    raise ShapeError(f"{path}: {info.filename} claims {dtype} {shape}, "
+                                     f"not {want} data the file can hold")
+                member.seek(0)  # read_array parses the header again
+                arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
+                if member.read(1):
+                    raise ArgumentError(f"{path}: {info.filename} runs past its matrix")
+    return arrays
 
 
 def _store_entry(root: Path, name: str, bundle: DatasetBundle) -> bool:
@@ -337,7 +365,7 @@ def _store_entry(root: Path, name: str, bundle: DatasetBundle) -> bool:
     deleted until the directory holds at most ``CACHE_MAX_BYTES``.
     """
     g = bundle.graph
-    arrays = dict(zip(_ENTRY_ARRAYS, (bundle.x, bundle.y, g.indptr, g.indices, g.degree)))
+    arrays = dict(zip(_ENTRY_DTYPES, (bundle.x, bundle.y, g.indptr, g.indices, g.degree)))
     if sum(a.nbytes for a in arrays.values()) > CACHE_MAX_BYTES:
         return False
     target = root / name
@@ -346,7 +374,7 @@ def _store_entry(root: Path, name: str, bundle: DatasetBundle) -> bool:
         fd, tmp = tempfile.mkstemp(dir=root, prefix=f".{name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                _write_npz(fh, arrays)
+                write_npz(fh, arrays)
             os.replace(tmp, target)
             _evict(root, CACHE_MAX_BYTES)
         except BaseException:

@@ -18,14 +18,13 @@ checked against a central finite-difference oracle in the test suite.
 from __future__ import annotations
 
 import math
-import os
-import zipfile
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 
+from .data import NPZ_ERRORS, read_npz, write_npz
 from .errors import ArgumentError, ConfigError, ShapeError, StateError
 from .graph import Graph, NormScheme, Subgraph, normalize_adjacency
 from .metrics import Task
@@ -73,7 +72,6 @@ class KernelSpec:
     skip_connections: bool = False
     depth: int = 2
     hidden_dim: int = 16
-    differentiable: bool = True
 
     def __post_init__(self):
         if self.depth < 1:
@@ -111,8 +109,6 @@ REGISTRY: dict[str, dict] = {
     "bl_node": dict(phi=Phi.H0, norm=None, psi=Psi.NONE, tie_weights=False),
     "bl_neigh": dict(phi=Phi.NONE, norm=NormScheme.MEAN, psi=Psi.H_PREV, tie_weights=False),
     "ss_ica": dict(phi=Phi.H0, norm=NormScheme.MEAN, psi=Psi.LABELS, tie_weights=False),
-    "wl": dict(phi=Phi.H_PREV, norm=NormScheme.COUNT, psi=Psi.H_PREV, tie_weights=False,
-               differentiable=False),
     "gcn": dict(phi=Phi.H_PREV, norm=NormScheme.SYM_SELF, psi=Psi.H_PREV, tie_weights=True,
                 alpha=AlphaMode.INV_DEG_SELF),
     "gcn_s": dict(phi=Phi.H_PREV, norm=NormScheme.SYM_SELF, psi=Psi.H_PREV, tie_weights=True,
@@ -126,8 +122,6 @@ REGISTRY: dict[str, dict] = {
     "i_nip_mean": dict(phi=Phi.H0, norm=NormScheme.MEAN, psi=Psi.H_PREV_CONCAT_LABELS,
                        tie_weights=False),
 }
-
-TRAINABLE_MODELS = tuple(n for n, row in REGISTRY.items() if row.get("differentiable", True))
 
 
 def make_kernel(name: str, depth: int = 2, hidden_dim: int = 16) -> KernelSpec:
@@ -190,8 +184,6 @@ def layer_plan(spec: KernelSpec, num_labels: int) -> LayerPlan:
 
 def param_shapes(spec: KernelSpec, num_features: int, num_labels: int) -> dict[str, tuple[int, int]]:
     """Each learnable matrix's (fan_in, fan_out), by name in save order (see :class:`ModelWeights`)."""
-    if not spec.differentiable:
-        raise ConfigError(f"{spec.name} has no learnable weights")
     plan = layer_plan(spec, num_labels)
     d = spec.hidden_dim
     shapes = {"w0": (num_features, d)}
@@ -256,41 +248,22 @@ class ModelWeights:
         return float(sum(np.sum(a * a) for a in self.mats.values()))
 
     def save(self, path) -> None:
-        """An uncompressed ``np.savez`` archive of ``mats``, in save order."""
-        with open(path, "wb") as fh:  # a handle, so numpy appends no ".npz"
-            np.savez(fh, **self.mats)
+        """An uncompressed ``.npz`` archive of ``mats``, in save order."""
+        with open(path, "wb") as fh:
+            write_npz(fh, self.mats)
 
     @classmethod
     def load(cls, path, spec: KernelSpec) -> "ModelWeights":
-        """Read a snapshot, checking every matrix's name and shape against ``spec``.
-
-        Each member's header must claim a nonempty float64 matrix no larger than
-        the file before any of its data is read, so a damaged or foreign header
-        cannot size an allocation; a member read to its end has its CRC-32 checked.
-        """
+        """Read a snapshot of float64 members through :func:`~hopf.data.read_npz`;
+        each must be a matrix with no zero dimension, its name and shape as ``spec`` says."""
         try:
-            with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
-                limit = os.fstat(fh.fileno()).st_size
-                arrs = {}
-                for info in archive.infolist():
-                    with archive.open(info) as member:
-                        version = np.lib.format.read_magic(member)
-                        shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
-                        n = dtype.itemsize * math.prod(shape)
-                        if (version != (1, 0) or dtype != np.dtype("<f8") or len(shape) != 2
-                                or min(shape) < 1 or n > limit):
-                            raise ShapeError(f"{path}: {info.filename} claims {dtype} {shape}, "
-                                             "not a float64 matrix the file can hold")
-                        data = member.read(n + 1)
-                    if len(data) != n:
-                        raise ArgumentError(f"{path}: {info.filename} runs past its matrix "
-                                            "or stops short of it")
-                    arrs[info.filename.removesuffix(".npy")] = np.frombuffer(data, "<f8").reshape(
-                        shape, order="F" if fortran else "C").copy()
-        # zipfile raises RuntimeError for an encrypted member, NotImplementedError
-        # (a subclass) for an unknown compression method
-        except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
+            arrs = read_npz(path, lambda name: np.dtype(np.float64))
+        except NPZ_ERRORS as exc:
             raise ArgumentError(f"{path}: unreadable weights snapshot ({exc})") from exc
+        for name, a in arrs.items():
+            if a.ndim != 2 or 0 in a.shape:
+                raise ShapeError(f"{path}: {name}.npy claims {a.dtype} {a.shape}, "
+                                 "not a float64 matrix the file can hold")
         if "w0" not in arrs or "wl" not in arrs:
             raise ShapeError(f"{path}: snapshot lacks w0 or wl")
         expected = list(param_shapes(spec, arrs["w0"].shape[0], arrs["wl"].shape[1]).items())
@@ -526,8 +499,6 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
     ``rows[k-1]`` prefix of the layer below, so h_0 and every propagation
     layer cost what the seeds depend on, not the whole ball.
     """
-    if not spec.differentiable:
-        raise ConfigError(f"{spec.name} is analysis-only and cannot produce predictions")
     features = _graph_rows("features", features, sub)
     if features.shape[1] != weights.w0.shape[0]:
         raise ShapeError(f"feature width {features.shape[1]} vs w0 fan-in {weights.w0.shape[0]}")

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
         fh.write(b"partial")
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(data_mod, "_write_npz", full_disk)
+    monkeypatch.setattr(data_mod, "write_npz", full_disk)
     d = bundle_dir(tmp_path)
     assert load_dataset(d).cache_outcome == "unavailable"
     assert list(data_mod.cache_root().iterdir()) == []
@@ -214,6 +215,69 @@ def test_the_parse_never_holds_a_whole_file(tmp_path):
         assert bundle.cache_outcome == outcome
         # beyond the arrays it returns, a load holds blocks of the text, not the text
         assert peak - kept < text / 4
+
+
+def test_an_entry_member_claiming_more_than_the_file_allocates_nothing(tmp_path):
+    # x's header claims float64 3000 x 3000 (72 MB) over a few bytes: the reader must
+    # refuse the claim before it sizes an array, and the bundle is parsed again
+    d = bundle_dir(tmp_path)
+    good = load_dataset(d)
+    [entry] = entries()
+    with np.load(entry) as z:
+        kept = {k: z[k] for k in z.files}
+    with zipfile.ZipFile(entry, "w") as archive:
+        for name, a in kept.items():
+            with archive.open(f"{name}.npy", "w") as member:
+                if name != "x":
+                    np.lib.format.write_array(member, a)
+                    continue
+                np.lib.format.write_array_header_1_0(
+                    member, {"descr": "<f8", "fortran_order": False, "shape": (3000, 3000)})
+                member.write(bytes(64))
+    again, peak, _ = traced_peak(lambda: load_dataset(d))
+    assert again.cache_outcome == "miss"
+    assert_same_bundle(again, good)
+    assert peak < 4 * 2**20
+    assert load_dataset(d).cache_outcome == "hit"
+
+
+def test_an_f_ordered_array_round_trips(tmp_path):
+    a = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    path = tmp_path / "a.npz"
+    with open(path, "wb") as fh:
+        data_mod.write_npz(fh, {"a": a})
+    back = data_mod.read_npz(path, lambda name: np.dtype(np.float64))["a"]
+    assert back.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    with np.load(path, allow_pickle=False) as z:
+        assert z["a"].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+
+def test_c_ordered_arrays_are_written_as_np_savez_writes_them(tmp_path):
+    rng = np.random.default_rng(3)
+    arrays = {"x": rng.standard_normal((5, 3)), "y": np.eye(4)[[0, 2, 1]],
+              "indptr": np.array([0, 1, 3], dtype=np.int32), "indices": np.zeros(0, np.int32),
+              "degree": np.arange(7, dtype=np.int64), "row": rng.random(300_000)}
+    ours, numpys = tmp_path / "ours.npz", tmp_path / "numpy.npz"
+    with open(ours, "wb") as fh:
+        data_mod.write_npz(fh, arrays)
+    with open(numpys, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert ours.read_bytes() == numpys.read_bytes()
+    back = data_mod.read_npz(ours, lambda name: arrays[name].dtype)
+    assert list(back) == list(arrays)
+    for name, a in arrays.items():
+        assert back[name].dtype == a.dtype and back[name].tobytes() == a.tobytes()
+        assert back[name].shape == a.shape
+
+
+def test_an_edgeless_bundle_hits_with_empty_indices(tmp_path):
+    g = build_graph([], 3)
+    save_dataset(DatasetBundle(graph=g, x=np.ones((3, 2)), y=np.eye(3)[:, :2][[0, 1, 0]],
+                               task=Task.MULTI_CLASS, name="edgeless"), tmp_path / "d")
+    first, second = (load_dataset(tmp_path / "d") for _ in range(2))
+    assert (first.cache_outcome, second.cache_outcome) == ("miss", "hit")
+    assert second.graph.indices.size == 0
+    assert_same_bundle(second, first)
 
 
 def planted(tmp_path):

@@ -13,7 +13,7 @@ from hopf import (ArgumentError, ConfigError, HopfError, ModelWeights, NormSchem
                   StateError, Task, backward, build_graph, finite_diff_grad, khop_subgraph,
                   linear_unroll_coefficient, make_kernel, nim_relative_importance,
                   predict, weighted_cross_entropy)
-from hopf.kernels import (HIDDEN_BLOCK_ROWS, ITERATIVE_MODELS, REGISTRY, TRAINABLE_MODELS,
+from hopf.kernels import (HIDDEN_BLOCK_ROWS, ITERATIVE_MODELS, REGISTRY,
                           WHOLE_GRAPH_FRACTION, AlphaMode, Combine, KernelSpec, Phi, Psi,
                           _hidden_product, _maxpool_with_argmax, _path_inputs, layer_plan,
                           layer_rows)
@@ -26,7 +26,6 @@ TABLE = {
     "bl_node":    (Phi.H0,     None,                Psi.NONE,                 AlphaMode.ONE,          False),
     "bl_neigh":   (Phi.NONE,   NormScheme.MEAN,     Psi.H_PREV,               AlphaMode.ONE,          False),
     "ss_ica":     (Phi.H0,     NormScheme.MEAN,     Psi.LABELS,               AlphaMode.ONE,          False),
-    "wl":         (Phi.H_PREV, NormScheme.COUNT,    Psi.H_PREV,               AlphaMode.ONE,          False),
     "gcn":        (Phi.H_PREV, NormScheme.SYM_SELF, Psi.H_PREV,               AlphaMode.INV_DEG_SELF, True),
     "gcn_s":      (Phi.H_PREV, NormScheme.SYM_SELF, Psi.H_PREV,               AlphaMode.INV_DEG_SELF, True),
     "gcn_mean":   (Phi.H_PREV, NormScheme.MEAN,     Psi.H_PREV,               AlphaMode.ONE,          True),
@@ -47,9 +46,6 @@ PARAM_NAMES = {
     "gcn": TIED_2, "gcn_s": TIED_2, "gcn_mean": TIED_2,
     "gs_mean": UNTIED_2, "gs_max": UNTIED_2, "nip_mean": UNTIED_2, "i_nip_mean": UNTIED_2,
 }
-
-GRAD_CHECK_MODELS = [n for n in REGISTRY if n != "wl"]
-
 
 def rand_setup(seed=42, n=10, edges=18, f=5, l=3, seeds=3, depth=2):
     rng = np.random.default_rng(seed)
@@ -87,7 +83,7 @@ def assert_grads_match_fd(spec, w, sub, x, yh, ytrue, task):
 
 class TestRegistryFidelity:
     def test_all_canonical_names_present(self):
-        assert list(REGISTRY) == ["bl_node", "bl_neigh", "ss_ica", "wl", "gcn", "gcn_s",
+        assert list(REGISTRY) == ["bl_node", "bl_neigh", "ss_ica", "gcn", "gcn_s",
                                   "gcn_mean", "gs_mean", "gs_max", "nip_mean", "i_nip_mean"]
 
     @pytest.mark.parametrize("name", list(TABLE))
@@ -120,7 +116,6 @@ class TestRegistryFidelity:
         assert make_kernel("gs_mean").combine is Combine.CONCAT
         assert make_kernel("gs_max").combine is Combine.CONCAT
         assert make_kernel("gcn_mean").combine is Combine.SUM
-        assert not make_kernel("wl").differentiable
         assert make_kernel("ss_ica").uses_labels
         assert make_kernel("i_nip_mean").uses_labels
         assert not make_kernel("nip_mean").uses_labels
@@ -139,7 +134,7 @@ class TestRegistryFidelity:
             assert wp is ws
         assert len(w.params()) == 1 + 3 + 1
 
-    @pytest.mark.parametrize("name", TRAINABLE_MODELS)
+    @pytest.mark.parametrize("name", REGISTRY)
     def test_parameter_names_in_order(self, name):
         w = ModelWeights.init(make_kernel(name, depth=2, hidden_dim=4), 5, 3, 0)
         assert [n for n, _ in w.params()] == PARAM_NAMES[name]
@@ -219,14 +214,6 @@ class TestPredict:
             out, _ = predict(spec, w, sub, x, yh2, task=Task.MULTI_LABEL)
             assert (not np.array_equal(out[0], base[0])) == expect_change
 
-    def test_wl_is_analysis_only(self, triangle):
-        spec = make_kernel("wl")
-        with pytest.raises(ConfigError):
-            ModelWeights.init(spec, 3, 2, 0)
-        with pytest.raises(ConfigError):
-            predict(spec, None, khop_subgraph(triangle, [0], 1), np.ones((3, 3)),
-                    task=Task.MULTI_CLASS)
-
     def test_missing_label_channel(self):
         _, sub, x, _, _ = rand_setup()
         spec = make_kernel("i_nip_mean", depth=2, hidden_dim=4)
@@ -268,7 +255,7 @@ class TestPredict:
         assert yt.shape == (4, 3)
 
 
-@pytest.mark.parametrize("name", TRAINABLE_MODELS)
+@pytest.mark.parametrize("name", REGISTRY)
 def test_trimmed_layers_need_no_outer_frontier(name):
     # layer k computes the nodes within C-k hops of the seeds; a ball one hop
     # wider must change neither the seed outputs nor any gradient
@@ -302,7 +289,7 @@ class TestBackward:
         grads = backward(cache, np.zeros_like(yt))
         assert all(np.all(a == 0.0) for _, a in grads.params())
 
-    @pytest.mark.parametrize("name", GRAD_CHECK_MODELS)
+    @pytest.mark.parametrize("name", REGISTRY)
     @pytest.mark.parametrize("task", [Task.MULTI_CLASS, Task.MULTI_LABEL])
     def test_matches_finite_differences(self, name, task):
         _, sub, x, yh, ytrue = rand_setup()
@@ -551,7 +538,7 @@ def test_weights_load_rejects_truncated_or_mismatched_snapshots(tmp_path):
             ModelWeights.load(path, other)
 
 
-@pytest.mark.parametrize("name", TRAINABLE_MODELS)
+@pytest.mark.parametrize("name", REGISTRY)
 def test_snapshot_is_a_plain_npz_archive(tmp_path, name):
     w = ModelWeights.init(make_kernel(name, depth=2, hidden_dim=4), 5, 3, 0)
     w.save(tmp_path / "w.bin")

@@ -8,7 +8,7 @@ from hopf import (ArgumentError, ConfigError, EarlyStopState, Task, TrainConfig,
                   evaluate, gen_benchmark_graph, gen_planted_partition, infer, khop_subgraph,
                   make_kernel, make_splits, row_normalize, train)
 from hopf.bench import estimate_batch_bytes
-from hopf.kernels import TRAINABLE_MODELS, WHOLE_GRAPH_FRACTION, ModelWeights, layer_rows
+from hopf.kernels import REGISTRY, WHOLE_GRAPH_FRACTION, ModelWeights, layer_rows
 from hopf.numerics import AdamState
 from hopf.training import train_step
 
@@ -408,7 +408,7 @@ class TestEvaluate:
 
 
 class TestInfer:
-    @pytest.mark.parametrize("name", TRAINABLE_MODELS)
+    @pytest.mark.parametrize("name", REGISTRY)
     @pytest.mark.parametrize("task", [Task.MULTI_CLASS, Task.MULTI_LABEL])
     @pytest.mark.parametrize("with_labels", [True, False])
     @settings(max_examples=8)
@@ -441,7 +441,7 @@ class TestInfer:
         pieces = np.vstack([infer(spec, w, g, x, p, task, yhat) for p in parts])
         assert np.allclose(pieces, whole, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("name", TRAINABLE_MODELS)
+    @pytest.mark.parametrize("name", REGISTRY)
     def test_whole_graph_and_gathered_inputs_agree(self, name):
         # the whole node set's ball covers the graph, so its input layer
         # multiplies all of x; each node alone has a ball below
