@@ -8,7 +8,7 @@ from .graph import (Graph, NormScheme, Subgraph, build_graph, khop_subgraph,
                     normalize_adjacency, sample_neighbors)
 from .iterate import HopfConfig, HopfResult, run_hopf, temporal_average
 from .kernels import (ITERATIVE_MODELS, REGISTRY, AlphaMode, Combine,
-                      ForwardCache, KernelSpec, ModelWeights, Phi, Psi, backward, layer_plan,
+                      ForwardCache, KernelSpec, ModelWeights, Phi, Psi, backward,
                       linear_unroll_coefficient, make_kernel, nim_relative_importance, predict)
 from .metrics import (MetricsRecord, Task, average_rank, binarize_predictions, micro_f1,
                       shortfall, wce_weights, weighted_cross_entropy)

@@ -23,7 +23,7 @@ import numpy as np
 from .data import DatasetBundle
 from .errors import ConfigError
 from .graph import Subgraph, khop_subgraph
-from .kernels import WHOLE_GRAPH_FRACTION, layer_plan, layer_rows, make_kernel, ModelWeights
+from .kernels import WHOLE_GRAPH_FRACTION, layer_rows, make_kernel, param_shapes, ModelWeights
 from .numerics import AdamState
 from .training import SplitSpec, TrainConfig, _batches, _class_weights, train_step
 
@@ -65,7 +65,8 @@ def estimate_batch_bytes(spec, sub: Subgraph, num_nodes: int, num_features: int,
     """Bytes one training step on ``sub`` holds at its peak: the ball, what
     :func:`~hopf.kernels.predict` keeps for backward, and backward's working set.
 
-    Layer k holds ``layer_rows(sub, depth)[k]`` rows of ``h_widths[k]`` float64s,
+    Layer k holds ``layer_rows(sub, depth)[k]`` rows of h_k's width in float64s
+    (``hidden_dim`` for h_0, ``wl``'s fan-in above; see ``param_shapes``),
     plus a bool ReLU mask and, with dropout, a float64 mask. Backward's largest
     layer holds its pre-activation gradient, and for the layer below the
     gradient, the aggregated neighbor term and its product with the weights.
@@ -76,9 +77,9 @@ def estimate_batch_bytes(spec, sub: Subgraph, num_nodes: int, num_features: int,
     itself to pack operands, which numpy never allocates (see
     ``kernels._input_product`` and ``kernels._hidden_product``).
     """
-    plan = layer_plan(spec, num_labels)
     rows = layer_rows(sub, spec.depth)
-    widths = plan.h_widths
+    above = param_shapes(spec, num_features, num_labels)["wl"][0]  # the width of h_1..h_C
+    widths = [spec.hidden_dim] + [above] * spec.depth
     nnz = sub.indices.size
     ball = 4 * (nnz + sub.n) + 16 * sub.n  # int32 indices and indptr, int64 ids and degrees
     adjacency = 8 * nnz  # float64 weights; scipy shares the ball's int32 index arrays

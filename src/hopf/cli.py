@@ -11,6 +11,7 @@ decay table) and ``compare`` (shortfall / rank report). Every command writes a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import manifest as run_manifest
 from .bench import run_scaling
-from .data import (DatasetBundle, gen_benchmark_graph, gen_chain, gen_planted_partition,
-                   load_dataset, row_normalize, save_dataset)
+from .data import (gen_benchmark_graph, gen_chain, gen_planted_partition, load_dataset,
+                   row_normalize, save_dataset)
 from .errors import ArgumentError, ConfigError, HopfError, IngestError, TrainingError
 from .iterate import HopfConfig, run_hopf
 from .kernels import ITERATIVE_MODELS, REGISTRY, make_kernel, nim_decay_table
@@ -74,31 +75,38 @@ def _parse_list(text: str, flag: str, kind) -> list:
     return values
 
 
-def _load_bundle(path, manifest, out) -> DatasetBundle:
-    """The bundle at ``path`` with row-normalized features; the manifest records,
-    and is written again with, how the dataset cache served it, the bundle's
-    fingerprint and the load's seconds."""
-    t0 = time.perf_counter()
-    bundle = load_dataset(path)
-    manifest.dataset_cache = bundle.cache_outcome
-    # through the module, so a tracer that swaps run_manifest.fingerprint_dir sees the call
-    manifest.dataset_fingerprint = run_manifest.fingerprint_dir(bundle.digests)
-    # Normalized into a copy on purpose. Dividing x in place, with norms summed a
-    # block at a time, saves the 15 MiB load transient of the 20k-node bundle but
-    # lowers no call's peak, and a full_k3 call took 1.5-1.7 s instead of
-    # 1.2-1.3 s (2-core VM): freeing the original x is what raises glibc's
-    # dynamic mmap threshold above the 2.5 MB step arrays, and without that free
-    # each is mmapped and faulted in afresh (about 150k minor page faults per
-    # call against 9k, and 0.4 s more system time).
-    bundle.x = row_normalize(bundle.x)
-    manifest.timings["load_seconds"] = time.perf_counter() - t0
-    manifest.write(out)
-    return bundle
+@contextlib.contextmanager
+def _dataset_scope(args, config: TrainConfig, record: dict):
+    """The manifest scope of a verb that reads ``--dataset``, yielding ``--out`` and
+    the bundle with row-normalized features.
+
+    The manifest's config is ``config``'s fields and ``record``, its seeds
+    ``config.rng_seed``. It is written again once the bundle loads, with how the
+    dataset cache served it, the bundle's fingerprint and the load's seconds."""
+    out = Path(args.out)
+    with manifest_scope(out, args.verb, args.argv, {**asdict(config), **record},
+                        seeds={"rng_seed": config.rng_seed}) as manifest:
+        t0 = time.perf_counter()
+        bundle = load_dataset(args.dataset)
+        manifest.dataset_cache = bundle.cache_outcome
+        # through the module, so a tracer that swaps run_manifest.fingerprint_dir sees the call
+        manifest.dataset_fingerprint = run_manifest.fingerprint_dir(bundle.digests)
+        # Normalized into a copy on purpose. Dividing x in place, with norms summed a
+        # block at a time, saves the 15 MiB load transient of the 20k-node bundle but
+        # lowers no call's peak, and a full_k3 call took 1.5-1.7 s instead of
+        # 1.2-1.3 s (2-core VM): freeing the original x is what raises glibc's
+        # dynamic mmap threshold above the 2.5 MB step arrays, and without that free
+        # each is mmapped and faulted in afresh (about 150k minor page faults per
+        # call against 9k, and 0.4 s more system time).
+        bundle.x = row_normalize(bundle.x)
+        manifest.timings["load_seconds"] = time.perf_counter() - t0
+        manifest.write(out)
+        yield out, bundle
 
 
 def _train_config(args) -> TrainConfig:
     overrides: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
@@ -110,7 +118,7 @@ def _train_config(args) -> TrainConfig:
             raise ConfigError(f"--config {args.config}: expected a JSON object, "
                               f"got a {type(file_cfg).__name__}")
         overrides.update(file_cfg)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["rng_seed"] = args.seed
     try:
         return TrainConfig.from_dict(overrides)
@@ -158,17 +166,14 @@ def cmd_train(args) -> int:
     _check_model(args.model, REGISTRY)
     config = _train_config(args)
     caps = _parse_list(args.sample_caps, "--sample-caps", int) if args.sample_caps else None
-    out = Path(args.out)
-    with manifest_scope(out, "train", args.argv,
-                        {**asdict(config), "model": args.model, "hops": args.hops,
-                         "folds": args.folds, "sample_caps": args.sample_caps},
-                        seeds={"rng_seed": config.rng_seed}) as manifest:
+    spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
+    with _dataset_scope(args, config, {"model": args.model, "hops": spec.depth,
+                                       "folds": args.folds,
+                                       "sample_caps": args.sample_caps}) as (out, bundle):
         # a rerun into the same --out: the folds of a longer earlier run must not linger
         for pattern in ("history_fold*.csv", "predictions_fold*.csv"):
             for stale in out.glob(pattern):
                 stale.unlink()
-        bundle = _load_bundle(args.dataset, manifest, out)
-        spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
         if caps is not None and len(caps) != spec.depth:
             raise ConfigError(f"--sample-caps needs {spec.depth} entries, got {len(caps)}")
         splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.folds)
@@ -203,12 +208,8 @@ def cmd_hopf(args) -> int:
     spec = make_kernel(args.model, depth=args.C, hidden_dim=config.hidden_dim)
     hopf_config = HopfConfig(T=args.T, warm_start=not args.cold_start,
                              shifted_averaging=args.shifted_averaging)
-    out = Path(args.out)
-    with manifest_scope(out, "hopf", args.argv,
-                        {**asdict(config), "C": spec.depth, **asdict(hopf_config),
-                         "model": args.model, "fold": args.fold},
-                        seeds={"rng_seed": config.rng_seed}) as manifest:
-        bundle = _load_bundle(args.dataset, manifest, out)
+    with _dataset_scope(args, config, {"C": spec.depth, **asdict(hopf_config),
+                                       "model": args.model, "fold": args.fold}) as (out, bundle):
         splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)
         result = run_hopf(spec, bundle.graph, bundle.x, bundle.y, splits[args.fold],
                           config, hopf_config, bundle.task, out_dir=out / "iterations")
@@ -230,12 +231,9 @@ def cmd_hopf(args) -> int:
 def cmd_bench_scaling(args) -> int:
     config = _train_config(args)
     hops = _parse_list(args.hops, "--hops", int)
-    out = Path(args.out)
-    with manifest_scope(out, "bench-scaling", args.argv,
-                        {**asdict(config), "hops": args.hops, "variants": args.variants,
-                         "repeats": args.repeats, "memory_budget_gib": args.memory_budget},
-                        seeds={"rng_seed": config.rng_seed}) as manifest:
-        bundle = _load_bundle(args.dataset, manifest, out)
+    with _dataset_scope(args, config, {"hops": args.hops, "variants": args.variants,
+                                       "repeats": args.repeats,
+                                       "memory_budget_gib": args.memory_budget}) as (out, bundle):
         split = make_splits(bundle.graph.n, config.rng_seed)[0]
         budget = None if args.memory_budget <= 0 else int(args.memory_budget * 2**30)
         cells = run_scaling(bundle, split, args.variants.split(","), hops,
@@ -258,13 +256,9 @@ def cmd_neighbor_fraction(args) -> int:
     fractions = _parse_list(args.fractions, "--fractions", float)
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
-    out = Path(args.out)
-    with manifest_scope(out, "neighbor-fraction", args.argv,
-                        {**asdict(config), "model": args.model,
-                         "fractions": fractions, "hops": args.hops},
-                        seeds={"rng_seed": config.rng_seed}) as manifest:
-        bundle = _load_bundle(args.dataset, manifest, out)
-        spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
+    spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
+    with _dataset_scope(args, config, {"model": args.model, "fractions": fractions,
+                                       "hops": spec.depth}) as (out, bundle):
         split = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)[args.fold]
         max_degree = int(bundle.graph.degree.max())
         rows = []
@@ -316,6 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hopf",
                                 description="Collective classification with propagation kernels")
     sub = p.add_subparsers(dest="verb", metavar="verb")
+    # the arguments of every verb that reads a bundle
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--dataset", required=True, help="a dataset directory, e.g. from gen")
+    data.add_argument("--out", required=True)
+    data.add_argument("--config", default=None, help="JSON file with training-config keys")
+    data.add_argument("--seed", type=_NON_NEGATIVE, default=None)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset directory")
     g.add_argument("kind", choices=["chain", "planted", "benchmark"])
@@ -332,22 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--labels", type=_POSITIVE, default=10)
     g.set_defaults(func=cmd_gen)
 
-    t = sub.add_parser("train", help="train one kernel over the standard folds")
-    t.add_argument("--dataset", required=True)
+    t = sub.add_parser("train", parents=[data], help="train one kernel over the standard folds")
     t.add_argument("--model", required=True)
-    t.add_argument("--out", required=True)
-    t.add_argument("--config", default=None, help="JSON file with training-config keys")
     t.add_argument("--folds", type=_POSITIVE, default=5)
     t.add_argument("-C", "--hops", dest="hops", type=_POSITIVE, default=2)
     t.add_argument("--sample-caps", default=None, help="comma list, one cap per hop")
-    t.add_argument("--seed", type=_NON_NEGATIVE, default=None)
     t.set_defaults(func=cmd_train)
 
-    h = sub.add_parser("hopf", help="iterative rounds of train + infer + label feedback")
-    h.add_argument("--dataset", required=True)
+    h = sub.add_parser("hopf", parents=[data],
+                       help="iterative rounds of train + infer + label feedback")
     h.add_argument("--model", required=True, help="i_nip_mean or ss_ica")
-    h.add_argument("--out", required=True)
-    h.add_argument("--config", default=None)
     h.add_argument("-C", type=_POSITIVE, default=2, help="differentiable hops per round")
     h.add_argument("-T", type=_POSITIVE, default=1, help="number of rounds")
     h.add_argument("--cold-start", action="store_true",
@@ -355,31 +349,24 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--shifted-averaging", action="store_true",
                    help="weight fresh predictions by (T-t+1)/T instead of (T-t)/T")
     h.add_argument("--fold", type=_NON_NEGATIVE, default=0)
-    h.add_argument("--seed", type=_NON_NEGATIVE, default=None)
     h.set_defaults(func=cmd_hopf)
 
-    b = sub.add_parser("bench-scaling", help="epoch-time scaling across total hops")
+    b = sub.add_parser("bench-scaling", parents=[data],
+                       help="epoch-time scaling across total hops")
     b.add_argument("--hops", required=True, help="comma list of total hop counts K")
     b.add_argument("--variants", required=True,
                    help="comma list: nip_mean, i_nip_mean_c1, i_nip_mean_c2, ...")
     b.add_argument("--repeats", type=_POSITIVE, default=3)
-    b.add_argument("--out", required=True)
-    b.add_argument("--dataset", required=True, help="a bundle, e.g. from gen benchmark")
     b.add_argument("--memory-budget", type=_finite_float, default=4.0,
                    help="GiB allowed for per-batch activations/gradients; <=0 disables")
-    b.add_argument("--seed", type=_NON_NEGATIVE, default=None)
-    b.add_argument("--config", default=None)
     b.set_defaults(func=cmd_bench_scaling)
 
-    f = sub.add_parser("neighbor-fraction", help="micro-F1 vs neighbor sampling fraction")
-    f.add_argument("--dataset", required=True)
+    f = sub.add_parser("neighbor-fraction", parents=[data],
+                       help="micro-F1 vs neighbor sampling fraction")
     f.add_argument("--model", required=True)
     f.add_argument("--fractions", required=True, help="comma list in (0, 1]")
-    f.add_argument("--out", required=True)
     f.add_argument("-C", "--hops", dest="hops", type=_POSITIVE, default=2)
     f.add_argument("--fold", type=_NON_NEGATIVE, default=0)
-    f.add_argument("--config", default=None)
-    f.add_argument("--seed", type=_NON_NEGATIVE, default=None)
     f.set_defaults(func=cmd_neighbor_fraction)
 
     n = sub.add_parser("nim", help="self-information decay table")

@@ -338,14 +338,16 @@ def read_npz(path, dtype_of) -> dict[str, np.ndarray]:
     A header that claims a dtype other than ``dtype_of(name)`` (None refuses the member)
     or more bytes than the file holds is a ShapeError before any data is read. numpy's
     ``read_array`` then reads the member in chunks to its end, so zip checks its CRC-32.
-    Data past the claimed array is an ArgumentError."""
+    Data past the claimed array, or a name given twice, is an ArgumentError."""
     arrays = {}
     with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
         for info in archive.infolist():
+            if (name := info.filename.removesuffix(".npy")) in arrays:
+                raise ArgumentError(f"{path}: member {name!r} appears twice")
             with archive.open(info) as member:
                 version = np.lib.format.read_magic(member)
                 shape, _, dtype = np.lib.format.read_array_header_1_0(member)
-                want = dtype_of(name := info.filename.removesuffix(".npy"))
+                want = dtype_of(name)
                 if (version != (1, 0) or want is None or dtype != want
                         or dtype.itemsize * math.prod(shape) > os.fstat(fh.fileno()).st_size):
                     raise ShapeError(f"{path}: {info.filename} claims {dtype} {shape}, "

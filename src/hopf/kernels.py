@@ -142,52 +142,22 @@ def make_kernel(name: str, depth: int = 2, hidden_dim: int = 16) -> KernelSpec:
 ITERATIVE_MODELS = tuple(n for n in REGISTRY if make_kernel(n).uses_labels)
 
 
-@dataclass(frozen=True)
-class LayerPlan:
-    """Resolved widths: hidden outputs h_0..h_C and each weight matrix's fan-in."""
+def param_shapes(spec: KernelSpec, num_features: int, num_labels: int) -> dict[str, tuple[int, int]]:
+    """Each learnable matrix's (fan_in, fan_out), by name in save order (see :class:`ModelWeights`).
 
-    h_widths: tuple[int, ...]
-    phi_in: tuple[int, ...]
-    psi_in: tuple[int, ...]
-
-    @property
-    def output_in(self) -> int:
-        return self.h_widths[-1]
-
-
-def layer_plan(spec: KernelSpec, num_labels: int) -> LayerPlan:
-    """Width bookkeeping for a spec; concat layers double the running width."""
+    h_0 is ``hidden_dim`` wide and h_1..h_C are ``wl``'s fan-in wide: twice that
+    for concat, else the same (skip connections require SUM, so their layers
+    keep the width they add to)."""
     d = spec.hidden_dim
-    widths = [d]
-    phi_in, psi_in = [], []
-    for _ in range(1, spec.depth + 1):
-        prev = widths[-1]
-        pw = 0
-        if spec.has_node_path:
-            pw = d if spec.phi is Phi.H0 else prev
-        sw = 0
-        if spec.has_neighbor_path:
-            if spec.psi is Psi.H_PREV:
-                sw = prev
-            elif spec.psi is Psi.LABELS:
-                sw = num_labels
-            else:
-                sw = prev + num_labels
+    width = 2 * d if spec.combine is Combine.CONCAT else d
+    shapes = {"w0": (num_features, d)}
+    for k in range(1, spec.depth + 1):
+        prev = d if k == 1 else width
+        pw = {Phi.H0: d, Phi.H_PREV: prev, Phi.NONE: 0}[spec.phi]
+        sw = {Psi.H_PREV: prev, Psi.LABELS: num_labels,
+              Psi.H_PREV_CONCAT_LABELS: prev + num_labels, Psi.NONE: 0}[spec.psi]
         if spec.tie_weights and pw != sw:
             raise ConfigError(f"{spec.name}: tied weights need equal fan-in ({pw} vs {sw})")
-        phi_in.append(pw)
-        psi_in.append(sw)
-        # skip connections require SUM, so their layers keep the width d they add to
-        widths.append(2 * d if spec.combine is Combine.CONCAT else d)
-    return LayerPlan(tuple(widths), tuple(phi_in), tuple(psi_in))
-
-
-def param_shapes(spec: KernelSpec, num_features: int, num_labels: int) -> dict[str, tuple[int, int]]:
-    """Each learnable matrix's (fan_in, fan_out), by name in save order (see :class:`ModelWeights`)."""
-    plan = layer_plan(spec, num_labels)
-    d = spec.hidden_dim
-    shapes = {"w0": (num_features, d)}
-    for k, (pw, sw) in enumerate(zip(plan.phi_in, plan.psi_in), start=1):
         if spec.tie_weights:
             shapes[f"w{k}"] = (pw, d)
             continue
@@ -195,7 +165,7 @@ def param_shapes(spec: KernelSpec, num_features: int, num_labels: int) -> dict[s
             shapes[f"w{k}_phi"] = (pw, d)
         if sw:
             shapes[f"w{k}_psi"] = (sw, d)
-    shapes["wl"] = (plan.output_in, num_labels)
+    shapes["wl"] = (width, num_labels)
     return shapes
 
 

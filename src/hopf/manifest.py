@@ -32,18 +32,6 @@ class RunManifest:
     # fingerprint_dir of the loaded bundle's digests; set with dataset_cache
     dataset_fingerprint: str | None = None
 
-    @classmethod
-    def start(cls, command: str, argv, config: dict, seeds: dict) -> "RunManifest":
-        from . import __version__
-
-        return cls(
-            command=command,
-            argv=list(argv),
-            config=config,
-            seeds=seeds,
-            code_version=__version__,
-        )
-
     def write(self, out_dir) -> Path:
         path = Path(out_dir) / "manifest.json"
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -64,7 +52,9 @@ def manifest_scope(out_dir, command: str, argv, config: dict, seeds: dict):
     write) recorded and the manifest written again. On an exception the
     manifest stays as last written.
     """
-    manifest = RunManifest.start(command, argv, config, seeds)
+    from . import __version__  # the package's __init__ defines it after its imports
+
+    manifest = RunManifest(command, list(argv), config, seeds, code_version=__version__)
     manifest.write(out_dir)
     t0 = time.perf_counter()
     yield manifest

@@ -584,13 +584,14 @@ class TestBenchScaling:
 VERB_RUNS = [
     pytest.param(["gen", "chain", "--n", "6"], id="gen"),
     pytest.param(["train", "--dataset", "{data}", "--model", "nip_mean", "--config", "{cfg}",
-                  "--folds", "1"], id="train"),
+                  "--folds", "1", "--seed", "3"], id="train"),
     pytest.param(["hopf", "--dataset", "{data}", "--model", "ss_ica", "--config", "{cfg}",
-                  "-T", "2"], id="hopf"),
+                  "-T", "2", "--seed", "3"], id="hopf"),
     pytest.param(["bench-scaling", "--dataset", "{data}", "--config", "{cfg}", "--hops", "1",
-                  "--variants", "nip_mean", "--repeats", "1"], id="bench-scaling"),
+                  "--variants", "nip_mean", "--repeats", "1", "--seed", "3"], id="bench-scaling"),
     pytest.param(["neighbor-fraction", "--dataset", "{data}", "--model", "nip_mean",
-                  "--config", "{cfg}", "--fractions", "1.0"], id="neighbor-fraction"),
+                  "--config", "{cfg}", "--fractions", "1.0", "--seed", "3"],
+                 id="neighbor-fraction"),
     pytest.param(["nim", "--alpha", "1", "--beta", "1"], id="nim"),
     pytest.param(["compare", "--scores", "{tmp}/scores.csv"], id="compare"),
 ]
@@ -606,10 +607,28 @@ def test_every_verb_records_its_total_time(planted_dir, fast_config, tmp_path, c
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == argv[0]
     assert manifest["timings"]["total_seconds"] > 0
-    # every verb that reads a bundle times its load, once, in _load_bundle
+    # every verb that reads a bundle times its load, once, in _dataset_scope
     assert ("load_seconds" in manifest["timings"]) == ("--dataset" in argv)
     # each test starts on an empty cache, so a verb that reads the bundle parses it
     assert manifest["dataset_cache"] == ("miss" if "--dataset" in argv else None)
+    if "--dataset" in argv:  # the one scope every dataset verb opens records both
+        assert manifest["seeds"] == {"rng_seed": 3}
+        assert manifest["dataset_fingerprint"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["train", "--folds", "1"], "hops"),
+    (["hopf", "-T", "1"], "C"),
+    (["neighbor-fraction", "--fractions", "1.0"], "hops"),
+], ids=["train", "hopf", "neighbor-fraction"])
+def test_manifest_records_the_depth_that_ran(planted_dir, fast_config, tmp_path, capsys,
+                                             argv, key):
+    # ss_ica always runs one aggregation layer, whatever -C asks for
+    out = tmp_path / "run"
+    assert main(argv + ["--dataset", str(planted_dir), "--model", "ss_ica", "-C", "3",
+                        "--config", str(fast_config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "manifest.json").read_text())["config"][key] == 1
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import threading
+import warnings
 import zipfile
 
 import numpy as np
@@ -107,6 +108,14 @@ def tamper(path, **arrays):
     np.savez(path, **kept)
 
 
+def append_member(path, name, a):
+    """Append a second ``name`` member holding ``a`` to the archive at ``path``."""
+    with warnings.catch_warnings(), zipfile.ZipFile(path, "a") as archive:
+        warnings.simplefilter("ignore")  # zipfile warns of the duplicate name
+        with archive.open(f"{name}.npy", "w") as member:
+            np.lib.format.write_array(member, a)
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
                  id="truncated"),
@@ -119,6 +128,8 @@ def tamper(path, **arrays):
                  id="index-out-of-range"),
     pytest.param(lambda p: tamper(p, indices=np.array([1, 0, 2, 1, 3, 2])), id="int64-indices"),
     pytest.param(lambda p: tamper(p, degree=np.array([1, 2, 2, 2])), id="degree-mismatch"),
+    # a well-formed x of zeros after the first: read_npz must not keep either
+    pytest.param(lambda p: append_member(p, "x", np.zeros((4, 2))), id="repeated-member"),
 ])
 def test_a_damaged_entry_is_discarded_and_the_bundle_parsed_again(tmp_path, damage):
     d = bundle_dir(tmp_path)

@@ -1,4 +1,5 @@
 import re
+import warnings
 import weakref
 import zipfile
 from dataclasses import replace
@@ -15,8 +16,8 @@ from hopf import (ArgumentError, ConfigError, HopfError, ModelWeights, NormSchem
                   predict, weighted_cross_entropy)
 from hopf.kernels import (HIDDEN_BLOCK_ROWS, ITERATIVE_MODELS, REGISTRY,
                           WHOLE_GRAPH_FRACTION, AlphaMode, Combine, KernelSpec, Phi, Psi,
-                          _hidden_product, _maxpool_with_argmax, _path_inputs, layer_plan,
-                          layer_rows)
+                          _hidden_product, _maxpool_with_argmax, _path_inputs, layer_rows,
+                          param_shapes)
 
 from conftest import blas_peak_growth, random_graph, traced_peak
 
@@ -151,11 +152,16 @@ class TestRegistryFidelity:
             assert tied.wphi[k].tobytes() == untied.wphi[k].tobytes()
             assert not np.array_equal(untied.wpsi[k], untied.wphi[k])
 
+    def test_tied_weights_need_equal_fan_in(self):
+        spec = KernelSpec(name="tied_labels", phi=Phi.H0, psi=Psi.LABELS, norm=NormScheme.MEAN,
+                          tie_weights=True, hidden_dim=4)
+        with pytest.raises(ConfigError, match=r"tied_labels: .* equal fan-in \(4 vs 3\)"):
+            param_shapes(spec, 5, 3)
+
     def test_concat_widths_double(self):
         spec = make_kernel("gs_mean", depth=2, hidden_dim=4)
-        plan = layer_plan(spec, 3)
-        assert plan.h_widths == (4, 8, 8)
-        assert plan.phi_in == (4, 8)
+        assert param_shapes(spec, 6, 3) == {"w0": (6, 4), "w1_phi": (4, 4), "w1_psi": (4, 4),
+                                            "w2_phi": (8, 4), "w2_psi": (8, 4), "wl": (8, 3)}
         w = ModelWeights.init(spec, 6, 3, 0)
         assert w.wphi[1].shape == (8, 4)
         assert w.wl.shape == (8, 3)
@@ -602,6 +608,15 @@ def _claiming(shape, descr="<f8", name="w0", data=bytes(64)):
     return write
 
 
+def _w0_twice(fh):
+    """A snapshot of ``_GOOD`` followed by a second, well-formed ``w0`` member."""
+    with warnings.catch_warnings(), zipfile.ZipFile(fh, "w") as archive:
+        warnings.simplefilter("ignore")  # zipfile warns of the duplicate name
+        for name, a in [*_GOOD.items(), ("w0", _GOOD["w0"] + 1.0)]:
+            with archive.open(f"{name}.npy", "w") as member:
+                np.lib.format.write_array(member, a)
+
+
 def _savez(**arrays):
     return lambda fh: np.savez(fh, **arrays)
 
@@ -621,8 +636,9 @@ _GOOD = ModelWeights.init(make_kernel("bl_node", depth=1, hidden_dim=2), 3, 2, 5
     _claiming((10**9, 0), data=b""),                                     # 10**9 features, 0 bytes
     _claiming((0, 10**9), name="wl", data=b""),                          # 10**9 labels, 0 bytes
     _claiming((10**9, 10**9), descr="|V0", data=b""),                    # 0-byte items
+    _w0_twice,
 ], ids=["empty", "hopfw001", "npy", "object", "float32", "1d", "claims_1e10", "claims_1e8",
-        "w0_no_cols", "wl_no_rows", "void"])
+        "w0_no_cols", "wl_no_rows", "void", "repeated_w0"])
 def test_foreign_snapshot_is_rejected_without_a_large_allocation(tmp_path, write):
     path = tmp_path / "w.bin"
     with open(path, "wb") as fh:
