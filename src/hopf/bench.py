@@ -95,30 +95,30 @@ def estimate_batch_bytes(spec, sub: Subgraph, num_nodes: int, num_features: int,
     return ball + adjacency + cache + working
 
 
-def time_epoch(spec, graph, x, y, train_nodes, config: TrainConfig, task,
-               yhat, budget_bytes: int | None, epoch_seed: int) -> tuple[float, int]:
+def time_epoch(spec, bundle: DatasetBundle, train_nodes, config: TrainConfig, yhat,
+               budget_bytes: int | None, epoch_seed: int) -> tuple[float, int]:
     """One mini-batch epoch of :func:`~hopf.training.train_step`, timed end to end.
 
     Returns the seconds and the largest :func:`estimate_batch_bytes` of its
     batches. Raises BudgetExceeded when a batch's projected footprint is over
     budget.
     """
-    weights = ModelWeights.init(spec, x.shape[1], y.shape[1], config.rng_seed)
+    weights = ModelWeights.init(spec, bundle.num_features, bundle.num_labels, config.rng_seed)
     adam = {name: AdamState.for_param(p) for name, p in weights.params()}
-    omega = _class_weights(y, train_nodes, config.use_wce)
+    omega = _class_weights(bundle.y, train_nodes, config.use_wce)
     rng = np.random.default_rng(epoch_seed)
     batches = _batches(train_nodes, config.batch_size, rng)
     peak = 0
     start = time.perf_counter()
     try:
         for bidx, batch in enumerate(batches):
-            sub = khop_subgraph(graph, batch, spec.depth)
-            need = estimate_batch_bytes(spec, sub, x.shape[0], x.shape[1], y.shape[1],
-                                        config.dropout_rate > 0)
+            sub = khop_subgraph(bundle.graph, batch, spec.depth)
+            need = estimate_batch_bytes(spec, sub, bundle.graph.n, bundle.num_features,
+                                        bundle.num_labels, config.dropout_rate > 0)
             peak = max(peak, need)
             if budget_bytes is not None and need > budget_bytes:
                 raise BudgetExceeded(f"batch needs ~{need/2**30:.2f} GiB", need)
-            train_step(spec, weights, adam, sub, x, y[batch], yhat, omega, config, task,
+            train_step(spec, weights, adam, sub, bundle, yhat, omega, config,
                        config.learning_rate, epoch=1, batch=bidx)
     except MemoryError as exc:  # pragma: no cover - depends on host memory
         raise BudgetExceeded(str(exc), peak) from exc
@@ -133,9 +133,7 @@ def run_scaling(bundle: DatasetBundle, split: SplitSpec, variants, hops_list,
     if any(k < 1 for k in hops_list):
         raise ConfigError(f"every total hop count must be >= 1, got {list(hops_list)}")
     cells = []
-    x = bundle.x
-    y = bundle.y
-    yhat_zero = np.zeros_like(y, dtype=np.float64)
+    yhat_zero = np.zeros_like(bundle.y, dtype=np.float64)
     for token, name, c_fixed in parsed:
         for k in hops_list:
             if c_fixed and k % c_fixed != 0:
@@ -151,8 +149,7 @@ def run_scaling(bundle: DatasetBundle, split: SplitSpec, variants, hops_list,
                     total = 0.0
                     for t in range(rounds):
                         seconds, need = time_epoch(
-                            spec, bundle.graph, x, y, split.train_nodes, config, bundle.task,
-                            yhat_zero, budget_bytes,
+                            spec, bundle, split.train_nodes, config, yhat_zero, budget_bytes,
                             epoch_seed=config.rng_seed + 7919 * (rep * rounds + t))
                         total += seconds
                         peak = max(peak, need)

@@ -28,8 +28,8 @@ from .bench import run_scaling
 from .data import (gen_benchmark_graph, gen_chain, gen_planted_partition, load_dataset,
                    row_normalize, save_dataset)
 from .errors import ArgumentError, ConfigError, HopfError, IngestError, TrainingError
-from .iterate import HopfConfig, run_hopf
-from .kernels import ITERATIVE_MODELS, REGISTRY, make_kernel, nim_decay_table
+from .iterate import HopfConfig, require_label_channel, run_hopf
+from .kernels import make_kernel, nim_decay_table
 from .manifest import manifest_scope
 from .metrics import (MetricsRecord, average_rank, per_dataset_shortfall, read_scores_csv,
                       shortfall, write_records_csv, write_report_json)
@@ -126,11 +126,6 @@ def _train_config(args) -> TrainConfig:
         raise ConfigError(f"--config {args.config}: {exc}") from exc
 
 
-def _check_model(name: str, allowed) -> None:
-    if name not in allowed:
-        raise ConfigError(f"unknown model {name!r}; choose from: {', '.join(allowed)}")
-
-
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -163,7 +158,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_model(args.model, REGISTRY)
     config = _train_config(args)
     caps = _parse_list(args.sample_caps, "--sample-caps", int) if args.sample_caps else None
     spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
@@ -179,10 +173,8 @@ def cmd_train(args) -> int:
         splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.folds)
         records = []
         for fold, split in enumerate(splits):
-            weights, history = train(spec, bundle.graph, bundle.x, bundle.y, split, config,
-                                     bundle.task, sample_caps=caps)
-            ev = evaluate(spec, weights, bundle.graph, bundle.x, bundle.y,
-                          split.test_nodes, bundle.task)
+            weights, history = train(spec, bundle, split, config, sample_caps=caps)
+            ev = evaluate(spec, weights, bundle, split.test_nodes)
             records.append(MetricsRecord(args.model, bundle.name, fold, ev["micro_f1"], ev["loss"]))
             _write_csv(out / f"history_fold{fold}.csv", ["epoch", "train_loss", "val_loss", "lr"],
                        _history_rows(history))
@@ -203,16 +195,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_hopf(args) -> int:
-    _check_model(args.model, ITERATIVE_MODELS)
     config = _train_config(args)
     spec = make_kernel(args.model, depth=args.C, hidden_dim=config.hidden_dim)
+    require_label_channel(spec)
     hopf_config = HopfConfig(T=args.T, warm_start=not args.cold_start,
                              shifted_averaging=args.shifted_averaging)
     with _dataset_scope(args, config, {"C": spec.depth, **asdict(hopf_config),
                                        "model": args.model, "fold": args.fold}) as (out, bundle):
         splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)
-        result = run_hopf(spec, bundle.graph, bundle.x, bundle.y, splits[args.fold],
-                          config, hopf_config, bundle.task, out_dir=out / "iterations")
+        result = run_hopf(spec, bundle, splits[args.fold], config, hopf_config,
+                          out_dir=out / "iterations")
         _write_csv(out / "trajectory.csv", ["iteration", "micro_f1"],
                    [[row["iteration"], repr(float(row["micro_f1"]))] for row in result.trajectory])
         # the last round's label dumps already hold the final matrices
@@ -251,7 +243,6 @@ def cmd_bench_scaling(args) -> int:
 
 
 def cmd_neighbor_fraction(args) -> int:
-    _check_model(args.model, REGISTRY)
     config = _train_config(args)
     fractions = _parse_list(args.fractions, "--fractions", float)
     if any(not 0.0 < f <= 1.0 for f in fractions):
@@ -264,10 +255,8 @@ def cmd_neighbor_fraction(args) -> int:
         rows = []
         for frac in fractions:
             caps = [max(1, math.ceil(frac * max_degree))] * spec.depth
-            weights, _ = train(spec, bundle.graph, bundle.x, bundle.y, split, config,
-                               bundle.task, sample_caps=caps)
-            ev = evaluate(spec, weights, bundle.graph, bundle.x, bundle.y,
-                          split.test_nodes, bundle.task)
+            weights, _ = train(spec, bundle, split, config, sample_caps=caps)
+            ev = evaluate(spec, weights, bundle, split.test_nodes)
             rows.append([repr(frac), caps[0], repr(ev["micro_f1"]), repr(ev["loss"])])
         _write_csv(out / "fractions.csv", ["fraction", "cap_per_hop", "micro_f1", "loss"], rows)
     return 0

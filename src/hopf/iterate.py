@@ -28,10 +28,11 @@ import numpy as np
 
 from . import labelcsv
 from .errors import ArgumentError, ConfigError, HopfError
-from .graph import Graph, khop_subgraph  # noqa: F401  (perfbench/spans.py traces this name)
+from .data import DatasetBundle
+from .graph import khop_subgraph  # noqa: F401  (perfbench/spans.py traces this name)
 from .kernels import ITERATIVE_MODELS, KernelSpec, ModelWeights
 from .kernels import predict  # noqa: F401  (likewise)
-from .metrics import Task, binarize_predictions, micro_f1
+from .metrics import binarize_predictions, micro_f1
 from .training import SplitSpec, TrainConfig, infer, train
 
 _ITER_SEED_STRIDE = 1000003  # round t trains with seed rng_seed + stride*(t-1)
@@ -82,9 +83,15 @@ class HopfResult:
     histories: list = field(default_factory=list)
 
 
-def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
-             split: SplitSpec, train_config: TrainConfig, hopf_config: HopfConfig,
-             task: Task, out_dir=None) -> HopfResult:
+def require_label_channel(spec: KernelSpec) -> None:
+    """Refuse a kernel without a label channel: every round feeds labels back through it."""
+    if not spec.uses_labels:
+        raise ConfigError(f"{spec.name} has no label channel, which the iterative loop needs "
+                          f"(use one of: {', '.join(ITERATIVE_MODELS)})")
+
+
+def run_hopf(spec: KernelSpec, bundle: DatasetBundle, split: SplitSpec,
+             train_config: TrainConfig, hopf_config: HopfConfig, out_dir=None) -> HopfResult:
     """Run T rounds of train / infer / restore / average; returns final estimates.
 
     The label estimate starts at zero everywhere (round one sees an all-zero
@@ -94,12 +101,9 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
     formatted once the last round has returned (see ``_LabelCSVs``). A rerun
     into the same ``out_dir`` first deletes the round files an earlier run left.
     """
-    if hopf_config.T > 1 and not spec.uses_labels:
-        raise ConfigError(f"{spec.name} has no label channel; multiple rounds need one "
-                          f"(use one of: {', '.join(ITERATIVE_MODELS)})")
-    n, num_labels = y.shape
-    yhat, ytilde = np.zeros((n, num_labels)), np.zeros((n, num_labels))
-    u_nodes = np.setdiff1d(np.arange(n), split.train_nodes)
+    require_label_channel(spec)
+    yhat, ytilde = np.zeros(bundle.y.shape), np.zeros(bundle.y.shape)
+    u_nodes = np.setdiff1d(np.arange(bundle.graph.n), split.train_nodes)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -119,17 +123,16 @@ def run_hopf(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
             init = weights.copy() if (hopf_config.warm_start and weights is not None) else None
             # train and infer read yhat as this round's frozen channel; it is first
             # written below, once infer has returned, so they need no copy of it
-            weights, history = train(spec, graph, x, y, split, cfg_t, task,
-                                     yhat=yhat, init_weights=init)
+            weights, history = train(spec, bundle, split, cfg_t, yhat=yhat, init_weights=init)
             result.histories.append(history)
 
-            ytilde[u_nodes] = infer(spec, weights, graph, x, u_nodes, task, yhat)
-            yhat[split.train_nodes] = y[split.train_nodes]
+            ytilde[u_nodes] = infer(spec, weights, bundle, u_nodes, yhat)
+            yhat[split.train_nodes] = bundle.y[split.train_nodes]
             yhat[u_nodes] = temporal_average(ytilde[u_nodes], yhat[u_nodes], t, hopf_config.T,
                                              shifted=hopf_config.shifted_averaging)
 
-            test_f1 = micro_f1(binarize_predictions(ytilde[split.test_nodes], task),
-                               y[split.test_nodes])
+            test_f1 = micro_f1(binarize_predictions(ytilde[split.test_nodes], bundle.task),
+                               bundle.y[split.test_nodes])
             result.trajectory.append({"iteration": t, "micro_f1": test_f1})
 
             if out_path is not None:

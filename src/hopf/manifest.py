@@ -9,6 +9,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .errors import ArgumentError
+
 
 def fingerprint_dir(digests: dict) -> str:
     """A dataset's fingerprint: SHA-256 over its files' names, sorted, each name
@@ -43,7 +45,8 @@ class RunManifest:
 
 @contextlib.contextmanager
 def manifest_scope(out_dir, command: str, argv, config: dict, seeds: dict):
-    """Write ``manifest.json`` into ``out_dir`` on entry, before any result file.
+    """Write ``manifest.json`` into ``out_dir`` on entry, before any result file; an
+    ``OSError`` doing so (``out_dir`` is a file, say) is an ``ArgumentError`` naming it.
 
     ``argv`` is the argument list the command line parsed, verb first.
 
@@ -55,7 +58,11 @@ def manifest_scope(out_dir, command: str, argv, config: dict, seeds: dict):
     from . import __version__  # the package's __init__ defines it after its imports
 
     manifest = RunManifest(command, list(argv), config, seeds, code_version=__version__)
-    manifest.write(out_dir)
+    try:
+        manifest.write(out_dir)
+    except OSError as exc:
+        raise ArgumentError(f"output directory {out_dir} cannot be created or written: "
+                            f"{exc.strerror or exc}") from exc
     t0 = time.perf_counter()
     yield manifest
     manifest.timings["total_seconds"] = time.perf_counter() - t0

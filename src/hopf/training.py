@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import DatasetBundle
 from .errors import ArgumentError, ConfigError, TrainingError
-from .graph import Graph, khop_subgraph, sample_neighbors
+from .graph import khop_subgraph, sample_neighbors
 from .kernels import KernelSpec, ModelWeights, backward, predict
-from .metrics import Task, binarize_predictions, micro_f1, wce_weights, weighted_cross_entropy
+from .metrics import binarize_predictions, micro_f1, wce_weights, weighted_cross_entropy
 from .numerics import AdamState, adam_step
 
 
@@ -143,11 +144,7 @@ class EarlyStopState:
 
 
 def _class_weights(y: np.ndarray, train_nodes: np.ndarray, use_wce: bool) -> np.ndarray:
-    num_labels = y.shape[1]
-    if not use_wce:
-        return np.ones(num_labels)
-    counts = y[train_nodes].sum(axis=0)
-    return wce_weights(counts)
+    return wce_weights(y[train_nodes].sum(axis=0)) if use_wce else np.ones(y.shape[1])
 
 
 def _batches(nodes: np.ndarray, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -155,37 +152,39 @@ def _batches(nodes: np.ndarray, batch_size: int, rng: np.random.Generator) -> li
     return [perm[i : i + batch_size] for i in range(0, perm.size, batch_size)]
 
 
-def infer(spec: KernelSpec, weights: ModelWeights, graph: Graph, x: np.ndarray,
-          nodes: np.ndarray, task: Task, yhat: np.ndarray | None = None) -> np.ndarray:
+def infer(spec: KernelSpec, weights: ModelWeights, bundle: DatasetBundle,
+          nodes: np.ndarray, yhat: np.ndarray | None = None) -> np.ndarray:
     """Predictions for the distinct ``nodes``, in their order, from one forward pass.
 
     One ``spec.depth``-hop ball holds the whole node set, and each layer
     computes every row the set depends on once (GraphSAGE's layer-wise
     inference). A node's prediction depends only on the graph, the weights
     and the label channel ``yhat``, never on which nodes share the set. The
-    pass reads ``x`` in place and holds about depth x n x hidden floats plus
-    the ball's edges, so there is nothing to chunk.
+    pass reads ``bundle.x`` in place and holds about depth x n x hidden floats
+    plus the ball's edges, so there is nothing to chunk.
     """
-    sub = khop_subgraph(graph, nodes, spec.depth)
+    sub = khop_subgraph(bundle.graph, nodes, spec.depth)
     if sub.num_seeds != len(nodes):
         raise ArgumentError("inference nodes must be distinct")
-    yt, _ = predict(spec, weights, sub, x, yhat, task=task)
+    yt, _ = predict(spec, weights, sub, bundle.x, yhat, task=bundle.task)
     return yt
 
 
-def train_step(spec: KernelSpec, weights: ModelWeights, adam: dict, sub, x: np.ndarray,
-               y_batch: np.ndarray, yhat: np.ndarray | None, omega: np.ndarray,
-               config: TrainConfig, task: Task, lr: float, epoch: int, batch: int) -> float:
+def train_step(spec: KernelSpec, weights: ModelWeights, adam: dict, sub,
+               bundle: DatasetBundle, yhat: np.ndarray | None, omega: np.ndarray,
+               config: TrainConfig, lr: float, epoch: int, batch: int) -> float:
     """One update on the seeds of ``sub``; returns the batch loss, L2 term included.
 
     Forward with the config's dropout (masks drawn from ``(rng_seed, epoch,
-    batch)``), weighted cross entropy plus L2, backward, then one Adam step
+    batch)``), weighted cross entropy plus L2 against the seeds' labels (the
+    ball keeps its seeds first, in batch order), backward, then one Adam step
     per weight matrix at ``lr``. ``weights`` and ``adam`` are updated in place.
     """
     drop_rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, epoch, batch)))
-    yt, cache = predict(spec, weights, sub, x, yhat, task=task,
+    yt, cache = predict(spec, weights, sub, bundle.x, yhat, task=bundle.task,
                         dropout_rate=config.dropout_rate, rng=drop_rng)
-    loss, dloss = weighted_cross_entropy(yt, y_batch, omega, task)
+    loss, dloss = weighted_cross_entropy(yt, bundle.y[sub.global_ids[:sub.num_seeds]], omega,
+                                         bundle.task)
     if config.l2_weight > 0:
         loss += 0.5 * config.l2_weight * weights.l2_norm_sq()
     if not np.isfinite(loss):
@@ -200,8 +199,7 @@ def train_step(spec: KernelSpec, weights: ModelWeights, adam: dict, sub, x: np.n
     return loss
 
 
-def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
-          split: SplitSpec, config: TrainConfig, task: Task,
+def train(spec: KernelSpec, bundle: DatasetBundle, split: SplitSpec, config: TrainConfig,
           yhat: np.ndarray | None = None, sample_caps=None,
           init_weights: ModelWeights | None = None):
     """Train one kernel on the split's labeled nodes; returns best weights and history.
@@ -216,10 +214,10 @@ def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
         raise ConfigError(f"{spec.name} has hidden width {spec.hidden_dim}, "
                           f"but the config asks for {config.hidden_dim}")
     if spec.uses_labels and yhat is None:
-        yhat = np.zeros((graph.n, y.shape[1]))
-    omega = _class_weights(y, split.train_nodes, config.use_wce)
+        yhat = np.zeros((bundle.graph.n, bundle.num_labels))
+    omega = _class_weights(bundle.y, split.train_nodes, config.use_wce)
     weights = init_weights if init_weights is not None else ModelWeights.init(
-        spec, x.shape[1], y.shape[1], config.rng_seed)
+        spec, bundle.num_features, bundle.num_labels, config.rng_seed)
     adam = {name: AdamState.for_param(p) for name, p in weights.params()}
 
     early = EarlyStopState(patience_budget=config.patience, lr_current=config.learning_rate)
@@ -235,18 +233,19 @@ def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
             if sample_caps:
                 # the trailing 1 keeps this stream apart from the batch's dropout stream
                 sample_seed = np.random.SeedSequence((config.rng_seed, epoch, bidx, 1))
-                sub = sample_neighbors(graph, sample_caps, batch, spec.depth, sample_seed)
+                sub = sample_neighbors(bundle.graph, sample_caps, batch, spec.depth, sample_seed)
             else:
-                sub = khop_subgraph(graph, batch, spec.depth)
-            loss = train_step(spec, weights, adam, sub, x, y[batch], yhat, omega, config,
-                              task, early.lr_current, epoch, bidx)
+                sub = khop_subgraph(bundle.graph, batch, spec.depth)
+            loss = train_step(spec, weights, adam, sub, bundle, yhat, omega, config,
+                              early.lr_current, epoch, bidx)
             epoch_loss += loss * batch.size
         epoch_loss /= split.train_nodes.size
 
         val_loss = np.nan
         if has_val:
-            val_pred = infer(spec, weights, graph, x, split.val_nodes, task, yhat)
-            val_loss, _ = weighted_cross_entropy(val_pred, y[split.val_nodes], omega, task)
+            val_pred = infer(spec, weights, bundle, split.val_nodes, yhat)
+            val_loss, _ = weighted_cross_entropy(val_pred, bundle.y[split.val_nodes], omega,
+                                                 bundle.task)
             if not np.isfinite(val_loss):
                 raise TrainingError(f"non-finite validation loss {val_loss}", epoch=epoch)
             if early.observe(val_loss) == "improved":
@@ -259,16 +258,15 @@ def train(spec: KernelSpec, graph: Graph, x: np.ndarray, y: np.ndarray,
     return best_weights, history
 
 
-def evaluate(spec: KernelSpec, weights: ModelWeights, graph: Graph, x: np.ndarray,
-             y: np.ndarray, node_set: np.ndarray, task: Task,
-             yhat: np.ndarray | None = None) -> dict:
-    """Deterministic inference plus micro-F1 and loss on ``node_set``."""
+def evaluate(spec: KernelSpec, weights: ModelWeights, bundle: DatasetBundle,
+             node_set: np.ndarray) -> dict:
+    """Deterministic inference plus micro-F1 and loss on ``node_set``, at a zero label channel."""
     node_set = np.asarray(node_set)
     if node_set.size == 0:
         raise ArgumentError("node_set must be non-empty")
-    if spec.uses_labels and yhat is None:
-        yhat = np.zeros((graph.n, y.shape[1]))
-    preds = infer(spec, weights, graph, x, node_set, task, yhat)
-    loss, _ = weighted_cross_entropy(preds, y[node_set], np.ones(y.shape[1]), task)
-    f1 = micro_f1(binarize_predictions(preds, task), y[node_set])
+    yhat = np.zeros((bundle.graph.n, bundle.num_labels)) if spec.uses_labels else None
+    preds = infer(spec, weights, bundle, node_set, yhat)
+    loss, _ = weighted_cross_entropy(preds, bundle.y[node_set], np.ones(bundle.num_labels),
+                                     bundle.task)
+    f1 = micro_f1(binarize_predictions(preds, bundle.task), bundle.y[node_set])
     return {"micro_f1": f1, "loss": loss, "predictions": preds}

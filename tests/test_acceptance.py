@@ -262,18 +262,16 @@ def test_c07_planted_partition_margins():
     trajectories = []
     for seed in range(100, 105):
         bundle = gen_planted_partition(400, 4, 0.3, 0.01, 0.4, rng_seed=seed)
-        x = row_normalize(bundle.x)
+        bundle.x = row_normalize(bundle.x)
         split = make_splits(400, rng_seed=seed)[0]
         cfg = TrainConfig(rng_seed=seed, **cfg_base)
         scores = {}
         for name in ("nip_mean", "bl_node"):
             spec = make_kernel(name, depth=2, hidden_dim=16)
-            w, _ = train(spec, bundle.graph, x, bundle.y, split, cfg, bundle.task)
-            scores[name] = evaluate(spec, w, bundle.graph, x, bundle.y,
-                                    split.test_nodes, bundle.task)["micro_f1"]
+            w, _ = train(spec, bundle, split, cfg)
+            scores[name] = evaluate(spec, w, bundle, split.test_nodes)["micro_f1"]
         wins += scores["nip_mean"] > scores["bl_node"]
-        res = run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle.graph, x, bundle.y,
-                       split, cfg, HopfConfig(T=5), bundle.task)
+        res = run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle, split, cfg, HopfConfig(T=5))
         trajectories.append([r["micro_f1"] for r in res.trajectory])
     assert wins >= 4, f"nip_mean won only {wins}/5 seeds"
     median = np.median(np.asarray(trajectories), axis=0)
@@ -302,9 +300,8 @@ def test_c08_optional_cora_check():
     for fold, split in enumerate(make_splits(bundle.graph.n, rng_seed=0)):
         spec = make_kernel("gcn_s", depth=2, hidden_dim=16)
         cfg = TrainConfig(rng_seed=fold, **cfg_base)
-        w, _ = train(spec, bundle.graph, bundle.x, bundle.y, split, cfg, bundle.task)
-        scores.append(evaluate(spec, w, bundle.graph, bundle.x, bundle.y,
-                               split.test_nodes, bundle.task)["micro_f1"])
+        w, _ = train(spec, bundle, split, cfg)
+        scores.append(evaluate(spec, w, bundle, split.test_nodes)["micro_f1"])
     median = float(np.median(scores)) * 100.0
     assert abs(median - 77.523) <= 5.0
     report(8, f"Cora gcn_s median micro-F1 {median:.2f} within 5 points of 77.523")

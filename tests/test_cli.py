@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hopf.bench as bench_mod
 import hopf.cli as cli_mod
+from hopf import HopfConfig, TrainConfig, make_kernel, make_splits, row_normalize, run_hopf
 from hopf.cli import main
 from hopf.data import load_dataset
 
@@ -317,8 +319,8 @@ class TestTrainCommand:
         # csv.writer rows of ``repr(float(v))`` per numpy cell
         real, seen = cli_mod.evaluate, {}
 
-        def edge_values(spec, weights, graph, x, y, node_set, task, **kw):
-            ev = real(spec, weights, graph, x, y, node_set, task, **kw)
+        def edge_values(spec, weights, bundle, node_set):
+            ev = real(spec, weights, bundle, node_set)
             ev["predictions"][:2] = [[5e-324, -0.0, 1.0 - 2.0**-53], [1e-300, 0.1, 1.0]]
             seen["nodes"], seen["predictions"] = node_set, ev["predictions"]
             return ev
@@ -410,6 +412,37 @@ class TestHopfCommand:
         code = main(["hopf", "--dataset", str(planted_dir), "--model", "gcn",
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_known_model_without_label_channel_rejected_before_the_manifest(
+            self, planted_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["hopf", "--dataset", str(planted_dir), "--model", "nip_mean", "-T", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "nip_mean has no label channel" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cold_start_and_shifted_averaging_reach_the_loop(self, planted_dir, fast_config,
+                                                            tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["hopf", "--dataset", str(planted_dir), "--model", "ss_ica",
+                     "--config", str(fast_config), "-T", "3", "--cold-start",
+                     "--shifted-averaging", "--seed", "6", "--out", str(out)]) == 0
+        capsys.readouterr()
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["warm_start"], config["shifted_averaging"]) == (False, True)
+        bundle = load_dataset(planted_dir)
+        bundle.x = row_normalize(bundle.x)
+        cfg = TrainConfig.from_dict({**json.loads(fast_config.read_text()), "rng_seed": 6})
+        result = run_hopf(make_kernel("ss_ica", hidden_dim=cfg.hidden_dim), bundle,
+                          make_splits(bundle.graph.n, 6, num_folds=1)[0], cfg,
+                          HopfConfig(T=3, warm_start=False, shifted_averaging=True))
+        assert read_csv(out / "trajectory.csv") == [
+            {"iteration": str(r["iteration"]), "micro_f1": repr(float(r["micro_f1"]))}
+            for r in result.trajectory]
+        # under the shifted rule the last round's fresh predictions reach the final estimate
+        final = np.loadtxt(out / "yhat_final.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(final, result.yhat)
 
 
 class TestNimCommand:
@@ -557,9 +590,9 @@ class TestBenchScaling:
         config.write_text(json.dumps({"batch_size": 7, "hidden_dim": 3, "use_wce": True}))
         real, seen = bench_mod.train_step, []
 
-        def recording(spec, weights, adam, sub, x, y_batch, *args, **kwargs):
-            seen.append((spec.hidden_dim, len(y_batch), args[2]))
-            return real(spec, weights, adam, sub, x, y_batch, *args, **kwargs)
+        def recording(spec, weights, adam, sub, bundle, *args, **kwargs):
+            seen.append((spec.hidden_dim, sub.num_seeds, args[2]))
+            return real(spec, weights, adam, sub, bundle, *args, **kwargs)
 
         monkeypatch.setattr(bench_mod, "train_step", recording)
         out = tmp_path / "bench"
@@ -614,6 +647,23 @@ def test_every_verb_records_its_total_time(planted_dir, fast_config, tmp_path, c
     if "--dataset" in argv:  # the one scope every dataset verb opens records both
         assert manifest["seeds"] == {"rng_seed": 3}
         assert manifest["dataset_fingerprint"]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("argv", VERB_RUNS)
+def test_out_that_cannot_be_a_directory_exits_2(planted_dir, fast_config, tmp_path, argv, under):
+    # the first manifest write fails, before any input is read: a usage error naming --out
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub" if under else afile
+    fill = {"data": str(planted_dir), "cfg": str(fast_config), "tmp": str(tmp_path)}
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "hopf", *[a.format(**fill) for a in argv],
+                           "--out", str(out)], capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 2, done.stderr
+    assert f"output directory {out} cannot be created or written" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("argv, key", [

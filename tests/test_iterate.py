@@ -64,9 +64,8 @@ class TestRoundReduction:
     def test_single_round_equals_plain_training_with_zero_labels(self):
         bundle, split, cfg = fixture(21)
         spec = make_kernel("i_nip_mean", depth=2, hidden_dim=16)
-        result = run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                          HopfConfig(T=1), bundle.task)
-        weights, _ = train(spec, bundle.graph, bundle.x, bundle.y, split, cfg, bundle.task)
+        result = run_hopf(spec, bundle, split, cfg, HopfConfig(T=1))
+        weights, _ = train(spec, bundle, split, cfg)
         for (_, a), (_, b) in zip(result.weights.params(), weights.params()):
             assert np.array_equal(a, b)
         # fresh inference from round one must match direct prediction
@@ -79,16 +78,22 @@ class TestRoundReduction:
         bundle, split, cfg = fixture(22)
         spec = make_kernel("gcn_mean", depth=2, hidden_dim=16)
         with pytest.raises(ConfigError, match="label channel"):
-            run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                     HopfConfig(T=3), bundle.task)
+            run_hopf(spec, bundle, split, cfg, HopfConfig(T=3))
+
+    def test_single_round_needs_label_channel_too(self):
+        # the loop feeds labels back from round one on, so T=1 refuses nip_mean as the
+        # hopf verb does
+        bundle, split, cfg = fixture(22)
+        spec = make_kernel("nip_mean", depth=2, hidden_dim=16)
+        with pytest.raises(ConfigError, match="nip_mean has no label channel"):
+            run_hopf(spec, bundle, split, cfg, HopfConfig(T=1))
 
 
 class TestHopfLoop:
     def test_labeled_rows_restored_each_round(self):
         bundle, split, cfg = fixture(24)
         spec = make_kernel("ss_ica", hidden_dim=16)
-        result = run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                          HopfConfig(T=3), bundle.task)
+        result = run_hopf(spec, bundle, split, cfg, HopfConfig(T=3))
         assert np.array_equal(result.yhat[split.train_nodes], bundle.y[split.train_nodes])
         assert len(result.trajectory) == 3
         assert np.all(result.yhat >= 0.0) and np.all(result.yhat <= 1.0)
@@ -100,8 +105,7 @@ class TestHopfLoop:
             spec = make_kernel("i_nip_mean", depth=2, hidden_dim=16)
             first_epoch = {}
             for warm in (True, False):
-                res = run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                               HopfConfig(T=2, warm_start=warm), bundle.task)
+                res = run_hopf(spec, bundle, split, cfg, HopfConfig(T=2, warm_start=warm))
                 first_epoch[warm] = res.histories[1][0]["train_loss"]
             diffs.append(first_epoch[True] - first_epoch[False])
         assert np.median(diffs) < 0.0
@@ -109,8 +113,7 @@ class TestHopfLoop:
     def test_cold_start_reinitializes_differently(self, tmp_path):
         bundle, split, cfg = fixture(26)
         spec = make_kernel("ss_ica", hidden_dim=16)
-        run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                 HopfConfig(T=2, warm_start=False), bundle.task, out_dir=tmp_path)
+        run_hopf(spec, bundle, split, cfg, HopfConfig(T=2, warm_start=False), out_dir=tmp_path)
         w1, w2 = (ModelWeights.load(tmp_path / f"weights_t{t}.bin", spec) for t in (1, 2))
         assert not np.array_equal(w1.w0, w2.w0)
 
@@ -128,8 +131,7 @@ class TestHopfLoop:
             return weights, history
 
         monkeypatch.setattr(iterate_mod, "train", recording)
-        run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle.graph, bundle.x, bundle.y,
-                 split, cfg, HopfConfig(T=2), bundle.task)
+        run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle, split, cfg, HopfConfig(T=2))
         (start1, w1, w1_returned), (start2, _, _) = rounds
         assert start1 is None
         assert all(np.array_equal(a, b) for a, b in zip(start2, w1_returned))
@@ -138,8 +140,7 @@ class TestHopfLoop:
     def test_artifacts_written_per_round(self, tmp_path):
         bundle, split, cfg = fixture(28)
         spec = make_kernel("ss_ica", hidden_dim=16)
-        run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg,
-                 HopfConfig(T=2), bundle.task, out_dir=tmp_path / "run")
+        run_hopf(spec, bundle, split, cfg, HopfConfig(T=2), out_dir=tmp_path / "run")
         for t in (1, 2):
             assert (tmp_path / "run" / f"weights_t{t}.bin").exists()
             assert (tmp_path / "run" / f"yhat_t{t}.csv").exists()
@@ -163,9 +164,8 @@ class TestLabelCopies:
         monkeypatch.setattr(iterate_mod, "_format_labels", recording)
         monkeypatch.setattr(iterate_mod, "_usable_cores", lambda: 2)
         out = tmp_path / ("shifted" if shifted else "plain")
-        result = run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle.graph, bundle.x,
-                          bundle.y, split, cfg, HopfConfig(T=3, shifted_averaging=shifted),
-                          bundle.task, out_dir=out)
+        result = run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle, split, cfg,
+                          HopfConfig(T=3, shifted_averaging=shifted), out_dir=out)
         return result, out, formatted
 
     def test_repeated_matrix_is_copied(self, tmp_path, monkeypatch):
@@ -254,8 +254,8 @@ subprocess.Popen = lambda *args, **kwargs: helpers.append(real(*args, **kwargs))
 iterate_mod._usable_cores = lambda: 2
 iterate_mod._dump_labels = lambda path, matrix: os.kill(os.getpid(), signal.SIGTERM)
 try:
-    run_hopf(make_kernel("ss_ica", hidden_dim=8), bundle.graph, bundle.x, bundle.y,
-             make_splits(200, rng_seed=3)[0], cfg, HopfConfig(T=2), bundle.task, out_dir=out)
+    run_hopf(make_kernel("ss_ica", hidden_dim=8), bundle, make_splits(200, rng_seed=3)[0], cfg,
+             HopfConfig(T=2), out_dir=out)
 finally:
     print(json.dumps({"helpers": [p.returncode for p in helpers],
                       "snapshots": [p.name for p in out.glob(".labels-*")],
@@ -278,8 +278,8 @@ class TestLabelFormattingFailures:
 
         monkeypatch.setattr(subprocess, "Popen", recording)
         monkeypatch.setattr(iterate_mod, "_usable_cores", lambda: 2)
-        run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle.graph, bundle.x, bundle.y,
-                 split, cfg, HopfConfig(T=2), bundle.task, out_dir=tmp_path)
+        run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle, split, cfg, HopfConfig(T=2),
+                 out_dir=tmp_path)
 
     def test_failed_helper_names_its_file(self, tmp_path, monkeypatch):
         # T=2: yhat_t2 repeats yhat_t1, so three files are formatted and the helper
@@ -360,8 +360,7 @@ def test_label_dumps_keep_no_copy_of_a_label_matrix(tmp_path):
     spec = make_kernel("i_nip_mean", depth=1, hidden_dim=8)
 
     def run(out_dir):
-        return run_hopf(spec, bundle.graph, bundle.x, bundle.y, split, cfg, HopfConfig(T=3),
-                        bundle.task, out_dir=out_dir)
+        return run_hopf(spec, bundle, split, cfg, HopfConfig(T=3), out_dir=out_dir)
 
     _, plain, _ = traced_peak(lambda: run(None))
     _, dumped, _ = traced_peak(lambda: run(tmp_path / "iterations"))

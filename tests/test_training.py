@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopf.training as training_mod
-from hopf import (ArgumentError, ConfigError, EarlyStopState, Task, TrainConfig, TrainingError,
-                  evaluate, gen_benchmark_graph, gen_planted_partition, infer, khop_subgraph,
-                  make_kernel, make_splits, row_normalize, train)
+from hopf import (ArgumentError, ConfigError, DatasetBundle, EarlyStopState, Task, TrainConfig,
+                  TrainingError, evaluate, gen_benchmark_graph, gen_planted_partition, infer,
+                  khop_subgraph, make_kernel, make_splits, row_normalize, train)
 from hopf.bench import estimate_batch_bytes
 from hopf.kernels import REGISTRY, WHOLE_GRAPH_FRACTION, ModelWeights, layer_rows
 from hopf.numerics import AdamState
@@ -124,8 +126,7 @@ class TestTrainLoop:
         spec = make_kernel("gcn_mean", depth=2, hidden_dim=8)
         init = ModelWeights.init(spec, bundle.num_features, bundle.num_labels, 5)
         snapshot = init.copy()
-        weights, _ = train(spec, bundle.graph, bundle.x, bundle.y, split,
-                           quick_config(learning_rate=0.0, max_epochs=3), bundle.task,
+        weights, _ = train(spec, bundle, split, quick_config(learning_rate=0.0, max_epochs=3),
                            init_weights=init)
         for (_, a), (_, b) in zip(weights.params(), snapshot.params()):
             assert np.array_equal(a, b)
@@ -137,8 +138,7 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=128, hidden_dim=16, learning_rate=1e-2,
                           max_epochs=10, use_wce=True, rng_seed=7,
                           patience=100, min_epochs=1)
-        _, hist = train(make_kernel("bl_node", depth=2, hidden_dim=16),
-                        bundle.graph, bundle.x, bundle.y, split, cfg, bundle.task)
+        _, hist = train(make_kernel("bl_node", depth=2, hidden_dim=16), bundle, split, cfg)
         losses = [h["train_loss"] for h in hist]
         assert len(losses) == 10
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -156,7 +156,7 @@ class TestTrainLoop:
         split = make_splits(100, rng_seed=1)[0]
         spec = make_kernel("nip_mean", depth=1, hidden_dim=4)
         cfg = quick_config(seed=1, batch_size=512, max_epochs=4, hidden_dim=4)
-        weights, _ = train(spec, bundle.graph, bundle.x, bundle.y, split, cfg, bundle.task)
+        weights, _ = train(spec, bundle, split, cfg)
         assert len(calls) == 4 * len(weights.params())
 
     def test_divergence_raises_with_location(self):
@@ -166,8 +166,7 @@ class TestTrainLoop:
         bad = ModelWeights.init(spec, bundle.num_features, bundle.num_labels, 0)
         bad.w0[0, 0] = np.inf
         with pytest.raises(TrainingError) as err, np.errstate(invalid="ignore"):
-            train(spec, bundle.graph, bundle.x, bundle.y, split, quick_config(hidden_dim=4),
-                  bundle.task, init_weights=bad)
+            train(spec, bundle, split, quick_config(hidden_dim=4), init_weights=bad)
         assert err.value.epoch == 1
 
     def test_never_stops_before_min_epochs(self):
@@ -176,7 +175,7 @@ class TestTrainLoop:
         spec = make_kernel("nip_mean", depth=1, hidden_dim=4)
         cfg = quick_config(seed=3, hidden_dim=4, learning_rate=0.0, max_epochs=60,
                            patience=1, min_epochs=20)
-        _, hist = train(spec, bundle.graph, bundle.x, bundle.y, split, cfg, bundle.task)
+        _, hist = train(spec, bundle, split, cfg)
         # constant val loss exhausts patience immediately, yet the floor holds
         assert len(hist) == 20
 
@@ -186,7 +185,7 @@ class TestTrainLoop:
         spec = make_kernel("nip_mean", depth=1, hidden_dim=4)
         cfg = quick_config(seed=3, hidden_dim=4, learning_rate=0.0, max_epochs=60,
                            patience=1, min_epochs=1)
-        _, hist = train(spec, bundle.graph, bundle.x, bundle.y, split, cfg, bundle.task)
+        _, hist = train(spec, bundle, split, cfg)
         assert len(hist) == 3  # improved, annealed, stop
 
     def test_sampled_training_is_deterministic(self):
@@ -195,9 +194,8 @@ class TestTrainLoop:
         spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
         outs = []
         for _ in range(2):
-            w, _ = train(spec, bundle.graph, bundle.x, bundle.y, split,
-                         quick_config(seed=4, hidden_dim=4, max_epochs=3),
-                         bundle.task, sample_caps=[3, 3])
+            w, _ = train(spec, bundle, split, quick_config(seed=4, hidden_dim=4, max_epochs=3),
+                         sample_caps=[3, 3])
             outs.append(w)
         for (_, a), (_, b) in zip(outs[0].params(), outs[1].params()):
             assert np.array_equal(a, b)
@@ -216,8 +214,8 @@ class TestTrainLoop:
         bundle = planted(4, n=100)
         split = make_splits(100, rng_seed=4)[0]
         cfg = quick_config(seed=4, hidden_dim=4, batch_size=4, max_epochs=2)
-        train(make_kernel("nip_mean", depth=2, hidden_dim=4), bundle.graph, bundle.x,
-              bundle.y, split, cfg, bundle.task, sample_caps=[3, 3])
+        train(make_kernel("nip_mean", depth=2, hidden_dim=4), bundle, split, cfg,
+              sample_caps=[3, 3])
         batches = -(-split.train_nodes.size // cfg.batch_size)
         assert batches >= 2 and len(streams) == 2 * batches
         others = {np.random.default_rng(np.random.SeedSequence(key)).random(4).tobytes()
@@ -230,8 +228,8 @@ class TestTrainLoop:
         bundle = planted(2, n=100)
         split = make_splits(100, rng_seed=2)[0]
         with pytest.raises(ConfigError, match="4.*64"):
-            train(make_kernel("nip_mean", depth=1, hidden_dim=4), bundle.graph, bundle.x,
-                  bundle.y, split, quick_config(hidden_dim=64), bundle.task)
+            train(make_kernel("nip_mean", depth=1, hidden_dim=4), bundle, split,
+                  quick_config(hidden_dim=64))
 
     def test_dropout_training_reproducible(self):
         bundle = planted(6, n=100)
@@ -239,9 +237,8 @@ class TestTrainLoop:
         spec = make_kernel("gs_mean", depth=2, hidden_dim=4)
         runs = []
         for _ in range(2):
-            w, _ = train(spec, bundle.graph, bundle.x, bundle.y, split,
-                         quick_config(seed=6, hidden_dim=4, max_epochs=3, dropout_rate=0.5),
-                         bundle.task)
+            w, _ = train(spec, bundle, split,
+                         quick_config(seed=6, hidden_dim=4, max_epochs=3, dropout_rate=0.5))
             runs.append(w)
         for (_, a), (_, b) in zip(runs[0].params(), runs[1].params()):
             assert np.array_equal(a, b)
@@ -262,20 +259,19 @@ class TestTrainLoop:
         split = make_splits(100, rng_seed=8)[0]
         spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
         cfg = quick_config(seed=8, hidden_dim=4, batch_size=4, dropout_rate=0.5)
-        time_epoch(spec, bundle.graph, bundle.x, bundle.y, split.train_nodes, cfg,
-                   bundle.task, None, budget_bytes=None, epoch_seed=0)
+        time_epoch(spec, bundle, split.train_nodes, cfg, None, budget_bytes=None, epoch_seed=0)
         assert rates == [0.5] * (split.train_nodes.size // 4)
 
 
-def step_on(spec, x, y, seeds, config=TrainConfig()):
-    """``train_step`` on a ball of ``seeds``, as one batch of ``train``; returns the ball."""
-    weights = ModelWeights.init(spec, x.shape[1], y.shape[1], config.rng_seed)
+def step_on(spec, bundle, config=TrainConfig()):
+    """``train_step`` on a ball, as one batch of ``train``; returns the ball."""
+    weights = ModelWeights.init(spec, bundle.num_features, bundle.num_labels, config.rng_seed)
     adam = {name: AdamState.for_param(p) for name, p in weights.params()}
-    yhat = np.zeros_like(y) if spec.uses_labels else None
+    yhat = np.zeros_like(bundle.y) if spec.uses_labels else None
 
     def step(sub):
-        train_step(spec, weights, adam, sub, x, y[seeds], yhat, np.ones(y.shape[1]), config,
-                   Task.MULTI_LABEL, config.learning_rate, epoch=1, batch=0)
+        train_step(spec, weights, adam, sub, bundle, yhat, np.ones(bundle.num_labels), config,
+                   config.learning_rate, epoch=1, batch=0)
         return sub
 
     return step
@@ -295,7 +291,7 @@ class TestStepMemory:
         sub = khop_subgraph(bundle.graph, seeds, spec.depth)
         rows = layer_rows(sub, spec.depth)
         assert rows[0] >= WHOLE_GRAPH_FRACTION * bundle.graph.n
-        step = step_on(spec, bundle.x, bundle.y, seeds)
+        step = step_on(spec, replace(bundle, task=Task.MULTI_LABEL))
         step(sub)  # first call: lazy imports and caches
         _, peak, _ = traced_peak(lambda: step(sub))
         assert peak < 8.5 * rows[0] * spec.hidden_dim * 8
@@ -312,7 +308,7 @@ class TestStepMemory:
         x, y = rng.random((n, 100)), (rng.random((n, 10)) < 0.3).astype(np.float64)
         seeds = rng.choice(n, n // 2 if whole_graph else 32, replace=False)
         spec = make_kernel(name, depth=depth)
-        step = step_on(spec, x, y, seeds)
+        step = step_on(spec, DatasetBundle(graph, x, y, Task.MULTI_LABEL, "random"))
         step(khop_subgraph(graph, seeds, depth))  # first call: lazy imports and caches
         sub, peak, _ = traced_peak(lambda: step(khop_subgraph(graph, seeds, depth)))
         assert (layer_rows(sub, depth)[0] >= WHOLE_GRAPH_FRACTION * n) == whole_graph
@@ -345,8 +341,8 @@ class TestLabelIsolation:
         poisoned = bundle.y.copy()
         poisoned[split.test_nodes] = np.nan
         poisoned[split.unlabeled_nodes] = np.nan
-        clean_w, _ = train(spec, bundle.graph, bundle.x, bundle.y, split, cfg, bundle.task)
-        poisoned_w, _ = train(spec, bundle.graph, bundle.x, poisoned, split, cfg, bundle.task)
+        clean_w, _ = train(spec, bundle, split, cfg)
+        poisoned_w, _ = train(spec, replace(bundle, y=poisoned), split, cfg)
         for (_, a), (_, b) in zip(clean_w.params(), poisoned_w.params()):
             assert np.array_equal(a, b)
 
@@ -360,8 +356,8 @@ class TestLabelIsolation:
         flipped[split.val_nodes] = np.roll(flipped[split.val_nodes], 1, axis=1)
         # patience is large, so early stopping cannot change the trajectory;
         # the final (last-epoch) weights must be bitwise identical
-        w_a, hist_a = train(spec, bundle.graph, bundle.x, bundle.y, split, cfg, bundle.task)
-        w_b, hist_b = train(spec, bundle.graph, bundle.x, flipped, split, cfg, bundle.task)
+        w_a, hist_a = train(spec, bundle, split, cfg)
+        w_b, hist_b = train(spec, replace(bundle, y=flipped), split, cfg)
         assert [h["train_loss"] for h in hist_a] == [h["train_loss"] for h in hist_b]
         assert [h["val_loss"] for h in hist_a] != [h["val_loss"] for h in hist_b]
 
@@ -370,8 +366,8 @@ class TestLabelIsolation:
         split = make_splits(120, rng_seed=10)[0]
         spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
         logger = _RowLogger(bundle.y)
-        train(spec, bundle.graph, bundle.x, logger, split,
-              quick_config(seed=10, hidden_dim=4, max_epochs=3), bundle.task)
+        train(spec, replace(bundle, y=logger), split,
+              quick_config(seed=10, hidden_dim=4, max_epochs=3))
         allowed = set(split.train_nodes.tolist()) | set(split.val_nodes.tolist())
         assert logger.seen <= allowed
 
@@ -384,8 +380,8 @@ class TestEvaluate:
         spec = make_kernel("bl_node", depth=1, hidden_dim=8)
         cfg = TrainConfig(batch_size=64, hidden_dim=8, learning_rate=1e-2, max_epochs=150,
                           use_wce=False, rng_seed=3, patience=1000, min_epochs=1)
-        w, _ = train(spec, bundle.graph, bundle.x, bundle.y, split, cfg, bundle.task)
-        ev = evaluate(spec, w, bundle.graph, bundle.x, bundle.y, split.train_nodes, bundle.task)
+        w, _ = train(spec, bundle, split, cfg)
+        ev = evaluate(spec, w, bundle, split.train_nodes)
         assert ev["micro_f1"] == 1.0
 
     def test_empty_node_set_rejected(self):
@@ -393,16 +389,15 @@ class TestEvaluate:
         spec = make_kernel("bl_node", depth=1, hidden_dim=4)
         w = ModelWeights.init(spec, bundle.num_features, bundle.num_labels, 0)
         with pytest.raises(ArgumentError):
-            evaluate(spec, w, bundle.graph, bundle.x, bundle.y, np.array([], dtype=int),
-                     bundle.task)
+            evaluate(spec, w, bundle, np.array([], dtype=int))
 
     def test_repeated_calls_identical(self):
         bundle = planted(12, n=100)
         split = make_splits(100, rng_seed=12)[0]
         spec = make_kernel("gcn", depth=2, hidden_dim=4)
         w = ModelWeights.init(spec, bundle.num_features, bundle.num_labels, 1)
-        a = evaluate(spec, w, bundle.graph, bundle.x, bundle.y, split.test_nodes, bundle.task)
-        b = evaluate(spec, w, bundle.graph, bundle.x, bundle.y, split.test_nodes, bundle.task)
+        a = evaluate(spec, w, bundle, split.test_nodes)
+        b = evaluate(spec, w, bundle, split.test_nodes)
         assert a["micro_f1"] == b["micro_f1"]
         assert np.array_equal(a["predictions"], b["predictions"])
 
@@ -431,14 +426,15 @@ class TestInfer:
         else:
             yhat = np.zeros((g.n, 3)) if spec.uses_labels else None
         nodes = rng.choice(g.n, size=size, replace=False)
-        whole = infer(spec, w, g, x, nodes, task, yhat)
+        bundle = DatasetBundle(g, x, np.zeros((g.n, 3)), task, "random")
+        whole = infer(spec, w, bundle, nodes, yhat)
         assert whole.shape == (size, 3)
 
         perm = rng.permutation(size)
-        assert np.allclose(infer(spec, w, g, x, nodes[perm], task, yhat), whole[perm],
+        assert np.allclose(infer(spec, w, bundle, nodes[perm], yhat), whole[perm],
                            rtol=0.0, atol=1e-12)
         parts = np.split(nodes, sorted({c for c in cuts if c < size}))
-        pieces = np.vstack([infer(spec, w, g, x, p, task, yhat) for p in parts])
+        pieces = np.vstack([infer(spec, w, bundle, p, yhat) for p in parts])
         assert np.allclose(pieces, whole, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("name", REGISTRY)
@@ -454,11 +450,12 @@ class TestInfer:
         yhat = rng.random((g.n, 3))
         nodes = np.arange(g.n)
         assert layer_rows(khop_subgraph(g, nodes, spec.depth), spec.depth)[0] == g.n
-        whole = infer(spec, w, g, x, nodes, Task.MULTI_LABEL, yhat)
+        bundle = DatasetBundle(g, x, np.zeros((g.n, 3)), Task.MULTI_LABEL, "random")
+        whole = infer(spec, w, bundle, nodes, yhat)
         for v in nodes:
             ball = khop_subgraph(g, [v], spec.depth)
             assert layer_rows(ball, spec.depth)[0] < WHOLE_GRAPH_FRACTION * g.n
-            alone = infer(spec, w, g, x, nodes[v : v + 1], Task.MULTI_LABEL, yhat)
+            alone = infer(spec, w, bundle, nodes[v : v + 1], yhat)
             assert np.allclose(alone, whole[v : v + 1], rtol=0.0, atol=1e-12)
 
     def test_repeated_nodes_rejected(self):
@@ -466,7 +463,7 @@ class TestInfer:
         spec = make_kernel("nip_mean", depth=1, hidden_dim=4)
         w = ModelWeights.init(spec, bundle.num_features, bundle.num_labels, 0)
         with pytest.raises(ArgumentError):
-            infer(spec, w, bundle.graph, bundle.x, np.array([3, 5, 3]), bundle.task)
+            infer(spec, w, bundle, np.array([3, 5, 3]))
 
 
 def test_config_validation():
