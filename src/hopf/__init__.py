@@ -13,7 +13,7 @@ from .kernels import (ITERATIVE_MODELS, REGISTRY, AlphaMode, Combine,
 from .metrics import (MetricsRecord, Task, average_rank, binarize_predictions, micro_f1,
                       shortfall, wce_weights, weighted_cross_entropy)
 from .numerics import (AdamState, adam_step, finite_diff_grad, glorot_init, sigmoid,
-                       softmax_rows, spmm)
+                       softmax_rows)
 from .training import (EarlyStopState, SplitSpec, TrainConfig, evaluate, infer, make_splits,
                        train)
 

@@ -60,10 +60,10 @@ def parse_variant(token: str) -> tuple[str, int]:
                       "use nip_mean or i_nip_mean_c<N> with N >= 1")
 
 
-def estimate_batch_bytes(spec, sub: Subgraph, num_nodes: int, num_features: int,
-                         num_labels: int, dropout: bool = False) -> int:
-    """Bytes one training step on ``sub`` holds at its peak: the ball, what
-    :func:`~hopf.kernels.predict` keeps for backward, and backward's working set.
+def estimate_batch_bytes(spec, sub: Subgraph, bundle: DatasetBundle, dropout: bool = False) -> int:
+    """Bytes one training step on ``sub``, a ball of ``bundle``'s graph, holds at
+    its peak: the ball, what :func:`~hopf.kernels.predict` keeps for backward,
+    and backward's working set.
 
     Layer k holds ``layer_rows(sub, depth)[k]`` rows of h_k's width in float64s
     (``hidden_dim`` for h_0, ``wl``'s fan-in above; see ``param_shapes``),
@@ -71,37 +71,37 @@ def estimate_batch_bytes(spec, sub: Subgraph, num_nodes: int, num_features: int,
     layer holds its pre-activation gradient, and for the layer below the
     gradient, the aggregated neighbor term and its product with the weights.
     The input layer copies the ball's feature rows (gathered form) or scatters
-    into one ``num_nodes``-row gradient (whole-graph form; see
+    into one gradient a row per graph node tall (whole-graph form; see
     ``WHOLE_GRAPH_FRACTION``). Weight matrices and Adam moments are excluded;
     they do not grow with the ball. So is the workspace that BLAS maps for
     itself to pack operands, which numpy never allocates (see
     ``kernels._input_product`` and ``kernels._hidden_product``).
     """
     rows = layer_rows(sub, spec.depth)
-    above = param_shapes(spec, num_features, num_labels)["wl"][0]  # the width of h_1..h_C
+    above = param_shapes(spec, bundle.num_features, bundle.num_labels)["wl"][0]  # h_1..h_C's width
     widths = [spec.hidden_dim] + [above] * spec.depth
     nnz = sub.indices.size
     ball = 4 * (nnz + sub.n) + 16 * sub.n  # int32 indices and indptr, int64 ids and degrees
     adjacency = 8 * nnz  # float64 weights; scipy shares the ball's int32 index arrays
     cache = sum(r * w * (9 + 8 * dropout) for r, w in zip(rows, widths))
     if spec.uses_labels:
-        cache += 8 * rows[0] * num_labels
+        cache += 8 * rows[0] * bundle.num_labels
     working = max(8 * (3 * rows[k - 1] * widths[k - 1] + rows[k] * widths[k])
                   for k in range(1, spec.depth + 1))
-    if rows[0] >= WHOLE_GRAPH_FRACTION * num_nodes:
-        working = max(working, 8 * (num_nodes + rows[0]) * widths[0])
+    if rows[0] >= WHOLE_GRAPH_FRACTION * bundle.graph.n:
+        working = max(working, 8 * (bundle.graph.n + rows[0]) * widths[0])
     else:
-        cache += 8 * rows[0] * num_features
+        cache += 8 * rows[0] * bundle.num_features
     return ball + adjacency + cache + working
 
 
-def time_epoch(spec, bundle: DatasetBundle, train_nodes, config: TrainConfig, yhat,
+def time_epoch(spec, bundle: DatasetBundle, train_nodes, config: TrainConfig,
                budget_bytes: int | None, epoch_seed: int) -> tuple[float, int]:
-    """One mini-batch epoch of :func:`~hopf.training.train_step`, timed end to end.
+    """One mini-batch epoch of :func:`~hopf.training.train_step` at round one's
+    all-zero label channel, timed end to end.
 
-    Returns the seconds and the largest :func:`estimate_batch_bytes` of its
-    batches. Raises BudgetExceeded when a batch's projected footprint is over
-    budget.
+    Returns the seconds and the largest :func:`estimate_batch_bytes` of its batches.
+    Raises BudgetExceeded when a batch's projected footprint is over budget.
     """
     weights = ModelWeights.init(spec, bundle.num_features, bundle.num_labels, config.rng_seed)
     adam = {name: AdamState.for_param(p) for name, p in weights.params()}
@@ -113,12 +113,11 @@ def time_epoch(spec, bundle: DatasetBundle, train_nodes, config: TrainConfig, yh
     try:
         for bidx, batch in enumerate(batches):
             sub = khop_subgraph(bundle.graph, batch, spec.depth)
-            need = estimate_batch_bytes(spec, sub, bundle.graph.n, bundle.num_features,
-                                        bundle.num_labels, config.dropout_rate > 0)
+            need = estimate_batch_bytes(spec, sub, bundle, config.dropout_rate > 0)
             peak = max(peak, need)
             if budget_bytes is not None and need > budget_bytes:
                 raise BudgetExceeded(f"batch needs ~{need/2**30:.2f} GiB", need)
-            train_step(spec, weights, adam, sub, bundle, yhat, omega, config,
+            train_step(spec, weights, adam, sub, bundle, None, omega, config,
                        config.learning_rate, epoch=1, batch=bidx)
     except MemoryError as exc:  # pragma: no cover - depends on host memory
         raise BudgetExceeded(str(exc), peak) from exc
@@ -133,7 +132,6 @@ def run_scaling(bundle: DatasetBundle, split: SplitSpec, variants, hops_list,
     if any(k < 1 for k in hops_list):
         raise ConfigError(f"every total hop count must be >= 1, got {list(hops_list)}")
     cells = []
-    yhat_zero = np.zeros_like(bundle.y, dtype=np.float64)
     for token, name, c_fixed in parsed:
         for k in hops_list:
             if c_fixed and k % c_fixed != 0:
@@ -149,7 +147,7 @@ def run_scaling(bundle: DatasetBundle, split: SplitSpec, variants, hops_list,
                     total = 0.0
                     for t in range(rounds):
                         seconds, need = time_epoch(
-                            spec, bundle, split.train_nodes, config, yhat_zero, budget_bytes,
+                            spec, bundle, split.train_nodes, config, budget_bytes,
                             epoch_seed=config.rng_seed + 7919 * (rep * rounds + t))
                         total += seconds
                         peak = max(peak, need)

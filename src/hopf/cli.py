@@ -91,13 +91,13 @@ def _dataset_scope(args, config: TrainConfig, record: dict):
         manifest.dataset_cache = bundle.cache_outcome
         # through the module, so a tracer that swaps run_manifest.fingerprint_dir sees the call
         manifest.dataset_fingerprint = run_manifest.fingerprint_dir(bundle.digests)
-        # Normalized into a copy on purpose. Dividing x in place, with norms summed a
-        # block at a time, saves the 15 MiB load transient of the 20k-node bundle but
-        # lowers no call's peak, and a full_k3 call took 1.5-1.7 s instead of
-        # 1.2-1.3 s (2-core VM): freeing the original x is what raises glibc's
-        # dynamic mmap threshold above the 2.5 MB step arrays, and without that free
-        # each is mmapped and faulted in afresh (about 150k minor page faults per
-        # call against 9k, and 0.4 s more system time).
+        # Normalized into a copy on purpose: freeing the original x is what raises
+        # glibc's dynamic mmap threshold above the 2.5 MB step arrays. Dividing x in
+        # place, with norms summed a block at a time, saves the 15 MiB load transient
+        # of the 20k-node bundle but lowers no call's peak: each step array is then
+        # mmapped and faulted in afresh (about 150k minor faults per full_k3 call
+        # against 9k), and the call took 1.5-1.7 s instead of 1.2-1.3 s (2-core VM).
+        # test_cli's test_cache_hit_train_call_keeps_its_page_faults_few guards it.
         bundle.x = row_normalize(bundle.x)
         manifest.timings["load_seconds"] = time.perf_counter() - t0
         manifest.write(out)

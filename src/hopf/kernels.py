@@ -28,7 +28,7 @@ from .data import NPZ_ERRORS, read_npz, write_npz
 from .errors import ArgumentError, ConfigError, ShapeError, StateError
 from .graph import Graph, NormScheme, Subgraph, normalize_adjacency
 from .metrics import Task
-from .numerics import dropout_mask, glorot_init, sigmoid, softmax_rows, spmm
+from .numerics import dropout_mask, glorot_init, sigmoid, softmax_rows
 
 
 class Phi(Enum):
@@ -438,7 +438,7 @@ def _layer_pre(cache: ForwardCache, k: int) -> np.ndarray:
         if spec.norm is NormScheme.MAXPOOL:
             neigh, argmax = _maxpool_with_argmax(cache.sub, lin, n_out)
         else:
-            neigh = spmm(cache.adj[k], lin)
+            neigh = cache.adj[k] @ lin
         del lin
     node = None
     if phi_in is not None:
@@ -467,15 +467,14 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
     ``sub.global_ids``. Output rows cover only the seed prefix. Layer k
     computes only the ``rows[k]`` prefix of :func:`layer_rows` and reads the
     ``rows[k-1]`` prefix of the layer below, so h_0 and every propagation
-    layer cost what the seeds depend on, not the whole ball.
+    layer cost what the seeds depend on, not the whole ball. A label kernel
+    given no ``yhat`` reads the all-zero channel of HOPF's first round.
     """
     features = _graph_rows("features", features, sub)
     if features.shape[1] != weights.w0.shape[0]:
         raise ShapeError(f"feature width {features.shape[1]} vs w0 fan-in {weights.w0.shape[0]}")
     num_labels = weights.wl.shape[1]
-    if spec.uses_labels:
-        if yhat is None:
-            raise ConfigError(f"{spec.name} needs a label channel; pass a zero matrix for round one")
+    if spec.uses_labels and yhat is not None:
         yhat = _graph_rows("label channel", yhat, sub)
         if yhat.shape[1] != num_labels:
             raise ConfigError(f"label channel width {yhat.shape[1]} != model label count {num_labels}")
@@ -484,9 +483,10 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
 
     rows = layer_rows(sub, spec.depth)
     ids = sub.global_ids[: rows[0]]
-    yhat = yhat[ids] if spec.uses_labels else None
-    cache = ForwardCache(spec=spec, weights=weights, sub=sub, task=task,
-                         features=features, yhat=yhat, rows=rows)
+    if spec.uses_labels:  # no channel given: round one's all-zero one
+        yhat = np.zeros((rows[0], num_labels)) if yhat is None else yhat[ids]
+    cache = ForwardCache(spec=spec, weights=weights, sub=sub, task=task, features=features,
+                         yhat=yhat if spec.uses_labels else None, rows=rows)
 
     if spec.has_neighbor_path and spec.norm is not NormScheme.MAXPOOL:
         norm = normalize_adjacency(sub, spec.norm)
@@ -611,7 +611,7 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
                 r, c = np.nonzero(valid)
                 np.add.at(dlin, (arg[r, c], c), dneigh[r, c])
             else:
-                dlin = spmm(cache.adj[k].T, dneigh)
+                dlin = cache.adj[k].T @ dneigh
             w = psi_in.shape[1]
             gpsi[k][:w] += psi_in.T @ dlin
             if spec.psi is Psi.H_PREV_CONCAT_LABELS:

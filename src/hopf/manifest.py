@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -45,25 +46,28 @@ class RunManifest:
 
 @contextlib.contextmanager
 def manifest_scope(out_dir, command: str, argv, config: dict, seeds: dict):
-    """Write ``manifest.json`` into ``out_dir`` on entry, before any result file; an
-    ``OSError`` doing so (``out_dir`` is a file, say) is an ``ArgumentError`` naming it.
+    """Write ``manifest.json`` into ``out_dir`` on entry, before any result file.
 
     ``argv`` is the argument list the command line parsed, verb first.
 
     Yields the manifest, whose ``timings`` the body may add to; a body that
     returns normally has ``timings.total_seconds`` (time since the first
     write) recorded and the manifest written again. On an exception the
-    manifest stays as last written.
+    manifest stays as last written. Throughout, an ``OSError`` on ``out_dir``, in it
+    or on the way to it is an ``ArgumentError`` naming the path; others propagate.
     """
     from . import __version__  # the package's __init__ defines it after its imports
 
     manifest = RunManifest(command, list(argv), config, seeds, code_version=__version__)
     try:
         manifest.write(out_dir)
+        t0 = time.perf_counter()
+        yield manifest
+        manifest.timings["total_seconds"] = time.perf_counter() - t0
+        manifest.write(out_dir)
     except OSError as exc:
+        paths = [os.path.abspath(p) for p in (out_dir, exc.filename or "")]
+        if not exc.filename or os.path.commonpath(paths) not in paths:
+            raise
         raise ArgumentError(f"output directory {out_dir} cannot be created or written: "
-                            f"{exc.strerror or exc}") from exc
-    t0 = time.perf_counter()
-    yield manifest
-    manifest.timings["total_seconds"] = time.perf_counter() - t0
-    manifest.write(out_dir)
+                            f"{exc.filename}: {exc.strerror or exc}") from exc

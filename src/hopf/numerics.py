@@ -1,7 +1,7 @@
-"""Dense/sparse products, activations, Glorot init, Adam, and a finite-difference oracle.
+"""Activations, Glorot init, Adam, dropout masks, and a finite-difference oracle.
 
-Dense matrices are plain float64 numpy arrays; sparse operands are scipy CSR.
-Everything here is deterministic given explicit seeds.
+Matrices are plain float64 numpy arrays. Everything here is deterministic
+given explicit seeds.
 """
 
 from __future__ import annotations
@@ -9,23 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericsError, ShapeError
 
 _ONE_BELOW = np.nextafter(1.0, 0.0)
-
-
-def spmm(s: sp.spmatrix, d: np.ndarray) -> np.ndarray:
-    """Sparse-dense product s @ d."""
-    d = np.asarray(d)
-    if s.shape[1] != d.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {s.shape} @ {d.shape}")
-    return np.asarray(s @ d)
-
-
-def as_rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
 def glorot_init(fan_in: int, fan_out: int, rng_seed) -> np.ndarray:
@@ -33,7 +20,7 @@ def glorot_init(fan_in: int, fan_out: int, rng_seed) -> np.ndarray:
     if fan_in < 1 or fan_out < 1:
         raise ShapeError(f"fans must be >= 1, got ({fan_in}, {fan_out})")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return as_rng(rng_seed).uniform(-limit, limit, size=(fan_in, fan_out))
+    return np.random.default_rng(rng_seed).uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -80,7 +67,7 @@ class AdamState:
         return cls(first_moment=np.zeros_like(param), second_moment=np.zeros_like(param))
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update at rate ``lr``, applied to ``param`` in place."""
     if param.shape != grad.shape:
         raise ShapeError(f"param {param.shape} vs grad {grad.shape}")
@@ -95,7 +82,6 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
     m_hat = state.first_moment / (1.0 - ADAM_BETA1**t)
     v_hat = state.second_moment / (1.0 - ADAM_BETA2**t)
     param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return param, state
 
 
 def finite_diff_grad(loss_fn, param: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -204,17 +204,15 @@ def train(spec: KernelSpec, bundle: DatasetBundle, split: SplitSpec, config: Tra
           init_weights: ModelWeights | None = None):
     """Train one kernel on the split's labeled nodes; returns best weights and history.
 
-    ``yhat`` is the frozen label-estimate channel for kernels that consume
-    labels; it is read, never written, and receives no gradient. Early
-    stopping follows validation loss and is suppressed before ``min_epochs``.
+    ``yhat`` is the frozen label-estimate channel for kernels that consume labels
+    (None: the all-zero one); it is read, never written, and receives no gradient.
+    Early stopping follows validation loss and is suppressed before ``min_epochs``.
     """
     if split.train_nodes.size == 0:
         raise ConfigError("training split is empty")
     if spec.hidden_dim != config.hidden_dim:
         raise ConfigError(f"{spec.name} has hidden width {spec.hidden_dim}, "
                           f"but the config asks for {config.hidden_dim}")
-    if spec.uses_labels and yhat is None:
-        yhat = np.zeros((bundle.graph.n, bundle.num_labels))
     omega = _class_weights(bundle.y, split.train_nodes, config.use_wce)
     weights = init_weights if init_weights is not None else ModelWeights.init(
         spec, bundle.num_features, bundle.num_labels, config.rng_seed)
@@ -264,8 +262,7 @@ def evaluate(spec: KernelSpec, weights: ModelWeights, bundle: DatasetBundle,
     node_set = np.asarray(node_set)
     if node_set.size == 0:
         raise ArgumentError("node_set must be non-empty")
-    yhat = np.zeros((bundle.graph.n, bundle.num_labels)) if spec.uses_labels else None
-    preds = infer(spec, weights, bundle, node_set, yhat)
+    preds = infer(spec, weights, bundle, node_set)
     loss, _ = weighted_cross_entropy(preds, bundle.y[node_set], np.ones(bundle.num_labels),
                                      bundle.task)
     f1 = micro_f1(binarize_predictions(preds, bundle.task), bundle.y[node_set])

@@ -48,40 +48,52 @@ def _numpy_blas_name() -> str:
 
 # VmRSS and VmHWM come from /proc/self/status, in KiB; getrusage's ru_maxrss
 # would not do, since across exec it keeps the peak of the process that spawned it.
+# Its ru_minflt counts only this process's minor page faults, so the step's are a difference.
 _PEAK_PROBE = """
+import resource
 {setup}
 def _status_kib(field):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
 _before = _status_kib("VmRSS")
+_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 {step}
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - _faults)
 print(1024 * (_status_kib("VmHWM") - _before))
 """
 
 
-def blas_peak_growth(setup: str, step: str) -> tuple[int, list[str]]:
+def step_probe(setup: str, step: str, env: dict | None = None) -> tuple[int, int, list[str]]:
     """Run ``setup`` then ``step`` in a fresh Python process at two OpenBLAS
-    threads; return how many bytes ``step`` raised its peak resident set
-    (VmHWM) above its resident set before it (VmRSS), and the lines that
-    ``setup`` and ``step`` printed.
-
-    This counts what ``traced_peak`` cannot: the buffers OpenBLAS maps for
-    itself to pack operands. The test is skipped without ``/proc/self/status``
-    or when numpy's BLAS is not OpenBLAS.
+    threads, ``env`` added to its environment; return how many bytes ``step``
+    raised its peak resident set (VmHWM) above its resident set before it
+    (VmRSS), how many minor page faults it took, and the lines that ``setup``
+    and ``step`` printed. The test is skipped without ``/proc/self/status``.
     """
     if not Path("/proc/self/status").exists():
         pytest.skip("needs /proc/self/status")
-    if "openblas" not in _numpy_blas_name().lower():
-        pytest.skip("numpy's BLAS is not OpenBLAS")
     import hopf
 
     src = str(Path(hopf.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _PEAK_PROBE.format(setup=setup, step=step)],
                           capture_output=True, text=True, timeout=120,
-                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"})
+                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2", **(env or {})})
     assert done.returncode == 0, done.stderr
-    *printed, growth = done.stdout.splitlines()
-    return int(growth), printed
+    *printed, faults, growth = done.stdout.splitlines()
+    return int(growth), int(faults), printed
+
+
+def blas_peak_growth(setup: str, step: str) -> tuple[int, list[str]]:
+    """:func:`step_probe`'s peak growth and printed lines, where numpy's BLAS is OpenBLAS.
+
+    This counts what ``traced_peak`` cannot: the buffers OpenBLAS maps for
+    itself to pack operands. The test is skipped when numpy's BLAS is not
+    OpenBLAS.
+    """
+    if "openblas" not in _numpy_blas_name().lower():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    growth, _, printed = step_probe(setup, step)
+    return growth, printed
 
 
 def random_graph(n: int, num_edges: int, seed: int):

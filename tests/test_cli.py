@@ -1,5 +1,6 @@
 import csv
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ import hopf.cli as cli_mod
 from hopf import HopfConfig, TrainConfig, make_kernel, make_splits, row_normalize, run_hopf
 from hopf.cli import main
 from hopf.data import load_dataset
+
+from conftest import step_probe
 
 
 @pytest.fixture(scope="module")
@@ -666,6 +669,33 @@ def test_out_that_cannot_be_a_directory_exits_2(planted_dir, fast_config, tmp_pa
     assert "Traceback" not in done.stderr
 
 
+# (argv before --out, a result path inside --out, what takes it: a file or a directory)
+BLOCKED_RESULTS = [
+    pytest.param(["gen", "chain"], "dataset", "file", id="gen-dataset-is-a-file"),
+    pytest.param(["hopf", "--dataset", "{data}", "--model", "i_nip_mean", "-T", "1",
+                  "--config", "{cfg}"], "iterations", "file", id="hopf-iterations-is-a-file"),
+    pytest.param(["train", "--dataset", "{data}", "--model", "nip_mean", "--folds", "1",
+                  "--config", "{cfg}"], "metrics.csv", "dir", id="train-metrics-is-a-directory"),
+]
+
+
+@pytest.mark.parametrize("argv, blocked, kind", BLOCKED_RESULTS)
+def test_result_path_that_cannot_be_written_exits_2(planted_dir, fast_config, tmp_path, capsys,
+                                                   argv, blocked, kind):
+    # --out itself is usable, but a result path inside it is taken: the same usage error
+    # as an unusable --out, naming that path, not a traceback
+    out = tmp_path / "run"
+    out.mkdir()
+    if kind == "file":
+        (out / blocked).write_text("")
+    else:
+        (out / blocked).mkdir()
+    fill = {"data": str(planted_dir), "cfg": str(fast_config)}
+    assert main([a.format(**fill) for a in argv] + ["--out", str(out)]) == 2
+    assert (f"output directory {out} cannot be created or written: {out / blocked}"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv, key", [
     (["train", "--folds", "1"], "hops"),
     (["hopf", "-T", "1"], "C"),
@@ -679,6 +709,28 @@ def test_manifest_records_the_depth_that_ran(planted_dir, fast_config, tmp_path,
                         "--config", str(fast_config), "--out", str(out)]) == 0
     capsys.readouterr()
     assert json.loads((out / "manifest.json").read_text())["config"][key] == 1
+
+
+def test_cache_hit_train_call_keeps_its_page_faults_few(tmp_path, monkeypatch):
+    # _dataset_scope normalizes x into a copy and frees the loaded original: that free
+    # raises glibc's dynamic mmap threshold above the step arrays, which the heap then
+    # reuses. Dividing x in place leaves it low, so each step array is mmapped and faulted
+    # in afresh: about 50k minor faults for this call against 6.5k
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the dynamic mmap threshold is glibc malloc's")
+    xdg = str(tmp_path / "xdg")
+    monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    assert main(["gen", "benchmark", "--nodes", "10000", "--edges", "50000",
+                 "--out", str(tmp_path / "gen")]) == 0
+    load_dataset(tmp_path / "gen" / "dataset")  # fills the cache: the probed call is a hit
+    config = tmp_path / "config.json"
+    config.write_text('{"max_epochs": 3, "min_epochs": 3}')
+    argv = ["train", "--dataset", str(tmp_path / "gen" / "dataset"), "--model", "nip_mean",
+            "-C", "3", "--folds", "1", "--config", str(config), "--out", str(tmp_path / "run")]
+    _, faults, _ = step_probe("from hopf.cli import main", f"assert main({argv!r}) == 0",
+                              env={"XDG_CACHE_HOME": xdg})
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["dataset_cache"] == "hit"
+    assert faults < 20_000, f"{faults} minor page faults"
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])

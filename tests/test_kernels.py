@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 import weakref
@@ -220,12 +221,27 @@ class TestPredict:
             out, _ = predict(spec, w, sub, x, yh2, task=Task.MULTI_LABEL)
             assert (not np.array_equal(out[0], base[0])) == expect_change
 
-    def test_missing_label_channel(self):
-        _, sub, x, _, _ = rand_setup()
-        spec = make_kernel("i_nip_mean", depth=2, hidden_dim=4)
-        w = ModelWeights.init(spec, 5, 3, 0)
-        with pytest.raises(ConfigError, match="label channel"):
-            predict(spec, w, sub, x, None, task=Task.MULTI_CLASS)
+    def test_missing_label_channel(self, monkeypatch):
+        # a label kernel given no channel reads round one's all-zero one: its outputs
+        # and weight gradients equal an explicit zero channel's bit for bit, for both
+        # tasks and both input forms (a fraction of 0 forces the whole-graph product)
+        g, sub, _, _, ytrue = rand_setup(seed=13, n=40, edges=50, seeds=4)
+        x = np.random.default_rng(3).random((g.n, 5))
+        for name, task, fraction in itertools.product(("ss_ica", "i_nip_mean"), Task,
+                                                      (0.0, 1.01)):
+            monkeypatch.setattr(kernels_mod, "WHOLE_GRAPH_FRACTION", fraction)
+            spec = make_kernel(name, depth=2, hidden_dim=4)
+            w = ModelWeights.init(spec, 5, 3, 7)
+            runs = []
+            for yhat in (None, np.zeros((g.n, 3))):
+                yt, cache = predict(spec, w, sub, x, yhat, task=task)
+                assert (cache.gathered is None) == (fraction == 0.0)
+                _, dloss = weighted_cross_entropy(yt, ytrue, np.ones(3), task)
+                runs.append((yt, backward(cache, dloss).params()))
+            (y_none, g_none), (y_zero, g_zero) = runs
+            assert np.array_equal(y_none, y_zero), (name, task, fraction)
+            for (pname, a), (_, b) in zip(g_none, g_zero):
+                assert np.array_equal(a, b), (name, task, fraction, pname)
 
     def test_label_width_mismatch(self):
         g, sub, x, _, _ = rand_setup()
@@ -700,18 +716,20 @@ backward(cache, np.ones_like(y))
 # most bytes a step on any of them holds by estimate_batch_bytes' count
 _VARIED_BALLS_SETUP = """
 import numpy as np
-from hopf import ModelWeights, Task, backward, build_graph, khop_subgraph, make_kernel, predict
+from hopf import (DatasetBundle, ModelWeights, Task, backward, build_graph, khop_subgraph,
+                  make_kernel, predict)
 from hopf.bench import estimate_batch_bytes
 n, f, l = 20000, 8, 3
 rng = np.random.default_rng(0)
 g = build_graph(rng.integers(n, size=(5 * n, 2)), n)
 x = rng.random((n, f))
+bundle = DatasetBundle(g, x, np.zeros((n, l)), Task.MULTI_CLASS, "varied")
 spec = make_kernel("nip_mean", depth=2, hidden_dim=16)
 w = ModelWeights.init(spec, f, l, 0)
 subs = [khop_subgraph(g, rng.choice(n, size=s, replace=False), 2)
         for s in np.geomspace(10, 600, 30).astype(int)]
 print(min(s.n for s in subs), max(s.n for s in subs))
-print(max(estimate_batch_bytes(spec, s, n, f, l) for s in subs))
+print(max(estimate_batch_bytes(spec, s, bundle) for s in subs))
 """
 
 

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from hopf import DatasetBundle, Task, build_graph, save_dataset
+from hopf import ArgumentError, DatasetBundle, Task, build_graph, save_dataset
 from hopf.cli import main
+from hopf.manifest import manifest_scope
 
 BUNDLE_FILES = ("meta.json", "graph.tsv", "features.tsv", "labels.tsv")
 
@@ -132,3 +133,18 @@ def test_a_train_call_hashes_each_bundle_byte_once(dataset, tmp_path, monkeypatc
         # beyond the files: the cache entry's key and the fingerprint, each over the
         # four names and digests, a few hundred bytes
         assert 0 <= sum(fed) - size < 600, (run, sum(fed), size)
+
+
+@pytest.mark.parametrize("out, where, raised", [
+    ("out", "out/metrics.csv", ArgumentError),  # a result inside --out
+    ("out", "out", ArgumentError),              # --out itself
+    ("out/sub", "out", ArgumentError),          # a directory on the way to --out
+    ("out", "elsewhere/x.csv", FileNotFoundError),  # any other path propagates
+])
+def test_an_os_error_in_the_scope_is_a_usage_error_only_on_the_out_path(tmp_path, monkeypatch,
+                                                                        out, where, raised):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(raised, match=where):
+        with manifest_scope(out, "nim", [], {}, seeds={}):
+            raise FileNotFoundError(2, "No such file or directory", where)
+    assert (tmp_path / out / "manifest.json").exists()

@@ -6,19 +6,21 @@ from hypothesis import strategies as st
 
 from hopf import (AdamState, NormScheme, NumericsError, ShapeError, adam_step,
                   finite_diff_grad, glorot_init, khop_subgraph, normalize_adjacency,
-                  sigmoid, softmax_rows, spmm)
+                  sigmoid, softmax_rows)
 from hopf.numerics import dropout_mask
 
 
 class TestSpmm:
+    """scipy's sparse-dense ``@``, as the kernel applies it to ``normalize_adjacency``."""
+
     def test_mean_triangle_preserves_ones(self, triangle):
         m = normalize_adjacency(khop_subgraph(triangle, [0], 2), NormScheme.MEAN)
-        out = spmm(m, np.ones((3, 1)))
+        out = m @ np.ones((3, 1))
         assert np.allclose(out, 1.0)
 
     def test_zero_matrix(self):
         z = sp.csr_matrix((3, 4))
-        out = spmm(z, np.arange(8.0).reshape(4, 2))
+        out = z @ np.arange(8.0).reshape(4, 2)
         assert out.shape == (3, 2)
         assert np.all(out == 0.0)
 
@@ -28,14 +30,10 @@ class TestSpmm:
         m = normalize_adjacency(khop_subgraph(chain6, [0], 5), NormScheme.MEAN)
         e2 = np.zeros((6, 1))
         e2[2] = 1.0
-        out = spmm(m, e2).ravel()
+        out = (m @ e2).ravel()
         assert out[1] == pytest.approx(0.5)
         assert out[3] == pytest.approx(0.5)
         assert out[2] == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            spmm(sp.eye(3).tocsr(), np.ones((4, 2)))
 
     def test_agrees_with_dense_product(self):
         rng = np.random.default_rng(0)
@@ -43,7 +41,7 @@ class TestSpmm:
             r, inner, c = rng.integers(1, 20, size=3)
             dense_s = (rng.random((r, inner)) < 0.3) * rng.standard_normal((r, inner))
             d = rng.standard_normal((inner, c))
-            assert np.allclose(spmm(sp.csr_matrix(dense_s), d), dense_s @ d)
+            assert np.allclose(sp.csr_matrix(dense_s) @ d, dense_s @ d)
 
 
 class TestGlorot:

@@ -259,18 +259,59 @@ class TestTrainLoop:
         split = make_splits(100, rng_seed=8)[0]
         spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
         cfg = quick_config(seed=8, hidden_dim=4, batch_size=4, dropout_rate=0.5)
-        time_epoch(spec, bundle, split.train_nodes, cfg, None, budget_bytes=None, epoch_seed=0)
+        time_epoch(spec, bundle, split.train_nodes, cfg, budget_bytes=None, epoch_seed=0)
         assert rates == [0.5] * (split.train_nodes.size // 4)
+
+    @pytest.mark.parametrize("name", ["ss_ica", "i_nip_mean"])
+    def test_no_label_channel_trains_as_a_zero_channel(self, name):
+        # train reads round one's all-zero channel when given none: the same weights and
+        # history, bit for bit, as an explicit zero matrix, with dropout and L2 drawing on
+        # every step
+        bundle = planted(9, n=200)
+        split = make_splits(200, rng_seed=9)[0]
+        spec = make_kernel(name, depth=2, hidden_dim=4)
+        cfg = quick_config(seed=9, hidden_dim=4, batch_size=8, dropout_rate=0.2, l2_weight=1e-3)
+        runs = [train(spec, bundle, split, cfg, yhat=yhat)
+                for yhat in (None, np.zeros_like(bundle.y))]
+        (w_none, h_none), (w_zero, h_zero) = runs
+        assert h_none == h_zero
+        for (pname, a), (_, b) in zip(w_none.params(), w_zero.params()):
+            assert np.array_equal(a, b), pname
+
+    def test_benchmark_cells_read_the_zero_channel(self, monkeypatch):
+        # run_scaling's steps get no label channel; each batch loss and each cell's
+        # status and footprint equal those of steps given an explicit zero matrix
+        import hopf.bench as bench_mod
+
+        real, losses = bench_mod.train_step, []
+
+        def recording(spec, weights, adam, sub, bundle, yhat, *rest, **kwargs):
+            assert yhat is None
+            if zero:
+                yhat = np.zeros_like(bundle.y)
+            losses[-1].append(real(spec, weights, adam, sub, bundle, yhat, *rest, **kwargs))
+            return losses[-1][-1]
+
+        monkeypatch.setattr(bench_mod, "train_step", recording)
+        bundle = planted(10, n=200)
+        split = make_splits(200, rng_seed=10)[0]
+        cfg = quick_config(seed=10, hidden_dim=4, batch_size=8, dropout_rate=0.2)
+        cells = []
+        for zero in (False, True):
+            losses.append([])
+            cells.append([(c.status, c.batch_bytes) for c in bench_mod.run_scaling(
+                bundle, split, ["i_nip_mean_c1", "nip_mean"], [1, 2], 1, cfg)])
+        assert cells[0] == cells[1] and {s for s, _ in cells[0]} == {"ok"}
+        assert len(losses[0]) > 0 and losses[0] == losses[1]
 
 
 def step_on(spec, bundle, config=TrainConfig()):
     """``train_step`` on a ball, as one batch of ``train``; returns the ball."""
     weights = ModelWeights.init(spec, bundle.num_features, bundle.num_labels, config.rng_seed)
     adam = {name: AdamState.for_param(p) for name, p in weights.params()}
-    yhat = np.zeros_like(bundle.y) if spec.uses_labels else None
 
     def step(sub):
-        train_step(spec, weights, adam, sub, bundle, yhat, np.ones(bundle.num_labels), config,
+        train_step(spec, weights, adam, sub, bundle, None, np.ones(bundle.num_labels), config,
                    config.learning_rate, epoch=1, batch=0)
         return sub
 
@@ -308,11 +349,12 @@ class TestStepMemory:
         x, y = rng.random((n, 100)), (rng.random((n, 10)) < 0.3).astype(np.float64)
         seeds = rng.choice(n, n // 2 if whole_graph else 32, replace=False)
         spec = make_kernel(name, depth=depth)
-        step = step_on(spec, DatasetBundle(graph, x, y, Task.MULTI_LABEL, "random"))
+        bundle = DatasetBundle(graph, x, y, Task.MULTI_LABEL, "random")
+        step = step_on(spec, bundle)
         step(khop_subgraph(graph, seeds, depth))  # first call: lazy imports and caches
         sub, peak, _ = traced_peak(lambda: step(khop_subgraph(graph, seeds, depth)))
         assert (layer_rows(sub, depth)[0] >= WHOLE_GRAPH_FRACTION * n) == whole_graph
-        estimate = estimate_batch_bytes(spec, sub, n, 100, 10)
+        estimate = estimate_batch_bytes(spec, sub, bundle)
         assert 0.5 * peak <= estimate <= 2 * peak
 
 
@@ -400,6 +442,18 @@ class TestEvaluate:
         b = evaluate(spec, w, bundle, split.test_nodes)
         assert a["micro_f1"] == b["micro_f1"]
         assert np.array_equal(a["predictions"], b["predictions"])
+
+    @pytest.mark.parametrize("name", ["ss_ica", "i_nip_mean"])
+    def test_label_kernels_read_the_zero_channel(self, name):
+        # evaluate passes no channel; its predictions equal inference at an explicit
+        # zero matrix bit for bit
+        bundle = planted(13, n=100)
+        split = make_splits(100, rng_seed=13)[0]
+        spec = make_kernel(name, depth=2, hidden_dim=4)
+        w = ModelWeights.init(spec, bundle.num_features, bundle.num_labels, 2)
+        ev = evaluate(spec, w, bundle, split.test_nodes)
+        zero = infer(spec, w, bundle, split.test_nodes, np.zeros_like(bundle.y))
+        assert np.array_equal(ev["predictions"], zero)
 
 
 class TestInfer:
