@@ -168,8 +168,6 @@ def cmd_train(args) -> int:
         for pattern in ("history_fold*.csv", "predictions_fold*.csv"):
             for stale in out.glob(pattern):
                 stale.unlink()
-        if caps is not None and len(caps) != spec.depth:
-            raise ConfigError(f"--sample-caps needs {spec.depth} entries, got {len(caps)}")
         splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.folds)
         records = []
         for fold, split in enumerate(splits):
@@ -390,7 +388,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:
-        print(f"training failed (epoch={exc.epoch}, batch={exc.batch}): {exc}", file=sys.stderr)
+        where = ", ".join(f"{name}={value}" for name, value in
+                          (("epoch", exc.epoch), ("batch", exc.batch)) if value is not None)
+        print(f"training failed{f' ({where})' if where else ''}: {exc}", file=sys.stderr)
         return 1
     except HopfError as exc:
         print(f"error: {exc}", file=sys.stderr)

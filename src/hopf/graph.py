@@ -237,9 +237,10 @@ def khop_subgraph(g: Graph, seeds, K: int) -> Subgraph:
     return _expand(g, seeds, [g.n] * K, rng=None)
 
 
-def sample_neighbors(g: Graph, per_hop_caps, seeds, K: int,
+def sample_neighbors(g: Graph, per_hop_caps, seeds,
                      rng_seed: int | np.random.SeedSequence) -> Subgraph:
-    """K-hop expansion keeping at most ``per_hop_caps[h]`` sampled neighbors per node.
+    """``len(per_hop_caps)``-hop expansion keeping at most ``per_hop_caps[h]``
+    sampled neighbors per node.
 
     Sampling is uniform without replacement and only kicks in where the degree
     exceeds the cap, so generous caps reproduce :func:`khop_subgraph` exactly.
@@ -247,8 +248,6 @@ def sample_neighbors(g: Graph, per_hop_caps, seeds, K: int,
     ``min(degree, per_hop_caps[h])`` entries.
     """
     caps = [int(c) for c in per_hop_caps]
-    if len(caps) != K:
-        raise ArgumentError(f"need one cap per hop: got {len(caps)} caps for K={K}")
     if any(c < 1 for c in caps):
         raise ArgumentError("per-hop caps must be >= 1")
     return _expand(g, seeds, caps, np.random.default_rng(rng_seed))

@@ -225,48 +225,36 @@ def _usable_cores() -> int:
 def _format_labels(jobs: list[tuple[Path, Path]], rows: int, cols: int) -> None:
     """Write the CSV of each ``(snapshot, CSV path)`` pair in ``jobs``, all ``rows`` x ``cols``.
 
-    With more than one usable core, a helper interpreter (``labelcsv`` run as
-    a script, which loads neither numpy nor ``hopf``) formats the last half of
-    the rows, counted over the files in order, while this process formats the
-    first half through ``_dump_labels``. Of a file that straddles the halfway
-    row, the helper writes the tail, without a header, beside the snapshot,
-    and this process appends it to the head it wrote. Both sides use
-    ``labelcsv.write``, so the bytes do not depend on who wrote which rows.
-    A helper that fails raises a ``HopfError`` naming its files; if this
-    process raises first, the helper is killed. Either way it is reaped
-    before this returns.
+    Every file is cut at the same row, ``head``. This process writes its header
+    and rows ``[0, head)`` through ``_dump_labels``. With more than one usable
+    core, ``head = rows - rows // 2`` and a helper interpreter (``labelcsv`` run
+    as a script) writes rows ``[head, rows)`` of every snapshot to the ``.tail``
+    file beside it, which this process then appends; with one, ``head = rows``
+    and no helper starts. Both sides use ``labelcsv.write``, so the bytes do not
+    depend on who wrote which rows. A helper that fails raises a ``HopfError``
+    naming the CSV whose tail it could not write; if this process raises first,
+    the helper is killed. Either way it is reaped before this returns.
     """
-    total = len(jobs) * rows
-    left = total - total // 2 if _usable_cores() > 1 else total  # rows formatted here
-    # (snapshot, CSV, head): this process writes rows [0, head), the helper the rest
-    ours, theirs = [], []
-    for snapshot, path in jobs:
-        head = min(rows, left)
-        left -= head
-        if head:
-            ours.append((snapshot, path, head))
-        if head < rows:
-            theirs.append((snapshot, path, head))
+    head = rows - rows // 2 if _usable_cores() > 1 else rows
     helper = None
-    if theirs:
-        args = [arg for snapshot, path, head in theirs
-                for arg in (snapshot, head, snapshot.with_suffix(".tail") if head else path)]
+    if head < rows:
         helper = subprocess.Popen(
-            [sys.executable, "-I", "-S", labelcsv.__file__, str(cols), *map(str, args)],
+            [sys.executable, "-I", "-S", labelcsv.__file__, str(cols), str(head),
+             *(str(snapshot) for snapshot, _ in jobs)],
             stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     try:
-        for snapshot, path, head in ours:
+        for snapshot, path in jobs:
             _dump_labels(path, np.fromfile(snapshot, count=head * cols).reshape(head, cols))
         if helper is not None:
-            _, err = helper.communicate()
+            err = helper.communicate()[1].decode(errors="replace").strip()
             if helper.returncode:
-                names = ", ".join(path.name for _, path, _ in theirs)
-                raise HopfError(f"writing {names} failed (helper exit status "
-                                f"{helper.returncode}): {err.decode(errors='replace').strip()}")
-            for snapshot, path, head in theirs:
-                if head:
-                    with open(path, "ab") as dst, open(snapshot.with_suffix(".tail"), "rb") as src:
-                        shutil.copyfileobj(src, dst)
+                names = ([path.name for snapshot, path in jobs if err.startswith(f"{snapshot}: ")]
+                         or [path.name for _, path in jobs])  # killed before it could say
+                raise HopfError(f"writing the tail of {', '.join(names)} failed "
+                                f"(helper exit status {helper.returncode}): {err}")
+            for snapshot, path in jobs:
+                with open(path, "ab") as dst, open(snapshot.with_suffix(".tail"), "rb") as src:
+                    shutil.copyfileobj(src, dst)
     finally:
         if helper is not None:
             if helper.returncode is None:

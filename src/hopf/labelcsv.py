@@ -8,19 +8,20 @@ never exists as one whole string or one whole list of Python floats.
 
 The module imports the standard library alone, so it also runs as a script in
 an interpreter that loads neither numpy nor ``hopf``. ``hopf.iterate`` starts
-it that way to format part of a run's label CSVs beside the calling process::
+it that way to format the tail of each label CSV beside the calling process::
 
-    python -I -S labelcsv.py COLS SNAPSHOT FIRST_ROW OUT [SNAPSHOT FIRST_ROW OUT ...]
+    python -I -S labelcsv.py COLS FIRST_ROW SNAPSHOT [SNAPSHOT ...]
 
 Each ``SNAPSHOT`` holds a row-major matrix of ``COLS`` columns as raw native
-float64 (``ndarray.tofile``). Its rows from ``FIRST_ROW`` on are written to
-``OUT``: a whole CSV when ``FIRST_ROW`` is 0, else a tail without the header,
-to be appended to the head the caller writes itself. A failure prints the
-``OUT`` path and the cause on standard error and exits with status 1.
+float64 (``ndarray.tofile``). Its rows from ``FIRST_ROW`` on are written,
+without the header, to the file beside it with the suffix ``.tail``, to be
+appended to the head the caller writes itself. A failure prints the
+``SNAPSHOT`` path and the cause on standard error and exits with status 1.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from array import array
 
@@ -44,7 +45,7 @@ def write(path, cols: int, blocks, header: bool = True) -> None:
                              for i in range(0, len(values), cols)))
 
 
-def snapshot_blocks(path, cols: int, first_row: int = 0):
+def snapshot_blocks(path, cols: int, first_row: int):
     """The rows of a raw float64 snapshot of ``cols`` columns from ``first_row`` on,
     ``BLOCK_ROWS`` at a time."""
     row_bytes = cols * _FLOAT_BYTES
@@ -59,12 +60,13 @@ def snapshot_blocks(path, cols: int, first_row: int = 0):
 
 
 def main(argv) -> int:
-    cols, jobs = int(argv[0]), argv[1:]
-    for snapshot, first_row, path in zip(jobs[::3], map(int, jobs[1::3]), jobs[2::3]):
+    cols, first_row = int(argv[0]), int(argv[1])
+    for snapshot in argv[2:]:
+        tail = os.path.splitext(snapshot)[0] + ".tail"
         try:
-            write(path, cols, snapshot_blocks(snapshot, cols, first_row), header=first_row == 0)
+            write(tail, cols, snapshot_blocks(snapshot, cols, first_row), header=False)
         except (OSError, ValueError) as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
+            print(f"{snapshot}: {exc}", file=sys.stderr)
             return 1
     return 0
 

@@ -213,6 +213,9 @@ def train(spec: KernelSpec, bundle: DatasetBundle, split: SplitSpec, config: Tra
     if spec.hidden_dim != config.hidden_dim:
         raise ConfigError(f"{spec.name} has hidden width {spec.hidden_dim}, "
                           f"but the config asks for {config.hidden_dim}")
+    if sample_caps is not None and len(sample_caps) != spec.depth:
+        raise ConfigError(f"need one sample cap per hop: {spec.name} has depth {spec.depth}, "
+                          f"got {len(sample_caps)} caps")
     omega = _class_weights(bundle.y, split.train_nodes, config.use_wce)
     weights = init_weights if init_weights is not None else ModelWeights.init(
         spec, bundle.num_features, bundle.num_labels, config.rng_seed)
@@ -231,7 +234,7 @@ def train(spec: KernelSpec, bundle: DatasetBundle, split: SplitSpec, config: Tra
             if sample_caps:
                 # the trailing 1 keeps this stream apart from the batch's dropout stream
                 sample_seed = np.random.SeedSequence((config.rng_seed, epoch, bidx, 1))
-                sub = sample_neighbors(bundle.graph, sample_caps, batch, spec.depth, sample_seed)
+                sub = sample_neighbors(bundle.graph, sample_caps, batch, sample_seed)
             else:
                 sub = khop_subgraph(bundle.graph, batch, spec.depth)
             loss = train_step(spec, weights, adam, sub, bundle, yhat, omega, config,

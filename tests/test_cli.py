@@ -10,6 +10,7 @@ import pytest
 
 import hopf.bench as bench_mod
 import hopf.cli as cli_mod
+import hopf.iterate as iterate_mod
 from hopf import HopfConfig, TrainConfig, make_kernel, make_splits, row_normalize, run_hopf
 from hopf.cli import main
 from hopf.data import load_dataset
@@ -82,6 +83,9 @@ BAD_ARGUMENTS = [
                             "--fractions", "1.0", "--fold", "-1"], id="fraction-fold-negative"),
     pytest.param("--folds", ["train", "--dataset", "{data}", "--model", "nip_mean",
                              "--folds", "0"], id="train-folds-zero"),
+    pytest.param("--folds: 'x' is not an integer", ["train", "--dataset", "{data}", "--model",
+                                                     "nip_mean", "--folds", "x"],
+                 id="train-folds-not-int"),
     pytest.param("--repeats", ["bench-scaling", "--dataset", "{data}", "--hops", "1",
                                "--variants", "nip_mean", "--repeats", "0"],
                  id="bench-repeats-zero"),
@@ -135,6 +139,12 @@ BAD_ARGUMENTS = [
     pytest.param("--memory-budget", ["bench-scaling", "--dataset", "{data}", "--hops", "1",
                                      "--variants", "nip_mean", "--memory-budget", "inf"],
                  id="bench-budget-inf"),
+    pytest.param("--memory-budget: 'abc' is not a number",
+                 ["bench-scaling", "--dataset", "{data}", "--hops", "1", "--variants", "nip_mean",
+                  "--memory-budget", "abc"], id="bench-budget-not-a-number"),
+    pytest.param("--hops: expected at least one value",
+                 ["bench-scaling", "--dataset", "{data}", "--hops", ",", "--variants", "nip_mean"],
+                 id="bench-hops-empty"),
     pytest.param("n=10001 exceeds the limit", ["gen", "chain", "--n", "10001"],
                  id="gen-chain-past-limit"),
     # 2.2e9 adjacency entries overflow the int32 CSR; refused before any endpoint array
@@ -207,6 +217,36 @@ class TestExitCodes:
         assert code == 2
         assert "exceeds the limit" in capsys.readouterr().err
         assert not (tmp_path / "dataset").exists()
+
+    # numpy warns of the overflow on the way to the non-finite loss
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_exits_1(self, planted_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"learning_rate": 1e300}')
+        code = main(["train", "--dataset", str(planted_dir), "--model", "nip_mean",
+                     "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 1
+        # the batch is not set for a validation loss, so it is not printed
+        assert capsys.readouterr().err == \
+            "training failed (epoch=1): non-finite validation loss nan\n"
+
+    def test_failed_label_helper_exits_1(self, planted_dir, fast_config, tmp_path, capsys,
+                                         monkeypatch):
+        # the last snapshot is cut inside a row, so the helper cannot write its tail
+        real = iterate_mod._format_labels
+
+        def cutting(jobs, rows, cols):
+            snapshot = jobs[-1][0]
+            snapshot.write_bytes(snapshot.read_bytes()[:-3])
+            real(jobs, rows, cols)
+
+        monkeypatch.setattr(iterate_mod, "_format_labels", cutting)
+        monkeypatch.setattr(iterate_mod, "_usable_cores", lambda: 2)
+        code = main(["hopf", "--dataset", str(planted_dir), "--model", "ss_ica",
+                     "--config", str(fast_config), "-T", "2", "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: writing the tail of ytilde_t2.csv failed"), err
 
     @pytest.mark.parametrize("named,argv", BAD_ARGUMENTS)
     def test_bad_argument_or_input_file_exits_2(self, planted_dir, tmp_path, capsys,

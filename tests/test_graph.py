@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopf import (ArgumentError, IngestError, NormScheme, build_graph, khop_subgraph,
-                  load_edge_list, normalize_adjacency, sample_neighbors)
+from hopf import (ArgumentError, ConfigError, IngestError, NormScheme, TrainConfig, build_graph,
+                  gen_planted_partition, khop_subgraph, load_edge_list, make_kernel, make_splits,
+                  normalize_adjacency, sample_neighbors, train)
 from hopf import graph as graph_mod
 from hopf.kernels import layer_rows
 
@@ -178,47 +179,51 @@ class TestKhopSubgraph:
 class TestSampleNeighbors:
     def test_generous_caps_reproduce_khop(self, chain6):
         full = khop_subgraph(chain6, [2], 2)
-        sampled = sample_neighbors(chain6, [10, 10], [2], 2, rng_seed=0)
+        sampled = sample_neighbors(chain6, [10, 10], [2], rng_seed=0)
         assert sampled.global_ids.tolist() == full.global_ids.tolist()
         assert sampled.indices.tolist() == full.indices.tolist()
         assert sampled.indptr.tolist() == full.indptr.tolist()
 
     def test_star_cap_two(self, star6):
-        sub = sample_neighbors(star6, [2], [0], 1, rng_seed=7)
+        sub = sample_neighbors(star6, [2], [0], rng_seed=7)
         assert sub.n == 3
         assert sub.global_ids[0] == 0
         assert set(sub.global_ids[1:].tolist()) <= {1, 2, 3, 4, 5}
 
     def test_chain_expansion_bound(self, chain6):
-        sub = sample_neighbors(chain6, [1, 1], [1], 2, rng_seed=1)
+        sub = sample_neighbors(chain6, [1, 1], [1], rng_seed=1)
         assert sub.n <= 3
 
     def test_subset_of_khop(self):
         for seed in range(8):
             g = random_graph(30, 90, seed)
             full = set(khop_subgraph(g, [0], 2).global_ids.tolist())
-            sub = sample_neighbors(g, [2, 2], [0], 2, rng_seed=seed)
+            sub = sample_neighbors(g, [2, 2], [0], rng_seed=seed)
             assert set(sub.global_ids.tolist()) <= full
 
     def test_deterministic(self, star6):
-        a = sample_neighbors(star6, [2], [0], 1, rng_seed=5)
-        b = sample_neighbors(star6, [2], [0], 1, rng_seed=5)
+        a = sample_neighbors(star6, [2], [0], rng_seed=5)
+        b = sample_neighbors(star6, [2], [0], rng_seed=5)
         assert a.global_ids.tolist() == b.global_ids.tolist()
 
     def test_k8_rows_hold_their_samples(self):
         # every K8 node has degree 7; the seed and both hop-1 nodes keep 2 draws each
         g = build_graph(list(itertools.combinations(range(8), 2)), 8)
-        sub = sample_neighbors(g, [2, 2], [0], 2, rng_seed=0)
+        sub = sample_neighbors(g, [2, 2], [0], rng_seed=0)
         assert sub.n == 6 and sub.frontier_offsets == (0, 1, 3, 6)
         assert np.diff(sub.indptr).tolist() == [2, 2, 2, 0, 0, 0]
         assert normalize_adjacency(sub, NormScheme.MEAN).data.tolist() == [0.5] * 6
         assert layer_rows(sub, 2) == [6, 3, 1]
 
     def test_cap_length_mismatch(self, star6):
+        # a sampled ball has one hop per cap; train holds the caps to the kernel's depth
+        bundle = gen_planted_partition(40, 2, 0.3, 0.05, 0.4, rng_seed=0)
+        spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
+        with pytest.raises(ConfigError, match="one sample cap per hop"):
+            train(spec, bundle, make_splits(40, rng_seed=0)[0], TrainConfig(hidden_dim=4),
+                  sample_caps=[3])
         with pytest.raises(ArgumentError):
-            sample_neighbors(star6, [2, 2], [0], 1, rng_seed=0)
-        with pytest.raises(ArgumentError):
-            sample_neighbors(star6, [0], [0], 1, rng_seed=0)
+            sample_neighbors(star6, [0], [0], rng_seed=0)
 
 
 class TestNormalize:
@@ -324,7 +329,7 @@ def test_ball_matches_per_node_reference(n, num_edges, seed, k, raw_seeds, caps)
     g = random_graph(n, num_edges, seed)
     seeds = [s % n for s in raw_seeds]
     assert_same_ball(khop_subgraph(g, seeds, k), reference_ball(g, seeds, [n] * k, None))
-    sampled = sample_neighbors(g, caps[:k], seeds, k, rng_seed=seed)
+    sampled = sample_neighbors(g, caps[:k], seeds, rng_seed=seed)
     assert_same_ball(sampled, reference_ball(g, seeds, caps[:k], np.random.default_rng(seed)))
 
 
@@ -338,7 +343,7 @@ def test_rows_hold_what_their_node_drew(n, num_edges, seed, k, raw_seeds, caps, 
     seeds = [s % n for s in raw_seeds]
     # caps at the maximum degree sample nothing: the ball is the BFS ball
     caps = caps[:k] if sampled else [max(1, int(g.degree.max()))] * k
-    sub = sample_neighbors(g, caps, seeds, k, rng_seed=seed)
+    sub = sample_neighbors(g, caps, seeds, rng_seed=seed)
     if not sampled:
         full = khop_subgraph(g, seeds, k)
         assert sub.frontier_offsets == full.frontier_offsets

@@ -215,9 +215,8 @@ def test_label_dump_bytes_match_csv_writer(tmp_path, rows):
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("rows", [6, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
 def test_formatted_snapshot_bytes_match_csv_writer(tmp_path, monkeypatch, rows, cores):
-    # with two usable cores this process writes the first file and the head of the
-    # second, and the helper interpreter the tail of the second and the third;
-    # with one, this process writes all three
+    # with two usable cores this process writes each file up to rows - rows // 2,
+    # and the helper interpreter the rest; with one, this process writes all three
     m = edge_matrix(rows)
     snapshot = tmp_path / "labels.f64"
     m.tofile(snapshot)
@@ -232,7 +231,8 @@ def test_formatted_snapshot_bytes_match_csv_writer(tmp_path, monkeypatch, rows, 
     monkeypatch.setattr(iterate_mod, "_usable_cores", lambda: cores)
     iterate_mod._format_labels(jobs, rows, m.shape[1])
     if cores > 1:
-        assert dumped == [("first.csv", rows), ("second.csv", 3 * rows - 3 * rows // 2 - rows)]
+        assert dumped == [(name, rows - rows // 2) for name in ("first.csv", "second.csv",
+                                                                 "third.csv")]
     else:
         assert dumped == [("first.csv", rows), ("second.csv", rows), ("third.csv", rows)]
     reference = csv_writer_bytes(tmp_path / "reference.csv", m)

@@ -206,9 +206,9 @@ class TestTrainLoop:
         streams = []
         real = training_mod.sample_neighbors
 
-        def recording(graph, caps, seeds, K, rng_seed):
+        def recording(graph, caps, seeds, rng_seed):
             streams.append(np.random.default_rng(rng_seed).random(4).tobytes())
-            return real(graph, caps, seeds, K, rng_seed)
+            return real(graph, caps, seeds, rng_seed)
 
         monkeypatch.setattr(training_mod, "sample_neighbors", recording)
         bundle = planted(4, n=100)
