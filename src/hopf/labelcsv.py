@@ -4,72 +4,168 @@ A label CSV has a ``label_0,...`` header, then one row per node: Python
 ``repr`` floats joined by commas, CRLF line ends and no quoting, the bytes of
 ``csv.writer`` with ``repr`` (no float's ``repr`` holds a comma, quote or
 newline). Rows are formatted and written ``BLOCK_ROWS`` at a time, so a matrix
-never exists as one whole string or one whole list of Python floats.
+never exists as one whole string.
 
-The module imports the standard library alone, so it also runs as a script in
-an interpreter that loads neither numpy nor ``hopf``. ``hopf.iterate`` starts
-it that way to format the tail of each label CSV beside the calling process::
+The text is computed with numpy, not with one ``repr`` call per value:
 
-    python -I -S labelcsv.py COLS FIRST_ROW SNAPSHOT [SNAPSHOT ...]
+- ``0.0`` and ``1.0`` are constants.
+- A value x in [1e-4, 1) gets its shortest round-trip digits exactly, as
+  ``repr`` does (Steele & White 1990; Adams 2018, "Ryu"). With
+  s = 16 - floor(log10 x), Dekker's two-product splits x * 10**s into its
+  floor F, a 17-digit integer, and its exact fraction. The integers that
+  read back as x, those within x's half-ulp times 10**s of x * 10**s (half
+  that below a power of two), form a short range. The largest k for which
+  it holds a multiple of 10**k leaves 17 - k digits, those of the multiple
+  of 10**k nearest x * 10**s, half to even.
+- Every other value, and any whose F falls outside [10**16, 10**17), goes
+  through ``repr``.
 
-Each ``SNAPSHOT`` holds a row-major matrix of ``COLS`` columns as raw native
-float64 (``ndarray.tofile``). Its rows from ``FIRST_ROW`` on are written,
-without the header, to the file beside it with the suffix ``.tail``, to be
-appended to the head the caller writes itself. A failure prints the
-``SNAPSHOT`` path and the cause on standard error and exits with status 1.
+The text is assembled in little-endian 64-bit words, 32 bytes per value,
+and every zero byte is dropped.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-from array import array
+import numpy as np
 
 BLOCK_ROWS = 1024
-_FLOAT_BYTES = 8
+
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+_MANTISSA = np.uint64(2**52 - 1)
+_DECADES = np.array([1e-3, 1e-2, 1e-1])  # x's decade d in 0..3: 10**(d-4) <= x < 10**(d-3)
+_SCALE = 10.0 ** (20 - np.arange(4))  # 10**s for s = 20 - d, all exact doubles
+_POW10 = 10 ** np.arange(17, dtype=np.int64)
 
 
-def write(path, cols: int, blocks, header: bool = True) -> None:
-    """Write the CSV rows in ``blocks`` to ``path``, after a header if ``header``.
+def _word(text: bytes) -> int:
+    """Up to 8 bytes as the value of the little-endian word that holds them."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
 
-    ``blocks`` yields the rows in order, each item a flat row-major sequence
-    of floats holding a whole number of rows (``BLOCK_ROWS`` of them, bar the
-    last). Either ``ndarray.tolist()`` or an ``array('d')`` will do: both give
-    floats whose ``repr`` is that of ``float(v)``.
+
+# A value's text takes three words and its separator the fourth. An exact value's
+# first word is its decade's "0." and zeros and its first digit, right-aligned; the
+# other two hold 16 more digits, of which the last ``cut`` are masked off.
+_HEAD = np.array([_word(b"\0" * (2 + d) + b"0." + b"0" * (3 - d) + bytes([48 + a]))
+                  for d in range(4) for a in range(10)], np.uint64)
+_DIGITS4 = np.array([_word(f"{i:04d}".encode()) for i in range(10_000)], np.uint64)
+_KEEP_MIDDLE = np.array([2**64 - 1 >> 8 * max(cut - 8, 0) for cut in range(17)], np.uint64)
+_KEEP_TAIL = np.array([2**64 - 1 >> 8 * min(cut, 8) for cut in range(17)], np.uint64)
+_ZERO, _ONE = _word(b"0.0"), _word(b"1.0")
+_COMMA, _CRLF = _word(b","), _word(b"\r\n")
+_WORD = "<u8"
+
+
+def _split(a):
+    """Dekker's split of ``a`` into halves of at most 26 significant bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
+
+
+def write(path, matrix: np.ndarray) -> None:
+    """Write a 2-D float64 ``matrix`` as a label CSV, ``BLOCK_ROWS`` rows at a time."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(f"label_{j}" for j in range(matrix.shape[1])).encode() + b"\r\n")
+        for start in range(0, matrix.shape[0], BLOCK_ROWS):
+            fh.write(format_rows(matrix[start : start + BLOCK_ROWS]))
+
+
+def format_rows(block: np.ndarray) -> bytes:
+    """The CSV bytes of the rows of ``block``, no header."""
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    x = block.ravel()
+    bits = x.view(np.uint64)
+    exact = np.flatnonzero((x >= 1e-4) & (x < 1.0))
+    exact, head, middle, tail = _shortest_words(x[exact], exact)
+    words = np.zeros((x.size, 4), _WORD)
+    words[exact, 0], words[exact, 1], words[exact, 2] = head, middle, tail
+    del head, middle, tail
+    words[bits == 0, 0] = _ZERO
+    words[bits == _ONE_BITS, 0] = _ONE
+    rest = words[:, 0] == 0
+    if rest.any():
+        reprs = np.array([repr(v) for v in x[rest].tolist()], dtype="S24")
+        words[rest, :3] = reprs.view(_WORD).reshape(-1, 3)
+    rows = words.reshape(block.shape[0], block.shape[1], 4)
+    rows[:, :, 3] = _COMMA
+    rows[:, -1, 3] = _CRLF
+    return words.tobytes().translate(None, b"\0")
+
+
+def _shortest_words(x: np.ndarray, where: np.ndarray):
+    """The ``repr`` text of the values ``x`` in [1e-4, 1) as three words each.
+
+    Returns the entries of ``where`` (the values' positions) whose text was
+    found, and the three words of each. A value is left out when its decade
+    was misjudged (F falls outside [10**16, 10**17)) or its shortest digits
+    are the next decade's power of ten; ``repr`` writes those.
     """
-    with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(",".join(f"label_{j}" for j in range(cols)) + "\r\n")
-        for values in blocks:
-            fh.write("".join(",".join(map(repr, values[i : i + cols])) + "\r\n"
-                             for i in range(0, len(values), cols)))
+    decade = np.searchsorted(_DECADES, x, side="right")
+    scale = _SCALE[decade]
+    # x * scale == product + error exactly (Dekker's two-product)
+    product = x * scale
+    x_hi, x_lo = _split(x)
+    s_hi, s_lo = _SCALE_HI[decade], _SCALE_LO[decade]
+    error = ((x_hi * s_hi - product) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
+    del x_hi, x_lo, s_hi, s_lo
+    # product is an integer above 2**53; the fraction is a multiple of 2**-46 in [0, 1)
+    whole = np.floor(error)
+    fraction = error - whole
+    floor = product.astype(np.int64) + whole.astype(np.int64)
+    del product, error, whole
+    # x's rounding interval, scaled like x, is floor + (fraction - below, fraction + above):
+    # half an ulp times scale each way (at least 0.55), half that below a power of two.
+    # For x's ulp 2**e its ends are odd multiples of 2**(e + s - 1) or 2**(e + s - 2),
+    # and e + s <= -36, so no end is an integer: whether an even mantissa's ends belong
+    # to the interval never matters
+    above = np.spacing(x) * 0.5 * scale
+    below = np.where(x.view(np.uint64) & _MANTISSA == 0, 0.5 * above, above)
+    del scale
+    # the first and last integer in the interval; these sums are exact
+    high = floor + np.floor(above + fraction).astype(np.int64)
+    low = floor - np.floor(below - fraction).astype(np.int64)
+    del above, below
+
+    # the shortest digits: the largest cut such that a multiple of 10**cut lies in
+    # [low, high]; a cut that fits implies every smaller one does
+    ok = (floor >= 10**16) & (floor < 10**17)
+    cut = np.zeros(x.size, np.intp)  # trailing digits dropped: 17 - cut remain
+    active = np.flatnonzero(ok)
+    top, bottom = high[active], low[active]
+    for k in range(1, 17):
+        inside = np.flatnonzero(top // 10**k * 10**k >= bottom)
+        if not inside.size:
+            break
+        active, top, bottom = active[inside], top[inside], bottom[inside]
+        cut[active] = k
+    del active, top, bottom
+    # the nearest multiple of 10**cut to x * scale, half to even
+    step = _POW10[cut]
+    quotient = floor // step
+    over = (2 * (floor - quotient * step) - step) + 2 * fraction  # > 0: round up
+    digits = (quotient + ((over > 0) | ((over == 0) & (quotient & 1 == 1)))) * step
+    del floor, fraction, step, quotient, over
+    ok &= (digits >= low) & (digits <= high) & (digits < 10**17)
+    del low, high
+
+    ok = np.flatnonzero(ok)
+    decade, digits, cut = decade[ok], digits[ok], cut[ok]
+    first = digits // 10**16
+    head = _HEAD[10 * decade + first]
+    digits -= first * 10**16
+    del first, decade
+    upper = digits // 10**8
+    middle, tail = _eight_digits(upper), _eight_digits(digits - upper * 10**8)
+    del digits, upper
+    middle &= _KEEP_MIDDLE[cut]
+    tail &= _KEEP_TAIL[cut]
+    return where[ok], head, middle, tail
 
 
-def snapshot_blocks(path, cols: int, first_row: int):
-    """The rows of a raw float64 snapshot of ``cols`` columns from ``first_row`` on,
-    ``BLOCK_ROWS`` at a time."""
-    row_bytes = cols * _FLOAT_BYTES
-    with open(path, "rb") as fh:
-        fh.seek(first_row * row_bytes)
-        while raw := fh.read(BLOCK_ROWS * row_bytes):
-            if len(raw) % row_bytes:
-                raise ValueError(f"snapshot {path} ends inside a row of {cols} float64 values")
-            block = array("d")
-            block.frombytes(raw)
-            yield block
-
-
-def main(argv) -> int:
-    cols, first_row = int(argv[0]), int(argv[1])
-    for snapshot in argv[2:]:
-        tail = os.path.splitext(snapshot)[0] + ".tail"
-        try:
-            write(tail, cols, snapshot_blocks(snapshot, cols, first_row), header=False)
-        except (OSError, ValueError) as exc:
-            print(f"{snapshot}: {exc}", file=sys.stderr)
-            return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+def _eight_digits(n: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each ``n`` < 10**8, zero-padded, as one word."""
+    four = n // 10**4
+    return _DIGITS4[four] | _DIGITS4[n - four * 10**4] << np.uint64(32)

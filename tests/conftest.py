@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -63,6 +64,15 @@ print(1024 * (_status_kib("VmHWM") - _before))
 """
 
 
+def child_env(**env: str) -> dict:
+    """The environment ``env`` for a child process, plus ``PYTHONDONTWRITEBYTECODE``
+    where this process has it, so a test run asked to write no bytecode gets none
+    from its children either."""
+    inherited = {name: os.environ[name] for name in ("PYTHONDONTWRITEBYTECODE",)
+                 if name in os.environ}
+    return {**inherited, **env}
+
+
 def step_probe(setup: str, step: str, env: dict | None = None) -> tuple[int, int, list[str]]:
     """Run ``setup`` then ``step`` in a fresh Python process at two OpenBLAS
     threads, ``env`` added to its environment; return how many bytes ``step``
@@ -77,7 +87,7 @@ def step_probe(setup: str, step: str, env: dict | None = None) -> tuple[int, int
     src = str(Path(hopf.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _PEAK_PROBE.format(setup=setup, step=step)],
                           capture_output=True, text=True, timeout=120,
-                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2", **(env or {})})
+                          env=child_env(PYTHONPATH=src, OPENBLAS_NUM_THREADS="2", **(env or {})))
     assert done.returncode == 0, done.stderr
     *printed, faults, growth = done.stdout.splitlines()
     return int(growth), int(faults), printed

@@ -10,12 +10,11 @@ import pytest
 
 import hopf.bench as bench_mod
 import hopf.cli as cli_mod
-import hopf.iterate as iterate_mod
 from hopf import HopfConfig, TrainConfig, make_kernel, make_splits, row_normalize, run_hopf
 from hopf.cli import main
 from hopf.data import load_dataset
 
-from conftest import step_probe
+from conftest import child_env, step_probe
 
 
 @pytest.fixture(scope="module")
@@ -230,24 +229,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "training failed (epoch=1): non-finite validation loss nan\n"
 
-    def test_failed_label_helper_exits_1(self, planted_dir, fast_config, tmp_path, capsys,
-                                         monkeypatch):
-        # the last snapshot is cut inside a row, so the helper cannot write its tail
-        real = iterate_mod._format_labels
-
-        def cutting(jobs, rows, cols):
-            snapshot = jobs[-1][0]
-            snapshot.write_bytes(snapshot.read_bytes()[:-3])
-            real(jobs, rows, cols)
-
-        monkeypatch.setattr(iterate_mod, "_format_labels", cutting)
-        monkeypatch.setattr(iterate_mod, "_usable_cores", lambda: 2)
-        code = main(["hopf", "--dataset", str(planted_dir), "--model", "ss_ica",
-                     "--config", str(fast_config), "-T", "2", "--out", str(tmp_path / "run")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: writing the tail of ytilde_t2.csv failed"), err
-
     @pytest.mark.parametrize("named,argv", BAD_ARGUMENTS)
     def test_bad_argument_or_input_file_exits_2(self, planted_dir, tmp_path, capsys,
                                                 named, argv):
@@ -443,9 +424,6 @@ class TestHopfCommand:
         argv = ["hopf", "--dataset", str(planted_dir), "--model", "i_nip_mean",
                 "--config", str(fast_config), "-C", "1", "--out", str(out)]
         assert main(argv + ["-T", "4"]) == 0
-        killed = out / "iterations" / ".labels-killed"  # the snapshots a killed run leaves
-        killed.mkdir()
-        (killed / "yhat_t1.f64").write_bytes(b"")
         assert main(argv + ["-T", "2"]) == 0
         assert sorted(p.name for p in (out / "iterations").iterdir()) == sorted(
             ["metrics.csv"] + [f"{stem}_t{t}.{ext}" for t in (1, 2) for stem, ext in
@@ -703,7 +681,7 @@ def test_out_that_cannot_be_a_directory_exits_2(planted_dir, fast_config, tmp_pa
     src = str(Path(cli_mod.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-m", "hopf", *[a.format(**fill) for a in argv],
                            "--out", str(out)], capture_output=True, text=True, timeout=120,
-                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+                          env=child_env(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
     assert done.returncode == 2, done.stderr
     assert f"output directory {out} cannot be created or written" in done.stderr
     assert "Traceback" not in done.stderr
@@ -780,7 +758,7 @@ def test_import_leaves_module_unloaded(module):
     src = str(Path(cli_mod.__file__).resolve().parents[1])
     probe = f"import sys, hopf.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=120)
+                          env=child_env(PYTHONPATH=src), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 

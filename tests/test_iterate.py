@@ -1,16 +1,14 @@
 import csv
-import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hopf.iterate as iterate_mod
-from hopf import (ArgumentError, ConfigError, HopfConfig, HopfError, ModelWeights, Task,
+from hopf import (ArgumentError, ConfigError, HopfConfig, ModelWeights, Task,
                   TrainConfig, TrainingError, gen_benchmark_graph, gen_chain,
                   gen_planted_partition, khop_subgraph, make_kernel, make_splits, predict,
                   row_normalize, run_hopf, temporal_average, train)
@@ -154,15 +152,14 @@ class TestLabelCopies:
     def run_and_record(tmp_path, monkeypatch, shifted):
         bundle, split, cfg = fixture(29)
         cfg = replace(cfg, max_epochs=3, min_epochs=1)
-        real, formatted = iterate_mod._format_labels, []
+        real, formatted = iterate_mod._dump_labels, []
 
-        def recording(jobs, rows, cols):
-            # every CSV to format is handed out here, to this process or to the helper
-            formatted.extend(path.name for _, path in jobs)
-            real(jobs, rows, cols)
+        def recording(path, matrix):
+            # every label CSV that is formatted, not copied, is written here
+            formatted.append(path.name)
+            real(path, matrix)
 
-        monkeypatch.setattr(iterate_mod, "_format_labels", recording)
-        monkeypatch.setattr(iterate_mod, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(iterate_mod, "_dump_labels", recording)
         out = tmp_path / ("shifted" if shifted else "plain")
         result = run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle, split, cfg,
                           HopfConfig(T=3, shifted_averaging=shifted), out_dir=out)
@@ -190,6 +187,8 @@ def edge_matrix(rows):
     m[0] = [0.0, 1.0, 0.0, 1.0]
     m[1] = [1e-300, 5e-324, -0.0, 1.0 - 2.0**-53]
     m[2] = [1.0, 1.0, 1.0, 1.0]
+    m[3] = [np.nan, np.inf, -np.inf, -0.5]
+    m[4] = [1e-4, np.nextafter(1e-4, 0.0), 2.0**-13, 0.1]
     m[-1] = [5e-324, 0.0, 1.0, -0.0]  # the last row, in the last block
     return m
 
@@ -212,104 +211,67 @@ def test_label_dump_bytes_match_csv_writer(tmp_path, rows):
     assert path.read_bytes().count(b"\r\n") == rows + 1
 
 
-@pytest.mark.parametrize("cores", [1, 2])
-@pytest.mark.parametrize("rows", [6, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
-def test_formatted_snapshot_bytes_match_csv_writer(tmp_path, monkeypatch, rows, cores):
-    # with two usable cores this process writes each file up to rows - rows // 2,
-    # and the helper interpreter the rest; with one, this process writes all three
-    m = edge_matrix(rows)
-    snapshot = tmp_path / "labels.f64"
-    m.tofile(snapshot)
-    jobs = [(snapshot, tmp_path / f"{name}.csv") for name in ("first", "second", "third")]
-    real, dumped = _dump_labels, []
-
-    def recording(path, matrix):
-        dumped.append((path.name, len(matrix)))
-        real(path, matrix)
-
-    monkeypatch.setattr(iterate_mod, "_dump_labels", recording)
-    monkeypatch.setattr(iterate_mod, "_usable_cores", lambda: cores)
-    iterate_mod._format_labels(jobs, rows, m.shape[1])
-    if cores > 1:
-        assert dumped == [(name, rows - rows // 2) for name in ("first.csv", "second.csv",
-                                                                 "third.csv")]
-    else:
-        assert dumped == [("first.csv", rows), ("second.csv", rows), ("third.csv", rows)]
-    reference = csv_writer_bytes(tmp_path / "reference.csv", m)
-    assert [path.read_bytes() == reference for _, path in jobs] == [True, True, True]
+def _bits_to_float(bits):
+    return float(np.uint64(bits).view(np.float64))
 
 
-# SIGTERM while this process formats its first label CSV, the helper still running
-SIGTERM_SCRIPT = """
-import json, os, signal, subprocess, sys
-from pathlib import Path
-import hopf.iterate as iterate_mod
-from hopf import (HopfConfig, TrainConfig, gen_planted_partition, make_kernel, make_splits,
-                  run_hopf)
-out = Path(sys.argv[1])
-bundle = gen_planted_partition(200, 4, 0.3, 0.01, 0.4, rng_seed=3)
-cfg = TrainConfig(batch_size=64, hidden_dim=8, max_epochs=2, min_epochs=1, rng_seed=3)
-real, helpers = subprocess.Popen, []
-subprocess.Popen = lambda *args, **kwargs: helpers.append(real(*args, **kwargs)) or helpers[-1]
-iterate_mod._usable_cores = lambda: 2
-iterate_mod._dump_labels = lambda path, matrix: os.kill(os.getpid(), signal.SIGTERM)
-try:
-    run_hopf(make_kernel("ss_ica", hidden_dim=8), bundle, make_splits(200, rng_seed=3)[0], cfg,
-             HopfConfig(T=2), out_dir=out)
-finally:
-    print(json.dumps({"helpers": [p.returncode for p in helpers],
-                      "snapshots": [p.name for p in out.glob(".labels-*")],
-                      "sigterm_restored": signal.getsignal(signal.SIGTERM) == signal.SIG_DFL}))
-"""
+# any float64 bit pattern (nan payloads, infinities, -0.0, subnormals), weighted
+# towards [1e-4, 1), the range whose digits are computed rather than taken from repr
+ANY_FLOAT = st.one_of(st.integers(0, 2**64 - 1).map(_bits_to_float),
+                      st.floats(min_value=1e-4, max_value=1.0, exclude_max=True),
+                      st.floats(min_value=0.0, max_value=1.0),
+                      st.sampled_from([0.0, 1.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]))
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=ANY_FLOAT))
+def test_label_dump_of_any_matrix_matches_csv_writer(tmp_path_factory, m):
+    tmp = tmp_path_factory.getbasetemp()
+    _dump_labels(tmp / "any.csv", m)
+    assert (tmp / "any.csv").read_bytes() == csv_writer_bytes(tmp / "any-reference.csv", m)
+
+
+def decimal_edge_values():
+    """The values in and around [1e-4, 1) where a shortest-digits search can slip."""
+    rng = np.random.default_rng(7)
+    values = [2.0**-j for j in range(1, 14)]  # every power of two in [1e-4, 1)
+    values += [1e-4, 1e-3, 0.01, 0.1, 1.0]
+    values += [np.nextafter(v, side) for v in list(values) for side in (0.0, 2.0)]
+    for k in range(1, 18):  # k-digit decimals in each decade
+        for zeros in range(4):
+            # k digits, the first and the last nonzero
+            digits = int(rng.integers(10 ** (k - 1), 10**k)) // 10 * 10 + int(rng.integers(1, 10))
+            values.append(float(f"0.{'0' * zeros}{digits}"))
+    # n / 2**a for odd n: the dyadic values whose x * 10**s ends in 5, halfway between
+    # two candidates of 16 digits, which the last digit's parity decides
+    values += [n / 2.0**a for a in range(14, 21) for n in rng.integers(2**a // 20, 2**a, 40) | 1]
+    lo, hi = np.array([1e-5, 2.0]).view(np.uint64)
+    values += rng.integers(lo, hi, size=20_000, dtype=np.uint64).view(np.float64).tolist()
+    return np.array(values)
+
+
+def test_label_dump_of_decimal_edges_matches_csv_writer(tmp_path):
+    values = decimal_edge_values()
+    m = np.full((len(values) // 4 + 1, 4), 0.5)
+    m.ravel()[: len(values)] = values
+    m = np.vstack([m, np.zeros((3, 4)), np.ones((3, 4))])  # whole rows of each constant
+    _dump_labels(tmp_path / "labels.csv", m)
+    assert (tmp_path / "labels.csv").read_bytes() == \
+        csv_writer_bytes(tmp_path / "reference.csv", m)
 
 
 class TestLabelFormattingFailures:
-    """Whatever ends a run, the helper is reaped and the snapshots are removed."""
+    """A round that fails leaves the files of the rounds before it as a whole run writes them."""
 
     @staticmethod
-    def run(tmp_path, monkeypatch, helpers):
+    def run(out_dir):
         bundle, split, cfg = fixture(30)
         cfg = replace(cfg, max_epochs=2, min_epochs=1)
-        real = subprocess.Popen
-
-        def recording(*args, **kwargs):
-            helpers.append(real(*args, **kwargs))
-            return helpers[-1]
-
-        monkeypatch.setattr(subprocess, "Popen", recording)
-        monkeypatch.setattr(iterate_mod, "_usable_cores", lambda: 2)
         run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle, split, cfg, HopfConfig(T=2),
-                 out_dir=tmp_path)
-
-    def test_failed_helper_names_its_file(self, tmp_path, monkeypatch):
-        # T=2: yhat_t2 repeats yhat_t1, so three files are formatted and the helper
-        # writes the last, ytilde_t2, from a snapshot cut short inside a row
-        real, helpers = iterate_mod._format_labels, []
-
-        def cutting(jobs, rows, cols):
-            snapshot = jobs[-1][0]
-            snapshot.write_bytes(snapshot.read_bytes()[:-3])
-            real(jobs, rows, cols)
-
-        monkeypatch.setattr(iterate_mod, "_format_labels", cutting)
-        with pytest.raises(HopfError, match=r"ytilde_t2\.csv.*ends inside a row"):
-            self.run(tmp_path, monkeypatch, helpers)
-        assert [h.returncode for h in helpers] == [1]
-        assert not list(tmp_path.glob(".labels-*"))
-
-    def test_failure_here_kills_the_helper(self, tmp_path, monkeypatch):
-        def failing(path, matrix):
-            raise OSError(f"no space left for {path.name}")
-
-        monkeypatch.setattr(iterate_mod, "_dump_labels", failing)
-        helpers = []
-        with pytest.raises(OSError, match="no space left for yhat_t1.csv"):
-            self.run(tmp_path, monkeypatch, helpers)
-        assert len(helpers) == 1 and helpers[0].returncode is not None
-        assert not list(tmp_path.glob(".labels-*"))
+                 out_dir=out_dir)
 
     def test_a_failed_round_keeps_the_earlier_rounds_files(self, tmp_path, monkeypatch):
-        self.run(tmp_path / "whole", monkeypatch, [])
+        self.run(tmp_path / "whole")
         real, rounds = iterate_mod.train, []
 
         def failing_round_2(*args, **kwargs):
@@ -319,25 +281,13 @@ class TestLabelFormattingFailures:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(iterate_mod, "train", failing_round_2)
-        helpers = []
         with pytest.raises(TrainingError):
-            self.run(tmp_path / "failed", monkeypatch, helpers)
+            self.run(tmp_path / "failed")
         left = sorted(p.name for p in (tmp_path / "failed").iterdir())
         assert left == ["metrics.csv", "weights_t1.bin", "yhat_t1.csv", "ytilde_t1.csv"]
         for name in left[1:]:
             assert (tmp_path / "failed" / name).read_bytes() == \
                 (tmp_path / "whole" / name).read_bytes()
-        assert len(helpers) == 1 and helpers[0].returncode == 0
-
-    def test_sigterm_exits_143_and_reaps_the_helper(self, tmp_path):
-        src = str(Path(iterate_mod.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", SIGTERM_SCRIPT, str(tmp_path)],
-                              capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 143, proc.stderr
-        state = json.loads(proc.stdout)
-        assert len(state["helpers"]) == 1 and state["helpers"][0] is not None
-        assert state["snapshots"] == [] and state["sigterm_restored"]
 
 
 def test_label_dump_peak_memory_is_a_block_not_the_file(tmp_path):
