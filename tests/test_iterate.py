@@ -242,8 +242,8 @@ def decimal_edge_values():
             # k digits, the first and the last nonzero
             digits = int(rng.integers(10 ** (k - 1), 10**k)) // 10 * 10 + int(rng.integers(1, 10))
             values.append(float(f"0.{'0' * zeros}{digits}"))
-    # n / 2**a for odd n: the dyadic values whose x * 10**s ends in 5, halfway between
-    # two candidates of 16 digits, which the last digit's parity decides
+    # n / 2**a for odd n, among them values whose x * 10**s is an integer ending in 5:
+    # halfway between two 16-digit candidates, so the last digit's parity decides
     values += [n / 2.0**a for a in range(14, 21) for n in rng.integers(2**a // 20, 2**a, 40) | 1]
     lo, hi = np.array([1e-5, 2.0]).view(np.uint64)
     values += rng.integers(lo, hi, size=20_000, dtype=np.uint64).view(np.float64).tolist()
