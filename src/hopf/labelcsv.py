@@ -2,26 +2,23 @@
 
 A label CSV has a ``label_0,...`` header, then one row per node: Python
 ``repr`` floats joined by commas, CRLF line ends and no quoting, the bytes of
-``csv.writer`` with ``repr`` (no float's ``repr`` holds a comma, quote or
-newline). Rows are formatted and written ``BLOCK_ROWS`` at a time, so a matrix
-never exists as one whole string.
+``csv.writer`` with ``repr``. Rows are formatted and written ``BLOCK_ROWS`` at
+a time, so a matrix never exists as one whole string.
 
-The text is computed with numpy, not with one ``repr`` call per value:
-
-- ``0.0`` and ``1.0`` are constants.
-- A value x in [1e-4, 1) gets its shortest round-trip digits exactly, as
-  ``repr`` does (Steele & White 1990; Adams 2018, "Ryu"). With
-  s = 16 - floor(log10 x), Dekker's two-product splits x * 10**s into its
-  floor F, a 17-digit integer, and its exact fraction. The integers that
-  read back as x, those within x's half-ulp times 10**s of x * 10**s (half
-  that below a power of two), form a short range. The largest k for which
-  it holds a multiple of 10**k leaves 17 - k digits, those of the multiple
-  of 10**k nearest x * 10**s, half to even.
-- Every other value, and any whose F falls outside [10**16, 10**17), goes
-  through ``repr``.
-
-The text is assembled in little-endian 64-bit words, 32 bytes per value,
-and every zero byte is dropped.
+The text is computed with numpy. ``0.0`` and ``1.0`` are constants. A value x
+in [1e-307, 1), with E = floor(log10 x) and s = 16 - E, gets the shortest
+digits that read back as x, as ``repr`` does (Steele & White 1990; Adams
+2018, "Ryu"): Dekker's two-product splits x * 10**s into a 17-digit integer F
+and a fraction, and x's half-ulp times 10**s (half that below a power of two)
+bounds a short range of integers around it. The largest k for which the range
+holds a multiple of 10**k leaves 17 - k digits, those of the multiple of 10**k
+nearest x * 10**s, half to even. 10**s is held as 2**t * (hi + lo), hi and lo
+doubles, t > 0 only near the top of the double range. For E >= -6, lo = 0 and
+every step is exact; below, x * 10**s is known to within 4e-15, and a value
+whose range end or rounding tie lies within 2**-40 of an integer goes to
+``repr``, as does every other value and any whose F falls outside
+[10**16, 10**17). The text is assembled in little-endian 64-bit words, 32
+bytes per value, and every zero byte is dropped.
 """
 
 from __future__ import annotations
@@ -32,9 +29,13 @@ BLOCK_ROWS = 1024
 
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 _MANTISSA = np.uint64(2**52 - 1)
-_DECADES = np.array([1e-3, 1e-2, 1e-1])  # x's decade d in 0..3: 10**(d-4) <= x < 10**(d-3)
-_SCALE = 10.0 ** (20 - np.arange(4))  # 10**s for s = 20 - d, all exact doubles
 _POW10 = 10 ** np.arange(17, dtype=np.int64)
+# x's decade E = floor(log10 x) in -307..-1 is its binade's bottom decade or the next, told
+# apart by the double nearest 10**(E + 1); a misjudged one puts F outside [10**16, 10**17)
+_EXPONENTS = range(-307, 0)
+_TENS = np.array([float(f"1e{e + 1}") for e in _EXPONENTS])
+_BINADE_DECADE = np.searchsorted(_TENS, np.ldexp(1.0, np.arange(-1023, 0)), side="right")
+_FIXED = -4 - _EXPONENTS[0]  # the first decade that repr writes without an exponent
 
 
 def _word(text: bytes) -> int:
@@ -42,17 +43,11 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text.ljust(8, b"\0"), "little")
 
 
-# A value's text takes three words and its separator the fourth. An exact value's
-# first word is its decade's "0." and zeros and its first digit, right-aligned; the
-# other two hold 16 more digits, of which the last ``cut`` are masked off.
-_HEAD = np.array([_word(b"\0" * (2 + d) + b"0." + b"0" * (3 - d) + bytes([48 + a]))
-                  for d in range(4) for a in range(10)], np.uint64)
-_DIGITS4 = np.array([_word(f"{i:04d}".encode()) for i in range(10_000)], np.uint64)
-_KEEP_MIDDLE = np.array([2**64 - 1 >> 8 * max(cut - 8, 0) for cut in range(17)], np.uint64)
-_KEEP_TAIL = np.array([2**64 - 1 >> 8 * min(cut, 8) for cut in range(17)], np.uint64)
-_ZERO, _ONE = _word(b"0.0"), _word(b"1.0")
-_COMMA, _CRLF = _word(b","), _word(b"\r\n")
-_WORD = "<u8"
+def _scale(s: int) -> tuple[float, float, float]:
+    """10**s as 2**t * (hi + lo): the doubles 2**t, hi and lo, hi below 2**900."""
+    t = max((10**s).bit_length() - 900, 0)  # Dekker's split of hi must not overflow
+    hi = 10**s / 2**t  # int / int is rounded once, to the nearest double
+    return 2.0**t, hi, (10**s - (int(hi) << t)) / 2**t
 
 
 def _split(a):
@@ -62,7 +57,28 @@ def _split(a):
     return hi, a - hi
 
 
+_POWER2, _SCALE, _SCALE_REST = map(np.array, zip(*(_scale(16 - e) for e in _EXPONENTS)))
 _SCALE_HI, _SCALE_LO = _split(_SCALE)
+# F plus the fraction is within 4e-15 of x * 10**s and a range end within 7e-15 of its own
+_SLACK = np.where(_SCALE_REST == 0, 0.0, 2.0**-40)
+
+# A value's text takes three words and its separator the fourth. An exact value's first
+# word is its first digit, after "0." and zeros in a fixed-point decade, before "." in an
+# exponent decade (alone if it is the only digit); the next two hold 16 more digits, the
+# last ``cut`` masked off. An exponent decade's "e-XX" precedes the separator.
+_HEAD = np.array([_word(b"\0" * (2 + d) + b"0." + b"0" * (3 - d) + bytes([48 + a]))
+                  for d in range(4) for a in range(10)]
+                 + [_word(bytes([48 + a]) + b".") for a in range(10)]
+                 + [_word(bytes([48 + a])) for a in range(10)], np.uint64)
+_E_TEXT = [f"e-{-e:02d}".encode() if e < -4 else b"" for e in _EXPONENTS]
+_EXPONENT = np.array([_word(text) for text in _E_TEXT], np.uint64)
+_EXPONENT_BITS = np.array([8 * len(text) for text in _E_TEXT], np.uint64)
+_DIGITS4 = np.array([_word(f"{i:04d}".encode()) for i in range(10_000)], np.uint64)
+_KEEP_MIDDLE = np.array([2**64 - 1 >> 8 * max(cut - 8, 0) for cut in range(17)], np.uint64)
+_KEEP_TAIL = np.array([2**64 - 1 >> 8 * min(cut, 8) for cut in range(17)], np.uint64)
+_ZERO, _ONE = _word(b"0.0"), _word(b"1.0")
+_COMMA, _CRLF = _word(b","), _word(b"\r\n")
+_WORD = "<u8"
 
 
 def write(path, matrix: np.ndarray) -> None:
@@ -78,60 +94,68 @@ def format_rows(block: np.ndarray) -> bytes:
     block = np.ascontiguousarray(block, dtype=np.float64)
     x = block.ravel()
     bits = x.view(np.uint64)
-    exact = np.flatnonzero((x >= 1e-4) & (x < 1.0))
-    exact, head, middle, tail = _shortest_words(x[exact], exact)
+    exact = np.flatnonzero((x >= 1e-307) & (x < 1.0))
+    exact, head, middle, tail, decade = _shortest_words(x[exact], exact)
     words = np.zeros((x.size, 4), _WORD)
+    rows = words.reshape(block.shape[0], block.shape[1], 4)
+    rows[:, :, 3] = _COMMA
+    rows[:, -1, 3] = _CRLF
     words[exact, 0], words[exact, 1], words[exact, 2] = head, middle, tail
     del head, middle, tail
+    if decade.size and decade.min() < _FIXED:
+        words[exact, 3] = _EXPONENT[decade] | words[exact, 3] << _EXPONENT_BITS[decade]
+    del exact, decade
     words[bits == 0, 0] = _ZERO
     words[bits == _ONE_BITS, 0] = _ONE
     rest = words[:, 0] == 0
     if rest.any():
         reprs = np.array([repr(v) for v in x[rest].tolist()], dtype="S24")
         words[rest, :3] = reprs.view(_WORD).reshape(-1, 3)
-    rows = words.reshape(block.shape[0], block.shape[1], 4)
-    rows[:, :, 3] = _COMMA
-    rows[:, -1, 3] = _CRLF
     return words.tobytes().translate(None, b"\0")
 
 
 def _shortest_words(x: np.ndarray, where: np.ndarray):
-    """The ``repr`` text of the values ``x`` in [1e-4, 1) as three words each.
+    """The ``repr`` digits of the values ``x`` in [1e-307, 1) as three words each.
 
     Returns the entries of ``where`` (the values' positions) whose text was
-    found, and the three words of each. A value is left out when its decade
-    was misjudged (F falls outside [10**16, 10**17)) or its shortest digits
-    are the next decade's power of ten; ``repr`` writes those.
+    found, with its three words and its decade's index in ``_EXPONENTS``.
+    ``repr`` writes the rest: a misjudged decade, shortest digits that are the
+    next decade's power of ten, or a range end or tie the slack leaves in doubt.
     """
-    decade = np.searchsorted(_DECADES, x, side="right")
+    decade = _BINADE_DECADE[(x.view(np.uint64) >> np.uint64(52)).astype(np.intp)]
+    decade += x >= _TENS[decade]
+    # x * 10**s == y * (hi + lo), and y * hi == product + error exactly (Dekker's two-product)
+    y = x * _POWER2[decade]
     scale = _SCALE[decade]
-    # x * scale == product + error exactly (Dekker's two-product)
-    product = x * scale
-    x_hi, x_lo = _split(x)
+    product = y * scale
+    y_hi, y_lo = _split(y)
     s_hi, s_lo = _SCALE_HI[decade], _SCALE_LO[decade]
-    error = ((x_hi * s_hi - product) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
-    del x_hi, x_lo, s_hi, s_lo
-    # product is an integer above 2**53; the fraction is a multiple of 2**-46 in [0, 1)
+    error = ((y_hi * s_hi - product) + y_hi * s_lo + y_lo * s_hi) + y_lo * s_lo
+    del y_hi, y_lo, s_hi, s_lo
+    error += y * _SCALE_REST[decade]
+    # product is an integer above 2**52 and |error| < 20, so the fraction is exact
     whole = np.floor(error)
     fraction = error - whole
     floor = product.astype(np.int64) + whole.astype(np.int64)
     del product, error, whole
-    # x's rounding interval, scaled like x, is floor + (fraction - below, fraction + above):
-    # half an ulp times scale each way (at least 0.55), half that below a power of two.
-    # For x's ulp 2**e its ends are odd multiples of 2**(e + s - 1) or 2**(e + s - 2),
-    # and e + s <= -36, so no end is an integer: whether an even mantissa's ends belong
-    # to the interval never matters
-    above = np.spacing(x) * 0.5 * scale
-    below = np.where(x.view(np.uint64) & _MANTISSA == 0, 0.5 * above, above)
-    del scale
-    # the first and last integer in the interval; these sums are exact
-    high = floor + np.floor(above + fraction).astype(np.int64)
-    low = floor - np.floor(below - fraction).astype(np.int64)
+    # x's rounding interval, scaled like x, is floor + (fraction - below, fraction + above).
+    # Its ends are odd multiples of 2**(e + s - 1) or 2**(e + s - 2) for x's ulp 2**e, and
+    # e + s <= -36: no end is an integer, so an even mantissa's ends never matter
+    above = np.spacing(y) * 0.5 * scale
+    below = np.where(y.view(np.uint64) & _MANTISSA == 0, 0.5 * above, above)
+    del y, scale
+    above += fraction
+    below -= fraction
+    # the first and last integer in the interval, where no slack puts an end in doubt
+    slack = _SLACK[decade]
+    ok = (floor >= 10**16) & (floor < 10**17)
+    ok &= (np.abs(above - np.round(above)) >= slack) & (np.abs(below - np.round(below)) >= slack)
+    high = floor + np.floor(above).astype(np.int64)
+    low = floor - np.floor(below).astype(np.int64)
     del above, below
 
     # the shortest digits: the largest cut such that a multiple of 10**cut lies in
     # [low, high]; a cut that fits implies every smaller one does
-    ok = (floor >= 10**16) & (floor < 10**17)
     cut = np.zeros(x.size, np.intp)  # trailing digits dropped: 17 - cut remain
     active = np.flatnonzero(ok)
     top, bottom = high[active], low[active]
@@ -142,30 +166,26 @@ def _shortest_words(x: np.ndarray, where: np.ndarray):
         active, top, bottom = active[inside], top[inside], bottom[inside]
         cut[active] = k
     del active, top, bottom
-    # the nearest multiple of 10**cut to x * scale, half to even
+    # the nearest multiple of 10**cut to x * 10**s, half to even
     step = _POW10[cut]
     quotient = floor // step
     over = (2 * (floor - quotient * step) - step) + 2 * fraction  # > 0: round up
     digits = (quotient + ((over > 0) | ((over == 0) & (quotient & 1 == 1)))) * step
-    del floor, fraction, step, quotient, over
+    ok &= np.abs(over) >= 2 * slack
+    del floor, fraction, step, quotient, over, slack
     ok &= (digits >= low) & (digits <= high) & (digits < 10**17)
     del low, high
 
     ok = np.flatnonzero(ok)
     decade, digits, cut = decade[ok], digits[ok], cut[ok]
     first = digits // 10**16
-    head = _HEAD[10 * decade + first]
+    form = np.where(decade >= _FIXED, decade - _FIXED, 4 + (cut == 16))
+    head = _HEAD[10 * form + first]
     digits -= first * 10**16
-    del first, decade
-    upper = digits // 10**8
-    middle, tail = _eight_digits(upper), _eight_digits(digits - upper * 10**8)
-    del digits, upper
+    del first, form
+    middle, tail = (_DIGITS4[n // 10**4] | _DIGITS4[n % 10**4] << np.uint64(32)
+                    for n in (digits // 10**8, digits % 10**8))
+    del digits
     middle &= _KEEP_MIDDLE[cut]
     tail &= _KEEP_TAIL[cut]
-    return where[ok], head, middle, tail
-
-
-def _eight_digits(n: np.ndarray) -> np.ndarray:
-    """The eight decimal digits of each ``n`` < 10**8, zero-padded, as one word."""
-    four = n // 10**4
-    return _DIGITS4[four] | _DIGITS4[n - four * 10**4] << np.uint64(32)
+    return where[ok], head, middle, tail, decade

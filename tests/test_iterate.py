@@ -1,5 +1,8 @@
 import csv
+import itertools
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,8 +219,10 @@ def _bits_to_float(bits):
 
 
 # any float64 bit pattern (nan payloads, infinities, -0.0, subnormals), weighted
-# towards [1e-4, 1), the range whose digits are computed rather than taken from repr
+# towards [1e-307, 1), the range whose digits are computed rather than taken from
+# repr, and towards [1e-4, 1), where they need no exponent
 ANY_FLOAT = st.one_of(st.integers(0, 2**64 - 1).map(_bits_to_float),
+                      st.floats(min_value=1e-307, max_value=1.0, exclude_max=True),
                       st.floats(min_value=1e-4, max_value=1.0, exclude_max=True),
                       st.floats(min_value=0.0, max_value=1.0),
                       st.sampled_from([0.0, 1.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]))
@@ -231,22 +236,64 @@ def test_label_dump_of_any_matrix_matches_csv_writer(tmp_path_factory, m):
     assert (tmp / "any.csv").read_bytes() == csv_writer_bytes(tmp / "any-reference.csv", m)
 
 
+def _shortest_pair(u, v):
+    """Lagrange's reduction of the 2-D integer lattice spanned by ``u`` and ``v``."""
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1]
+
+    while True:
+        if dot(u, u) > dot(v, v):
+            u, v = v, u
+        k = round(Fraction(dot(u, v), dot(u, u)))
+        if k == 0:
+            return u, v
+        v = (v[0] - k * u[0], v[1] - k * u[1])
+
+
+def near_integer_ends():
+    """Values below 1e-6 whose rounding range, times 10**s, ends within 2**-50 of an integer.
+
+    There x * 10**s is only known to within about 1e-14, so these are the values
+    the formatter must leave to repr. For x = m * 2**q an end is n * 5**s / 2**K
+    with n = 2m +- 1 and K = 1 - q - s: a short vector of the lattice of
+    (n, n * 5**s mod 2**K) gives an odd n of 54 bits whose end is near an integer.
+    """
+    values = []
+    for e in range(-307, -6, 6):
+        q = math.ceil(e * math.log2(10)) - 52  # one binade inside the decade
+        s = 16 - e
+        K = 1 - q - s
+        a, b = 2 ** max(0, K - 105), 2 ** max(0, 105 - K)  # weigh n and the end alike
+        u, v = _shortest_pair((a, 5**s % 2**K * b), (0, 2**K * b))
+        for i, j in itertools.product(range(-4, 5), repeat=2):
+            n = (i * u[0] + j * v[0]) // a
+            if n % 2 and 2**53 < n < 2**54:
+                for m in ((n - 1) // 2, (n + 1) // 2):
+                    if 2**52 < m < 2**53:
+                        values.append(math.ldexp(m, q))
+    return values
+
+
 def decimal_edge_values():
-    """The values in and around [1e-4, 1) where a shortest-digits search can slip."""
+    """The values where a shortest-digits search can slip, most of them below 1."""
     rng = np.random.default_rng(7)
-    values = [2.0**-j for j in range(1, 14)]  # every power of two in [1e-4, 1)
-    values += [1e-4, 1e-3, 0.01, 0.1, 1.0]
+    values = [2.0**-j for j in range(1, 1075)]  # every power of two below 1
+    values += [10.0**-k for k in range(309)]  # the doubles nearest each decade's bound
     values += [np.nextafter(v, side) for v in list(values) for side in (0.0, 2.0)]
     for k in range(1, 18):  # k-digit decimals in each decade
-        for zeros in range(4):
-            # k digits, the first and the last nonzero
-            digits = int(rng.integers(10 ** (k - 1), 10**k)) // 10 * 10 + int(rng.integers(1, 10))
-            values.append(float(f"0.{'0' * zeros}{digits}"))
+        # k digits, the first and the last nonzero
+        digits = [int(rng.integers(10 ** (k - 1), 10**k)) // 10 * 10 + int(rng.integers(1, 10))
+                  for _ in range(11)]
+        values += [float(f"0.{'0' * zeros}{d}") for zeros, d in zip(range(4), digits)]
+        values += [float(f"{d}e{e - k}") for e, d in zip((-4, -5, -6, -22, -100, -300, -306),
+                                                         digits[4:])]
     # n / 2**a for odd n, among them values whose x * 10**s is an integer ending in 5:
     # halfway between two 16-digit candidates, so the last digit's parity decides
     values += [n / 2.0**a for a in range(14, 21) for n in rng.integers(2**a // 20, 2**a, 40) | 1]
-    lo, hi = np.array([1e-5, 2.0]).view(np.uint64)
-    values += rng.integers(lo, hi, size=20_000, dtype=np.uint64).view(np.float64).tolist()
+    values += near_integer_ends()
+    for lo, hi in [(1e-5, 2.0), (5e-324, 1e-5)]:
+        lo, hi = np.array([lo, hi]).view(np.uint64)
+        values += rng.integers(lo, hi, size=20_000, dtype=np.uint64).view(np.float64).tolist()
     return np.array(values)
 
 
