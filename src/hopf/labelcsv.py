@@ -2,8 +2,9 @@
 
 A label CSV has a ``label_0,...`` header, then one row per node: Python
 ``repr`` floats joined by commas, CRLF line ends and no quoting, the bytes of
-``csv.writer`` with ``repr``. Rows are formatted and written ``BLOCK_ROWS`` at
-a time, so a matrix never exists as one whole string.
+``csv.writer`` with ``repr`` (no float's ``repr`` holds a comma, quote or
+newline). Rows are formatted and written ``BLOCK_ROWS`` at a time, so a matrix
+never exists as one whole string.
 
 The text is computed with numpy. ``0.0`` and ``1.0`` are constants. A value x
 in [1e-307, 1), with E = floor(log10 x) and s = 16 - E, gets the shortest
