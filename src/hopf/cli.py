@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import shutil
@@ -23,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import labelcsv
 from . import manifest as run_manifest
 from .bench import run_scaling
 from .data import (gen_benchmark_graph, gen_chain, gen_planted_partition, load_dataset,
@@ -126,16 +126,8 @@ def _train_config(args) -> TrainConfig:
         raise ConfigError(f"--config {args.config}: {exc}") from exc
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _history_rows(history):
-    return [[h["epoch"], repr(h["train_loss"]), repr(h["val_loss"]), repr(h["lr"])]
-            for h in history]
+# the table writer, under the name that perfbench/spans.py traces
+_write_csv = labelcsv.write_rows
 
 
 def cmd_gen(args) -> int:
@@ -174,14 +166,11 @@ def cmd_train(args) -> int:
             weights, history = train(spec, bundle, split, config, sample_caps=caps)
             ev = evaluate(spec, weights, bundle, split.test_nodes)
             records.append(MetricsRecord(args.model, bundle.name, fold, ev["micro_f1"], ev["loss"]))
-            _write_csv(out / f"history_fold{fold}.csv", ["epoch", "train_loss", "val_loss", "lr"],
-                       _history_rows(history))
-            # a generator: each row is converted and formatted as it is written, never all
-            # at once (a generator's outermost iterable is built eagerly, so no .tolist() there)
-            _write_csv(out / f"predictions_fold{fold}.csv",
-                       ["node"] + [f"label_{j}" for j in range(bundle.num_labels)],
-                       ([int(n)] + [repr(v) for v in row.tolist()]
-                        for n, row in zip(split.test_nodes, ev["predictions"])))
+            columns = ["epoch", "train_loss", "val_loss", "lr"]
+            _write_csv(out / f"history_fold{fold}.csv", columns,
+                       [[h[c] for c in columns] for h in history])
+            labelcsv.write(out / f"predictions_fold{fold}.csv", ev["predictions"],
+                           index=split.test_nodes)
         write_records_csv(records, out / "metrics.csv")
         f1s = [r.micro_f1 for r in records]
         report = {"model": args.model, "dataset": bundle.name, "folds": args.folds,
@@ -204,7 +193,7 @@ def cmd_hopf(args) -> int:
         result = run_hopf(spec, bundle, splits[args.fold], config, hopf_config,
                           out_dir=out / "iterations")
         _write_csv(out / "trajectory.csv", ["iteration", "micro_f1"],
-                   [[row["iteration"], repr(float(row["micro_f1"]))] for row in result.trajectory])
+                   [[row["iteration"], row["micro_f1"]] for row in result.trajectory])
         # the last round's label dumps already hold the final matrices
         for name in ("yhat", "ytilde"):
             shutil.copyfile(out / "iterations" / f"{name}_t{hopf_config.T}.csv",
@@ -230,8 +219,7 @@ def cmd_bench_scaling(args) -> int:
                             args.repeats, config, budget_bytes=budget)
         _write_csv(out / "timings.csv",
                    ["variant", "hops", "mean_seconds", "status", "batch_bytes"],
-                   [[c.variant, c.hops, "" if c.mean_seconds is None else repr(c.mean_seconds),
-                     c.status, "" if c.batch_bytes is None else c.batch_bytes] for c in cells])
+                   [[c.variant, c.hops, c.mean_seconds, c.status, c.batch_bytes] for c in cells])
     width = max(len(c.variant) for c in cells) + 2
     print(f"{'variant':<{width}}{'hops':>6}  {'mean epoch s':>14}  status")
     for c in cells:
@@ -255,7 +243,7 @@ def cmd_neighbor_fraction(args) -> int:
             caps = [max(1, math.ceil(frac * max_degree))] * spec.depth
             weights, _ = train(spec, bundle, split, config, sample_caps=caps)
             ev = evaluate(spec, weights, bundle, split.test_nodes)
-            rows.append([repr(frac), caps[0], repr(ev["micro_f1"]), repr(ev["loss"])])
+            rows.append([frac, caps[0], ev["micro_f1"], ev["loss"]])
         _write_csv(out / "fractions.csv", ["fraction", "cap_per_hop", "micro_f1", "loss"], rows)
     return 0
 
@@ -283,7 +271,7 @@ def cmd_compare(args) -> int:
         ranks = average_rank(scores)
         order = sorted(sf, key=sf.get)
         _write_csv(out / "report.csv", ["model", "shortfall", "avg_rank"],
-                   [[m, repr(sf[m]), repr(ranks[m])] for m in order])
+                   [[m, sf[m], ranks[m]] for m in order])
         write_report_json({"shortfall": sf, "avg_rank": ranks, "per_dataset_shortfall": cells},
                           out / "report.json")
     width = max(len(m) for m in order) + 2

@@ -11,7 +11,6 @@ trainable parameter count stays that of a single C-layer kernel.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import shutil
 from dataclasses import dataclass, field, replace
@@ -150,9 +149,5 @@ _dump_labels = labelcsv.write
 
 
 def _append_metrics_row(path: Path, iteration: int, test_f1: float) -> None:
-    new = not path.exists()
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if new:
-            writer.writerow(["iteration", "test_micro_f1"])
-        writer.writerow([iteration, repr(float(test_f1))])
+    header = None if path.exists() else ["iteration", "test_micro_f1"]
+    labelcsv.write_rows(path, header, [[iteration, test_f1]])

@@ -657,12 +657,9 @@ def nim_relative_importance(alpha: float, beta: float, k: int, skip: bool = Fals
 def nim_decay_table(alpha: float, beta: float, max_k: int, skip: bool = False):
     """Tabulated self-information decay: header plus one row per k in 0..max_k."""
     header = ["k", "importance"] + (["importance_skip"] if skip else [])
-    rows = []
-    for k in range(max_k + 1):
-        row = [k, repr(nim_relative_importance(alpha, beta, k))]
-        if skip:
-            row.append(repr(nim_relative_importance(alpha, beta, k, skip=True)))
-        rows.append(row)
+    rows = [[k, nim_relative_importance(alpha, beta, k)]
+            + ([nim_relative_importance(alpha, beta, k, skip=True)] if skip else [])
+            for k in range(max_k + 1)]
     return header, rows
 
 

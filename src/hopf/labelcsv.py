@@ -1,33 +1,41 @@
-"""Label-matrix CSV text: the one formatter behind every ``{yhat,ytilde}`` CSV.
+"""CSV text: the one module that turns floats into CSV bytes.
 
-A label CSV has a ``label_0,...`` header, then one row per node: Python
-``repr`` floats joined by commas, CRLF line ends and no quoting, the bytes of
-``csv.writer`` with ``repr`` (no float's ``repr`` holds a comma, quote or
-newline). Rows are formatted and written ``BLOCK_ROWS`` at a time, so a matrix
-never exists as one whole string.
+Every CSV that ``hopf`` writes holds the bytes of ``csv.writer`` with each float
+as ``repr(float(v))``: CRLF line ends, and no quoting, as no float's ``repr``
+holds a comma, quote or newline. ``write`` writes a float64 matrix a
+``BLOCK_ROWS`` block at a time, so it never exists as one whole string: the label
+CSVs ``iterations/{yhat,ytilde}_t{t}.csv`` and ``{yhat,ytilde}_final.csv``, and,
+after a ``node`` column, ``train``'s ``predictions_fold{k}.csv``. ``write_rows``
+writes the small tables, ``None`` as an empty cell and ints and strings as they
+are: ``history_fold{k}.csv``, ``metrics.csv``, ``iterations/metrics.csv``,
+``trajectory.csv``, ``timings.csv``, ``fractions.csv``, ``decay.csv`` and
+``compare``'s ``report.csv``.
 
-The text is computed with numpy. ``0.0`` and ``1.0`` are constants. A value x
-in [1e-307, 1), with E = floor(log10 x) and s = 16 - E, gets the shortest
-digits that read back as x, as ``repr`` does (Steele & White 1990; Adams
-2018, "Ryu"): Dekker's two-product splits x * 10**s into a 17-digit integer F
-and a fraction, and x's half-ulp times 10**s (half that below a power of two)
-bounds a short range of integers around it. The largest k for which the range
-holds a multiple of 10**k leaves 17 - k digits, those of the multiple of 10**k
-nearest x * 10**s, half to even. 10**s is held as 2**t * (hi + lo), hi and lo
-doubles, t > 0 only near the top of the double range. For E >= -6, lo = 0 and
-every step is exact; below, x * 10**s is known to within 4e-15, and a value
-whose range end or rounding tie lies within 2**-40 of an integer goes to
-``repr``, as does every other value and any whose F falls outside
-[10**16, 10**17). The text is assembled in little-endian 64-bit words, 32
-bytes per value, and every zero byte is dropped.
+``write`` computes the text with numpy. ``0.0`` and ``1.0`` are constants. A
+value x in [1e-307, 1), with E = floor(log10 x) and s = 16 - E, gets the
+shortest digits that read back as x, as ``repr`` does (Steele & White 1990;
+Adams 2018, "Ryu"): Dekker's two-product splits x * 10**s into a 17-digit
+integer F and a fraction, and x's half-ulp times 10**s (half that below a
+power of two) bounds a short range of integers around it. The largest k for
+which the range holds a multiple of 10**k leaves 17 - k digits, those of the
+multiple of 10**k nearest x * 10**s, half to even. 10**s is held as
+2**t * (hi + lo), hi and lo doubles, t > 0 only near the top of the double
+range. For E >= -6, lo = 0 and every step is exact; below, x * 10**s is known
+to within 4e-15, and a value whose range end or rounding tie lies within 2**-40
+of an integer goes to ``repr``, as does every other value and any whose F
+falls outside [10**16, 10**17). The text is assembled in little-endian 64-bit
+words, 32 bytes per value, and every zero byte is dropped.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
 BLOCK_ROWS = 1024
 
+_WORD = "<u8"
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 _MANTISSA = np.uint64(2**52 - 1)
 _POW10 = 10 ** np.arange(17, dtype=np.int64)
@@ -39,9 +47,9 @@ _BINADE_DECADE = np.searchsorted(_TENS, np.ldexp(1.0, np.arange(-1023, 0)), side
 _FIXED = -4 - _EXPONENTS[0]  # the first decade that repr writes without an exponent
 
 
-def _word(text: bytes) -> int:
-    """Up to 8 bytes as the value of the little-endian word that holds them."""
-    return int.from_bytes(text.ljust(8, b"\0"), "little")
+def _words(texts) -> np.ndarray:
+    """The byte strings ``texts``, 8 bytes at most, as zero-padded little-endian words."""
+    return np.asarray(texts, "S8").view(_WORD).ravel()
 
 
 def _scale(s: int) -> tuple[float, float, float]:
@@ -64,34 +72,38 @@ _SCALE_HI, _SCALE_LO = _split(_SCALE)
 _SLACK = np.where(_SCALE_REST == 0, 0.0, 2.0**-40)
 
 # A value's text takes three words and its separator the fourth. An exact value's first
-# word is its first digit, after "0." and zeros in a fixed-point decade, before "." in an
-# exponent decade (alone if it is the only digit); the next two hold 16 more digits, the
-# last ``cut`` masked off. An exponent decade's "e-XX" precedes the separator.
-_HEAD = np.array([_word(b"\0" * (2 + d) + b"0." + b"0" * (3 - d) + bytes([48 + a]))
-                  for d in range(4) for a in range(10)]
-                 + [_word(bytes([48 + a]) + b".") for a in range(10)]
-                 + [_word(bytes([48 + a])) for a in range(10)], np.uint64)
-_E_TEXT = [f"e-{-e:02d}".encode() if e < -4 else b"" for e in _EXPONENTS]
-_EXPONENT = np.array([_word(text) for text in _E_TEXT], np.uint64)
-_EXPONENT_BITS = np.array([8 * len(text) for text in _E_TEXT], np.uint64)
-_DIGITS4 = np.array([_word(f"{i:04d}".encode()) for i in range(10_000)], np.uint64)
-_KEEP_MIDDLE = np.array([2**64 - 1 >> 8 * max(cut - 8, 0) for cut in range(17)], np.uint64)
-_KEEP_TAIL = np.array([2**64 - 1 >> 8 * min(cut, 8) for cut in range(17)], np.uint64)
-_ZERO, _ONE = _word(b"0.0"), _word(b"1.0")
-_COMMA, _CRLF = _word(b","), _word(b"\r\n")
-_WORD = "<u8"
+# word, _HEAD[10 * form + first digit], is the digit after "0." and zeros in a fixed-point
+# decade (forms 0-3), before "." in an exponent decade (4), or alone (5); the next two hold
+# 16 more digits, the last ``cut`` masked off. An exponent's "e-XX" precedes the separator.
+_HEAD = _words(np.char.add(np.char.add([[b"0.000"], [b"0.00"], [b"0.0"], [b"0."], [b""], [b""]],
+                                       np.arange(10).astype("S1")), [[b""]] * 4 + [[b"."], [b""]]))
+_E_TEXT = np.char.add(b"e-", np.char.zfill((-np.array(_EXPONENTS)).astype("S3"), 2))
+_E_TEXT[_FIXED:] = b""  # repr writes decades -4..-1 without an exponent
+_EXPONENT = _words(_E_TEXT)
+_EXPONENT_BITS = 8 * np.char.str_len(_E_TEXT).astype(np.uint64)
+_DIGITS4 = _words((48 + np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10)
+                  .astype(np.uint8).view("S4"))
+_KEEP_MIDDLE = np.uint64(2**64 - 1) >> 8 * (np.maximum(np.arange(17, dtype=np.uint64), 8) - 8)
+_KEEP_TAIL = np.uint64(2**64 - 1) >> 8 * np.minimum(np.arange(17, dtype=np.uint64), 8)
+_ZERO, _ONE, _COMMA, _CRLF = _words([b"0.0", b"1.0", b",", b"\r\n"])
 
 
-def write(path, matrix: np.ndarray) -> None:
-    """Write a 2-D float64 ``matrix`` as a label CSV, ``BLOCK_ROWS`` rows at a time."""
+def write(path, matrix: np.ndarray, index=None) -> None:
+    """Write a 2-D float64 ``matrix`` as CSV, each row after its ``index`` entry if given."""
+    names = [f"label_{j}" for j in range(matrix.shape[1])]
     with open(path, "wb") as fh:
-        fh.write(",".join(f"label_{j}" for j in range(matrix.shape[1])).encode() + b"\r\n")
+        fh.write(",".join(names if index is None else ["node"] + names).encode() + b"\r\n")
         for start in range(0, matrix.shape[0], BLOCK_ROWS):
-            fh.write(format_rows(matrix[start : start + BLOCK_ROWS]))
+            rows = _row_words(matrix[start : start + BLOCK_ROWS])
+            if index is not None:  # each row's id and a comma, four words, before its values
+                ids = np.char.add(np.asarray(index[start : start + BLOCK_ROWS], "S24"), b",")
+                rows = np.concatenate([ids.astype("S32").view(_WORD).reshape(-1, 1, 4), rows], 1)
+            fh.write(rows.tobytes().translate(None, b"\0"))
+            del rows  # the next block is formatted without this one's words
 
 
-def format_rows(block: np.ndarray) -> bytes:
-    """The CSV bytes of the rows of ``block``, no header."""
+def _row_words(block: np.ndarray) -> np.ndarray:
+    """Each value of ``block`` as four words: three of its CSV text, one of its separator."""
     block = np.ascontiguousarray(block, dtype=np.float64)
     x = block.ravel()
     bits = x.view(np.uint64)
@@ -112,7 +124,17 @@ def format_rows(block: np.ndarray) -> bytes:
     if rest.any():
         reprs = np.array([repr(v) for v in x[rest].tolist()], dtype="S24")
         words[rest, :3] = reprs.view(_WORD).reshape(-1, 3)
-    return words.tobytes().translate(None, b"\0")
+    return rows
+
+
+def write_rows(path, header, rows) -> None:
+    """Write ``rows`` under ``header``, or append them if it is None; a float as repr(float(v))."""
+    with open(path, "a" if header is None else "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
 
 
 def _shortest_words(x: np.ndarray, where: np.ndarray):

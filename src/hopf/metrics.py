@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
+from . import labelcsv
 from .errors import ArgumentError, ConfigError
 
 LOG_EPS = 1e-12  # clamp inside logs so the loss is always finite
@@ -165,11 +166,7 @@ class MetricsRecord:
 
 
 def write_records_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "dataset", "fold", "micro_f1", "loss"])
-        for r in records:
-            writer.writerow([r.model, r.dataset, r.fold, repr(r.micro_f1), repr(r.loss)])
+    labelcsv.write_rows(path, [f.name for f in fields(MetricsRecord)], map(astuple, records))
 
 
 def read_scores_csv(path) -> dict:

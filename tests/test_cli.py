@@ -10,6 +10,7 @@ import pytest
 
 import hopf.bench as bench_mod
 import hopf.cli as cli_mod
+from hopf import labelcsv
 from hopf import HopfConfig, TrainConfig, make_kernel, make_splits, row_normalize, run_hopf
 from hopf.cli import main
 from hopf.data import load_dataset
@@ -339,8 +340,9 @@ class TestTrainCommand:
 
     def test_prediction_rows_keep_their_bytes(self, planted_dir, fast_config, tmp_path,
                                               monkeypatch):
-        # rows are ``repr`` of ``tolist()`` floats, byte for byte the old
-        # csv.writer rows of ``repr(float(v))`` per numpy cell
+        # labelcsv.write's rows, the node id first, are byte for byte csv.writer rows of
+        # ``int(n)`` and ``repr(float(v))`` per numpy cell; with 3-row blocks the 30 test
+        # rows span 10 blocks, so ids and rows that drift apart at a block's edge show
         real, seen = cli_mod.evaluate, {}
 
         def edge_values(spec, weights, bundle, node_set):
@@ -350,18 +352,21 @@ class TestTrainCommand:
             return ev
 
         monkeypatch.setattr(cli_mod, "evaluate", edge_values)
-        out = tmp_path / "run"
-        assert main(["train", "--dataset", str(planted_dir), "--model", "nip_mean",
-                     "--config", str(fast_config), "--folds", "1", "--seed", "5",
-                     "--out", str(out)]) == 0
-        preds = seen["predictions"]
-        with open(tmp_path / "reference.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node"] + [f"label_{j}" for j in range(preds.shape[1])])
-            writer.writerows([int(n)] + [repr(float(v)) for v in row]
-                             for n, row in zip(seen["nodes"], preds))
-        assert ((out / "predictions_fold0.csv").read_bytes()
-                == (tmp_path / "reference.csv").read_bytes())
+        for block_rows in (labelcsv.BLOCK_ROWS, 3):
+            monkeypatch.setattr(labelcsv, "BLOCK_ROWS", block_rows)
+            out = tmp_path / f"run{block_rows}"
+            assert main(["train", "--dataset", str(planted_dir), "--model", "nip_mean",
+                         "--config", str(fast_config), "--folds", "1", "--seed", "5",
+                         "--out", str(out)]) == 0
+            nodes, preds = seen["nodes"], seen["predictions"]
+            assert len(nodes) == 30
+            reference = tmp_path / f"reference{block_rows}.csv"
+            with open(reference, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["node"] + [f"label_{j}" for j in range(preds.shape[1])])
+                writer.writerows([int(n)] + [repr(float(v)) for v in row]
+                                 for n, row in zip(nodes, preds))
+            assert (out / "predictions_fold0.csv").read_bytes() == reference.read_bytes()
 
     def test_caps_at_max_degree_train_as_without_caps(self, planted_dir, fast_config, tmp_path):
         # no node exceeds its cap, so every ball and every row is the BFS one
