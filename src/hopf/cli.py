@@ -65,9 +65,9 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_list(text: str, flag: str, kind) -> list:
-    """The comma list ``text`` given to ``flag``, each entry converted by ``kind``."""
+    """The comma list ``text`` given to ``flag``, each entry stripped and converted by ``kind``."""
     try:
-        values = [kind(v) for v in text.split(",") if v.strip()]
+        values = [kind(v.strip()) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"{flag}: expected a comma list of {kind.__name__}s, got {text!r}") from None
     if not values:
@@ -210,13 +210,14 @@ def cmd_hopf(args) -> int:
 def cmd_bench_scaling(args) -> int:
     config = _train_config(args)
     hops = _parse_list(args.hops, "--hops", int)
+    variants = _parse_list(args.variants, "--variants", str)
     with _dataset_scope(args, config, {"hops": args.hops, "variants": args.variants,
                                        "repeats": args.repeats,
                                        "memory_budget_gib": args.memory_budget}) as (out, bundle):
         split = make_splits(bundle.graph.n, config.rng_seed)[0]
         budget = None if args.memory_budget <= 0 else int(args.memory_budget * 2**30)
-        cells = run_scaling(bundle, split, args.variants.split(","), hops,
-                            args.repeats, config, budget_bytes=budget)
+        cells = run_scaling(bundle, split, variants, hops, args.repeats, config,
+                            budget_bytes=budget)
         _write_csv(out / "timings.csv",
                    ["variant", "hops", "mean_seconds", "status", "batch_bytes"],
                    [[c.variant, c.hops, c.mean_seconds, c.status, c.batch_bytes] for c in cells])

@@ -5,17 +5,22 @@ A dataset directory holds four files: ``meta.json`` (name, n, f, l, task),
 (dense tab-separated rows, one node per line, node order = id order). The
 format round-trips byte-identically through save/load. One reader,
 ``_read_table``, parses all three TSV files, 64 KiB at a time, and names the
-file and line of whatever it rejects.
+file and line of whatever it rejects; ``load_edge_list`` states the edge
+format.
 
 ``load_dataset`` keeps a binary copy of every bundle it parses under
-:func:`cache_root`, one uncompressed ``.npz`` per bundle, keyed by the SHA-256
-of the four files' bytes. A later load of the same bytes reads that copy
-instead of parsing the text, and runs every check on it again.
+:func:`cache_root`, one uncompressed ``.npz`` per bundle. Its key is the
+SHA-256 over the four files' SHA-256, each taken over the bytes the parser
+read; its name also carries the byte counts the load's ``stat`` gave, a
+pre-filter that lets a load matching no entry's sizes skip the hashing. A
+later load of the same bytes reads that copy instead of parsing the text, and
+runs every check on it again.
 """
 
 from __future__ import annotations
 
 import codecs
+import collections
 import contextlib
 import hashlib
 import io
@@ -100,31 +105,33 @@ def _line_blocks(path, digest):
         yield [tail]
 
 
-def _read_table(path, name, open_lines, dtype, comments=None, width=None) -> np.ndarray:
+def _read_table(path, dtype, digest=None, comments=None, width=None) -> np.ndarray:
     """The tab-separated rows of ``path`` as a 2-D ``dtype`` array.
 
-    numpy's C reader parses the lines ``open_lines(path)`` returns; its values
+    numpy's C reader parses the lines of ``read_lines(path, digest)``; its values
     are bit-identical to ``float()`` or ``int()`` of each cell. Only when it
     rejects them, or finds other than ``width`` columns, does the line reader
-    run, on the lines of a second ``open_lines(path)``, to name the offending
-    line of ``name``: a bad cell, a wrong column count, an integer beyond int64,
-    or bytes that are not UTF-8. ``comments`` starts a comment; a blank line
-    holds no row.
+    run, on a second read of the file, to name the offending line: a bad cell, a
+    wrong column count, an integer beyond int64, or bytes that are not UTF-8.
+    ``comments`` starts a comment; a blank line holds no row. Whichever pass
+    returns the table, ``digest`` ends up holding the SHA-256 of its bytes, or of
+    no file's bytes if the file changed between the passes.
     """
+    lines = read_lines(path, digest)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty file warns; the line reader handles it
-            table = np.loadtxt(open_lines(path), dtype=dtype, delimiter="\t", comments=comments,
-                               ndmin=2)
+            table = np.loadtxt(lines, dtype=dtype, delimiter="\t", comments=comments, ndmin=2)
         if width in (None, table.shape[1]):
             return table
     except (ValueError, Warning):
         pass
     parse = int if np.issubdtype(dtype, np.integer) else float
+    reread = None if digest is None else hashlib.sha256()
     rows = []
     lineno = 0
     try:
-        for lineno, line in enumerate(open_lines(path), start=1):
+        for lineno, line in enumerate(read_lines(path, reread), start=1):
             if comments:  # a comment goes, and so does the whitespace around the cells
                 line = line.split(comments, 1)[0].strip()
             if not line.strip():
@@ -132,25 +139,30 @@ def _read_table(path, name, open_lines, dtype, comments=None, width=None) -> np.
             cells = line.split("\t")
             width = width or len(cells)
             if len(cells) != width:
-                raise IngestError(f"{name}:{lineno}: expected {width} columns, "
+                raise IngestError(f"{path}:{lineno}: expected {width} columns, "
                                   f"found {len(cells)}")
             try:
                 row = [parse(cell) for cell in cells]
             except ValueError as exc:
-                raise IngestError(f"{name}:{lineno}: {exc}") from exc
-            if parse is int and max(map(abs, row)) >= 2**63:
-                raise IngestError(f"{name}:{lineno}: value out of the int64 range")
+                raise IngestError(f"{path}:{lineno}: {exc}") from exc
+            if parse is int and not -2**63 <= min(row) <= max(row) < 2**63:
+                raise IngestError(f"{path}:{lineno}: value out of the int64 range")
             rows.append(row)
     except UnicodeDecodeError as exc:
         # lines are decoded a block at a time, so the bad byte lies in a line after this one
-        raise IngestError(f"{name}: not UTF-8 text after line {lineno} ({exc.reason})") from exc
+        raise IngestError(f"{path}: not UTF-8 text after line {lineno} ({exc.reason})") from exc
+    if digest is not None:  # the table came from the second read: name it by those bytes
+        with contextlib.suppress(UnicodeDecodeError):
+            collections.deque(lines, maxlen=0)  # numpy's reader may have stopped early
+        if digest.digest() != reread.digest():  # the file changed between the two reads
+            digest.update(reread.digest())  # so the key matches no file's bytes
     # 2-D even with no rows, so the column checks can read shape[1]
     return np.asarray(rows, dtype=dtype).reshape(len(rows), width or 0)
 
 
-def load_edge_list(path) -> np.ndarray:
+def load_edge_list(path, digest=None) -> np.ndarray:
     """Parse a tab-separated edge-list file into an (m, 2) int64 array; ``#`` starts a comment."""
-    return _read_table(path, path, read_lines, np.int64, comments="#", width=2)
+    return _read_table(path, np.int64, digest, comments="#", width=2)
 
 
 def save_dataset(bundle: DatasetBundle, dir_path) -> None:
@@ -235,9 +247,10 @@ CACHE_MAX_BYTES = 2**30  # after a store, least recently used entries go until t
 
 def cache_root() -> Path | None:
     """``$XDG_CACHE_HOME/hopf/datasets``, by default ``~/.cache/hopf/datasets``;
-    None when there is no home directory to default to."""
-    base = os.environ.get("XDG_CACHE_HOME")
-    if not base:
+    None when there is no home directory to default to. As the XDG spec asks, a
+    relative ``XDG_CACHE_HOME`` is ignored."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
         try:
             base = Path.home() / ".cache"
         except RuntimeError:
@@ -245,42 +258,21 @@ def cache_root() -> Path | None:
     return Path(base) / "hopf" / "datasets"
 
 
-class _Digest:
-    """SHA-256 and length of a file's bytes, fed a block at a time."""
-
-    def __init__(self, data: bytes = b""):
-        self.sha = hashlib.sha256(data)
-        self.size = len(data)
-
-    def update(self, block: bytes) -> None:
-        self.sha.update(block)
-        self.size += len(block)
-
-
-def _file_digest(path: Path) -> _Digest:
-    digest = _Digest()
+def _file_digest(path: Path):
+    sha = hashlib.sha256()
     with open(path, "rb") as fh:
         while block := fh.read(READ_BLOCK):
-            digest.update(block)
-    return digest
+            sha.update(block)
+    return sha
 
 
-def _hexdigests(digests: dict) -> dict[str, str]:
-    return {fname: digests[fname].sha.hexdigest() for fname in _BUNDLE_FILES}
-
-
-def _sizes_tag(sizes) -> str:
-    return ".".join(str(size) for size in sizes)
-
-
-def _entry_name(digests: dict) -> str:
-    """``<sizes>-<key>.npz``: the four files' byte counts, then the SHA-256 over the
-    format tag and each file's name and SHA-256. The sizes let a load whose files
-    match no entry's skip hashing them for the lookup."""
+def _entry_name(sizes: str, shas: dict) -> str:
+    """``<sizes>-<key>.npz``: the four files' byte counts as the load's ``stat`` read
+    them, then the SHA-256 over the format tag and each file's name and SHA-256. The
+    sizes let a load whose files match no entry's skip hashing them for the lookup."""
     key = hashlib.sha256(CACHE_FORMAT)
     for fname in _BUNDLE_FILES:
-        key.update(fname.encode() + b"\0" + digests[fname].sha.digest())
-    sizes = _sizes_tag(digests[fname].size for fname in _BUNDLE_FILES)
+        key.update(fname.encode() + b"\0" + shas[fname].digest())
     return f"{sizes}-{key.hexdigest()}.npz"
 
 
@@ -424,32 +416,27 @@ def load_dataset(dir_path) -> DatasetBundle:
     meta_raw = (d / "meta.json").read_bytes()
     meta = _parse_meta(d, meta_raw)
     root = cache_root()
-    sizes = _sizes_tag([len(meta_raw)] + [(d / f).stat().st_size for f in _BUNDLE_FILES[1:]])
+    # the stat sizes pre-filter the lookup; a file whose size changes during the
+    # parse leaves an entry under sizes it no longer has, which no lookup reaches
+    sizes = ".".join(map(str, [len(meta_raw)] + [(d / f).stat().st_size
+                                                 for f in _BUNDLE_FILES[1:]]))
+    shas = {"meta.json": hashlib.sha256(meta_raw)}
     if root is not None and any(root.glob(f"{sizes}-*.npz")):
-        digests = {f: _file_digest(d / f) for f in _BUNDLE_FILES[1:]}
-        digests["meta.json"] = _Digest(meta_raw)
-        bundle = _load_entry(root / _entry_name(digests), d, meta)
+        shas.update((f, _file_digest(d / f)) for f in _BUNDLE_FILES[1:])
+        bundle = _load_entry(root / _entry_name(sizes, shas), d, meta)
         if bundle is not None:
-            bundle.digests = _hexdigests(digests)
+            bundle.digests = {f: sha.hexdigest() for f, sha in shas.items()}
             return bundle
 
     # each file's bytes are hashed as the parser reads them, so the entry is
     # named by the bytes parsed, even if a file changed since the lookup
-    parsed = {"meta.json": _Digest(meta_raw)}
-
-    def open_lines(path):
-        digest = parsed[Path(path).name] = _Digest()
-        return read_lines(path, digest)
-
-    x, y = (_read_table(d / f, f"{d}/{f}", open_lines, np.float64)
-            for f in ("features.tsv", "labels.tsv"))
+    shas.update((f, hashlib.sha256()) for f in _BUNDLE_FILES[1:])
+    x, y = (_read_table(f"{d}/{f}", np.float64, shas[f]) for f in ("features.tsv", "labels.tsv"))
     _check_arrays(d, meta, x, y)  # the row checks confirm n before build_graph allocates O(n)
-    edges = _read_table(d / "graph.tsv", f"{d}/graph.tsv", open_lines, np.int64, comments="#",
-                        width=2)
-    graph = build_graph(edges, meta.n)
+    graph = build_graph(load_edge_list(f"{d}/graph.tsv", shas["graph.tsv"]), meta.n)
     bundle = DatasetBundle(graph=graph, x=x, y=y, task=meta.task, name=meta.name,
-                           digests=_hexdigests(parsed))
-    stored = root is not None and _store_entry(root, _entry_name(parsed), bundle)
+                           digests={f: sha.hexdigest() for f, sha in shas.items()})
+    stored = root is not None and _store_entry(root, _entry_name(sizes, shas), bundle)
     bundle.cache_outcome = "miss" if stored else "unavailable"
     return bundle
 

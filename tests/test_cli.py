@@ -145,6 +145,9 @@ BAD_ARGUMENTS = [
     pytest.param("--hops: expected at least one value",
                  ["bench-scaling", "--dataset", "{data}", "--hops", ",", "--variants", "nip_mean"],
                  id="bench-hops-empty"),
+    pytest.param("--variants: expected at least one value",
+                 ["bench-scaling", "--dataset", "{data}", "--hops", "1", "--variants", " , "],
+                 id="bench-variants-empty"),
     pytest.param("n=10001 exceeds the limit", ["gen", "chain", "--n", "10001"],
                  id="gen-chain-past-limit"),
     # 2.2e9 adjacency entries overflow the int32 CSR; refused before any endpoint array
@@ -210,6 +213,22 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert "features.tsv:3" in capsys.readouterr().err
+
+    def test_a_bad_cell_under_dataset_dot_names_the_path_as_given(self, planted_dir, tmp_path,
+                                                                  capsys, monkeypatch):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for f in planted_dir.iterdir():
+            (bad / f.name).write_bytes(f.read_bytes())
+        lines = (bad / "features.tsv").read_text().splitlines()
+        lines[1] = "oops" + lines[1][lines[1].index("\t"):]
+        (bad / "features.tsv").write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(bad)
+        code = main(["train", "--dataset", ".", "--model", "nip_mean",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: ./features.tsv:2: could not convert string to float: 'oops'\n"
 
     def test_planted_rejects_dense_draw_past_limit(self, tmp_path, capsys):
         # n=100000 would need about 180 GB for the dense draw
@@ -609,6 +628,20 @@ class TestBenchScaling:
         assert rows[0]["status"] == "infeasible"
         assert rows[0]["mean_seconds"] == ""
         assert int(rows[0]["batch_bytes"]) > 0.000001 * 2**30
+
+    def test_variants_are_stripped_like_every_comma_list(self, planted_dir, tmp_path, capsys):
+        # a budget no batch fits makes every cell infeasible, so both tables are exact bytes
+        outputs = []
+        for run, variants in (("plain", "nip_mean,i_nip_mean_c1"),
+                              ("spaced", " nip_mean, i_nip_mean_c1 ,")):
+            out = tmp_path / run
+            assert main(["bench-scaling", "--dataset", str(planted_dir), "--hops", "1,2",
+                         "--variants", variants, "--repeats", "1", "--memory-budget", "1e-9",
+                         "--out", str(out)]) == 0
+            outputs.append(((out / "timings.csv").read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert [r["variant"] for r in read_csv(tmp_path / "plain" / "timings.csv")] == \
+            ["nip_mean", "nip_mean", "i_nip_mean_c1", "i_nip_mean_c1"]
 
     def test_config_reaches_the_timed_step_and_the_manifest(self, planted_dir, tmp_path,
                                                             capsys, monkeypatch):

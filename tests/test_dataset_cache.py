@@ -1,11 +1,13 @@
 """The binary dataset cache inside ``load_dataset``: hits, misses, damage, bounds."""
 
+import hashlib
 import json
 import os
 import sys
 import threading
 import warnings
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,8 +88,8 @@ def test_a_file_changed_during_the_parse_is_kept_under_its_parsed_bytes(tmp_path
     real = data_mod.read_lines
 
     def edit_then_read(path, digest=None):
-        if path.name == "features.tsv":
-            path.write_text(original.replace("0.25", "0.75"))
+        if Path(path).name == "features.tsv":
+            Path(path).write_text(original.replace("0.25", "0.75"))
         return real(path, digest)
 
     monkeypatch.setattr(data_mod, "read_lines", edit_then_read)
@@ -99,6 +101,86 @@ def test_a_file_changed_during_the_parse_is_kept_under_its_parsed_bytes(tmp_path
     (d / "features.tsv").write_text(original)
     back = load_dataset(d)  # no entry may hold the edited values under the original's key
     assert back.cache_outcome == "miss" and back.x[2, 1] == 0.25
+
+
+def test_a_file_whose_size_changes_during_the_parse_leaves_no_reachable_entry(
+        tmp_path, monkeypatch):
+    d = bundle_dir(tmp_path)
+    original = (d / "features.tsv").read_text()
+    longer = original.replace("0.25", "0.375")  # one byte more than the sizes the load read
+    real = data_mod.read_lines
+
+    def grow_then_read(path, digest=None):
+        if Path(path).name == "features.tsv":
+            Path(path).write_text(longer)
+        return real(path, digest)
+
+    monkeypatch.setattr(data_mod, "read_lines", grow_then_read)
+    parsed = load_dataset(d)
+    monkeypatch.setattr(data_mod, "read_lines", real)
+    assert parsed.cache_outcome == "miss" and parsed.x[2, 1] == 0.375
+    # the entry is named by the sizes read before the parse and the bytes parsed:
+    # neither the grown file nor the original reaches it
+    grown = load_dataset(d)
+    assert grown.cache_outcome == "miss" and grown.x[2, 1] == 0.375
+    (d / "features.tsv").write_text(original)
+    back = load_dataset(d)
+    assert back.cache_outcome == "miss" and back.x[2, 1] == 0.25
+    assert [load_dataset(d).x[2, 1] for _ in range(2)] == [0.25, 0.25]
+    (d / "features.tsv").write_text(longer)
+    assert load_dataset(d).cache_outcome == "hit"
+
+
+def whitespace_led_bundle(tmp_path, rows):
+    """A bundle whose features.tsv opens with a line of spaces: numpy's reader rejects
+    it, so the line reader parses the file."""
+    d = tmp_path / "d"
+    x = np.random.default_rng(0).standard_normal((rows, 2))
+    y = np.eye(2)[np.arange(rows) % 2]
+    save_dataset(DatasetBundle(graph=build_graph([], rows), x=x, y=y,
+                               task=Task.MULTI_CLASS, name="spaced"), d)
+    (d / "features.tsv").write_text("  \n" + (d / "features.tsv").read_text())
+    return d, x
+
+
+def test_a_table_the_line_reader_parses_is_keyed_by_the_whole_file(tmp_path):
+    # numpy's reader stops at the first line, long before the file's last block
+    d, x = whitespace_led_bundle(tmp_path, rows=5000)
+    assert (d / "features.tsv").stat().st_size > 2 * data_mod.READ_BLOCK
+    runs = [load_dataset(d) for _ in range(2)]
+    assert [b.cache_outcome for b in runs] == ["miss", "hit"]
+    assert runs[1].x.tobytes() == x.tobytes()
+    text = (d / "features.tsv").read_bytes()
+    assert runs[1].digests["features.tsv"] == hashlib.sha256(text).hexdigest()
+
+
+def test_a_file_changed_between_the_two_reads_names_no_entry(tmp_path, monkeypatch):
+    d, _ = whitespace_led_bundle(tmp_path, rows=4)
+    first = (d / "features.tsv").read_text()
+    second = first.replace("-", "+", 1)  # same size, another value
+    assert second != first
+    real, reads = data_mod.read_lines, []
+
+    def edit_before_the_second_read(path, digest=None):
+        if Path(path).name == "features.tsv":
+            reads.append(path)
+            if len(reads) == 2:
+                Path(path).write_text(second)
+        return real(path, digest)
+
+    monkeypatch.setattr(data_mod, "read_lines", edit_before_the_second_read)
+    parsed = load_dataset(d)
+    monkeypatch.setattr(data_mod, "read_lines", real)
+    assert len(reads) == 2 and parsed.cache_outcome == "miss"
+    want = {}
+    for text in (second, first):
+        (d / "features.tsv").write_text(text)
+        want[text] = load_dataset(d).x
+        assert load_dataset(d).cache_outcome == "hit"
+    assert parsed.x.tobytes() == want[second].tobytes() != want[first].tobytes()
+    for text in (first, second):  # each content reads back its own values
+        (d / "features.tsv").write_text(text)
+        assert load_dataset(d).x.tobytes() == want[text].tobytes()
 
 
 def tamper(path, **arrays):
@@ -154,6 +236,16 @@ def test_a_malformed_bundle_stores_nothing(tmp_path, fname, old, new):
     with pytest.raises(IngestError):
         load_dataset(d)
     assert entries() == []
+
+
+def test_a_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.chdir(tmp_path)
+    for value in ("relcache", "./relcache", ""):
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+        assert data_mod.cache_root() == tmp_path / "home" / ".cache" / "hopf" / "datasets"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "abs"))
+    assert data_mod.cache_root() == tmp_path / "abs" / "hopf" / "datasets"
 
 
 def test_an_unwritable_root_still_runs_and_says_unavailable(tmp_path, monkeypatch):

@@ -104,6 +104,18 @@ class TestEdgeListFile:
         with pytest.raises(IngestError):
             load_edge_list(p)
 
+    def test_int64_bounds(self, tmp_path):
+        p = tmp_path / "graph.tsv"
+        p.write_text("0\t-9223372036854775808\n1\tx\n")  # -2**63 is an int64; x is not
+        with pytest.raises(IngestError, match=r"graph.tsv:2: invalid literal"):
+            load_edge_list(p)
+        p.write_text("0\t-9223372036854775808\n1\t9223372036854775808\n")
+        with pytest.raises(IngestError, match="graph.tsv:2: value out of the int64 range"):
+            load_edge_list(p)
+        p.write_text("0\t-9223372036854775809\n")
+        with pytest.raises(IngestError, match="graph.tsv:1: value out of the int64 range"):
+            load_edge_list(p)
+
     def test_crlf_and_cr_line_ends(self, tmp_path):
         p = tmp_path / "graph.tsv"
         p.write_bytes(b"0\t1\r\n1\t2\r2\t3\n")
