@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, ConfigError, IngestError, ShapeError
-from .graph import CSR_INDEX_MAX, Graph, build_graph
+from .graph import CSR_INDEX_MAX, Graph, build_graph, first_edge_out_of_range
 from .metrics import Task
 
 
@@ -160,9 +160,21 @@ def _read_table(path, dtype, digest=None, comments=None, width=None) -> np.ndarr
     return np.asarray(rows, dtype=dtype).reshape(len(rows), width or 0)
 
 
-def load_edge_list(path, digest=None) -> np.ndarray:
-    """Parse a tab-separated edge-list file into an (m, 2) int64 array; ``#`` starts a comment."""
-    return _read_table(path, np.int64, digest, comments="#", width=2)
+def load_edge_list(path, digest=None, n: int | None = None) -> np.ndarray:
+    """Parse a tab-separated edge-list file into an (m, 2) int64 array; ``#`` starts a comment.
+
+    Given ``n``, an endpoint outside [0, n) is an ``IngestError`` that names
+    its line, counted as :func:`_read_table` counts them (a comment or blank
+    line holds no edge)."""
+    edges = _read_table(path, np.int64, digest, comments="#", width=2)
+    bad = None if n is None else first_edge_out_of_range(edges, n)
+    if bad is not None:
+        rows = itertools.count()
+        lineno = next(i for i, line in enumerate(read_lines(path), start=1)
+                      if line.split("#", 1)[0].strip() and next(rows) == bad)
+        raise IngestError(f"{path}:{lineno}: edge ({edges[bad, 0]}, {edges[bad, 1]}) "
+                          f"out of range for n={n}")
+    return edges
 
 
 def save_dataset(bundle: DatasetBundle, dir_path) -> None:
@@ -410,6 +422,8 @@ def load_dataset(dir_path) -> DatasetBundle:
     lookup or the parse read.
     """
     d = Path(dir_path)
+    if not d.is_dir():
+        raise IngestError(f"{d}: not a directory")
     for fname in _BUNDLE_FILES:
         if not (d / fname).exists():
             raise IngestError(f"{d}: missing {fname}")
@@ -433,7 +447,7 @@ def load_dataset(dir_path) -> DatasetBundle:
     shas.update((f, hashlib.sha256()) for f in _BUNDLE_FILES[1:])
     x, y = (_read_table(f"{d}/{f}", np.float64, shas[f]) for f in ("features.tsv", "labels.tsv"))
     _check_arrays(d, meta, x, y)  # the row checks confirm n before build_graph allocates O(n)
-    graph = build_graph(load_edge_list(f"{d}/graph.tsv", shas["graph.tsv"]), meta.n)
+    graph = build_graph(load_edge_list(f"{d}/graph.tsv", shas["graph.tsv"], meta.n), meta.n)
     bundle = DatasetBundle(graph=graph, x=x, y=y, task=meta.task, name=meta.name,
                            digests={f: sha.hexdigest() for f, sha in shas.items()})
     stored = root is not None and _store_entry(root, _entry_name(sizes, shas), bundle)

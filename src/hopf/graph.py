@@ -57,10 +57,6 @@ class _CSR:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def to_scipy(self) -> sp.csr_matrix:
-        data = np.ones(self.indices.size, dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-
 
 @dataclass(frozen=True)
 class Graph(_CSR):
@@ -109,6 +105,13 @@ class Subgraph(_CSR):
 CSR_INDEX_MAX = np.iinfo(np.int32).max
 
 
+def first_edge_out_of_range(pairs: np.ndarray, n: int) -> int | None:
+    """The index of the first (u, v) row of ``pairs`` with an endpoint outside [0, n), or None."""
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        return int(np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))[0])
+    return None
+
+
 def build_graph(edge_list, n: int) -> Graph:
     """Build a symmetric CSR graph from an iterable of (u, v) pairs.
 
@@ -125,9 +128,9 @@ def build_graph(edge_list, n: int) -> Graph:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise IngestError("edge list must contain (u, v) pairs")
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-        bad = pairs[(pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)][0]
-        raise IngestError(f"edge ({bad[0]}, {bad[1]}) out of range for n={n}")
+    bad = first_edge_out_of_range(pairs, n)
+    if bad is not None:
+        raise IngestError(f"edge ({pairs[bad, 0]}, {pairs[bad, 1]}) out of range for n={n}")
 
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # strip self-loops
     if 2 * pairs.shape[0] > CSR_INDEX_MAX:
@@ -253,8 +256,14 @@ def sample_neighbors(g: Graph, per_hop_caps, seeds,
     return _expand(g, seeds, caps, np.random.default_rng(rng_seed))
 
 
-def normalize_adjacency(sub, scheme: NormScheme) -> sp.csr_matrix:
+def normalize_adjacency(sub, scheme: NormScheme, start: int = 0, stop: int | None = None,
+                        cols: int | None = None) -> sp.csr_matrix:
     """Weight a (sub)graph's adjacency per ``scheme``.
+
+    Rows ``start`` to ``stop`` (all by default) are weighted, and come back as
+    a ``(stop - start, cols)`` matrix (``cols`` defaults to every column; each
+    column index in those rows must be below it). A row's weights are the same
+    bits however many rows are weighted with it.
 
     MEAN rows with entries sum to one; an empty row (an isolated node, or one
     on a ball's last frontier) stays zero, so its neighbor term vanishes and
@@ -269,15 +278,21 @@ def normalize_adjacency(sub, scheme: NormScheme) -> sp.csr_matrix:
     """
     if scheme == NormScheme.MAXPOOL:
         raise ArgumentError("maxpool is not a matrix normalization; it is applied inside the kernel")
+    stop = sub.n if stop is None else stop
+    lo, hi = sub.indptr[start], sub.indptr[stop]
+    indptr, indices = sub.indptr[start : stop + 1], sub.indices[lo:hi]
+    if start:
+        indptr = indptr - lo
+    counts = np.diff(indptr)
     if scheme == NormScheme.COUNT:
-        return sub.to_scipy()
-    counts = np.diff(sub.indptr)
-    if scheme == NormScheme.MEAN:
+        data = np.ones(hi - lo)
+    elif scheme == NormScheme.MEAN:
         deg = counts.astype(np.float64)
         data = np.repeat(np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0), counts)
     elif scheme == NormScheme.SYM_SELF:
         s = 1.0 / np.sqrt(sub.degree + 1.0)
-        data = np.repeat(s, counts) * s[sub.indices]
+        data = np.repeat(s[start:stop], counts) * s[indices]
     else:
         raise ArgumentError(f"unknown normalization scheme {scheme!r}")
-    return sp.csr_matrix((data, sub.indices, sub.indptr), shape=(sub.n, sub.n))
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(stop - start, sub.n if cols is None else cols))

@@ -247,6 +247,8 @@ class ModelWeights:
 class ForwardCache:
     """What the backward pass reads from one forward evaluation, and no more.
 
+    Only a forward that gradients follow builds one: :func:`predict` with
+    ``grad=False`` (every inference) builds none and holds none of this.
     ``x[k]`` is layer k's activation after ReLU, skip connection and dropout;
     ``active[k]`` is its ReLU mask ``pre > 0`` as a bool array, so no float64
     pre-activation outlives the layer that computed it. Both hold only the
@@ -286,19 +288,19 @@ class ForwardCache:
     ytilde: np.ndarray | None = None
 
 
-def _maxpool_with_argmax(sub: Subgraph, feats: np.ndarray, n: int):
-    """Maxpool for the first ``n`` rows of ``sub``."""
+def _maxpool_with_argmax(sub: Subgraph, feats: np.ndarray, n: int, start: int = 0):
+    """Maxpool for rows ``start`` to ``n`` of ``sub``."""
     w = feats.shape[1]
-    out = np.zeros((n, w), dtype=np.float64)
-    arg = np.full((n, w), -1, dtype=np.int64)
-    for v in range(n):
+    out = np.zeros((n - start, w), dtype=np.float64)
+    arg = np.full((n - start, w), -1, dtype=np.int64)
+    for v in range(start, n):
         nb = sub.neighbors(v)
         if nb.size == 0:
             continue
         rows = feats[nb]
         top = rows.argmax(axis=0)
-        out[v] = rows[top, np.arange(w)]
-        arg[v] = nb[top]
+        out[v - start] = rows[top, np.arange(w)]
+        arg[v - start] = nb[top]
     return out, arg
 
 
@@ -363,18 +365,24 @@ def _hidden_product(a: np.ndarray, w: np.ndarray,
     """
     m = a.shape[0]
     out = np.empty((m, w.shape[1]))
-    blocks = max(1, m // HIDDEN_BLOCK_ROWS)
     if plus is not None:
         b, v = plus
         part = np.empty((min(m, 2 * HIDDEN_BLOCK_ROWS - 1), v.shape[1]))
-    for i in range(blocks):
-        lo = i * HIDDEN_BLOCK_ROWS
-        hi = m if i == blocks - 1 else lo + HIDDEN_BLOCK_ROWS
+    for lo, hi in _blocks(m):
         np.matmul(a[lo:hi], w, out=out[lo:hi])
         if plus is not None:
             np.matmul(b[lo:hi], v, out=part[: hi - lo])
             out[lo:hi] += part[: hi - lo]
     return out
+
+
+def _blocks(m: int) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` row blocks in which :func:`_hidden_product` multiplies
+    an ``m``-row operand: ``HIDDEN_BLOCK_ROWS`` rows each, the last one taking
+    the remainder."""
+    count = max(1, m // HIDDEN_BLOCK_ROWS)
+    return [(i * HIDDEN_BLOCK_ROWS, m if i == count - 1 else (i + 1) * HIDDEN_BLOCK_ROWS)
+            for i in range(count)]
 
 
 def _row_block(m: sp.csr_matrix, rows: int, cols: int) -> sp.csr_matrix:
@@ -383,6 +391,28 @@ def _row_block(m: sp.csr_matrix, rows: int, cols: int) -> sp.csr_matrix:
     end = m.indptr[rows]
     return sp.csr_matrix((m.data[:end], m.indices[:end], m.indptr[: rows + 1]),
                          shape=(rows, cols))
+
+
+class _Gather:
+    """``src[ids]``, never built whole. Slicing narrows ``ids``; numpy reads
+    the rows left through ``__array__``, so ``_hidden_product`` gathers one
+    row block at a time, and assigning to a slice writes into ``src``."""
+
+    def __init__(self, src: np.ndarray, ids: np.ndarray):
+        self.src, self.ids = src, ids
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.ids), self.src.shape[1]
+
+    def __getitem__(self, rows: slice) -> "_Gather":
+        return _Gather(self.src, self.ids[rows])
+
+    def __setitem__(self, rows: slice, value: np.ndarray) -> None:
+        self.src[self.ids[rows]] = value
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.src[self.ids]
 
 
 def _output_activation(logits: np.ndarray, task: Task) -> np.ndarray:
@@ -446,7 +476,12 @@ def _layer_pre(cache: ForwardCache, k: int) -> np.ndarray:
         if cache.alpha_vec is not None:
             node = cache.alpha_vec[:n_out, None] * node
     cache.maxpool_argmax.append(argmax)
+    return _combine(spec, node, neigh)
 
+
+def _combine(spec: KernelSpec, node: np.ndarray | None, neigh: np.ndarray | None) -> np.ndarray:
+    """A layer's pre-activation from its node and neighbour terms, either of
+    which may be None where the spec has no such path."""
     if spec.combine is Combine.CONCAT:
         return np.hstack([node, neigh])
     if node is None:
@@ -456,10 +491,50 @@ def _layer_pre(cache: ForwardCache, k: int) -> np.ndarray:
     return node
 
 
+def _layer_into(out, spec: KernelSpec, weights: ModelWeights, sub: Subgraph, k: int,
+                rows: list[int], h, h0, yhat) -> None:
+    """Layer k+1's activation without gradients, written into ``out`` one row block at a time.
+
+    ``h`` is layer k's activation (``rows[k]`` rows), ``h0`` layer 0's where
+    the node path reads it, ``yhat`` the label channel; each may be a
+    :class:`_Gather`. The neighbour product ``lin`` is built first, from all
+    of ``h``; then each of ``_blocks(rows[k + 1])`` takes its node product,
+    adds its rows of the aggregation over ``lin`` (weighting only those rows
+    of the adjacency), and is written to ``out`` after ReLU and the skip
+    connection. A block reads only its own rows of ``h`` once ``lin``
+    exists, so ``out`` may be ``h`` itself. Every value equals
+    :func:`_layer_pre`'s, bit for bit: the products have the same blocks, and
+    the rest is row by row or element-wise.
+    """
+    n_in, n_out = rows[k], rows[k + 1]
+    lin = None
+    if spec.has_neighbor_path:
+        wpsi = weights.wpsi[k]
+        psi_in = yhat[:n_in] if spec.psi is Psi.LABELS else h
+        w = psi_in.shape[1]
+        plus = (yhat[:n_in], wpsi[w:]) if spec.psi is Psi.H_PREV_CONCAT_LABELS else None
+        lin = _hidden_product(psi_in, wpsi[:w], plus)
+    node_in = h0 if spec.phi is Phi.H0 else h
+    for lo, hi in _blocks(n_out):
+        node = neigh = None
+        if spec.has_node_path:
+            node = np.matmul(node_in[lo:hi], weights.wphi[k])
+            if spec.alpha is AlphaMode.INV_DEG_SELF:
+                node = (1.0 / (sub.degree[lo:hi].astype(np.float64) + 1.0))[:, None] * node
+        if lin is not None:
+            neigh = (_maxpool_with_argmax(sub, lin, hi, lo)[0] if spec.norm is NormScheme.MAXPOOL
+                     else normalize_adjacency(sub, spec.norm, lo, hi, n_in) @ lin)
+        block = _combine(spec, node, neigh)
+        np.maximum(block, 0.0, out=block)
+        if spec.skip_connections:
+            block += h[lo:hi]
+        out[lo:hi] = block
+
+
 def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
             features: np.ndarray, yhat: np.ndarray | None = None, *,
             task: Task, dropout_rate: float = 0.0,
-            rng: np.random.Generator | None = None):
+            rng: np.random.Generator | None = None, grad: bool = True):
     """Forward pass over a subgraph; returns seed-row predictions and the cache.
 
     ``features`` and ``yhat`` are the graph-level X and label-estimate
@@ -469,6 +544,13 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
     ``rows[k-1]`` prefix of the layer below, so h_0 and every propagation
     layer cost what the seeds depend on, not the whole ball. A label kernel
     given no ``yhat`` reads the all-zero channel of HOPF's first round.
+
+    ``grad=False`` is inference: the same predictions, bit for bit, and None
+    for the cache. It builds no :class:`ForwardCache`, keeps no ReLU mask and
+    draws no dropout. The label channel and a whole-graph input layer stay in
+    graph row order and are read through ``sub.global_ids`` one row block at
+    a time (:class:`_Gather`), and each layer is written block by block over
+    its input once nothing later reads that input (:func:`_layer_into`).
     """
     features = _graph_rows("features", features, sub)
     if features.shape[1] != weights.w0.shape[0]:
@@ -480,11 +562,35 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
             raise ConfigError(f"label channel width {yhat.shape[1]} != model label count {num_labels}")
     if dropout_rate > 0.0 and rng is None:
         raise ConfigError("dropout needs an explicit rng for reproducibility")
+    if dropout_rate > 0.0 and not grad:
+        raise ConfigError("dropout is a training option; a forward without gradients draws none")
 
     rows = layer_rows(sub, spec.depth)
     ids = sub.global_ids[: rows[0]]
+    whole_graph = rows[0] >= WHOLE_GRAPH_FRACTION * features.shape[0]
     if spec.uses_labels:  # no channel given: round one's all-zero one
-        yhat = np.zeros((rows[0], num_labels)) if yhat is None else yhat[ids]
+        yhat = (np.zeros((rows[0], num_labels)) if yhat is None
+                else yhat[ids] if grad else _Gather(yhat, ids))
+
+    if not grad:
+        h = _input_product(features if whole_graph else features[ids], weights.w0)
+        np.maximum(h, 0.0, out=h)
+        if whole_graph:  # rows stay in graph order: no copy of the ball's rows of the product
+            h = _Gather(h, ids)
+        h0 = h if spec.phi is Phi.H0 else None
+        width = weights.wl.shape[0]
+        for k in range(spec.depth):
+            # h is overwritten when it is as wide as the layer and no later node path reads it
+            reuse = h.shape[1] == width and (h is not h0 or spec.depth == 1)
+            out = h if reuse else np.empty((rows[k + 1], width))
+            _layer_into(out, spec, weights, sub, k, rows, h, h0, yhat)
+            h = np.ascontiguousarray(out[: rows[k + 1]])
+            out = None  # the input's storage is freed here, unless h views it or h0 names it
+        del h0, yhat
+        logits = h @ weights.wl
+        del h
+        return _output_activation(logits, task), None
+
     cache = ForwardCache(spec=spec, weights=weights, sub=sub, task=task, features=features,
                          yhat=yhat if spec.uses_labels else None, rows=rows)
 
@@ -506,7 +612,7 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
             h *= mask
         cache.x.append(h)
 
-    if rows[0] >= WHOLE_GRAPH_FRACTION * features.shape[0]:
+    if whole_graph:
         pre0 = _input_product(features, weights.w0)[ids]
     else:
         cache.gathered = features[ids]

@@ -160,13 +160,16 @@ def infer(spec: KernelSpec, weights: ModelWeights, bundle: DatasetBundle,
     computes every row the set depends on once (GraphSAGE's layer-wise
     inference). A node's prediction depends only on the graph, the weights
     and the label channel ``yhat``, never on which nodes share the set. The
-    pass reads ``bundle.x`` in place and holds about depth x n x hidden floats
-    plus the ball's edges, so there is nothing to chunk.
+    pass runs ``predict`` without gradients, so it keeps nothing for
+    backward. It reads ``bundle.x`` and ``yhat`` in place and holds the
+    ball's edges plus at most three n x hidden arrays at a time (h_0, the
+    layer's input and its neighbour product; each layer is written over its
+    input where it can be), so there is nothing to chunk.
     """
     sub = khop_subgraph(bundle.graph, nodes, spec.depth)
     if sub.num_seeds != len(nodes):
         raise ArgumentError("inference nodes must be distinct")
-    yt, _ = predict(spec, weights, sub, bundle.x, yhat, task=bundle.task)
+    yt, _ = predict(spec, weights, sub, bundle.x, yhat, task=bundle.task, grad=False)
     return yt
 
 

@@ -154,6 +154,9 @@ BAD_ARGUMENTS = [
     pytest.param("over the int32 CSR limit", ["gen", "benchmark", "--nodes", "70000",
                                               "--edges", "1100000000"],
                  id="gen-benchmark-past-csr-limit"),
+    pytest.param("meta.json: not a directory",
+                 ["train", "--dataset", "{data}/meta.json", "--model", "nip_mean"],
+                 id="dataset-a-file"),
     # meta.json says n=0 and every TSV is empty: the per-line reader's empty matrix is 2-D
     pytest.param("features.tsv: expected 3 columns, found 0",
                  ["train", "--dataset", "{tmp}/empty", "--model", "nip_mean"],

@@ -74,7 +74,20 @@ class TestParse:
             load_dataset(tmp_path / "d")
 
 
+    def test_edge_out_of_range_names_file_and_line(self, tmp_path):
+        # comments and blank lines hold no edge, but they count as lines
+        save_dataset(minimal_bundle(), tmp_path / "d")
+        (tmp_path / "d" / "graph.tsv").write_text("# edges\n0\t1\n\n1\t3\n1\t2\n")
+        with pytest.raises(IngestError, match=r"graph.tsv:4: edge \(1, 3\) out of range for n=3"):
+            load_dataset(tmp_path / "d")
+
+
 class TestIngestErrors:
+    def test_dataset_path_that_is_a_file(self, tmp_path):
+        save_dataset(minimal_bundle(), tmp_path / "d")
+        with pytest.raises(IngestError, match="meta.json: not a directory"):
+            load_dataset(tmp_path / "d" / "meta.json")
+
     def test_missing_file(self, tmp_path):
         save_dataset(minimal_bundle(), tmp_path / "d")
         (tmp_path / "d" / "labels.tsv").unlink()

@@ -11,14 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hopf.kernels as kernels_mod
-from hopf import (ArgumentError, ConfigError, HopfError, ModelWeights, NormScheme, ShapeError,
-                  StateError, Task, backward, build_graph, finite_diff_grad, khop_subgraph,
+from hopf import (ArgumentError, ConfigError, DatasetBundle, HopfError, ModelWeights, NormScheme,
+                  ShapeError, StateError, Task, backward, build_graph, finite_diff_grad, khop_subgraph,
                   linear_unroll_coefficient, make_kernel, nim_relative_importance,
                   predict, weighted_cross_entropy)
 from hopf.kernels import (HIDDEN_BLOCK_ROWS, ITERATIVE_MODELS, REGISTRY,
                           WHOLE_GRAPH_FRACTION, AlphaMode, Combine, KernelSpec, Phi, Psi,
                           _hidden_product, _maxpool_with_argmax, _path_inputs, layer_rows,
                           param_shapes)
+from hopf.training import infer
 
 from conftest import blas_peak_growth, random_graph, traced_peak
 
@@ -442,6 +443,62 @@ class TestForwardCache:
             lambda: predict(spec, w, sub, x, yh, task=Task.MULTI_LABEL))
         assert cache.gathered is None and yt.shape == (n, labels)
         assert kept < 6 * n * hidden * 8
+
+    def test_whole_graph_inference_keeps_nothing_for_backward(self, monkeypatch):
+        # the same shape through training.infer, which runs predict without gradients.
+        # Blocks of 256 rows keep a hopf round's proportions on the 20k-node benchmark
+        # bundle, whose 18,400 re-inferred rows make 8 blocks of 2,048; 2,000 rows make 7.
+        # Inference through the training forward peaked at 4.9x n*hidden*8 bytes here
+        monkeypatch.setattr(kernels_mod, "HIDDEN_BLOCK_ROWS", 256)
+        n, hidden, labels = 2000, 16, 10
+        rng = np.random.default_rng(4)
+        g = random_graph(n, 3 * n, 4)
+        x, yh = rng.random((n, 20)), rng.random((n, labels))
+        bundle = DatasetBundle(graph=g, x=x, y=np.zeros((n, labels)), task=Task.MULTI_LABEL,
+                               name="whole")
+        spec = make_kernel("i_nip_mean", depth=1, hidden_dim=hidden)
+        w = ModelWeights.init(spec, 20, labels, 0)
+        yt, peak, _ = traced_peak(lambda: infer(spec, w, bundle, np.arange(n), yh))
+        assert yt.shape == (n, labels)
+        assert peak < 4 * n * hidden * 8
+
+
+# every registry kernel at depths 1-3; ss_ica is pinned to one layer
+KERNEL_DEPTHS = [(name, depth) for name in REGISTRY
+                 for depth in ((1,) if name == "ss_ica" else (1, 2, 3))]
+
+
+class TestForwardWithoutGradients:
+    """``predict(..., grad=False)``: the training forward's predictions, and no cache."""
+
+    @pytest.mark.parametrize("name,depth", KERNEL_DEPTHS)
+    def test_predictions_equal_the_training_forward_bit_for_bit(self, monkeypatch, name, depth):
+        n, f, l = 400, 6, 3
+        rng = np.random.default_rng(depth)
+        g = random_graph(n, 500, 7)
+        x, yh = rng.random((n, f)) - 0.3, rng.random((n, l))
+        spec = make_kernel(name, depth=depth, hidden_dim=5)
+        w = ModelWeights.init(spec, f, l, 1)
+        whole = khop_subgraph(g, rng.choice(n, 300, replace=False), depth)
+        gathered = khop_subgraph(g, [0, 1], depth)
+        assert layer_rows(whole, depth)[0] >= WHOLE_GRAPH_FRACTION * n
+        assert layer_rows(gathered, depth)[0] < WHOLE_GRAPH_FRACTION * n
+        # one block per product, then many, each written over the layer it reads
+        for rows, sub, channel, task in itertools.product(
+                (HIDDEN_BLOCK_ROWS, 16), (whole, gathered), (yh, None), Task):
+            monkeypatch.setattr(kernels_mod, "HIDDEN_BLOCK_ROWS", rows)
+            want, _ = predict(spec, w, sub, x, channel, task=task)
+            got, cache = predict(spec, w, sub, x, channel, task=task, grad=False)
+            assert cache is None
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (rows, task)
+
+    def test_draws_no_dropout(self):
+        _, sub, x, yh, _ = rand_setup()
+        spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
+        w = ModelWeights.init(spec, 5, 3, 2)
+        with pytest.raises(ConfigError, match="dropout"):
+            predict(spec, w, sub, x, task=Task.MULTI_CLASS, dropout_rate=0.3,
+                    rng=np.random.default_rng(0), grad=False)
 
 
 class TestMaxpool:
