@@ -501,6 +501,80 @@ class TestForwardWithoutGradients:
                     rng=np.random.default_rng(0), grad=False)
 
 
+def dense_forward(spec, weights, g, x, yhat, task):
+    """``spec``'s predictions for every node of ``g``, written from its row of the
+    instantiation table with dense matrices over the whole graph: no ball, no
+    trimmed rows, no row blocks, no gather."""
+    adj = np.zeros((g.n, g.n))
+    for v in range(g.n):
+        adj[v, g.neighbors(v)] = 1.0
+    deg = adj.sum(axis=1)
+    if spec.norm is NormScheme.MEAN:  # D^-1 A, an empty row zero
+        f = np.divide(adj, deg[:, None], out=np.zeros_like(adj), where=deg[:, None] > 0)
+    elif spec.norm is NormScheme.SYM_SELF:  # (D+I)^-1/2 A (D+I)^-1/2
+        s = 1.0 / np.sqrt(deg + 1.0)
+        f = s[:, None] * adj * s[None, :]
+    alpha = 1.0 / (deg + 1.0) if spec.alpha is AlphaMode.INV_DEG_SELF else np.ones(g.n)
+    h0 = h = np.maximum(x @ weights.mats["w0"], 0.0)
+    for k in range(1, spec.depth + 1):
+        # a tied layer has one matrix w{k} for both paths
+        w_phi = weights.mats.get(f"w{k}", weights.mats.get(f"w{k}_phi"))
+        w_psi = weights.mats.get(f"w{k}", weights.mats.get(f"w{k}_psi"))
+        terms = []
+        if spec.phi is not Phi.NONE:
+            terms.append(alpha[:, None] * ((h0 if spec.phi is Phi.H0 else h) @ w_phi))
+        if spec.psi is not Psi.NONE:
+            psi = {Psi.H_PREV: h, Psi.LABELS: yhat,
+                   Psi.H_PREV_CONCAT_LABELS: np.hstack([h, yhat])}[spec.psi]
+            lin = psi @ w_psi
+            if spec.norm is NormScheme.MAXPOOL:  # per-node max over neighbours, zero without any
+                terms.append(np.array([lin[adj[v] > 0].max(axis=0) if deg[v] else
+                                       np.zeros(lin.shape[1]) for v in range(g.n)]))
+            else:
+                terms.append(f @ lin)
+        pre = np.hstack(terms) if spec.combine is Combine.CONCAT else sum(terms)
+        h = np.maximum(pre, 0.0) + (h if spec.skip_connections else 0.0)
+    logits = h @ weights.mats["wl"]
+    if task is Task.MULTI_LABEL:
+        return 1.0 / (1.0 + np.exp(-logits))
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestDenseDefinition:
+    """``predict`` against :func:`dense_forward`, the update rule as the table states it."""
+
+    @pytest.mark.parametrize("name,depth", KERNEL_DEPTHS)
+    def test_predict_matches_the_dense_definition(self, monkeypatch, name, depth):
+        n, f, l = 150, 6, 3
+        spec = make_kernel(name, depth=depth, hidden_dim=5)
+        for graph_seed in range(3):
+            rng = np.random.default_rng(depth)
+            g = random_graph(n, 180, graph_seed)
+            x, yh = rng.random((n, f)) - 0.3, rng.random((n, l))
+            w = ModelWeights.init(spec, f, l, graph_seed)
+            gathered = khop_subgraph(g, rng.choice(n, 2, replace=False), depth)
+            whole = khop_subgraph(g, rng.choice(n, (n // 2, n // 4, n // 10)[depth - 1],
+                                                replace=False), depth)
+            assert layer_rows(gathered, depth)[0] < WHOLE_GRAPH_FRACTION * n
+            assert layer_rows(whole, depth)[0] >= WHOLE_GRAPH_FRACTION * n
+            for sub in (gathered, whole):
+                # the ball stops short of nodes it reaches: ball and graph degrees differ there
+                offsets = sub.frontier_offsets
+                assert len(offsets) == depth + 2 and offsets[-1] > offsets[-2]
+            for channel, task in itertools.product((yh, None) if spec.uses_labels else (None,),
+                                                   Task):
+                want = dense_forward(spec, w, g, x, np.zeros((n, l)) if channel is None
+                                     else channel, task)
+                for rows, sub, grad in itertools.product((HIDDEN_BLOCK_ROWS, 16),
+                                                         (gathered, whole), (True, False)):
+                    monkeypatch.setattr(kernels_mod, "HIDDEN_BLOCK_ROWS", rows)
+                    got, _ = predict(spec, w, sub, x, channel, task=task, grad=grad)
+                    seeds = sub.global_ids[: sub.num_seeds]
+                    np.testing.assert_allclose(got, want[seeds], rtol=0, atol=1e-13,
+                                               err_msg=f"{graph_seed} {rows} {task} {grad}")
+
+
 class TestMaxpool:
     def test_single_neighbor_identity(self):
         g = build_graph([(0, 1)], 2)
