@@ -67,7 +67,10 @@ def estimate_batch_bytes(spec, sub: Subgraph, bundle: DatasetBundle, dropout: bo
 
     Layer k holds ``layer_rows(sub, depth)[k]`` rows of h_k's width in float64s
     (``hidden_dim`` for h_0, ``wl``'s fan-in above; see ``param_shapes``),
-    plus a bool ReLU mask and, with dropout, a float64 mask. Backward's largest
+    plus a bool ReLU mask and, with dropout, a float64 mask. The cache holds
+    no adjacency: ``8 * nnz`` bounds the float64 weights of the largest block
+    of the normalized adjacency that the forward or backward builds for one
+    layer (scipy shares the ball's int32 index arrays). Backward's largest
     layer holds its pre-activation gradient, and for the layer below the
     gradient, the aggregated neighbor term and its product with the weights.
     The input layer copies the ball's feature rows (gathered form) or scatters
@@ -82,7 +85,7 @@ def estimate_batch_bytes(spec, sub: Subgraph, bundle: DatasetBundle, dropout: bo
     widths = [spec.hidden_dim] + [above] * spec.depth
     nnz = sub.indices.size
     ball = 4 * (nnz + sub.n) + 16 * sub.n  # int32 indices and indptr, int64 ids and degrees
-    adjacency = 8 * nnz  # float64 weights; scipy shares the ball's int32 index arrays
+    adjacency = 8 * nnz  # the largest layer block's float64 weights
     cache = sum(r * w * (9 + 8 * dropout) for r, w in zip(rows, widths))
     if spec.uses_labels:
         cache += 8 * rows[0] * bundle.num_labels

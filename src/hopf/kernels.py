@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import NPZ_ERRORS, read_npz, write_npz
 from .errors import ArgumentError, ConfigError, ShapeError, StateError
@@ -250,25 +249,26 @@ class ForwardCache:
     Only a forward that gradients follow builds one: :func:`predict` with
     ``grad=False`` (every inference) builds none and holds none of this.
     ``x[k]`` is layer k's activation after ReLU, skip connection and dropout;
-    ``active[k]`` is its ReLU mask ``pre > 0`` as a bool array, so no float64
-    pre-activation outlives the layer that computed it. Both hold only the
-    ``rows[k]`` prefix of the ball that the seeds depend on (see
-    :func:`layer_rows`). A layer's path inputs are not kept: they are row
-    prefixes of ``x`` and ``yhat``, which forward and backward slice alike
-    (see :func:`_path_inputs`). A ``Psi.H_PREV_CONCAT_LABELS`` layer
-    multiplies ``h`` and the label channel by the two row blocks of
-    ``wpsi[k]`` apart and adds the label half one row block at a time (see
+    ``active[k]`` is its ReLU mask ``pre > 0`` as a bool array, taken before
+    the skip term is added, so no float64 pre-activation outlives the row
+    block that computed it; ``dropout[k]`` is its dropout mask or None. All
+    three hold only the ``rows[k]`` prefix of the ball that the seeds depend
+    on (see :func:`layer_rows`). ``maxpool_argmax[k]`` is layer k+1's pooled
+    row of ``lin`` per entry, or None where that layer does not maxpool. A
+    layer's path inputs are not kept: they are row prefixes of ``x`` and
+    ``yhat``, which forward and backward slice alike (see
+    :func:`_path_inputs`). A ``Psi.H_PREV_CONCAT_LABELS`` layer multiplies
+    ``h`` and the label channel by the two row blocks of ``wpsi[k]`` apart
+    and adds the label half one row block at a time (see
     :func:`_hidden_product`), so neither a ``[h | yhat]`` copy nor a
-    full-height label product exists. A layer builds its neighbour
-    path first and frees that path's pre-aggregation product before its node
-    path allocates, so the two never coexist. Of the
-    output only ``ytilde`` is kept; backward never reads the logits.
-    ``gathered`` is None when the input layer multiplied the whole graph-level
-    ``features`` (see ``WHOLE_GRAPH_FRACTION``). ``adj[k]`` is layer k+1's
-    block of the normalized adjacency, ``rows[k+1]`` by ``rows[k]``; its
-    ``.T`` is a free CSC view, which the backward pass multiplies by directly.
-    :func:`backward` is the cache's only reader, and it consumes the cache:
-    it drops each layer's entries once it is done with them.
+    full-height label product exists. Of the output only ``ytilde`` is kept;
+    backward never reads the logits. ``gathered`` is None when the input
+    layer multiplied the whole graph-level ``features`` (see
+    ``WHOLE_GRAPH_FRACTION``). No adjacency is kept: the forward weights one
+    row block of it at a time, and :func:`backward` weights each layer's
+    block again. :func:`backward` is the cache's only reader, and it
+    consumes the cache: it drops each layer's entries once it is done with
+    them.
     """
 
     spec: KernelSpec
@@ -282,10 +282,18 @@ class ForwardCache:
     active: list = field(default_factory=list)   # bool ReLU masks, same indexing
     dropout: list = field(default_factory=list)  # dropout masks or None
     rows: list = field(default_factory=list)
-    adj: list = field(default_factory=list)
-    alpha_vec: np.ndarray | None = None
     maxpool_argmax: list = field(default_factory=list)
     ytilde: np.ndarray | None = None
+
+    def keep(self, h: np.ndarray, active: np.ndarray, rng, rate: float) -> None:
+        """Drop out ``h`` in place, its mask drawn from ``rng`` at ``h``'s full
+        shape, and keep it with its ReLU mask ``active`` and its dropout mask."""
+        mask = dropout_mask(rng, h.shape, rate) if rate > 0.0 else None
+        if mask is not None:
+            h *= mask
+        self.x.append(h)
+        self.active.append(active)
+        self.dropout.append(mask)
 
 
 def _maxpool_with_argmax(sub: Subgraph, feats: np.ndarray, n: int, start: int = 0):
@@ -385,14 +393,6 @@ def _blocks(m: int) -> list[tuple[int, int]]:
             for i in range(count)]
 
 
-def _row_block(m: sp.csr_matrix, rows: int, cols: int) -> sp.csr_matrix:
-    """The leading ``rows`` rows of ``m`` as a (rows, cols) matrix; every column
-    index in them must already be below ``cols``."""
-    end = m.indptr[rows]
-    return sp.csr_matrix((m.data[:end], m.indices[:end], m.indptr[: rows + 1]),
-                         shape=(rows, cols))
-
-
 class _Gather:
     """``src[ids]``, never built whole. Slicing narrows ``ids``; numpy reads
     the rows left through ``__array__``, so ``_hidden_product`` gathers one
@@ -445,40 +445,6 @@ def _path_inputs(cache: ForwardCache, k: int):
     return phi_in, psi_in
 
 
-def _layer_pre(cache: ForwardCache, k: int) -> np.ndarray:
-    """Layer k+1's pre-activation from ``cache.x[k]``.
-
-    The neighbour path comes first, and its ``rows[k]``-tall product ``lin``
-    is freed as soon as it is aggregated, before the node path allocates. The
-    other products it needs on the way die when it returns, so they never
-    overlap the next layer's or the output's.
-    """
-    spec, weights = cache.spec, cache.weights
-    n_in, n_out = cache.rows[k], cache.rows[k + 1]
-    phi_in, psi_in = _path_inputs(cache, k)
-    neigh = argmax = None
-    if psi_in is not None:
-        wpsi = weights.wpsi[k]
-        w = psi_in.shape[1]
-        # [h | yhat] @ W as h @ W[:w] + yhat @ W[w:], the label half added block by
-        # block, so there is neither a concatenated copy nor a full-height label product
-        plus = ((cache.yhat[:n_in], wpsi[w:])
-                if spec.psi is Psi.H_PREV_CONCAT_LABELS else None)
-        lin = _hidden_product(psi_in, wpsi[:w], plus)
-        if spec.norm is NormScheme.MAXPOOL:
-            neigh, argmax = _maxpool_with_argmax(cache.sub, lin, n_out)
-        else:
-            neigh = cache.adj[k] @ lin
-        del lin
-    node = None
-    if phi_in is not None:
-        node = _hidden_product(phi_in, weights.wphi[k])
-        if cache.alpha_vec is not None:
-            node = cache.alpha_vec[:n_out, None] * node
-    cache.maxpool_argmax.append(argmax)
-    return _combine(spec, node, neigh)
-
-
 def _combine(spec: KernelSpec, node: np.ndarray | None, neigh: np.ndarray | None) -> np.ndarray:
     """A layer's pre-activation from its node and neighbour terms, either of
     which may be None where the spec has no such path."""
@@ -492,8 +458,9 @@ def _combine(spec: KernelSpec, node: np.ndarray | None, neigh: np.ndarray | None
 
 
 def _layer_into(out, spec: KernelSpec, weights: ModelWeights, sub: Subgraph, k: int,
-                rows: list[int], h, h0, yhat) -> None:
-    """Layer k+1's activation without gradients, written into ``out`` one row block at a time.
+                rows: list[int], h, h0, yhat, active=None, argmax=None) -> None:
+    """Layer k+1's activation, written into ``out`` one row block at a time:
+    the one statement of a layer, for both modes of :func:`predict`.
 
     ``h`` is layer k's activation (``rows[k]`` rows), ``h0`` layer 0's where
     the node path reads it, ``yhat`` the label channel; each may be a
@@ -502,9 +469,10 @@ def _layer_into(out, spec: KernelSpec, weights: ModelWeights, sub: Subgraph, k: 
     adds its rows of the aggregation over ``lin`` (weighting only those rows
     of the adjacency), and is written to ``out`` after ReLU and the skip
     connection. A block reads only its own rows of ``h`` once ``lin``
-    exists, so ``out`` may be ``h`` itself. Every value equals
-    :func:`_layer_pre`'s, bit for bit: the products have the same blocks, and
-    the rest is row by row or element-wise.
+    exists, so ``out`` may be ``h`` itself. A forward that gradients follow
+    passes ``active``, which takes each block's ReLU mask before the skip
+    term is added, and for a maxpool layer ``argmax``, which takes the
+    pooled row of ``lin`` per entry; both are ``rows[k + 1]`` tall.
     """
     n_in, n_out = rows[k], rows[k + 1]
     lin = None
@@ -521,10 +489,15 @@ def _layer_into(out, spec: KernelSpec, weights: ModelWeights, sub: Subgraph, k: 
             node = np.matmul(node_in[lo:hi], weights.wphi[k])
             if spec.alpha is AlphaMode.INV_DEG_SELF:
                 node = (1.0 / (sub.degree[lo:hi].astype(np.float64) + 1.0))[:, None] * node
-        if lin is not None:
-            neigh = (_maxpool_with_argmax(sub, lin, hi, lo)[0] if spec.norm is NormScheme.MAXPOOL
-                     else normalize_adjacency(sub, spec.norm, lo, hi, n_in) @ lin)
+        if lin is not None and spec.norm is NormScheme.MAXPOOL:
+            neigh, arg = _maxpool_with_argmax(sub, lin, hi, lo)
+            if argmax is not None:
+                argmax[lo:hi] = arg
+        elif lin is not None:
+            neigh = normalize_adjacency(sub, spec.norm, lo, hi, n_in) @ lin
         block = _combine(spec, node, neigh)
+        if active is not None:
+            np.greater(block, 0.0, out=active[lo:hi])
         np.maximum(block, 0.0, out=block)
         if spec.skip_connections:
             block += h[lo:hi]
@@ -545,12 +518,17 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
     layer cost what the seeds depend on, not the whole ball. A label kernel
     given no ``yhat`` reads the all-zero channel of HOPF's first round.
 
-    ``grad=False`` is inference: the same predictions, bit for bit, and None
-    for the cache. It builds no :class:`ForwardCache`, keeps no ReLU mask and
-    draws no dropout. The label channel and a whole-graph input layer stay in
-    graph row order and are read through ``sub.global_ids`` one row block at
-    a time (:class:`_Gather`), and each layer is written block by block over
-    its input once nothing later reads that input (:func:`_layer_into`).
+    Both modes run one layer loop: the input product and its ReLU, then
+    :func:`_layer_into` for every layer above. With ``grad`` (training) each
+    layer is written into fresh storage, its ReLU mask and maxpool argmax are
+    recorded as it is written, and once it is complete its dropout mask is
+    drawn at its full shape; the :class:`ForwardCache` keeps all of it for
+    :func:`backward`. ``grad=False`` is inference: the same predictions, bit
+    for bit, and None for the cache. It keeps no mask and draws no dropout.
+    The label channel and a whole-graph input layer stay in graph row order
+    and are read through ``sub.global_ids`` one row block at a time
+    (:class:`_Gather`), and each layer is written over its input once nothing
+    later reads that input.
     """
     features = _graph_rows("features", features, sub)
     if features.shape[1] != weights.w0.shape[0]:
@@ -560,6 +538,8 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
         yhat = _graph_rows("label channel", yhat, sub)
         if yhat.shape[1] != num_labels:
             raise ConfigError(f"label channel width {yhat.shape[1]} != model label count {num_labels}")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ConfigError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
     if dropout_rate > 0.0 and rng is None:
         raise ConfigError("dropout needs an explicit rng for reproducibility")
     if dropout_rate > 0.0 and not grad:
@@ -572,59 +552,43 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
         yhat = (np.zeros((rows[0], num_labels)) if yhat is None
                 else yhat[ids] if grad else _Gather(yhat, ids))
 
-    if not grad:
-        h = _input_product(features if whole_graph else features[ids], weights.w0)
-        np.maximum(h, 0.0, out=h)
-        if whole_graph:  # rows stay in graph order: no copy of the ball's rows of the product
-            h = _Gather(h, ids)
-        h0 = h if spec.phi is Phi.H0 else None
-        width = weights.wl.shape[0]
-        for k in range(spec.depth):
-            # h is overwritten when it is as wide as the layer and no later node path reads it
-            reuse = h.shape[1] == width and (h is not h0 or spec.depth == 1)
-            out = h if reuse else np.empty((rows[k + 1], width))
-            _layer_into(out, spec, weights, sub, k, rows, h, h0, yhat)
-            h = np.ascontiguousarray(out[: rows[k + 1]])
-            out = None  # the input's storage is freed here, unless h views it or h0 names it
-        del h0, yhat
-        logits = h @ weights.wl
-        del h
-        return _output_activation(logits, task), None
-
-    cache = ForwardCache(spec=spec, weights=weights, sub=sub, task=task, features=features,
-                         yhat=yhat if spec.uses_labels else None, rows=rows)
-
-    if spec.has_neighbor_path and spec.norm is not NormScheme.MAXPOOL:
-        norm = normalize_adjacency(sub, spec.norm)
-        cache.adj = [_row_block(norm, rows[k + 1], rows[k]) for k in range(spec.depth)]
-    if spec.alpha is AlphaMode.INV_DEG_SELF:
-        cache.alpha_vec = 1.0 / (sub.degree[: rows[1]].astype(np.float64) + 1.0)
-
-    def activate(pre, skip=None):
-        """ReLU in place, keeping only its bool mask; then skip and dropout."""
-        cache.active.append(pre > 0)
-        h = np.maximum(pre, 0.0, out=pre)
-        if skip is not None:
-            h += skip
-        mask = dropout_mask(rng, h.shape, dropout_rate) if dropout_rate > 0.0 else None
-        cache.dropout.append(mask)
-        if mask is not None:
-            h *= mask
-        cache.x.append(h)
-
-    if whole_graph:
-        pre0 = _input_product(features, weights.w0)[ids]
-    else:
-        cache.gathered = features[ids]
-        pre0 = _input_product(cache.gathered, weights.w0)
-    activate(pre0)
-
+    gathered = None if whole_graph else features[ids]
+    h = _input_product(features if whole_graph else gathered, weights.w0)
+    np.maximum(h, 0.0, out=h)
+    if whole_graph:  # without gradients the ball's rows are read in graph order, not copied
+        h = h[ids] if grad else _Gather(h, ids)
+    cache = None
+    if grad:
+        cache = ForwardCache(spec=spec, weights=weights, sub=sub, task=task, features=features,
+                             yhat=yhat if spec.uses_labels else None, gathered=gathered,
+                             rows=rows)
+        cache.keep(h, h > 0, rng, dropout_rate)
+    del gathered
+    h0 = h if spec.phi is Phi.H0 else None
+    width = weights.wl.shape[0]
     for k in range(spec.depth):
-        skip = cache.x[-1][: rows[k + 1]] if spec.skip_connections else None
-        activate(_layer_pre(cache, k), skip)
-
-    cache.ytilde = _output_activation(cache.x[-1] @ weights.wl, task)
-    return cache.ytilde, cache
+        # without gradients, h is overwritten when it is as wide as the layer and no
+        # later node path reads it
+        reuse = not grad and h.shape[1] == width and (h is not h0 or spec.depth == 1)
+        out = h if reuse else np.empty((rows[k + 1], width))
+        active = argmax = None
+        if grad:
+            active = np.empty(out.shape, dtype=bool)
+            if spec.norm is NormScheme.MAXPOOL:
+                argmax = np.empty((rows[k + 1], spec.hidden_dim), dtype=np.int64)
+            cache.maxpool_argmax.append(argmax)
+        _layer_into(out, spec, weights, sub, k, rows, h, h0, yhat, active, argmax)
+        h = np.ascontiguousarray(out[: rows[k + 1]])
+        out = None  # the input's storage is freed here, unless h, h0 or the cache holds it
+        if grad:
+            cache.keep(h, active, rng, dropout_rate)
+    del h0, yhat
+    logits = h @ weights.wl
+    del h
+    ytilde = _output_activation(logits, task)
+    if grad:
+        cache.ytilde = ytilde
+    return ytilde, cache
 
 
 def _doutput(cache: ForwardCache, dloss_dy: np.ndarray) -> np.ndarray:
@@ -704,8 +668,8 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
             dneigh = dpre if spec.has_neighbor_path else None
 
         if dnode is not None:
-            if cache.alpha_vec is not None:
-                dnode = cache.alpha_vec[:n_out, None] * dnode
+            if spec.alpha is AlphaMode.INV_DEG_SELF:
+                dnode = (1.0 / (cache.sub.degree[:n_out].astype(np.float64) + 1.0))[:, None] * dnode
             gphi[k] += phi_in.T @ dnode
             add_grad(0 if spec.phi is Phi.H0 else layer - 1, _hidden_product(dnode, wphi[k].T))
 
@@ -717,7 +681,8 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
                 r, c = np.nonzero(valid)
                 np.add.at(dlin, (arg[r, c], c), dneigh[r, c])
             else:
-                dlin = cache.adj[k].T @ dneigh
+                # the forward's weights: a row's are the same bits however many rows are weighted
+                dlin = normalize_adjacency(cache.sub, spec.norm, 0, n_out, cache.rows[k]).T @ dneigh
             w = psi_in.shape[1]
             gpsi[k][:w] += psi_in.T @ dlin
             if spec.psi is Psi.H_PREV_CONCAT_LABELS:

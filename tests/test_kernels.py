@@ -501,6 +501,18 @@ class TestForwardWithoutGradients:
                     rng=np.random.default_rng(0), grad=False)
 
 
+@pytest.mark.parametrize("rate", [-0.5, float("nan"), 1.0, 1.5])
+@pytest.mark.parametrize("grad", [True, False])
+def test_dropout_rate_outside_the_unit_interval_is_rejected(rate, grad):
+    # rejected before any work: a negative or NaN rate would otherwise draw no dropout at all
+    _, sub, x, _, _ = rand_setup()
+    spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
+    w = ModelWeights.init(spec, 5, 3, 2)
+    with pytest.raises(ConfigError, match=r"dropout_rate must be in \[0, 1\)"):
+        predict(spec, w, sub, x, task=Task.MULTI_CLASS, dropout_rate=rate,
+                rng=np.random.default_rng(0), grad=grad)
+
+
 def dense_forward(spec, weights, g, x, yhat, task):
     """``spec``'s predictions for every node of ``g``, written from its row of the
     instantiation table with dense matrices over the whole graph: no ball, no

@@ -321,10 +321,11 @@ def step_on(spec, bundle, config=TrainConfig()):
 class TestStepMemory:
     def test_step_peak_is_a_few_layers_wide(self):
         # a 128-seed nip_mean C=3 ball covering the graph, as on full_k3 (input layer in
-        # whole-graph form). In units U = rows[0]*hidden*8 the forward cache is about 3.8U
-        # (activations 2.6U, ReLU masks, the normalized adjacency), and backward adds at
-        # most a layer's gradient, the layer below's gradient, the aggregated neighbor term
-        # and its product: about 7.3U in all. Allocating every layer's gradient up front and
+        # whole-graph form). In units U = rows[0]*hidden*8 the forward cache is about 2.9U
+        # (activations 2.6U and the ReLU masks; backward weights each layer's block of the
+        # normalized adjacency when it reaches it), and backward adds at most a layer's
+        # gradient, the layer below's gradient, the aggregated neighbor term and its
+        # product: about 6U in all. Allocating every layer's gradient up front and
         # masking into new arrays adds about 3U more.
         bundle = gen_benchmark_graph(2000, 10_000, 50, 10, rng_seed=0)
         seeds = np.random.default_rng(0).choice(2000, 128, replace=False)
