@@ -160,20 +160,25 @@ def _read_table(path, dtype, digest=None, comments=None, width=None) -> np.ndarr
     return np.asarray(rows, dtype=dtype).reshape(len(rows), width or 0)
 
 
+def _line_of_row(path, row: int, comments: str | None = None) -> int:
+    """The line number of data row ``row`` (0-based) of a TSV file, counted as
+    :func:`_read_table` counts rows: a blank line, or one that ``comments``
+    makes blank, holds no row."""
+    rows = (lineno for lineno, line in enumerate(read_lines(path), start=1)
+            if (line.split(comments, 1)[0] if comments else line).strip())
+    return next(itertools.islice(rows, row, None))
+
+
 def load_edge_list(path, digest=None, n: int | None = None) -> np.ndarray:
     """Parse a tab-separated edge-list file into an (m, 2) int64 array; ``#`` starts a comment.
 
     Given ``n``, an endpoint outside [0, n) is an ``IngestError`` that names
-    its line, counted as :func:`_read_table` counts them (a comment or blank
-    line holds no edge)."""
+    its line (:func:`_line_of_row`; a comment or blank line holds no edge)."""
     edges = _read_table(path, np.int64, digest, comments="#", width=2)
     bad = None if n is None else first_edge_out_of_range(edges, n)
     if bad is not None:
-        rows = itertools.count()
-        lineno = next(i for i, line in enumerate(read_lines(path), start=1)
-                      if line.split("#", 1)[0].strip() and next(rows) == bad)
-        raise IngestError(f"{path}:{lineno}: edge ({edges[bad, 0]}, {edges[bad, 1]}) "
-                          f"out of range for n={n}")
+        raise IngestError(f"{path}:{_line_of_row(path, bad, '#')}: edge ({edges[bad, 0]}, "
+                          f"{edges[bad, 1]}) out of range for n={n}")
     return edges
 
 
@@ -240,12 +245,6 @@ def _check_arrays(d: Path, meta: _Meta, x: np.ndarray, y: np.ndarray) -> None:
         raise IngestError(f"{d}/labels.tsv: labels must be binary")
     if meta.task == Task.MULTI_CLASS and not np.all(y.sum(axis=1) == 1):
         raise IngestError(f"{d}/labels.tsv: multi-class rows must be one-hot")
-
-
-def _line_of_row(path: Path, row: int) -> int:
-    """The line number of data row ``row`` (0-based) of a TSV file; blank lines hold no row."""
-    rows = (lineno for lineno, line in enumerate(read_lines(path), start=1) if line.strip())
-    return next(itertools.islice(rows, row, None))
 
 
 _BUNDLE_FILES = ("meta.json", "graph.tsv", "features.tsv", "labels.tsv")

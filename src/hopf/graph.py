@@ -253,7 +253,8 @@ def sample_neighbors(g: Graph, per_hop_caps, seeds,
     caps = [int(c) for c in per_hop_caps]
     if any(c < 1 for c in caps):
         raise ArgumentError("per-hop caps must be >= 1")
-    return _expand(g, seeds, caps, np.random.default_rng(rng_seed))
+    # no degree exceeds n, so a larger cap samples nothing more
+    return _expand(g, seeds, [min(c, g.n) for c in caps], np.random.default_rng(rng_seed))
 
 
 def normalize_adjacency(sub, scheme: NormScheme, start: int = 0, stop: int | None = None,

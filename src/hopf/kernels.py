@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import NPZ_ERRORS, read_npz, write_npz
 from .errors import ArgumentError, ConfigError, ShapeError, StateError
-from .graph import Graph, NormScheme, Subgraph, normalize_adjacency
+from .graph import CSR_INDEX_MAX, Graph, NormScheme, Subgraph, normalize_adjacency
 from .metrics import Task
 from .numerics import dropout_mask, glorot_init, sigmoid, softmax_rows
 
@@ -75,6 +75,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        if self.depth > CSR_INDEX_MAX:  # a ball has no more hops than the int32 CSR holds nodes
+            raise ConfigError(f"depth must be at most {CSR_INDEX_MAX}, got {self.depth}")
         if self.hidden_dim < 1:
             raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.skip_connections and self.combine is not Combine.SUM:
@@ -254,21 +256,21 @@ class ForwardCache:
     block that computed it; ``dropout[k]`` is its dropout mask or None. All
     three hold only the ``rows[k]`` prefix of the ball that the seeds depend
     on (see :func:`layer_rows`). ``maxpool_argmax[k]`` is layer k+1's pooled
-    row of ``lin`` per entry, or None where that layer does not maxpool. A
-    layer's path inputs are not kept: they are row prefixes of ``x`` and
-    ``yhat``, which forward and backward slice alike (see
-    :func:`_path_inputs`). A ``Psi.H_PREV_CONCAT_LABELS`` layer multiplies
-    ``h`` and the label channel by the two row blocks of ``wpsi[k]`` apart
-    and adds the label half one row block at a time (see
+    row of ``lin`` per entry, or None where that layer does not maxpool.
+    :func:`_layer` allocates a layer's activation, mask and argmax, and
+    :func:`predict` only appends them. A layer's path inputs are not kept:
+    they are row prefixes of ``x`` and ``yhat``, which forward and backward
+    slice alike (see :func:`_path_inputs`). A ``Psi.H_PREV_CONCAT_LABELS``
+    layer multiplies ``h`` and the label channel by the two row blocks of
+    ``wpsi[k]`` apart and adds the label half one row block at a time (see
     :func:`_hidden_product`), so neither a ``[h | yhat]`` copy nor a
     full-height label product exists. Of the output only ``ytilde`` is kept;
-    backward never reads the logits. ``gathered`` is None when the input
-    layer multiplied the whole graph-level ``features`` (see
+    backward never reads the logits. ``gathered`` is None when the input layer
+    multiplied the whole graph-level ``features`` (see
     ``WHOLE_GRAPH_FRACTION``). No adjacency is kept: the forward weights one
-    row block of it at a time, and :func:`backward` weights each layer's
-    block again. :func:`backward` is the cache's only reader, and it
-    consumes the cache: it drops each layer's entries once it is done with
-    them.
+    row block of it at a time, and :func:`backward` weights each layer's block
+    again. :func:`backward` is the cache's only reader, and it consumes the
+    cache: it drops each layer's entries once it is done with them.
     """
 
     spec: KernelSpec
@@ -296,19 +298,19 @@ class ForwardCache:
         self.dropout.append(mask)
 
 
-def _maxpool_with_argmax(sub: Subgraph, feats: np.ndarray, n: int, start: int = 0):
-    """Maxpool for rows ``start`` to ``n`` of ``sub``."""
+def _maxpool_with_argmax(sub: Subgraph, feats: np.ndarray, n: int):
+    """Maxpool for the first ``n`` rows of ``sub``, and each entry's pooled row of ``feats``."""
     w = feats.shape[1]
-    out = np.zeros((n - start, w), dtype=np.float64)
-    arg = np.full((n - start, w), -1, dtype=np.int64)
-    for v in range(start, n):
+    out = np.zeros((n, w), dtype=np.float64)
+    arg = np.full((n, w), -1, dtype=np.int64)
+    for v in range(n):
         nb = sub.neighbors(v)
         if nb.size == 0:
             continue
         rows = feats[nb]
         top = rows.argmax(axis=0)
-        out[v - start] = rows[top, np.arange(w)]
-        arg[v - start] = nb[top]
+        out[v] = rows[top, np.arange(w)]
+        arg[v] = nb[top]
     return out, arg
 
 
@@ -445,43 +447,39 @@ def _path_inputs(cache: ForwardCache, k: int):
     return phi_in, psi_in
 
 
-def _combine(spec: KernelSpec, node: np.ndarray | None, neigh: np.ndarray | None) -> np.ndarray:
-    """A layer's pre-activation from its node and neighbour terms, either of
-    which may be None where the spec has no such path."""
-    if spec.combine is Combine.CONCAT:
-        return np.hstack([node, neigh])
-    if node is None:
-        return neigh
-    if neigh is not None:
-        node += neigh
-    return node
-
-
-def _layer_into(out, spec: KernelSpec, weights: ModelWeights, sub: Subgraph, k: int,
-                rows: list[int], h, h0, yhat, active=None, argmax=None) -> None:
-    """Layer k+1's activation, written into ``out`` one row block at a time:
-    the one statement of a layer, for both modes of :func:`predict`.
+def _layer(spec: KernelSpec, weights: ModelWeights, sub: Subgraph, k: int,
+           rows: list[int], h, h0, yhat, grad: bool):
+    """Layer k+1 as ``(h_next, active, argmax)``: the one statement of a layer,
+    for both modes of :func:`predict`.
 
     ``h`` is layer k's activation (``rows[k]`` rows), ``h0`` layer 0's where
     the node path reads it, ``yhat`` the label channel; each may be a
     :class:`_Gather`. The neighbour product ``lin`` is built first, from all
-    of ``h``; then each of ``_blocks(rows[k + 1])`` takes its node product,
-    adds its rows of the aggregation over ``lin`` (weighting only those rows
-    of the adjacency), and is written to ``out`` after ReLU and the skip
-    connection. A block reads only its own rows of ``h`` once ``lin``
-    exists, so ``out`` may be ``h`` itself. A forward that gradients follow
-    passes ``active``, which takes each block's ReLU mask before the skip
-    term is added, and for a maxpool layer ``argmax``, which takes the
-    pooled row of ``lin`` per entry; both are ``rows[k + 1]`` tall.
+    of ``h``; a maxpool layer pools it once, ``argmax`` taking the pooled row
+    of ``lin`` per entry (None for any other layer), and drops it. Then each
+    of ``_blocks(rows[k + 1])`` takes its node product, adds its rows of the
+    pooled term or of the aggregation over ``lin`` (weighting only those rows
+    of the adjacency), and is written out after ReLU and the skip connection.
+    With ``grad`` the layer is fresh storage and ``active`` takes each block's
+    ReLU mask before the skip term is added. Without, ``active`` is None, and
+    as a block reads only its own rows of ``h`` once ``lin`` exists, the layer
+    is written over ``h`` when it is as wide and no later node path reads it.
     """
     n_in, n_out = rows[k], rows[k + 1]
-    lin = None
+    lin = pooled = argmax = None
     if spec.has_neighbor_path:
         wpsi = weights.wpsi[k]
         psi_in = yhat[:n_in] if spec.psi is Psi.LABELS else h
         w = psi_in.shape[1]
         plus = (yhat[:n_in], wpsi[w:]) if spec.psi is Psi.H_PREV_CONCAT_LABELS else None
         lin = _hidden_product(psi_in, wpsi[:w], plus)
+        if spec.norm is NormScheme.MAXPOOL:
+            pooled, argmax = _maxpool_with_argmax(sub, lin, n_out)
+            lin = None
+    width = weights.wl.shape[0]
+    reuse = not grad and h.shape[1] == width and (h is not h0 or spec.depth == 1)
+    out = h if reuse else np.empty((n_out, width))
+    active = np.empty((n_out, width), dtype=bool) if grad else None
     node_in = h0 if spec.phi is Phi.H0 else h
     for lo, hi in _blocks(n_out):
         node = neigh = None
@@ -489,19 +487,24 @@ def _layer_into(out, spec: KernelSpec, weights: ModelWeights, sub: Subgraph, k: 
             node = np.matmul(node_in[lo:hi], weights.wphi[k])
             if spec.alpha is AlphaMode.INV_DEG_SELF:
                 node = (1.0 / (sub.degree[lo:hi].astype(np.float64) + 1.0))[:, None] * node
-        if lin is not None and spec.norm is NormScheme.MAXPOOL:
-            neigh, arg = _maxpool_with_argmax(sub, lin, hi, lo)
-            if argmax is not None:
-                argmax[lo:hi] = arg
+        if pooled is not None:
+            neigh = pooled[lo:hi]
         elif lin is not None:
             neigh = normalize_adjacency(sub, spec.norm, lo, hi, n_in) @ lin
-        block = _combine(spec, node, neigh)
-        if active is not None:
+        if spec.combine is Combine.CONCAT:
+            block = np.hstack([node, neigh])
+        elif node is None or neigh is None:  # the one path's term is the pre-activation
+            block = neigh if node is None else node
+        else:
+            block = np.add(node, neigh, out=node)
+        if grad:
             np.greater(block, 0.0, out=active[lo:hi])
         np.maximum(block, 0.0, out=block)
         if spec.skip_connections:
             block += h[lo:hi]
         out[lo:hi] = block
+    del lin, pooled  # freed before a gathered output is copied out
+    return np.ascontiguousarray(out[:n_out]), active, argmax
 
 
 def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
@@ -519,9 +522,9 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
     given no ``yhat`` reads the all-zero channel of HOPF's first round.
 
     Both modes run one layer loop: the input product and its ReLU, then
-    :func:`_layer_into` for every layer above. With ``grad`` (training) each
-    layer is written into fresh storage, its ReLU mask and maxpool argmax are
-    recorded as it is written, and once it is complete its dropout mask is
+    :func:`_layer` for every layer above, which picks the layer's storage and
+    returns it with its ReLU mask and maxpool argmax. With ``grad`` (training)
+    each layer is fresh storage, and once it is complete its dropout mask is
     drawn at its full shape; the :class:`ForwardCache` keeps all of it for
     :func:`backward`. ``grad=False`` is inference: the same predictions, bit
     for bit, and None for the cache. It keeps no mask and draws no dropout.
@@ -565,22 +568,10 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
         cache.keep(h, h > 0, rng, dropout_rate)
     del gathered
     h0 = h if spec.phi is Phi.H0 else None
-    width = weights.wl.shape[0]
     for k in range(spec.depth):
-        # without gradients, h is overwritten when it is as wide as the layer and no
-        # later node path reads it
-        reuse = not grad and h.shape[1] == width and (h is not h0 or spec.depth == 1)
-        out = h if reuse else np.empty((rows[k + 1], width))
-        active = argmax = None
+        h, active, argmax = _layer(spec, weights, sub, k, rows, h, h0, yhat, grad)
         if grad:
-            active = np.empty(out.shape, dtype=bool)
-            if spec.norm is NormScheme.MAXPOOL:
-                argmax = np.empty((rows[k + 1], spec.hidden_dim), dtype=np.int64)
             cache.maxpool_argmax.append(argmax)
-        _layer_into(out, spec, weights, sub, k, rows, h, h0, yhat, active, argmax)
-        h = np.ascontiguousarray(out[: rows[k + 1]])
-        out = None  # the input's storage is freed here, unless h, h0 or the cache holds it
-        if grad:
             cache.keep(h, active, rng, dropout_rate)
     del h0, yhat
     logits = h @ weights.wl
@@ -720,6 +711,8 @@ def nim_relative_importance(alpha: float, beta: float, k: int, skip: bool = Fals
         raise ArgumentError("alpha and beta cannot both be zero")
     if k < 0:
         raise ArgumentError(f"k must be >= 0, got {k}")
+    if math.isinf(alpha + beta):  # halving both keeps the ratio and makes the sum finite
+        alpha, beta = alpha / 2.0, beta / 2.0
     if skip:
         return float(((alpha + 1.0) / (alpha + beta + 1.0)) ** k)
     return float((alpha / (alpha + beta)) ** k)

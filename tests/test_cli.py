@@ -102,6 +102,12 @@ BAD_ARGUMENTS = [
                                    "--sample-caps", "1,x"], id="sample-caps-not-int"),
     pytest.param("--hops", ["bench-scaling", "--dataset", "{data}", "--hops", "1,x",
                             "--variants", "nip_mean"], id="bench-hops-not-int"),
+    # past int64: the depth is refused before SeedSequence.spawn overflows
+    pytest.param("depth must be at most", ["train", "--dataset", "{data}", "--model", "nip_mean",
+                                           "-C", "9" * 20], id="train-depth-huge"),
+    pytest.param("depth must be at most", ["bench-scaling", "--dataset", "{data}", "--hops",
+                                           "9" * 20, "--variants", "nip_mean"],
+                 id="bench-hops-huge"),
     pytest.param("hop count must be >= 1", ["bench-scaling", "--dataset", "{data}", "--hops",
                                             "0,2", "--variants", "i_nip_mean_c1"],
                  id="bench-hops-zero"),
@@ -391,10 +397,12 @@ class TestTrainCommand:
             assert (out / "predictions_fold0.csv").read_bytes() == reference.read_bytes()
 
     def test_caps_at_max_degree_train_as_without_caps(self, planted_dir, fast_config, tmp_path):
-        # no node exceeds its cap, so every ball and every row is the BFS one
+        # no node exceeds its cap, so every ball and every row is the BFS one; a cap
+        # past int64 is clipped to n, not an OverflowError
         cap = str(int(load_dataset(planted_dir).graph.degree.max()))
         outputs = []
-        for tag, caps in (("plain", []), ("capped", ["--sample-caps", f"{cap},{cap}"])):
+        for tag, caps in (("plain", []), ("capped", ["--sample-caps", f"{cap},{cap}"]),
+                          ("huge", ["--sample-caps", f"{'9' * 20},{cap}"])):
             out = tmp_path / tag
             assert main(["train", "--dataset", str(planted_dir), "--model", "gs_mean",
                          "-C", "2", "--config", str(fast_config), "--folds", "1",

@@ -196,6 +196,17 @@ class TestSampleNeighbors:
         assert sampled.indices.tolist() == full.indices.tolist()
         assert sampled.indptr.tolist() == full.indptr.tolist()
 
+    def test_caps_past_int64_reproduce_khop(self):
+        # a cap beyond any degree is clipped to n, where numpy would overflow on it
+        g = random_graph(30, 90, 3)
+        seeds = [0, 7]
+        full = khop_subgraph(g, seeds, 2)
+        sampled = sample_neighbors(g, [2**70, 2**64], seeds, 0)
+        assert sampled.n == full.n and sampled.frontier_offsets == full.frontier_offsets
+        for name in ("indptr", "indices", "global_ids", "degree"):
+            a, b = getattr(sampled, name), getattr(full, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
     def test_star_cap_two(self, star6):
         sub = sample_neighbors(star6, [2], [0], rng_seed=7)
         assert sub.n == 3

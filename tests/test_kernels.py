@@ -18,7 +18,7 @@ from hopf import (ArgumentError, ConfigError, DatasetBundle, HopfError, ModelWei
 from hopf.kernels import (HIDDEN_BLOCK_ROWS, ITERATIVE_MODELS, REGISTRY,
                           WHOLE_GRAPH_FRACTION, AlphaMode, Combine, KernelSpec, Phi, Psi,
                           _hidden_product, _maxpool_with_argmax, _path_inputs, layer_rows,
-                          param_shapes)
+                          nim_decay_table, param_shapes)
 from hopf.training import infer
 
 from conftest import blas_peak_growth, random_graph, traced_peak
@@ -444,6 +444,23 @@ class TestForwardCache:
         assert cache.gathered is None and yt.shape == (n, labels)
         assert kept < 6 * n * hidden * 8
 
+    def test_maxpool_forward_drops_lin_once_pooled(self):
+        # gs_max C=2 whose 200-seed ball holds most of a 2,000-node graph. With the
+        # layer's output, ReLU mask and argmax allocated before lin, and lin held
+        # through the row blocks, the training forward peaked at 6.1x n*hidden*8
+        # bytes here; pooling lin once and dropping it before the blocks, at 4.6x
+        n, hidden, labels = 2000, 16, 10
+        rng = np.random.default_rng(4)
+        g = random_graph(n, 3 * n, 4)
+        x = rng.random((n, 20))
+        sub = khop_subgraph(g, rng.choice(n, 200, replace=False), 2)
+        spec = make_kernel("gs_max", depth=2, hidden_dim=hidden)
+        w = ModelWeights.init(spec, 20, labels, 0)
+        (yt, cache), peak, _ = traced_peak(
+            lambda: predict(spec, w, sub, x, task=Task.MULTI_CLASS))
+        assert yt.shape == (200, labels) and all(a is not None for a in cache.maxpool_argmax)
+        assert peak < 5.5 * n * hidden * 8
+
     def test_whole_graph_inference_keeps_nothing_for_backward(self, monkeypatch):
         # the same shape through training.infer, which runs predict without gradients.
         # Blocks of 256 rows keep a hopf round's proportions on the 20k-node benchmark
@@ -635,6 +652,12 @@ class TestNimDecay:
     def test_non_finite_rate_rejected(self, alpha, beta):
         with pytest.raises(ArgumentError, match="finite"):
             nim_relative_importance(alpha, beta, 2)
+
+    def test_rates_whose_sum_overflows_keep_their_ratio(self):
+        # 1e308 + 1e308 is inf in float64; both columns must still read 0.5 ** k
+        header, rows = nim_decay_table(1e308, 1e308, 3, skip=True)
+        assert header == ["k", "importance", "importance_skip"]
+        assert rows == [[k, 0.5 ** k, 0.5 ** k] for k in range(4)]
 
     @given(st.floats(min_value=0.01, max_value=10), st.floats(min_value=0.01, max_value=10),
            st.integers(min_value=1, max_value=12))
