@@ -64,17 +64,25 @@ def rand_setup(seed=42, n=10, edges=18, f=5, l=3, seeds=3, depth=2):
     return g, sub, x, yh, ytrue
 
 
-def assert_grads_match_fd(spec, w, sub, x, yh, ytrue, task):
-    """Every analytic weight gradient within 1e-4 relative of central differences."""
+def assert_grads_match_fd(spec, w, sub, x, yh, ytrue, task, dropout_rate=0.0):
+    """Every analytic weight gradient within 1e-4 relative of central differences.
+
+    Every forward draws its dropout masks from a fresh ``default_rng(0)``, so
+    each one applies the same masks."""
     omega = np.ones(ytrue.shape[1])
-    yt, cache = predict(spec, w, sub, x, yh, task=task)
+
+    def forward():
+        return predict(spec, w, sub, x, yh, task=task, dropout_rate=dropout_rate,
+                       rng=np.random.default_rng(0))
+
+    yt, cache = forward()
     _, dloss = weighted_cross_entropy(yt, ytrue, omega, task)
     grads = dict(backward(cache, dloss).params())
     for pname, p in w.params():
         def loss_fn(pm, p=p):
             saved = p.copy()
             p[:] = pm
-            yt2, _ = predict(spec, w, sub, x, yh, task=task)
+            yt2, _ = forward()
             out, _ = weighted_cross_entropy(yt2, ytrue, omega, task)
             p[:] = saved
             return out
@@ -314,11 +322,16 @@ class TestBackward:
 
     @pytest.mark.parametrize("name", REGISTRY)
     @pytest.mark.parametrize("task", [Task.MULTI_CLASS, Task.MULTI_LABEL])
-    def test_matches_finite_differences(self, name, task):
-        _, sub, x, yh, ytrue = rand_setup()
-        spec = make_kernel(name, depth=2, hidden_dim=4)
-        w = ModelWeights.init(spec, 5, 3, 7)
-        assert_grads_match_fd(spec, w, sub, x, yh, ytrue, task)
+    def test_matches_finite_differences(self, name, task, monkeypatch):
+        # depth 2 in one row block; then depth 3 (ss_ica stays at 1) under dropout 0.4,
+        # in 3-row blocks, so backward's transposed products over the ball's 10 and 9
+        # rows run three blocks each
+        for depth, rate, block_rows in ((2, 0.0, HIDDEN_BLOCK_ROWS), (3, 0.4, 3)):
+            monkeypatch.setattr(kernels_mod, "HIDDEN_BLOCK_ROWS", block_rows)
+            _, sub, x, yh, ytrue = rand_setup(depth=depth)
+            spec = make_kernel(name, depth=depth, hidden_dim=4)
+            w = ModelWeights.init(spec, 5, 3, 7)
+            assert_grads_match_fd(spec, w, sub, x, yh, ytrue, task, dropout_rate=rate)
 
     @pytest.mark.parametrize("name", ["nip_mean", "gcn_mean"])  # H0 and H_PREV node paths
     @pytest.mark.parametrize("seeds,whole_graph", [(12, True), (1, False)])
