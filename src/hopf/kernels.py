@@ -259,8 +259,8 @@ class ForwardCache:
     row of ``lin`` per entry, or None where that layer does not maxpool.
     :func:`_layer` allocates a layer's activation, mask and argmax, and
     :func:`predict` only appends them. A layer's path inputs are not kept:
-    they are row prefixes of ``x`` and ``yhat``, which forward and backward
-    slice alike (see :func:`_path_inputs`). A ``Psi.H_PREV_CONCAT_LABELS``
+    they are row prefixes of ``x`` and ``yhat``, which :func:`_layer` and
+    :func:`backward`'s layer loop slice alike. A ``Psi.H_PREV_CONCAT_LABELS``
     layer multiplies ``h`` and the label channel by the two row blocks of
     ``wpsi[k]`` apart and adds the label half one row block at a time (see
     :func:`_hidden_product`), so neither a ``[h | yhat]`` copy nor a
@@ -270,7 +270,8 @@ class ForwardCache:
     ``WHOLE_GRAPH_FRACTION``). No adjacency is kept: the forward weights one
     row block of it at a time, and :func:`backward` weights each layer's block
     again. :func:`backward` is the cache's only reader, and it consumes the
-    cache: it drops each layer's entries once it is done with them.
+    cache: its loop runs top down and drops each layer's entries, and the
+    layer's gradients, once it is done with them.
     """
 
     spec: KernelSpec
@@ -433,20 +434,6 @@ def _graph_rows(name: str, arr: np.ndarray, sub: Subgraph) -> np.ndarray:
     return arr
 
 
-def _path_inputs(cache: ForwardCache, k: int):
-    """Layer k+1's node-path and neighbour-path inputs, each None where the
-    cache's spec has no such path: row prefixes of ``cache.x`` (of ``cache.yhat`` for
-    ``Psi.LABELS``). A ``Psi.H_PREV_CONCAT_LABELS`` neighbour input is its
-    ``h`` part; the label half is ``cache.yhat[:rows[k]]``."""
-    spec = cache.spec
-    phi_in = psi_in = None
-    if spec.has_node_path:
-        phi_in = cache.x[0 if spec.phi is Phi.H0 else k][: cache.rows[k + 1]]
-    if spec.has_neighbor_path:
-        psi_in = cache.yhat[: cache.rows[k]] if spec.psi is Psi.LABELS else cache.x[k]
-    return phi_in, psi_in
-
-
 def _layer(spec: KernelSpec, weights: ModelWeights, sub: Subgraph, k: int,
            rows: list[int], h, h0, yhat, grad: bool):
     """Layer k+1 as ``(h_next, active, argmax)``: the one statement of a layer,
@@ -597,13 +584,20 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
     Tied layers accumulate both path contributions into the shared array. The
     label channel is treated as data: no gradient is ever produced for it.
     Every activation gradient has the shape of its ``cache.x`` entry, so no
-    gradient reaches a row the forward pass did not compute. A layer's path
-    inputs are sliced again from ``x`` and ``yhat`` (:func:`_path_inputs`);
-    layers run top down, so the ``x`` entries they read are still held. Each
-    gradient is allocated when it is first written, and once a layer is done
-    its ``x``, ``active``, ``dropout`` and ``maxpool_argmax`` entries and its
-    gradient are dropped, so the step's peak holds one layer's gradients, not
-    every layer's. The cache cannot be passed to ``backward`` a second time.
+    gradient reaches a row the forward pass did not compute.
+
+    One loop runs the layers from C down to 0, the reverse of
+    :func:`predict`'s. Each iteration applies its layer's dropout mask, passes
+    the skip term on and applies the ReLU mask; above layer 0 it then takes
+    the node-path and neighbour-path weight gradients, reading the path
+    inputs as ``predict`` does, as row prefixes of the lower layers' ``x``
+    entries (and of ``yhat``), which are still held. Layer 0's gradient is
+    left for the ``w0`` product. Each activation gradient is allocated when
+    it is first written, and once a layer is done its ``x``, ``active``,
+    ``dropout`` and ``maxpool_argmax`` entries are dropped. A loop's locals
+    outlive its iteration, so each layer's gradients are deleted at its end
+    too: the step's peak holds one layer's gradients, not two. The cache
+    cannot be passed to ``backward`` a second time.
     """
     spec, weights = cache.spec, cache.weights
     dloss_dy = np.asarray(dloss_dy, dtype=np.float64)
@@ -629,8 +623,8 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
             dx[i] = np.zeros_like(cache.x[i])
         dx[i][: g.shape[0]] += g
 
-    def layer_grad(layer: int) -> np.ndarray:
-        """Layer's gradient at its pre-activation, masked in place; frees the layer."""
+    d = spec.hidden_dim
+    for layer in range(spec.depth, -1, -1):
         dh = dx[layer] if dx[layer] is not None else np.zeros_like(cache.x[layer])
         dx[layer] = None
         if cache.dropout[layer] is not None:
@@ -641,17 +635,12 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
             add_grad(layer - 1, dh)
         else:
             dpre = np.multiply(dh, cache.active[layer], out=dh)
+        del dh  # the skip term's dh lives on only where dx[layer - 1] took it whole
         cache.x[layer] = cache.active[layer] = cache.dropout[layer] = None
-        return dpre
+        if layer == 0:
+            break  # dpre is the input layer's, for the w0 product below
 
-    def propagate(k: int) -> None:
-        """Layer k+1's weight gradients, and its gradient into layers k and 0."""
-        layer = k + 1  # index into cache.x / cache.active
-        n_out = cache.rows[layer]
-        dpre = layer_grad(layer)
-        phi_in, psi_in = _path_inputs(cache, k)
-
-        d = spec.hidden_dim
+        k, n_out = layer - 1, cache.rows[layer]
         if spec.combine is Combine.CONCAT:
             dnode, dneigh = dpre[:, :d], dpre[:, d:]
         else:
@@ -661,38 +650,40 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
         if dnode is not None:
             if spec.alpha is AlphaMode.INV_DEG_SELF:
                 dnode = (1.0 / (cache.sub.degree[:n_out].astype(np.float64) + 1.0))[:, None] * dnode
-            gphi[k] += phi_in.T @ dnode
-            add_grad(0 if spec.phi is Phi.H0 else layer - 1, _hidden_product(dnode, wphi[k].T))
+            below = 0 if spec.phi is Phi.H0 else k
+            gphi[k] += cache.x[below][:n_out].T @ dnode
+            add_grad(below, _hidden_product(dnode, wphi[k].T))
 
         if dneigh is not None:
             if spec.norm is NormScheme.MAXPOOL:
                 dlin = np.zeros((cache.rows[k], wpsi[k].shape[1]))
-                arg = cache.maxpool_argmax[k]
-                valid = arg >= 0
-                r, c = np.nonzero(valid)
-                np.add.at(dlin, (arg[r, c], c), dneigh[r, c])
+                r, c = np.nonzero(cache.maxpool_argmax[k] >= 0)
+                np.add.at(dlin, (cache.maxpool_argmax[k][r, c], c), dneigh[r, c])
+                del r, c
             else:
                 # the forward's weights: a row's are the same bits however many rows are weighted
                 dlin = normalize_adjacency(cache.sub, spec.norm, 0, n_out, cache.rows[k]).T @ dneigh
-            w = psi_in.shape[1]
-            gpsi[k][:w] += psi_in.T @ dlin
-            if spec.psi is Psi.H_PREV_CONCAT_LABELS:
-                gpsi[k][w:] += cache.yhat[: cache.rows[k]].T @ dlin
-            if spec.psi is not Psi.LABELS:  # the label channel takes no gradient
-                add_grad(layer - 1, _hidden_product(dlin, wpsi[k][:w].T))
+            labels = cache.yhat[: cache.rows[k]] if spec.uses_labels else None
+            if spec.psi is Psi.LABELS:  # the input is the label channel, which takes no gradient
+                gpsi[k] += labels.T @ dlin
+            else:
+                w = cache.x[k].shape[1]
+                gpsi[k][:w] += cache.x[k].T @ dlin
+                if labels is not None:
+                    gpsi[k][w:] += labels.T @ dlin
+                add_grad(k, _hidden_product(dlin, wpsi[k][:w].T))
+            del dlin
         cache.maxpool_argmax[k] = None
+        # a loop's locals outlive the iteration: drop this layer's gradients before the next
+        del dpre, dnode, dneigh
 
-    for k in range(spec.depth - 1, -1, -1):
-        propagate(k)
-
-    dpre0 = layer_grad(0)
     if cache.gathered is not None:
-        grads.mats["w0"] += cache.gathered.T @ dpre0
+        grads.mats["w0"] += cache.gathered.T @ dpre
     else:
-        dpre0_graph = np.zeros((cache.features.shape[0], dpre0.shape[1]))
-        dpre0_graph[cache.sub.global_ids[: cache.rows[0]]] = dpre0
-        del dpre0
-        grads.mats["w0"] += cache.features.T @ dpre0_graph
+        dpre_graph = np.zeros((cache.features.shape[0], dpre.shape[1]))
+        dpre_graph[cache.sub.global_ids[: cache.rows[0]]] = dpre
+        del dpre
+        grads.mats["w0"] += cache.features.T @ dpre_graph
     return grads
 
 

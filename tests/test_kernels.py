@@ -17,7 +17,7 @@ from hopf import (ArgumentError, ConfigError, DatasetBundle, HopfError, ModelWei
                   predict, weighted_cross_entropy)
 from hopf.kernels import (HIDDEN_BLOCK_ROWS, ITERATIVE_MODELS, REGISTRY,
                           WHOLE_GRAPH_FRACTION, AlphaMode, Combine, KernelSpec, Phi, Psi,
-                          _hidden_product, _maxpool_with_argmax, _path_inputs, layer_rows,
+                          _hidden_product, _maxpool_with_argmax, layer_rows,
                           nim_decay_table, param_shapes)
 from hopf.training import infer
 
@@ -432,9 +432,7 @@ class TestForwardCache:
             assert mask.dtype == bool and mask.shape == xk.shape
         for k in range(spec.depth):
             # the neighbor input is x[k] itself; yhat is multiplied by its own rows of wpsi[k]
-            _, psi_in = _path_inputs(cache, k)
-            assert np.shares_memory(psi_in, cache.x[k])
-            assert psi_in.shape[1] == cache.x[k].shape[1]
+            assert cache.x[k].shape[1] + yh.shape[1] == w.wpsi[k].shape[0]
         # and no array the cache holds is as wide as [h | yhat]
         concat_width = cache.x[0].shape[1] + yh.shape[1]
         held = [a for v in vars(cache).values() for a in (v if isinstance(v, list) else [v])
