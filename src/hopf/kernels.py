@@ -584,20 +584,14 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
     Tied layers accumulate both path contributions into the shared array. The
     label channel is treated as data: no gradient is ever produced for it.
     Every activation gradient has the shape of its ``cache.x`` entry, so no
-    gradient reaches a row the forward pass did not compute.
-
-    One loop runs the layers from C down to 0, the reverse of
-    :func:`predict`'s. Each iteration applies its layer's dropout mask, passes
-    the skip term on and applies the ReLU mask; above layer 0 it then takes
-    the node-path and neighbour-path weight gradients, reading the path
-    inputs as ``predict`` does, as row prefixes of the lower layers' ``x``
-    entries (and of ``yhat``), which are still held. Layer 0's gradient is
-    left for the ``w0`` product. Each activation gradient is allocated when
-    it is first written, and once a layer is done its ``x``, ``active``,
-    ``dropout`` and ``maxpool_argmax`` entries are dropped. A loop's locals
-    outlive its iteration, so each layer's gradients are deleted at its end
-    too: the step's peak holds one layer's gradients, not two. The cache
-    cannot be passed to ``backward`` a second time.
+    gradient reaches a row the forward pass did not compute. One loop runs
+    :func:`predict`'s in reverse, from layer C down to 0: it applies a layer's
+    dropout, skip and ReLU masks, and above layer 0 takes the path weights'
+    gradients, slicing their inputs from ``yhat`` and the lower layers' ``x``
+    entries, which are still held. A gradient is allocated when first written.
+    Once a layer is done its cache entries are dropped, and so are its
+    gradients, as a loop's locals outlive the iteration: the peak holds one
+    layer's gradients, not two. A cache cannot be passed to ``backward`` twice.
     """
     spec, weights = cache.spec, cache.weights
     dloss_dy = np.asarray(dloss_dy, dtype=np.float64)
@@ -623,7 +617,6 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
             dx[i] = np.zeros_like(cache.x[i])
         dx[i][: g.shape[0]] += g
 
-    d = spec.hidden_dim
     for layer in range(spec.depth, -1, -1):
         dh = dx[layer] if dx[layer] is not None else np.zeros_like(cache.x[layer])
         dx[layer] = None
@@ -639,21 +632,18 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
         cache.x[layer] = cache.active[layer] = cache.dropout[layer] = None
         if layer == 0:
             break  # dpre is the input layer's, for the w0 product below
-
         k, n_out = layer - 1, cache.rows[layer]
         if spec.combine is Combine.CONCAT:
-            dnode, dneigh = dpre[:, :d], dpre[:, d:]
+            dnode, dneigh = dpre[:, : spec.hidden_dim], dpre[:, spec.hidden_dim :]
         else:
             dnode = dpre if spec.has_node_path else None
             dneigh = dpre if spec.has_neighbor_path else None
-
         if dnode is not None:
             if spec.alpha is AlphaMode.INV_DEG_SELF:
                 dnode = (1.0 / (cache.sub.degree[:n_out].astype(np.float64) + 1.0))[:, None] * dnode
             below = 0 if spec.phi is Phi.H0 else k
             gphi[k] += cache.x[below][:n_out].T @ dnode
             add_grad(below, _hidden_product(dnode, wphi[k].T))
-
         if dneigh is not None:
             if spec.norm is NormScheme.MAXPOOL:
                 dlin = np.zeros((cache.rows[k], wpsi[k].shape[1]))
@@ -663,19 +653,16 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
             else:
                 # the forward's weights: a row's are the same bits however many rows are weighted
                 dlin = normalize_adjacency(cache.sub, spec.norm, 0, n_out, cache.rows[k]).T @ dneigh
-            labels = cache.yhat[: cache.rows[k]] if spec.uses_labels else None
-            if spec.psi is Psi.LABELS:  # the input is the label channel, which takes no gradient
-                gpsi[k] += labels.T @ dlin
-            else:
-                w = cache.x[k].shape[1]
-                gpsi[k][:w] += cache.x[k].T @ dlin
-                if labels is not None:
-                    gpsi[k][w:] += labels.T @ dlin
+            psi_in = cache.yhat[: cache.rows[k]] if spec.psi is Psi.LABELS else cache.x[k]
+            w = psi_in.shape[1]
+            gpsi[k][:w] += psi_in.T @ dlin
+            if spec.psi is Psi.H_PREV_CONCAT_LABELS:
+                gpsi[k][w:] += cache.yhat[: cache.rows[k]].T @ dlin
+            if spec.psi is not Psi.LABELS:  # the label channel takes no gradient
                 add_grad(k, _hidden_product(dlin, wpsi[k][:w].T))
-            del dlin
+            del dlin, psi_in  # psi_in would hold x[k] after the next layer drops it
         cache.maxpool_argmax[k] = None
-        # a loop's locals outlive the iteration: drop this layer's gradients before the next
-        del dpre, dnode, dneigh
+        del dpre, dnode, dneigh  # before the next layer's are allocated
 
     if cache.gathered is not None:
         grads.mats["w0"] += cache.gathered.T @ dpre
