@@ -134,6 +134,9 @@ def run_scaling(bundle: DatasetBundle, split: SplitSpec, variants, hops_list,
     parsed = [(token, *parse_variant(token)) for token in variants]  # all, before any timing
     if any(k < 1 for k in hops_list):
         raise ConfigError(f"every total hop count must be >= 1, got {list(hops_list)}")
+    if any(k > bundle.graph.n for k in hops_list):  # a ball stops growing after n - 1 hops
+        raise ConfigError(f"every total hop count must be at most the graph's {bundle.graph.n} "
+                          f"nodes, got {list(hops_list)}")
     cells = []
     for token, name, c_fixed in parsed:
         for k in hops_list:

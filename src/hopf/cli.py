@@ -237,6 +237,7 @@ def cmd_neighbor_fraction(args) -> int:
     spec = make_kernel(args.model, depth=args.hops, hidden_dim=config.hidden_dim)
     with _dataset_scope(args, config, {"model": args.model, "fractions": fractions,
                                        "hops": spec.depth}) as (out, bundle):
+        spec.check_depth(bundle.graph.n)  # before the per-hop caps list
         split = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)[args.fold]
         max_degree = int(bundle.graph.degree.max())
         rows = []

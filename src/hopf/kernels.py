@@ -91,6 +91,12 @@ class KernelSpec:
         if self.phi is Phi.NONE and self.alpha is not AlphaMode.ONE:
             raise ConfigError("alpha scales the node path, and this kernel has none")
 
+    def check_depth(self, n: int) -> None:
+        """Refuse a depth above a graph's ``n`` nodes: a ball stops growing after n - 1 hops."""
+        if self.depth > n:
+            raise ConfigError(f"{self.name} depth {self.depth} exceeds the graph's {n} nodes; "
+                              "a ball stops growing after n - 1 hops")
+
     @property
     def uses_labels(self) -> bool:
         return self.psi in (Psi.LABELS, Psi.H_PREV_CONCAT_LABELS)

@@ -216,6 +216,7 @@ def train(spec: KernelSpec, bundle: DatasetBundle, split: SplitSpec, config: Tra
     if spec.hidden_dim != config.hidden_dim:
         raise ConfigError(f"{spec.name} has hidden width {spec.hidden_dim}, "
                           f"but the config asks for {config.hidden_dim}")
+    spec.check_depth(bundle.graph.n)
     if sample_caps is not None and len(sample_caps) != spec.depth:
         raise ConfigError(f"need one sample cap per hop: {spec.name} has depth {spec.depth}, "
                           f"got {len(sample_caps)} caps")

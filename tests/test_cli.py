@@ -105,9 +105,9 @@ BAD_ARGUMENTS = [
     # past int64: the depth is refused before SeedSequence.spawn overflows
     pytest.param("depth must be at most", ["train", "--dataset", "{data}", "--model", "nip_mean",
                                            "-C", "9" * 20], id="train-depth-huge"),
-    pytest.param("depth must be at most", ["bench-scaling", "--dataset", "{data}", "--hops",
-                                           "9" * 20, "--variants", "nip_mean"],
-                 id="bench-hops-huge"),
+    pytest.param("total hop count must be at most the graph's 150 nodes",
+                 ["bench-scaling", "--dataset", "{data}", "--hops", "9" * 20, "--variants",
+                  "nip_mean"], id="bench-hops-huge"),
     pytest.param("hop count must be >= 1", ["bench-scaling", "--dataset", "{data}", "--hops",
                                             "0,2", "--variants", "i_nip_mean_c1"],
                  id="bench-hops-zero"),
@@ -733,6 +733,49 @@ def test_out_that_cannot_be_a_directory_exits_2(planted_dir, fast_config, tmp_pa
                           env=child_env(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
     assert done.returncode == 2, done.stderr
     assert f"output directory {out} cannot be created or written" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+# (what the error must name, argv before --out) on the 150-node planted bundle: a depth
+# or a total hop count above n, which a ball never needs, as it stops growing after
+# n - 1 hops. Unrefused, the huge hop count ran 10^20 rounds and a depth near the int32
+# bound had ModelWeights.init or the per-hop caps list try terabytes
+DEPTH_PAST_N = [
+    pytest.param("total hop count must be at most the graph's 150 nodes",
+                 ["bench-scaling", "--hops", "9" * 20, "--variants", "i_nip_mean_c1"],
+                 id="bench-iterative-hops-huge"),
+    pytest.param("total hop count must be at most the graph's 150 nodes",
+                 ["bench-scaling", "--hops", "2,151", "--variants", "nip_mean"],
+                 id="bench-hops-past-n"),
+    pytest.param("nip_mean depth 151 exceeds the graph's 150 nodes",
+                 ["train", "--model", "nip_mean", "-C", "151"], id="train-depth-past-n"),
+    pytest.param("nip_mean depth 2147483647 exceeds the graph's 150 nodes",
+                 ["train", "--model", "nip_mean", "-C", "2147483647"], id="train-depth-int32"),
+    pytest.param("i_nip_mean depth 2147483647 exceeds the graph's 150 nodes",
+                 ["hopf", "--model", "i_nip_mean", "-C", "2147483647"], id="hopf-depth-int32"),
+    pytest.param("nip_mean depth 2147483647 exceeds the graph's 150 nodes",
+                 ["neighbor-fraction", "--model", "nip_mean", "--fractions", "0.5",
+                  "-C", "2147483647"], id="fraction-depth-int32"),
+]
+
+
+@pytest.mark.parametrize("named,argv", DEPTH_PAST_N)
+def test_depth_or_hops_past_the_node_count_exits_2_at_once(planted_dir, tmp_path, named, argv):
+    # a child with 2 GiB of address space and 60 s, so a missing check fails the test
+    # rather than hanging it or taking the host's memory
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "hopf", *argv, "--dataset", str(planted_dir),
+                           "--out", str(tmp_path / "run")], capture_output=True, text=True,
+                          timeout=60, preexec_fn=limit_memory,
+                          env=child_env(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                                        XDG_CACHE_HOME=str(tmp_path / "xdg-cache")))
+    assert done.returncode == 2, done.stderr
+    assert named in done.stderr
     assert "Traceback" not in done.stderr
 
 
