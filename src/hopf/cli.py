@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import shutil
@@ -33,7 +34,7 @@ from .kernels import make_kernel, nim_decay_table
 from .manifest import manifest_scope
 from .metrics import (MetricsRecord, average_rank, per_dataset_shortfall, read_scores_csv,
                       shortfall, write_records_csv, write_report_json)
-from .training import TrainConfig, evaluate, make_splits, train
+from .training import TrainConfig, evaluate, make_splits, split_folds, train
 
 
 def _int_at_least(low: int):
@@ -189,9 +190,8 @@ def cmd_hopf(args) -> int:
                              shifted_averaging=args.shifted_averaging)
     with _dataset_scope(args, config, {"C": spec.depth, **asdict(hopf_config),
                                        "model": args.model, "fold": args.fold}) as (out, bundle):
-        splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)
-        result = run_hopf(spec, bundle, splits[args.fold], config, hopf_config,
-                          out_dir=out / "iterations")
+        split = next(itertools.islice(split_folds(bundle.graph.n, config.rng_seed), args.fold, None))
+        result = run_hopf(spec, bundle, split, config, hopf_config, out_dir=out / "iterations")
         _write_csv(out / "trajectory.csv", ["iteration", "micro_f1"],
                    [[row["iteration"], row["micro_f1"]] for row in result.trajectory])
         # the last round's label dumps already hold the final matrices
@@ -238,7 +238,7 @@ def cmd_neighbor_fraction(args) -> int:
     with _dataset_scope(args, config, {"model": args.model, "fractions": fractions,
                                        "hops": spec.depth}) as (out, bundle):
         spec.check_depth(bundle.graph.n)  # before the per-hop caps list
-        split = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.fold + 1)[args.fold]
+        split = next(itertools.islice(split_folds(bundle.graph.n, config.rng_seed), args.fold, None))
         max_degree = int(bundle.graph.degree.max())
         rows = []
         for frac in fractions:

@@ -9,7 +9,9 @@ patience window together, and stops after two consecutive exhaustions.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,29 +85,33 @@ class SplitSpec:
             raise ConfigError("split sets must be disjoint")
 
 
-def make_splits(n: int, rng_seed: int, num_folds: int = 5) -> list[SplitSpec]:
-    """One shared 20% test set; per fold, 10% labeled nodes of which 20% validate.
-
-    Everything else is unlabeled. Identical seeds give identical splits.
+def split_folds(n: int, rng_seed: int) -> Iterator[SplitSpec]:
+    """Every fold in turn, each drawn from one rng as it is asked for, so fold F
+    keeps nothing of folds 0..F-1. One shared 20% test set; per fold, 10% labeled
+    nodes of which 20% validate; the rest is unlabeled. Equal seeds, equal splits.
     """
     if n < 10:
         raise ConfigError(f"need n >= 10 for non-empty splits, got {n}")
     rng = np.random.default_rng(rng_seed)
     test = np.sort(rng.choice(n, size=n // 5, replace=False))
     pool = np.setdiff1d(np.arange(n), test)
-    folds = []
     labeled_size = n // 10
     if labeled_size < 1 or labeled_size > pool.size:
         raise ConfigError(f"cannot draw {labeled_size} labeled nodes from {pool.size}")
-    for _ in range(num_folds):
-        labeled = rng.choice(pool, size=labeled_size, replace=False)
-        val_size = labeled_size // 5
-        val = np.sort(labeled[:val_size])
-        train = np.sort(labeled[val_size:])
-        unlabeled = np.setdiff1d(pool, labeled)
-        folds.append(SplitSpec(train_nodes=train, val_nodes=val,
-                               test_nodes=test.copy(), unlabeled_nodes=unlabeled))
-    return folds
+    val_size = labeled_size // 5
+
+    def folds():
+        while True:
+            labeled = rng.choice(pool, size=labeled_size, replace=False)
+            yield SplitSpec(train_nodes=np.sort(labeled[val_size:]),
+                            val_nodes=np.sort(labeled[:val_size]), test_nodes=test.copy(),
+                            unlabeled_nodes=np.setdiff1d(pool, labeled))
+    return folds()
+
+
+def make_splits(n: int, rng_seed: int, num_folds: int = 5) -> list[SplitSpec]:
+    """The first ``num_folds`` folds of :func:`split_folds`."""
+    return list(itertools.islice(split_folds(n, rng_seed), num_folds))
 
 
 @dataclass

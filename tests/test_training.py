@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hopf import (ArgumentError, ConfigError, DatasetBundle, EarlyStopState, Tas
 from hopf.bench import estimate_batch_bytes
 from hopf.kernels import REGISTRY, WHOLE_GRAPH_FRACTION, ModelWeights, layer_rows
 from hopf.numerics import AdamState
-from hopf.training import train_step
+from hopf.training import split_folds, train_step
 
 from conftest import random_graph, traced_peak
 
@@ -29,6 +30,9 @@ def quick_config(seed=0, **over):
                 use_wce=False, rng_seed=seed, patience=100, min_epochs=1)
     base.update(over)
     return TrainConfig(**base)
+
+
+SPLIT_PARTS = ("train_nodes", "val_nodes", "test_nodes", "unlabeled_nodes")
 
 
 class TestMakeSplits:
@@ -65,12 +69,27 @@ class TestMakeSplits:
             make_splits(9, rng_seed=0)
 
     def test_fold_does_not_depend_on_fold_count(self):
-        # folds are drawn in turn from one rng, so `hopf` and `neighbor-fraction`
-        # can build fold + 1 folds and get the fold that `train` calls fold k
+        # folds are drawn in turn from one rng, so the first k do not depend on k
         few, many = make_splits(180, rng_seed=4, num_folds=2), make_splits(180, rng_seed=4)
         for a, b in zip(few, many):
-            for part in ("train_nodes", "val_nodes", "test_nodes", "unlabeled_nodes"):
+            for part in SPLIT_PARTS:
                 assert np.array_equal(getattr(a, part), getattr(b, part))
+
+    @pytest.mark.parametrize("fold", [0, 1, 7])
+    def test_single_fold_from_the_generator_is_the_listed_fold(self, fold):
+        # `hopf --fold F` and `neighbor-fraction --fold F` take fold F this way,
+        # and it must be the fold that `train` writes as fold F
+        single = next(itertools.islice(split_folds(230, 5), fold, None))
+        listed = make_splits(230, 5, num_folds=fold + 1)[fold]
+        for part in SPLIT_PARTS:
+            a, b = getattr(single, part), getattr(listed, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_single_fold_memory_is_flat_in_the_fold(self):
+        # listing F + 1 folds held every earlier fold: about 3.4 KB each at n=400
+        def peak(fold):
+            return traced_peak(lambda: next(itertools.islice(split_folds(400, 0), fold, None)))[1]
+        assert peak(1000) < 1.5 * peak(10)
 
 
 class TestEarlyStopState:
