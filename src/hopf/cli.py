@@ -214,7 +214,7 @@ def cmd_bench_scaling(args) -> int:
     with _dataset_scope(args, config, {"hops": args.hops, "variants": args.variants,
                                        "repeats": args.repeats,
                                        "memory_budget_gib": args.memory_budget}) as (out, bundle):
-        split = make_splits(bundle.graph.n, config.rng_seed)[0]
+        split = next(split_folds(bundle.graph.n, config.rng_seed))
         budget = None if args.memory_budget <= 0 else int(args.memory_budget * 2**30)
         cells = run_scaling(bundle, split, variants, hops, args.repeats, config,
                             budget_bytes=budget)
