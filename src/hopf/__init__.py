@@ -2,8 +2,7 @@
 
 from .data import (DatasetBundle, gen_benchmark_graph, gen_chain, gen_planted_partition,
                    load_dataset, load_edge_list, row_normalize, save_dataset)
-from .errors import (ArgumentError, ConfigError, HopfError, IngestError, NumericsError,
-                     ShapeError, StateError, TrainingError)
+from .errors import ArgumentError, ConfigError, HopfError, IngestError, TrainingError
 from .graph import (Graph, NormScheme, Subgraph, build_graph, khop_subgraph,
                     normalize_adjacency, sample_neighbors)
 from .iterate import HopfConfig, HopfResult, run_hopf, temporal_average

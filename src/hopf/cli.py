@@ -5,7 +5,8 @@ Verbs: ``gen`` (synthetic datasets), ``train`` (fold-averaged kernel training),
 ``neighbor-fraction`` (accuracy vs sampling caps), ``nim`` (self-information
 decay table) and ``compare`` (shortfall / rank report). Every command writes a
 ``manifest.json`` into --out before any result file. Exit codes: 0 success,
-1 runtime failure, 2 usage or configuration error.
+1 a ``TrainingError`` (a run that diverged), 2 a usage error or any other
+``HopfError``. The code follows from the error's class alone.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from . import manifest as run_manifest
 from .bench import run_scaling
 from .data import (gen_benchmark_graph, gen_chain, gen_planted_partition, load_dataset,
                    row_normalize, save_dataset)
-from .errors import ArgumentError, ConfigError, HopfError, IngestError, TrainingError
+from .errors import ConfigError, HopfError, TrainingError
 from .iterate import HopfConfig, require_label_channel, run_hopf
 from .kernels import make_kernel, nim_decay_table
 from .manifest import manifest_scope
 from .metrics import (MetricsRecord, average_rank, per_dataset_shortfall, read_scores_csv,
                       shortfall, write_records_csv, write_report_json)
-from .training import TrainConfig, evaluate, make_splits, split_folds, train
+from .training import TrainConfig, evaluate, split_folds, train
 
 
 def _int_at_least(low: int):
@@ -161,9 +162,9 @@ def cmd_train(args) -> int:
         for pattern in ("history_fold*.csv", "predictions_fold*.csv"):
             for stale in out.glob(pattern):
                 stale.unlink()
-        splits = make_splits(bundle.graph.n, config.rng_seed, num_folds=args.folds)
+        splits = itertools.islice(split_folds(bundle.graph.n, config.rng_seed), args.folds)
         records = []
-        for fold, split in enumerate(splits):
+        for fold, split in enumerate(splits):  # drawn in turn: no fold waits in memory
             weights, history = train(spec, bundle, split, config, sample_caps=caps)
             ev = evaluate(spec, weights, bundle, split.test_nodes)
             records.append(MetricsRecord(args.model, bundle.name, fold, ev["micro_f1"], ev["loss"]))
@@ -374,9 +375,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return int(args.func(args) or 0)
-    except (ConfigError, IngestError, ArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TrainingError as exc:
         where = ", ".join(f"{name}={value}" for name, value in
                           (("epoch", exc.epoch), ("batch", exc.batch)) if value is not None)
@@ -384,7 +382,7 @@ def main(argv=None) -> int:
         return 1
     except HopfError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 def entrypoint() -> None:

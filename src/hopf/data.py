@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, IngestError, ShapeError
+from .errors import ArgumentError, ConfigError, IngestError
 from .graph import CSR_INDEX_MAX, Graph, build_graph, first_edge_out_of_range
 from .metrics import Task
 
@@ -250,8 +250,6 @@ def _check_arrays(d: Path, meta: _Meta, x: np.ndarray, y: np.ndarray) -> None:
 _BUNDLE_FILES = ("meta.json", "graph.tsv", "features.tsv", "labels.tsv")
 # an entry's members in write order, each with the one (native) dtype it may hold
 _ENTRY_DTYPES = dict(x="f8", y="f8", indptr="i4", indices="i4", degree="i8")
-# read_npz's errors for a file that is no .npz (zipfile raises RuntimeError if encrypted)
-NPZ_ERRORS = (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile)
 CACHE_FORMAT = b"hopf-dataset-cache-1"  # part of every key; change it with an entry's layout
 CACHE_MAX_BYTES = 2**30  # after a store, least recently used entries go until the rest fit
 
@@ -311,9 +309,7 @@ def _load_entry(path: Path, d: Path, meta: _Meta) -> DatasetBundle | None:
             _check_arrays(d, meta, x, y)
             bundle = DatasetBundle(graph=graph, x=x, y=y, task=meta.task, name=meta.name,
                                    cache_outcome="hit")
-    except FileNotFoundError:
-        return None
-    except Exception:  # noqa: BLE001 - a damaged entry is parsed again, never an error
+    except Exception:  # noqa: BLE001 - a missing or damaged entry is parsed again
         pass
     with contextlib.suppress(OSError):
         if bundle is None:
@@ -339,26 +335,31 @@ def read_npz(path, dtype_of) -> dict[str, np.ndarray]:
     """The arrays of the uncompressed ``.npz`` at ``path``, by member name.
 
     A header that claims a dtype other than ``dtype_of(name)`` (None refuses the member)
-    or more bytes than the file holds is a ShapeError before any data is read. numpy's
+    or more bytes than the file holds is refused before any data is read. numpy's
     ``read_array`` then reads the member in chunks to its end, so zip checks its CRC-32.
-    Data past the claimed array, or a name given twice, is an ArgumentError."""
+    Every archive refused is an ArgumentError that names ``path``: for such a header,
+    data past the claimed array, a name given twice, or a file that cannot be read or
+    is no zip archive (zipfile raises RuntimeError if it is encrypted)."""
     arrays = {}
-    with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
-        for info in archive.infolist():
-            if (name := info.filename.removesuffix(".npy")) in arrays:
-                raise ArgumentError(f"{path}: member {name!r} appears twice")
-            with archive.open(info) as member:
-                version = np.lib.format.read_magic(member)
-                shape, _, dtype = np.lib.format.read_array_header_1_0(member)
-                want = dtype_of(name)
-                if (version != (1, 0) or want is None or dtype != want
-                        or dtype.itemsize * math.prod(shape) > os.fstat(fh.fileno()).st_size):
-                    raise ShapeError(f"{path}: {info.filename} claims {dtype} {shape}, "
-                                     f"not {want} data the file can hold")
-                member.seek(0)  # read_array parses the header again
-                arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
-                if member.read(1):
-                    raise ArgumentError(f"{path}: {info.filename} runs past its matrix")
+    try:
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
+            for info in archive.infolist():
+                if (name := info.filename.removesuffix(".npy")) in arrays:
+                    raise ArgumentError(f"{path}: member {name!r} appears twice")
+                with archive.open(info) as member:
+                    version = np.lib.format.read_magic(member)
+                    shape, _, dtype = np.lib.format.read_array_header_1_0(member)
+                    want = dtype_of(name)
+                    if (version != (1, 0) or want is None or dtype != want
+                            or dtype.itemsize * math.prod(shape) > os.fstat(fh.fileno()).st_size):
+                        raise ArgumentError(f"{path}: {info.filename} claims {dtype} {shape}, "
+                                            f"not {want} data the file can hold")
+                    member.seek(0)  # read_array parses the header again
+                    arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
+                    if member.read(1):
+                        raise ArgumentError(f"{path}: {info.filename} runs past its matrix")
+    except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise ArgumentError(f"{path}: unreadable .npz archive ({exc})") from exc
     return arrays
 
 
@@ -424,8 +425,9 @@ def load_dataset(dir_path) -> DatasetBundle:
     if not d.is_dir():
         raise IngestError(f"{d}: not a directory")
     for fname in _BUNDLE_FILES:
-        if not (d / fname).exists():
-            raise IngestError(f"{d}: missing {fname}")
+        if not (d / fname).is_file():  # a directory or a FIFO in its place, say
+            raise IngestError(f"{d}/{fname}: not a regular file" if (d / fname).exists()
+                              else f"{d}: missing {fname}")
     meta_raw = (d / "meta.json").read_bytes()
     meta = _parse_meta(d, meta_raw)
     root = cache_root()

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The CLI maps by class alone: a ``TrainingError`` exits 1, any other ``HopfError`` 2.
+"""
 
 
 class HopfError(Exception):
@@ -10,27 +13,16 @@ class IngestError(HopfError):
 
 
 class ArgumentError(HopfError):
-    """A caller-supplied argument violates a precondition."""
-
-
-class ShapeError(HopfError):
-    """Matrix dimensions do not line up."""
+    """A caller's argument, array or file does not fit: a violated precondition, a
+    mismatched shape, a consumed cache or an archive that cannot be read."""
 
 
 class ConfigError(HopfError):
     """Inconsistent or unsupported configuration."""
 
 
-class NumericsError(HopfError):
-    """Non-finite values where finite ones are required."""
-
-
-class StateError(HopfError):
-    """Stale or mismatched cached state."""
-
-
 class TrainingError(HopfError):
-    """Training diverged or failed; carries the epoch/batch location."""
+    """Training diverged (a non-finite loss or gradient); carries the epoch/batch location."""
 
     def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
         super().__init__(message)

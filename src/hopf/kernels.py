@@ -23,8 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import NPZ_ERRORS, read_npz, write_npz
-from .errors import ArgumentError, ConfigError, ShapeError, StateError
+from .data import read_npz, write_npz
+from .errors import ArgumentError, ConfigError
 from .graph import CSR_INDEX_MAX, Graph, NormScheme, Subgraph, normalize_adjacency
 from .metrics import Task
 from .numerics import dropout_mask, glorot_init, sigmoid, softmax_rows
@@ -233,20 +233,17 @@ class ModelWeights:
     def load(cls, path, spec: KernelSpec) -> "ModelWeights":
         """Read a snapshot of float64 members through :func:`~hopf.data.read_npz`;
         each must be a matrix with no zero dimension, its name and shape as ``spec`` says."""
-        try:
-            arrs = read_npz(path, lambda name: np.dtype(np.float64))
-        except NPZ_ERRORS as exc:
-            raise ArgumentError(f"{path}: unreadable weights snapshot ({exc})") from exc
+        arrs = read_npz(path, lambda name: np.dtype(np.float64))
         for name, a in arrs.items():
             if a.ndim != 2 or 0 in a.shape:
-                raise ShapeError(f"{path}: {name}.npy claims {a.dtype} {a.shape}, "
-                                 "not a float64 matrix the file can hold")
+                raise ArgumentError(f"{path}: {name}.npy claims {a.dtype} {a.shape}, "
+                                    "not a float64 matrix the file can hold")
         if "w0" not in arrs or "wl" not in arrs:
-            raise ShapeError(f"{path}: snapshot lacks w0 or wl")
+            raise ArgumentError(f"{path}: snapshot lacks w0 or wl")
         expected = list(param_shapes(spec, arrs["w0"].shape[0], arrs["wl"].shape[1]).items())
         found = [(name, a.shape) for name, a in arrs.items()]
         if found != expected:
-            raise ShapeError(f"{path}: snapshot {found} does not fit {spec.name} {expected}")
+            raise ArgumentError(f"{path}: snapshot {found} does not fit {spec.name} {expected}")
         return cls(arrs)
 
 
@@ -435,8 +432,8 @@ def _graph_rows(name: str, arr: np.ndarray, sub: Subgraph) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     need = int(sub.global_ids.max(initial=-1)) + 1
     if arr.ndim != 2 or arr.shape[0] < need:
-        raise ShapeError(f"{name} must have one row per graph node (at least {need}), "
-                         f"got {arr.shape}")
+        raise ArgumentError(f"{name} must have one row per graph node (at least {need}), "
+                            f"got {arr.shape}")
     return arr
 
 
@@ -528,7 +525,8 @@ def predict(spec: KernelSpec, weights: ModelWeights, sub: Subgraph,
     """
     features = _graph_rows("features", features, sub)
     if features.shape[1] != weights.w0.shape[0]:
-        raise ShapeError(f"feature width {features.shape[1]} vs w0 fan-in {weights.w0.shape[0]}")
+        raise ArgumentError(f"feature width {features.shape[1]} vs w0 fan-in "
+                            f"{weights.w0.shape[0]}")
     num_labels = weights.wl.shape[1]
     if spec.uses_labels and yhat is not None:
         yhat = _graph_rows("label channel", yhat, sub)
@@ -602,9 +600,9 @@ def backward(cache: ForwardCache, dloss_dy: np.ndarray) -> ModelWeights:
     spec, weights = cache.spec, cache.weights
     dloss_dy = np.asarray(dloss_dy, dtype=np.float64)
     if dloss_dy.shape != cache.ytilde.shape:
-        raise ShapeError(f"dloss shape {dloss_dy.shape} vs predictions {cache.ytilde.shape}")
+        raise ArgumentError(f"dloss shape {dloss_dy.shape} vs predictions {cache.ytilde.shape}")
     if cache.x[-1] is None:
-        raise StateError("cache was already consumed by backward")
+        raise ArgumentError("cache was already consumed by backward")
 
     grads = weights.zeros_like()
     wphi, wpsi, gphi, gpsi = weights.wphi, weights.wpsi, grads.wphi, grads.wpsi

@@ -9,6 +9,7 @@ best, and mean rank.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import astuple, dataclass, fields
@@ -180,26 +181,28 @@ def read_scores_csv(path) -> dict:
     """
     scores: dict[str, dict[str, float]] = {}
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ArgumentError(f"{path}: cannot read scores ({exc.strerror or exc})") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"model", "dataset", "micro_f1"} <= set(reader.fieldnames):
-            raise ArgumentError(f"{path}: expected columns model, dataset, micro_f1")
-        for row in reader:
-            try:
-                score = float(row["micro_f1"])
-            except (TypeError, ValueError) as exc:
-                raise ArgumentError(f"{path}: malformed row {row!r}") from exc
-            if not math.isfinite(score):
-                raise ArgumentError(f"{path}: model {row['model']!r} on dataset "
-                                    f"{row['dataset']!r} has a non-finite micro_f1 {score!r}")
-            per_model = scores.setdefault(row["model"], {})
-            if row["dataset"] in per_model:
-                raise ArgumentError(f"{path}: model {row['model']!r} on dataset "
-                                    f"{row['dataset']!r} is scored more than once")
-            per_model[row["dataset"]] = score
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or not {"model", "dataset", "micro_f1"} <= set(reader.fieldnames):
+        raise ArgumentError(f"{path}: expected columns model, dataset, micro_f1")
+    for row in reader:
+        try:
+            score = float(row["micro_f1"])
+        except (TypeError, ValueError) as exc:
+            raise ArgumentError(f"{path}: malformed row {row!r}") from exc
+        if not math.isfinite(score):
+            raise ArgumentError(f"{path}: model {row['model']!r} on dataset "
+                                f"{row['dataset']!r} has a non-finite micro_f1 {score!r}")
+        per_model = scores.setdefault(row["model"], {})
+        if row["dataset"] in per_model:
+            raise ArgumentError(f"{path}: model {row['model']!r} on dataset "
+                                f"{row['dataset']!r} is scored more than once")
+        per_model[row["dataset"]] = score
     return scores
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError
+from .errors import ArgumentError, TrainingError
 
 _ONE_BELOW = np.nextafter(1.0, 0.0)
 
@@ -18,7 +18,7 @@ _ONE_BELOW = np.nextafter(1.0, 0.0)
 def glorot_init(fan_in: int, fan_out: int, rng_seed) -> np.ndarray:
     """Uniform draws on [-L, L] with L = sqrt(6 / (fan_in + fan_out))."""
     if fan_in < 1 or fan_out < 1:
-        raise ShapeError(f"fans must be >= 1, got ({fan_in}, {fan_out})")
+        raise ArgumentError(f"fans must be >= 1, got ({fan_in}, {fan_out})")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return np.random.default_rng(rng_seed).uniform(-limit, limit, size=(fan_in, fan_out))
 
@@ -70,9 +70,9 @@ class AdamState:
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update at rate ``lr``, applied to ``param`` in place."""
     if param.shape != grad.shape:
-        raise ShapeError(f"param {param.shape} vs grad {grad.shape}")
+        raise ArgumentError(f"param {param.shape} vs grad {grad.shape}")
     if not np.all(np.isfinite(grad)):
-        raise NumericsError("non-finite gradient passed to adam_step")
+        raise TrainingError("non-finite gradient passed to adam_step")
     state.step_count += 1
     t = state.step_count
     state.first_moment *= ADAM_BETA1
@@ -91,7 +91,7 @@ def finite_diff_grad(loss_fn, param: np.ndarray, eps: float = 1e-5) -> np.ndarra
     passes are checked against.
     """
     if eps <= 0:
-        raise NumericsError(f"eps must be positive, got {eps}")
+        raise ArgumentError(f"eps must be positive, got {eps}")
     p = np.array(param, dtype=np.float64)
     grad = np.zeros_like(p)
     it = np.nditer(p, flags=["multi_index"])
@@ -110,6 +110,6 @@ def finite_diff_grad(loss_fn, param: np.ndarray, eps: float = 1e-5) -> np.ndarra
 def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability ``rate``, survivors scaled by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
-        raise NumericsError(f"dropout rate must be in [0, 1), got {rate}")
+        raise ArgumentError(f"dropout rate must be in [0, 1), got {rate}")
     keep = 1.0 - rate
     return (rng.random(shape) < keep).astype(np.float64) / keep

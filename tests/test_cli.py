@@ -11,11 +11,12 @@ import pytest
 import hopf.bench as bench_mod
 import hopf.cli as cli_mod
 from hopf import labelcsv
-from hopf import HopfConfig, TrainConfig, make_kernel, make_splits, row_normalize, run_hopf
+from hopf import (HopfConfig, HopfError, TrainConfig, TrainingError, make_kernel, make_splits,
+                  row_normalize, run_hopf)
 from hopf.cli import main
 from hopf.data import load_dataset
 
-from conftest import child_env, step_probe
+from conftest import child_env, step_probe, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,21 @@ def planted_dir(tmp_path_factory):
                  "--p-out", "0.01", "--noise", "0.2", "--seed", "1", "--out", str(out)])
     assert code == 0
     return out / "dataset"
+
+
+@pytest.fixture(scope="module")
+def odd_bundles(planted_dir, tmp_path_factory):
+    """Copies of the planted bundle, at ``<root>/<file>``, in which that one file is a
+    directory."""
+    root = tmp_path_factory.mktemp("odd-bundles")
+    for odd in ("meta.json", "graph.tsv", "features.tsv", "labels.tsv"):
+        (root / odd).mkdir()
+        for f in planted_dir.iterdir():
+            if f.name == odd:
+                (root / odd / f.name).mkdir()
+            else:
+                (root / odd / f.name).write_bytes(f.read_bytes())
+    return root
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +90,8 @@ BAD_CONFIG_VALUES = [
 ]
 CONFIG_FILES.update((f"{case}.json", text) for case, text, _ in BAD_CONFIG_VALUES)
 
-# (what the error message must name, argv before --out); {data} and {tmp}
-# stand for the planted bundle and the test's tmp_path
+# (what the error message must name, argv before --out); {data}, {odd} and {tmp}
+# stand for the planted bundle, the root of odd_bundles and the test's tmp_path
 BAD_ARGUMENTS = [
     pytest.param("--fold", ["hopf", "--dataset", "{data}", "--model", "i_nip_mean",
                             "--fold", "-1"], id="hopf-fold-negative"),
@@ -128,6 +144,8 @@ BAD_ARGUMENTS = [
                                     "--config", "{tmp}/wrong_type.json"], id="config-wrong-type"),
     pytest.param("missing.csv", ["compare", "--scores", "{tmp}/missing.csv"],
                  id="scores-missing"),
+    pytest.param("latin1.csv: not UTF-8 text", ["compare", "--scores", "{tmp}/latin1.csv"],
+                 id="scores-not-utf8"),
     pytest.param("folds.csv: model 'nip_mean' on dataset 'planted' is scored more than once",
                  ["compare", "--scores", "{tmp}/folds.csv"], id="scores-repeated-pair"),
 ] + [
@@ -167,6 +185,11 @@ BAD_ARGUMENTS = [
     pytest.param("features.tsv: expected 3 columns, found 0",
                  ["train", "--dataset", "{tmp}/empty", "--model", "nip_mean"],
                  id="bundle-n-zero"),
+] + [
+    pytest.param(f"{odd}/{odd}: not a regular file",
+                 ["train", "--dataset", "{odd}/" + odd, "--model", "nip_mean"],
+                 id=f"bundle-{odd}-a-directory")
+    for odd in ("meta.json", "graph.tsv", "features.tsv", "labels.tsv")
 ] + [
     pytest.param(f"feature noise must lie in [0, 1], got {float(noise)}",
                  ["gen", "planted", "--noise", noise], id=f"gen-noise-{noise}")
@@ -259,20 +282,38 @@ class TestExitCodes:
             "training failed (epoch=1): non-finite validation loss nan\n"
 
     @pytest.mark.parametrize("named,argv", BAD_ARGUMENTS)
-    def test_bad_argument_or_input_file_exits_2(self, planted_dir, tmp_path, capsys,
-                                                named, argv):
+    def test_bad_argument_or_input_file_exits_2(self, planted_dir, odd_bundles, tmp_path,
+                                                capsys, named, argv):
         for name, text in CONFIG_FILES.items():
             (tmp_path / name).write_text(text + "\n")
+        # a scores file in Latin-1, whose one byte for "é" is no UTF-8
+        (tmp_path / "latin1.csv").write_bytes("model,dataset,micro_f1\nA,café,0.5\n"
+                                              .encode("latin-1"))
         empty = tmp_path / "empty"
         empty.mkdir()
         (empty / "meta.json").write_text('{"name": "e", "n": 0, "f": 3, "l": 2, '
                                          '"task": "multi_class"}\n')
         for name in ("graph.tsv", "features.tsv", "labels.tsv"):
             (empty / name).write_text("")
-        fill = {"data": str(planted_dir), "tmp": str(tmp_path)}
+        fill = {"data": str(planted_dir), "odd": str(odd_bundles), "tmp": str(tmp_path)}
         code = main([a.format(**fill) for a in argv] + ["--out", str(tmp_path / "run")])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    # every class, the base and folded ones too, raised from inside a verb: the exit
+    # code follows from the class alone, and no error reaches the user as a traceback
+    @pytest.mark.parametrize("cls", [HopfError, *HopfError.__subclasses__()],
+                             ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_the_error_class(self, tmp_path, capsys, monkeypatch, cls):
+        def fail(path):
+            raise cls(f"probe of {cls.__name__}")
+
+        monkeypatch.setattr(cli_mod, "read_scores_csv", fail)
+        code = main(["compare", "--scores", str(tmp_path / "scores.csv"),
+                     "--out", str(tmp_path / "run")])
+        assert code == (1 if issubclass(cls, TrainingError) else 2)
+        err = capsys.readouterr().err
+        assert f"probe of {cls.__name__}" in err and "Traceback" not in err
 
     # (meta.json bytes, what the error must name) on a 12-node chain bundle
     @pytest.mark.parametrize("meta,named", [
@@ -421,6 +462,27 @@ class TestTrainCommand:
         assert sorted(p.name for p in out.iterdir()) == [
             "history_fold0.csv", "manifest.json", "metrics.csv", "predictions_fold0.csv",
             "report.json"]
+
+    def test_folds_are_drawn_as_they_train(self, planted_dir, tmp_path, monkeypatch):
+        # fold 0 trains before fold 1 is drawn: 20,000 folds of the 150-node bundle
+        # held at once traced 33.6 MiB, about 1.7 KiB a fold
+        class FoldZero(Exception):
+            pass
+
+        def stop(spec, bundle, split, config, sample_caps=None):
+            raise FoldZero
+
+        monkeypatch.setattr(cli_mod, "train", stop)
+
+        def run(folds):
+            with pytest.raises(FoldZero):
+                main(["train", "--dataset", str(planted_dir), "--model", "nip_mean",
+                      "--folds", folds, "--out", str(tmp_path / folds)])
+
+        run("1")  # the bundle is in the dataset cache for both traced calls
+        _, one_fold, _ = traced_peak(lambda: run("1"))
+        _, many_folds, _ = traced_peak(lambda: run("20000"))
+        assert many_folds < one_fold + 2**20
 
     def test_sample_caps_cardinality_checked(self, planted_dir, fast_config, tmp_path):
         code = main(["train", "--dataset", str(planted_dir), "--model", "nip_mean",

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopf import (AdamState, NormScheme, NumericsError, ShapeError, adam_step,
+from hopf import (AdamState, ArgumentError, NormScheme, TrainingError, adam_step,
                   finite_diff_grad, glorot_init, khop_subgraph, normalize_adjacency,
                   sigmoid, softmax_rows)
 from hopf.numerics import dropout_mask
@@ -60,7 +60,7 @@ class TestGlorot:
         assert not np.array_equal(glorot_init(5, 5, 9), glorot_init(5, 5, 10))
 
     def test_bad_fans(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ArgumentError):
             glorot_init(0, 3, 0)
 
 
@@ -120,7 +120,7 @@ class TestAdam:
 
     def test_nonfinite_grad_rejected(self):
         p = np.zeros((1, 1))
-        with pytest.raises(NumericsError):
+        with pytest.raises(TrainingError):
             adam_step(p, np.array([[np.nan]]), AdamState.for_param(p), lr=0.01)
 
     def test_three_steps_match_a_hand_written_update_at_each_rate(self):
