@@ -1,7 +1,4 @@
-"""Exception hierarchy shared across the package.
-
-The CLI maps by class alone: a ``TrainingError`` exits 1, any other ``HopfError`` 2.
-"""
+"""Exception hierarchy shared across the package."""
 
 
 class HopfError(Exception):
