@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import labelcsv
+from . import iterate, labelcsv
 from . import manifest as run_manifest
 from .bench import run_scaling
 from .data import (gen_benchmark_graph, gen_chain, gen_planted_partition, load_dataset,
@@ -132,6 +133,43 @@ def _train_config(args) -> TrainConfig:
 _write_csv = labelcsv.write_rows
 
 
+def _remove_stale(out: Path, *patterns: str) -> None:
+    """Delete what an earlier run left in ``out`` under ``patterns``, so a rerun
+    with fewer folds or rounds leaves none of the longer run's files behind."""
+    for pattern in patterns:
+        for stale in out.glob(pattern):
+            stale.unlink()
+
+
+def _round_writer(rounds_dir: Path):
+    """``hopf``'s ``on_round``: clears ``rounds_dir`` of earlier round files, then
+    writes each round's weights, both label CSVs and ``metrics.csv`` row as it ends.
+
+    A label matrix with the same bytes as the last one under its name (under
+    (T-t)/T, ``yhat_t{T}`` repeats ``yhat_t{T-1}``) is copied from that file,
+    not formatted again. The SHA-256 of its buffer tells a repeat, so -0.0 and
+    NaN never alias and no matrix is copied. The CSVs go through ``iterate``'s
+    names, which perfbench/spans.py traces.
+    """
+    rounds_dir.mkdir(parents=True, exist_ok=True)
+    _remove_stale(rounds_dir, "metrics.csv", "weights_t*.bin", "yhat_t*.csv", "ytilde_t*.csv")
+    digests: dict[str, bytes] = {}  # stem -> SHA-256 of the matrix last written under it
+
+    def write(result) -> None:
+        t, f1 = result.trajectory[-1]["iteration"], result.trajectory[-1]["micro_f1"]
+        result.weights.save(rounds_dir / f"weights_t{t}.bin")
+        for stem, matrix in (("yhat", result.yhat), ("ytilde", result.ytilde)):
+            path, digest = rounds_dir / f"{stem}_t{t}.csv", hashlib.sha256(matrix).digest()
+            if digests.get(stem) == digest:
+                shutil.copyfile(rounds_dir / f"{stem}_t{t - 1}.csv", path)
+            else:
+                iterate._dump_labels(path, matrix)
+            digests[stem] = digest
+        iterate._append_metrics_row(rounds_dir / "metrics.csv",
+                                    ["iteration", "test_micro_f1"] if t == 1 else None, [[t, f1]])
+    return write
+
+
 def cmd_gen(args) -> int:
     out = Path(args.out)
     config = {"kind": args.kind, **{k: getattr(args, k, None) for k in
@@ -158,10 +196,7 @@ def cmd_train(args) -> int:
     with _dataset_scope(args, config, {"model": args.model, "hops": spec.depth,
                                        "folds": args.folds,
                                        "sample_caps": args.sample_caps}) as (out, bundle):
-        # a rerun into the same --out: the folds of a longer earlier run must not linger
-        for pattern in ("history_fold*.csv", "predictions_fold*.csv"):
-            for stale in out.glob(pattern):
-                stale.unlink()
+        _remove_stale(out, "history_fold*.csv", "predictions_fold*.csv")
         splits = itertools.islice(split_folds(bundle.graph.n, config.rng_seed), args.folds)
         records = []
         for fold, split in enumerate(splits):  # drawn in turn: no fold waits in memory
@@ -192,13 +227,13 @@ def cmd_hopf(args) -> int:
     with _dataset_scope(args, config, {"C": spec.depth, **asdict(hopf_config),
                                        "model": args.model, "fold": args.fold}) as (out, bundle):
         split = next(itertools.islice(split_folds(bundle.graph.n, config.rng_seed), args.fold, None))
-        result = run_hopf(spec, bundle, split, config, hopf_config, out_dir=out / "iterations")
+        rounds = out / "iterations"
+        result = run_hopf(spec, bundle, split, config, hopf_config, _round_writer(rounds))
         _write_csv(out / "trajectory.csv", ["iteration", "micro_f1"],
                    [[row["iteration"], row["micro_f1"]] for row in result.trajectory])
         # the last round's label dumps already hold the final matrices
         for name in ("yhat", "ytilde"):
-            shutil.copyfile(out / "iterations" / f"{name}_t{hopf_config.T}.csv",
-                            out / f"{name}_final.csv")
+            shutil.copyfile(rounds / f"{name}_t{hopf_config.T}.csv", out / f"{name}_final.csv")
         records = [MetricsRecord(args.model, bundle.name, args.fold,
                                  row["micro_f1"], float("nan")) for row in result.trajectory]
         write_records_csv(records, out / "metrics.csv")

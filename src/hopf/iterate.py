@@ -11,10 +11,7 @@ trainable parameter count stays that of a single C-layer kernel.
 
 from __future__ import annotations
 
-import hashlib
-import shutil
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -83,44 +80,29 @@ def require_label_channel(spec: KernelSpec) -> None:
 
 
 def run_hopf(spec: KernelSpec, bundle: DatasetBundle, split: SplitSpec,
-             train_config: TrainConfig, hopf_config: HopfConfig, out_dir=None) -> HopfResult:
+             train_config: TrainConfig, hopf_config: HopfConfig, on_round=None) -> HopfResult:
     """Run T rounds of train / infer / restore / average; returns final estimates.
 
     The label estimate starts at zero everywhere (round one sees an all-zero
     channel, even on labeled rows). The per-round trajectory reports test
-    micro-F1 of the fresh inference. Artifacts per round land in ``out_dir``:
-    a binary weights snapshot plus CSV dumps of both label matrices, written as
-    the round ends. A matrix with the same bytes as the one last written under
-    its name is copied from that file, not formatted again: under the (T-t)/T
-    rule round T's fresh weight is 0, so ``yhat_t{T}`` repeats ``yhat_t{T-1}``.
-    Matrices are recognised by a digest of their bytes, not their values, so
-    -0.0 and NaN never alias, and no copy of a matrix is kept. A rerun into the
-    same ``out_dir`` first deletes the round files an earlier run left.
+    micro-F1 of the fresh inference. No file is written: ``on_round(result)``,
+    if given, runs as each round ends, with that round's weights and trajectory
+    row in ``result`` and the live ``yhat`` and ``ytilde``, which later rounds overwrite.
     """
     require_label_channel(spec)
     yhat, ytilde = np.zeros(bundle.y.shape), np.zeros(bundle.y.shape)
     u_nodes = np.setdiff1d(np.arange(bundle.graph.n), split.train_nodes)
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-        for pattern in ("metrics.csv", "weights_t*.bin", "yhat_t*.csv", "ytilde_t*.csv"):
-            for stale in out_path.glob(pattern):
-                stale.unlink()
-
-    weights = None
     result = HopfResult(yhat=yhat, ytilde=ytilde, trajectory=[], weights=None)
-    digests: dict[str, bytes] = {}  # stem -> SHA-256 of the matrix last written under it
     for t in range(1, hopf_config.T + 1):
-        cfg_t = replace(train_config,
-                        rng_seed=train_config.rng_seed + _ITER_SEED_STRIDE * (t - 1))
+        cfg_t = replace(train_config, rng_seed=train_config.rng_seed + _ITER_SEED_STRIDE * (t - 1))
         # a warm start resumes from a copy of the last weights; Adam's moments start afresh
-        init = weights.copy() if (hopf_config.warm_start and weights is not None) else None
+        init = result.weights.copy() if (hopf_config.warm_start and t > 1) else None
         # train and infer read yhat as this round's frozen channel; it is first
         # written below, once infer has returned, so they need no copy of it
-        weights, history = train(spec, bundle, split, cfg_t, yhat=yhat, init_weights=init)
+        result.weights, history = train(spec, bundle, split, cfg_t, yhat=yhat, init_weights=init)
         result.histories.append(history)
 
-        ytilde[u_nodes] = infer(spec, weights, bundle, u_nodes, yhat)
+        ytilde[u_nodes] = infer(spec, result.weights, bundle, u_nodes, yhat)
         yhat[split.train_nodes] = bundle.y[split.train_nodes]
         yhat[u_nodes] = temporal_average(ytilde[u_nodes], yhat[u_nodes], t, hopf_config.T,
                                          shifted=hopf_config.shifted_averaging)
@@ -128,26 +110,11 @@ def run_hopf(spec: KernelSpec, bundle: DatasetBundle, split: SplitSpec,
         test_f1 = micro_f1(binarize_predictions(ytilde[split.test_nodes], bundle.task),
                            bundle.y[split.test_nodes])
         result.trajectory.append({"iteration": t, "micro_f1": test_f1})
-
-        if out_path is not None:
-            weights.save(out_path / f"weights_t{t}.bin")
-            for stem, matrix in (("yhat", yhat), ("ytilde", ytilde)):
-                path, digest = out_path / f"{stem}_t{t}.csv", hashlib.sha256(matrix).digest()
-                if digests.get(stem) == digest:
-                    shutil.copyfile(out_path / f"{stem}_t{t - 1}.csv", path)
-                else:
-                    _dump_labels(path, matrix)
-                digests[stem] = digest
-            _append_metrics_row(out_path / "metrics.csv", t, test_f1)
-
-    result.weights = weights
+        if on_round is not None:
+            on_round(result)
     return result
 
 
-# the label CSV writer, under the name that perfbench/spans.py traces
+# the label CSV and round-metrics writers, under the names that perfbench/spans.py traces
 _dump_labels = labelcsv.write
-
-
-def _append_metrics_row(path: Path, iteration: int, test_f1: float) -> None:
-    header = None if path.exists() else ["iteration", "test_micro_f1"]
-    labelcsv.write_rows(path, header, [[iteration, test_f1]])
+_append_metrics_row = labelcsv.write_rows

@@ -181,7 +181,7 @@ def read_scores_csv(path) -> dict:
     """
     scores: dict[str, dict[str, float]] = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is no column
             text = fh.read()
     except OSError as exc:
         raise ArgumentError(f"{path}: cannot read scores ({exc.strerror or exc})") from exc

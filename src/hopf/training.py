@@ -89,15 +89,14 @@ def split_folds(n: int, rng_seed: int) -> Iterator[SplitSpec]:
     """Every fold in turn, each drawn from one rng as it is asked for, so fold F
     keeps nothing of folds 0..F-1. One shared 20% test set; per fold, 10% labeled
     nodes of which 20% validate; the rest is unlabeled. Equal seeds, equal splits.
+    Below 50 nodes the n // 10 // 5 validation nodes would be none, so n >= 50.
     """
-    if n < 10:
-        raise ConfigError(f"need n >= 10 for non-empty splits, got {n}")
+    if n < 50:
+        raise ConfigError(f"need n >= 50 for a split with validation nodes, got {n}")
     rng = np.random.default_rng(rng_seed)
     test = np.sort(rng.choice(n, size=n // 5, replace=False))
     pool = np.setdiff1d(np.arange(n), test)
     labeled_size = n // 10
-    if labeled_size < 1 or labeled_size > pool.size:
-        raise ConfigError(f"cannot draw {labeled_size} labeled nodes from {pool.size}")
     val_size = labeled_size // 5
 
     def folds():
@@ -217,8 +216,9 @@ def train(spec: KernelSpec, bundle: DatasetBundle, split: SplitSpec, config: Tra
     (None: the all-zero one); it is read, never written, and receives no gradient.
     Early stopping follows validation loss and is suppressed before ``min_epochs``.
     """
-    if split.train_nodes.size == 0:
-        raise ConfigError("training split is empty")
+    if split.train_nodes.size == 0 or split.val_nodes.size == 0:
+        raise ConfigError(f"a split needs training and validation nodes, got "
+                          f"{split.train_nodes.size} and {split.val_nodes.size}")
     if spec.hidden_dim != config.hidden_dim:
         raise ConfigError(f"{spec.name} has hidden width {spec.hidden_dim}, "
                           f"but the config asks for {config.hidden_dim}")
@@ -232,7 +232,6 @@ def train(spec: KernelSpec, bundle: DatasetBundle, split: SplitSpec, config: Tra
     adam = {name: AdamState.for_param(p) for name, p in weights.params()}
 
     early = EarlyStopState(patience_budget=config.patience, lr_current=config.learning_rate)
-    has_val = split.val_nodes.size > 0
     best_weights = weights  # the live weights, until validation first improves
     history = []
 
@@ -252,18 +251,16 @@ def train(spec: KernelSpec, bundle: DatasetBundle, split: SplitSpec, config: Tra
             epoch_loss += loss * batch.size
         epoch_loss /= split.train_nodes.size
 
-        val_loss = np.nan
-        if has_val:
-            val_pred = infer(spec, weights, bundle, split.val_nodes, yhat)
-            val_loss, _ = weighted_cross_entropy(val_pred, bundle.y[split.val_nodes], omega,
-                                                 bundle.task)
-            if not np.isfinite(val_loss):
-                raise TrainingError(f"non-finite validation loss {val_loss}", epoch=epoch)
-            if early.observe(val_loss) == "improved":
-                best_weights = weights.copy()
+        val_pred = infer(spec, weights, bundle, split.val_nodes, yhat)
+        val_loss, _ = weighted_cross_entropy(val_pred, bundle.y[split.val_nodes], omega,
+                                             bundle.task)
+        if not np.isfinite(val_loss):
+            raise TrainingError(f"non-finite validation loss {val_loss}", epoch=epoch)
+        if early.observe(val_loss) == "improved":
+            best_weights = weights.copy()
         history.append({"epoch": epoch, "train_loss": epoch_loss,
                         "val_loss": float(val_loss), "lr": early.lr_current})
-        if has_val and early.stopped and epoch >= config.min_epochs:
+        if early.stopped and epoch >= config.min_epochs:
             break
 
     return best_weights, history

@@ -606,6 +606,20 @@ class TestCompareCommand:
         rows = read_csv(out / "report.csv")
         assert [r["model"] for r in rows] == ["better", "middle", "worse"]
 
+    def test_byte_order_mark_gives_the_same_table(self, tmp_path, capsys):
+        # spreadsheet tools often save a CSV with a UTF-8 byte-order mark before its header
+        text = "model,dataset,micro_f1\nA,d1,0.5\nB,d1,0.6\nA,d2,0.7\nB,d2,0.4\n"
+        reports = []
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            scores = tmp_path / f"{name}.csv"
+            scores.write_text(text, encoding=encoding)
+            assert main(["compare", "--scores", str(scores), "--out", str(tmp_path / name)]) == 0
+            reports.append([(tmp_path / name / f).read_bytes() for f in ("report.csv",
+                                                                          "report.json")])
+        capsys.readouterr()
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("rows", ["A,d1,0.5\nB,d1,0.6\nB,d2,0.7\n",
                                       "B,d1,0.6\nB,d2,0.7\nA,d1,0.5\n"],
                              ids=["short-model-first", "short-model-last"])

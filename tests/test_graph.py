@@ -240,10 +240,10 @@ class TestSampleNeighbors:
 
     def test_cap_length_mismatch(self, star6):
         # a sampled ball has one hop per cap; train holds the caps to the kernel's depth
-        bundle = gen_planted_partition(40, 2, 0.3, 0.05, 0.4, rng_seed=0)
+        bundle = gen_planted_partition(50, 2, 0.3, 0.05, 0.4, rng_seed=0)
         spec = make_kernel("nip_mean", depth=2, hidden_dim=4)
         with pytest.raises(ConfigError, match="one sample cap per hop"):
-            train(spec, bundle, make_splits(40, rng_seed=0)[0], TrainConfig(hidden_dim=4),
+            train(spec, bundle, make_splits(50, rng_seed=0)[0], TrainConfig(hidden_dim=4),
                   sample_caps=[3])
         with pytest.raises(ArgumentError):
             sample_neighbors(star6, [0], [0], rng_seed=0)

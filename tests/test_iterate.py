@@ -15,6 +15,7 @@ from hopf import (ArgumentError, ConfigError, HopfConfig, ModelWeights, Task,
                   TrainConfig, TrainingError, gen_benchmark_graph, gen_chain,
                   gen_planted_partition, khop_subgraph, make_kernel, make_splits, predict,
                   row_normalize, run_hopf, temporal_average, train)
+from hopf.cli import _round_writer
 from hopf.iterate import _dump_labels
 from hopf.labelcsv import BLOCK_ROWS
 
@@ -114,7 +115,8 @@ class TestHopfLoop:
     def test_cold_start_reinitializes_differently(self, tmp_path):
         bundle, split, cfg = fixture(26)
         spec = make_kernel("ss_ica", hidden_dim=16)
-        run_hopf(spec, bundle, split, cfg, HopfConfig(T=2, warm_start=False), out_dir=tmp_path)
+        run_hopf(spec, bundle, split, cfg, HopfConfig(T=2, warm_start=False),
+                 on_round=_round_writer(tmp_path))
         w1, w2 = (ModelWeights.load(tmp_path / f"weights_t{t}.bin", spec) for t in (1, 2))
         assert not np.array_equal(w1.w0, w2.w0)
 
@@ -141,13 +143,37 @@ class TestHopfLoop:
     def test_artifacts_written_per_round(self, tmp_path):
         bundle, split, cfg = fixture(28)
         spec = make_kernel("ss_ica", hidden_dim=16)
-        run_hopf(spec, bundle, split, cfg, HopfConfig(T=2), out_dir=tmp_path / "run")
+        run_hopf(spec, bundle, split, cfg, HopfConfig(T=2),
+                 on_round=_round_writer(tmp_path / "run"))
         for t in (1, 2):
             assert (tmp_path / "run" / f"weights_t{t}.bin").exists()
             assert (tmp_path / "run" / f"yhat_t{t}.csv").exists()
             assert (tmp_path / "run" / f"ytilde_t{t}.csv").exists()
         back = ModelWeights.load(tmp_path / "run" / "weights_t2.bin", spec)
         assert back.w0.shape == (bundle.num_features, 16)
+
+
+def test_on_round_runs_as_each_round_ends_and_nothing_is_written_without_it(tmp_path,
+                                                                            monkeypatch):
+    bundle, split, cfg = fixture(31)
+    cfg = replace(cfg, max_epochs=2, min_epochs=1)
+    spec = make_kernel("ss_ica", hidden_dim=16)
+    monkeypatch.chdir(tmp_path)
+    run_hopf(spec, bundle, split, cfg, HopfConfig(T=3))
+    assert list(tmp_path.iterdir()) == []
+
+    seen = []
+
+    def on_round(result):
+        # called after the round's restore, average and trajectory row
+        assert np.array_equal(result.yhat[split.train_nodes], bundle.y[split.train_nodes])
+        seen.append((len(result.trajectory), result.trajectory[-1]["iteration"],
+                     len(result.histories), result.weights))
+
+    result = run_hopf(spec, bundle, split, cfg, HopfConfig(T=3), on_round=on_round)
+    assert [row[:3] for row in seen] == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
+    assert len({id(row[3]) for row in seen}) == 3 and seen[-1][3] is result.weights
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestLabelCopies:
@@ -165,7 +191,7 @@ class TestLabelCopies:
         monkeypatch.setattr(iterate_mod, "_dump_labels", recording)
         out = tmp_path / ("shifted" if shifted else "plain")
         result = run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle, split, cfg,
-                          HopfConfig(T=3, shifted_averaging=shifted), out_dir=out)
+                          HopfConfig(T=3, shifted_averaging=shifted), on_round=_round_writer(out))
         return result, out, formatted
 
     def test_repeated_matrix_is_copied(self, tmp_path, monkeypatch):
@@ -315,7 +341,7 @@ class TestLabelFormattingFailures:
         bundle, split, cfg = fixture(30)
         cfg = replace(cfg, max_epochs=2, min_epochs=1)
         run_hopf(make_kernel("ss_ica", hidden_dim=16), bundle, split, cfg, HopfConfig(T=2),
-                 out_dir=out_dir)
+                 on_round=_round_writer(out_dir))
 
     def test_a_failed_round_keeps_the_earlier_rounds_files(self, tmp_path, monkeypatch):
         self.run(tmp_path / "whole")
@@ -348,7 +374,7 @@ def test_label_dump_peak_memory_is_a_block_not_the_file(tmp_path):
 
 
 def test_label_dumps_keep_no_copy_of_a_label_matrix(tmp_path):
-    # run_hopf remembers each stem's last matrix by its digest, and the rounds read
+    # the round writer remembers each stem's last matrix by its digest, and the rounds read
     # yhat itself, so writing the round files adds less than one n x L matrix to the
     # traced peak; 4 features keep one 1,024-row dump block below a matrix's size
     bundle = gen_benchmark_graph(20_000, 60_000, f=4, l=4, rng_seed=5)
@@ -356,11 +382,11 @@ def test_label_dumps_keep_no_copy_of_a_label_matrix(tmp_path):
     cfg = TrainConfig(batch_size=512, hidden_dim=8, max_epochs=1, min_epochs=1, rng_seed=5)
     spec = make_kernel("i_nip_mean", depth=1, hidden_dim=8)
 
-    def run(out_dir):
-        return run_hopf(spec, bundle, split, cfg, HopfConfig(T=3), out_dir=out_dir)
+    def run(on_round):
+        return run_hopf(spec, bundle, split, cfg, HopfConfig(T=3), on_round=on_round)
 
     _, plain, _ = traced_peak(lambda: run(None))
-    _, dumped, _ = traced_peak(lambda: run(tmp_path / "iterations"))
+    _, dumped, _ = traced_peak(lambda: run(_round_writer(tmp_path / "iterations")))
     assert len(list((tmp_path / "iterations").glob("*_t3.csv"))) == 2
     assert dumped - plain < bundle.y.nbytes
 

@@ -13,7 +13,7 @@ from hopf import (ArgumentError, ConfigError, DatasetBundle, EarlyStopState, Tas
 from hopf.bench import estimate_batch_bytes
 from hopf.kernels import REGISTRY, WHOLE_GRAPH_FRACTION, ModelWeights, layer_rows
 from hopf.numerics import AdamState
-from hopf.training import split_folds, train_step
+from hopf.training import SplitSpec, split_folds, train_step
 
 from conftest import random_graph, traced_peak
 
@@ -67,6 +67,13 @@ class TestMakeSplits:
     def test_too_small_rejected(self):
         with pytest.raises(ConfigError):
             make_splits(9, rng_seed=0)
+
+    def test_every_split_has_a_validation_set(self):
+        # below 50 nodes the n // 10 // 5 validation nodes would be none, and train
+        # would run with no validation loss for patience or early stopping to read
+        assert all(fold.val_nodes.size == 1 for fold in make_splits(50, rng_seed=0))
+        with pytest.raises(ConfigError, match="need n >= 50"):
+            make_splits(49, rng_seed=0)
 
     def test_fold_does_not_depend_on_fold_count(self):
         # folds are drawn in turn from one rng, so the first k do not depend on k
@@ -139,6 +146,16 @@ class TestEarlyStopState:
 
 
 class TestTrainLoop:
+    def test_refuses_a_split_without_validation_nodes(self):
+        bundle = gen_planted_partition(100, 2, 0.3, 0.05, 0.4, rng_seed=0)
+        split = make_splits(100, rng_seed=0)[0]
+        no_val = SplitSpec(train_nodes=np.concatenate([split.train_nodes, split.val_nodes]),
+                           val_nodes=split.val_nodes[:0], test_nodes=split.test_nodes,
+                           unlabeled_nodes=split.unlabeled_nodes)
+        with pytest.raises(ConfigError, match="training and validation nodes, got 10 and 0"):
+            train(make_kernel("nip_mean", depth=1, hidden_dim=4), bundle, no_val,
+                  TrainConfig(hidden_dim=4, max_epochs=1, min_epochs=1))
+
     def test_zero_learning_rate_freezes_weights(self):
         bundle = planted(0, n=100)
         split = make_splits(100, rng_seed=0)[0]
